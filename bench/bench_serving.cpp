@@ -9,15 +9,14 @@
 //                   [--batch=256] [--threads=0] [--shards=4]
 //                   [--out=BENCH_serving.json]
 //                   [--no-flat] [--no-durable] [--no-sharded]
-//                   [--no-multiproc] [--quantized]
-//                   [--simd=auto|scalar|neon|avx2]
+//                   [--no-multiproc] [--simd=auto|scalar|avx2]
 //
 // --no-flat serves from the node-pointer trees instead of the compiled
 // flat-forest path; running both and diffing records_per_sec measures the
 // serving-side speedup of compiled inference (scores are identical).
-// --quantized serves from the uint8-quantized ensemble, and --simd pins
-// the flat kernel tier (degrading to what the CPU supports) — together
-// they A/B every inference configuration the registry can activate.
+// --simd pins the flat kernel tier (degrading to what the CPU supports) —
+// together they A/B every inference configuration the registry can
+// activate.
 //
 // Unless --no-durable is given, a second replay pass runs with the
 // checksummed WAL + checkpoints enabled (docs/DURABILITY.md), reporting
@@ -33,7 +32,7 @@
 // docs/SERVING.md "multi-process topology") and feeds the same stream
 // through a shard-aware ShardedClient, reporting multiproc_records_per_sec
 // and multiproc_speedup — the cross-process-boundary cost/scaling the gate
-// tracks per commit.
+// tracks per commit. Every pass feeds the same stream through serve::feed.
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
   bool durable = true;
   bool sharded = true;
   bool multiproc = true;
-  bool quantized = false;
   std::string out_path = "BENCH_serving.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -108,11 +106,10 @@ int main(int argc, char** argv) {
     if (arg == "--no-durable") durable = false;
     if (arg == "--no-sharded") sharded = false;
     if (arg == "--no-multiproc") multiproc = false;
-    if (arg == "--quantized") quantized = true;
     if (starts_with(arg, "--simd=")) {
       std::optional<ml::SimdLevel> level;
       if (!ml::parse_simd_level(arg.substr(7), level)) {
-        std::cerr << "--simd must be auto, scalar, neon, or avx2\n";
+        std::cerr << "--simd must be auto, scalar, or avx2\n";
         return 1;
       }
       ml::set_simd_override(level);
@@ -129,7 +126,7 @@ int main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "mfpa-bench-registry")
           .string();
   std::filesystem::remove_all(registry_dir);
-  serve::ModelRegistry registry(registry_dir, threads, flat, quantized);
+  serve::ModelRegistry registry(registry_dir, {threads, flat});
   core::MfpaConfig config;
   config.seed = args.seed;
   const int version = serve::train_and_publish(registry, config,
@@ -176,7 +173,8 @@ int main(int argc, char** argv) {
     router_config.shards = shards;
     router_config.engine = engine_config;
     net::ShardRouter router(registry, router_config);
-    const auto sharded_report = net::replay_over_loopback(router, replayer);
+    const auto sharded_report = net::replay_router(
+        router, replayer, {}, net::Transport::kLoopback);
     router.stop();
     sharded_records_per_sec = sharded_report.replay.records_per_sec;
     sharded_latency_p99_us =
@@ -228,25 +226,17 @@ int main(int argc, char** argv) {
     client_config.ports = procs.ports();
     client_config.model_version = static_cast<std::uint32_t>(version);
     net::ShardedClient client(client_config);
-
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto& arrival : replayer.arrivals()) {
-      client.send_record(arrival.drive_id, arrival.vendor, *arrival.record);
-    }
-    const net::FlushAck ack = client.sync();
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    const auto fed = serve::feed(replayer, client);
     client.close();
     procs.terminate_all();
+    const net::FlushAck& ack = fed.totals;
     if (ack.records_processed + ack.shed != replayer.total_records()) {
       std::cerr << "multiproc pass lost records (" << ack.records_processed
                 << " + " << ack.shed << " shed != " << replayer.total_records()
                 << ")\n";
       return 1;
     }
-    multiproc_records_per_sec =
-        wall > 0 ? static_cast<double>(replayer.total_records()) / wall : 0.0;
+    multiproc_records_per_sec = fed.records_per_sec;
     multiproc_speedup = report.records_per_sec > 0
                             ? multiproc_records_per_sec / report.records_per_sec
                             : 0.0;
@@ -260,7 +250,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(report.engine.batches);
   TablePrinter table({"metric", "value"});
   table.add_row({"flat inference", flat ? "on" : "off"});
-  table.add_row({"quantized inference", quantized ? "on" : "off"});
   table.add_row({"records", std::to_string(report.engine.submitted)});
   table.add_row({"wall seconds", format_double(report.wall_seconds, 3)});
   table.add_row({"records/sec",
@@ -311,8 +300,6 @@ int main(int argc, char** argv) {
        << "  \"seed\": " << args.seed << ",\n"
        << "  \"algorithm\": \"RF\",\n"
        << "  \"flat_inference\": " << (flat ? "true" : "false") << ",\n"
-       << "  \"quantized_inference\": " << (quantized ? "true" : "false")
-       << ",\n"
        << "  \"simd\": \"" << ml::to_string(ml::active_simd_level()) << "\",\n"
        << "  \"max_batch\": " << max_batch << ",\n"
        << "  \"records\": " << report.engine.submitted << ",\n"

@@ -11,7 +11,6 @@
 #include "ml/factory.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/metrics.hpp"
-#include "ml/quantized_forest.hpp"
 #include "ml/simd.hpp"
 #include "sim/fleet.hpp"
 
@@ -171,59 +170,6 @@ void BM_FlatForestPredictSimdGbdt(benchmark::State& state) {
                           : ml::detected_simd_level())));
 }
 BENCHMARK(BM_FlatForestPredictSimdGbdt)->ArgName("simd")->Arg(0)->Arg(2);
-
-// Quantized (uint8-code) vs float compiled scoring, single thread. The
-// quantized path encodes each row block to codes and walks 9-byte nodes;
-// probabilities are bit-identical (cuts derive from the model's own
-// thresholds; see ml/quantized_forest.hpp).
-void BM_QuantizedPredictRF(benchmark::State& state) {
-  const auto [X, y] = blob_data(4000, 45);
-  auto rf = ml::make_classifier(
-      "RF", {{"n_trees", 100}, {"seed", 1}, {"threads", 1}});
-  rf->fit(X, y);
-  auto& compilable = dynamic_cast<ml::CompiledInference&>(*rf);
-  if (!compilable.compile_quantized()) {
-    state.SkipWithError("ensemble not quantizable");
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rf->predict_proba(X));
-  }
-  state.SetItemsProcessed(state.iterations() * 4000);
-}
-BENCHMARK(BM_QuantizedPredictRF);
-
-void BM_QuantizedPredictGbdt(benchmark::State& state) {
-  const auto [X, y] = blob_data(4000, 45);
-  auto gbdt = ml::make_classifier(
-      "GBDT", {{"n_rounds", 100}, {"seed", 1}, {"threads", 1}});
-  gbdt->fit(X, y);
-  auto& compilable = dynamic_cast<ml::CompiledInference&>(*gbdt);
-  if (!compilable.compile_quantized()) {
-    state.SkipWithError("ensemble not quantizable");
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gbdt->predict_proba(X));
-  }
-  state.SetItemsProcessed(state.iterations() * 4000);
-}
-BENCHMARK(BM_QuantizedPredictGbdt);
-
-// One-off cost of quantizing a 100-tree forest (paid once per model
-// activation when the registry runs with quantize_models).
-void BM_QuantizedCompile(benchmark::State& state) {
-  const auto [X, y] = blob_data(4000, 45);
-  auto rf = ml::make_classifier(
-      "RF", {{"n_trees", 100}, {"seed", 1}, {"threads", 1}});
-  rf->fit(X, y);
-  auto& compilable = dynamic_cast<ml::CompiledInference&>(*rf);
-  for (auto _ : state) {
-    compilable.compile_quantized();
-    benchmark::DoNotOptimize(compilable.quantized());
-  }
-}
-BENCHMARK(BM_QuantizedCompile);
 
 // One-off cost of flattening a 100-tree forest (paid once per model
 // activation in the serving tier; see docs/PERFORMANCE.md amortization).

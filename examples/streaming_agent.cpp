@@ -69,13 +69,15 @@ int main(int argc, char** argv) {
       replayer.first_day() +
       (replayer.last_day() - replayer.first_day()) / 2;
   int v2 = 0;
-  const auto report = replayer.replay(engine, [&](DayIndex day) {
+  serve::ReplayOptions options;
+  options.on_day = [&](DayIndex day) {
     if (v2 == 0 && day >= swap_day) {
       v2 = registry.publish_pipeline(pipeline_v2, 0, day);
       std::cout << "service side: hot-swapped to GBDT v" << v2 << " on "
                 << format_date(day) << " (queue keeps draining)\n";
     }
-  });
+  };
+  const auto report = replayer.replay(engine, options);
   engine.stop();
 
   std::size_t scored_v1 = 0, scored_v2 = 0;

@@ -6,10 +6,10 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 #include "common/string_util.hpp"
 #include "common/table_printer.hpp"
@@ -32,11 +32,38 @@
 namespace mfpa::cli {
 namespace {
 
-/// Set by SIGTERM/SIGINT during serve-replay; the feed checks it between
-/// submissions, drains the queue, seals the durable state, and exits 0.
+/// Set by SIGTERM/SIGINT while a ShutdownSignals scope is live; the feed
+/// checks it between submissions, drains the queue, seals the durable
+/// state, and exits 0.
 volatile std::sig_atomic_t g_shutdown_requested = 0;
 
 extern "C" void handle_shutdown_signal(int) { g_shutdown_requested = 1; }
+
+/// Routes SIGTERM/SIGINT to g_shutdown_requested (cleared on entry) for its
+/// lifetime and restores the default dispositions after.
+class ShutdownSignals {
+ public:
+  ShutdownSignals() {
+    g_shutdown_requested = 0;
+    std::signal(SIGTERM, handle_shutdown_signal);
+    std::signal(SIGINT, handle_shutdown_signal);
+  }
+  ~ShutdownSignals() {
+    std::signal(SIGTERM, SIG_DFL);
+    std::signal(SIGINT, SIG_DFL);
+  }
+  ShutdownSignals(const ShutdownSignals&) = delete;
+  ShutdownSignals& operator=(const ShutdownSignals&) = delete;
+};
+
+/// Blocks until SIGTERM/SIGINT: the main thread of a shard or router
+/// process, whose work runs on its server and engine threads.
+void wait_for_shutdown() {
+  const ShutdownSignals signals;
+  while (!g_shutdown_requested) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+}
 
 /// Fail-fast parse of a flag that must be a positive integer (--shards,
 /// --chunk-drives, ...): rejects zero, negatives, and fractions with the
@@ -95,6 +122,94 @@ core::MfpaConfig config_from(const CommandLine& cmd) {
   config.decision_threshold = cmd.get_number("threshold", 0.5);
   config.seed = get_seed(cmd);
   return config;
+}
+
+/// Engine flags of every serving command. A multi-process parent forwards
+/// them verbatim to its shard-serve children, so every process builds the
+/// identical engine configuration.
+constexpr const char* kEngineValueFlags[] = {
+    "alert-consecutive", "cooldown",  "queue-capacity",
+    "batch",             "threads",   "wal-group-commit",
+    "checkpoint-interval", "simd",
+};
+constexpr const char* kEngineBoolFlags[] = {"shed", "no-flat", "strict",
+                                            "lenient"};
+
+/// What every serving command (serve-replay, fleet-replay, shard-serve)
+/// reads from the engine flags above plus --durable-dir, --alerts-out and
+/// --kill-after, parsed once before any telemetry work.
+struct ServingFlags {
+  serve::RegistryOptions registry;  ///< --threads, --no-flat
+  /// Engine template (--batch, --shed, ...) and the --durable-dir root;
+  /// the command sets the shard counts.
+  net::ShardRouterConfig router;
+  std::string alerts_out;           ///< --alerts-out
+  std::size_t kill_after = 0;       ///< --kill-after
+};
+
+ServingFlags serving_flags_from(const CommandLine& cmd) {
+  // --simd pins the inference kernel tier ("auto" probes the CPU). A tier
+  // the hardware lacks degrades to the strongest available one, so the
+  // commands print the resolved tier — that is what actually ran.
+  if (cmd.has("simd")) {
+    std::optional<ml::SimdLevel> level;
+    if (!ml::parse_simd_level(cmd.require("simd"), level)) {
+      throw std::runtime_error("--simd must be auto, scalar, or avx2");
+    }
+    ml::set_simd_override(level);
+  }
+  ServingFlags flags;
+  const auto threads = static_cast<std::size_t>(cmd.get_number("threads", 0));
+  flags.registry.score_threads = threads;
+  // --no-flat serves from the node-pointer trees instead of the compiled
+  // flat forest (identical probabilities; for A/B runs and debugging).
+  flags.registry.compile = !cmd.has("no-flat");
+  serve::EngineConfig& engine = flags.router.engine;
+  engine.store.preprocess.robustness = robustness_from(cmd);
+  engine.store.shards = threads;
+  engine.alert_policy.min_consecutive =
+      static_cast<int>(cmd.get_number("alert-consecutive", 1));
+  engine.alert_policy.cooldown_days =
+      static_cast<int>(cmd.get_number("cooldown", 0));
+  engine.queue_capacity =
+      static_cast<std::size_t>(cmd.get_number("queue-capacity", 4096));
+  engine.max_batch = static_cast<std::size_t>(cmd.get_number("batch", 256));
+  engine.shed_on_full = cmd.has("shed");
+  engine.durability.group_commit_records =
+      static_cast<std::size_t>(cmd.get_number("wal-group-commit", 256));
+  engine.durability.checkpoint_interval_records =
+      static_cast<std::size_t>(cmd.get_number("checkpoint-interval", 4096));
+  flags.router.durable_root = cmd.get("durable-dir", "");
+  flags.alerts_out = cmd.get("alerts-out", "");
+  flags.kill_after = static_cast<std::size_t>(cmd.get_number("kill-after", 0));
+  return flags;
+}
+
+/// The --registry directory (default `fallback` under the temp dir), wiped
+/// first: a stale registry from a previous run would serve yesterday's
+/// model — unless the caller asked for exactly that (--reuse-registry pairs
+/// with --durable-dir: a recovering process must score under the same
+/// model the checkpoint was taken with).
+std::string registry_dir_from(const CommandLine& cmd, const char* fallback) {
+  const auto dir = cmd.get(
+      "registry", (std::filesystem::temp_directory_path() / fallback).string());
+  if (!cmd.has("reuse-registry")) std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// The model version to serve: the registry's current one under
+/// --reuse-registry, else the one `train_and_publish` publishes now.
+int serving_version(const CommandLine& cmd,
+                    const serve::ModelRegistry& registry,
+                    const std::function<int()>& train_and_publish,
+                    std::ostream& out) {
+  const int version = registry.current_version();
+  if (cmd.has("reuse-registry") && version > 0) {
+    out << "reusing model v" << version << " from " << registry.directory()
+        << "\n";
+    return version;
+  }
+  return train_and_publish();
 }
 
 /// Writes the full alert stream, one line per alert with round-trip score
@@ -161,61 +276,20 @@ void print_replay_table(const serve::ReplayReport& report,
   table.print(out);
 }
 
-/// Builds the per-shard engine template + router config from the shared
-/// serve-replay/fleet-replay flags. `durable-dir` becomes the per-shard
-/// durable root.
-net::ShardRouterConfig router_config_from(const CommandLine& cmd,
-                                          const core::MfpaConfig& train_config,
-                                          std::size_t shards,
-                                          std::size_t threads) {
-  net::ShardRouterConfig router_config;
-  router_config.shards = shards;
-  serve::EngineConfig& engine = router_config.engine;
-  engine.store.preprocess = train_config.preprocess;
-  engine.store.shards = threads;
-  engine.alert_policy.min_consecutive =
-      static_cast<int>(cmd.get_number("alert-consecutive", 1));
-  engine.alert_policy.cooldown_days =
-      static_cast<int>(cmd.get_number("cooldown", 0));
-  engine.queue_capacity =
-      static_cast<std::size_t>(cmd.get_number("queue-capacity", 4096));
-  engine.max_batch = static_cast<std::size_t>(cmd.get_number("batch", 256));
-  engine.shed_on_full = cmd.has("shed");
-  engine.durability.group_commit_records =
-      static_cast<std::size_t>(cmd.get_number("wal-group-commit", 256));
-  engine.durability.checkpoint_interval_records =
-      static_cast<std::size_t>(cmd.get_number("checkpoint-interval", 4096));
-  router_config.durable_root = cmd.get("durable-dir", "");
-  return router_config;
-}
-
-/// Prints each recovering shard's resume position (sharded runs' analogue
-/// of the single-engine recovery banner).
-std::size_t report_shard_recovery(const net::ShardRouter& router,
-                                  std::ostream& out) {
-  const auto resume = router.resume_records();
+/// Prints each shard's resume position when any shard recovered durable
+/// records (the sharded analogue of the single-engine recovery banner);
+/// `what` names the shards ("shards", "shard processes").
+void print_resume(const std::vector<std::size_t>& resume, const char* what,
+                  std::ostream& out) {
   std::size_t total = 0;
-  for (std::size_t r : resume) total += r;
-  if (total > 0) {
-    out << "resuming feed after " << total << " durable records across "
-        << resume.size() << " shards (";
-    for (std::size_t i = 0; i < resume.size(); ++i) {
-      out << (i > 0 ? " " : "") << "shard-" << i << "=" << resume[i];
-    }
-    out << ")\n";
+  for (const std::size_t r : resume) total += r;
+  if (total == 0) return;
+  out << "resuming feed after " << total << " durable records across "
+      << resume.size() << " " << what << " (";
+  for (std::size_t i = 0; i < resume.size(); ++i) {
+    out << (i > 0 ? " " : "") << "shard-" << i << "=" << resume[i];
   }
-  return total;
-}
-
-/// Pins the inference kernel tier when --simd is given (shared by every
-/// serving-side command; validated before any telemetry work).
-void apply_simd_flag(const CommandLine& cmd) {
-  if (!cmd.has("simd")) return;
-  std::optional<ml::SimdLevel> level;
-  if (!ml::parse_simd_level(cmd.require("simd"), level)) {
-    throw std::runtime_error("--simd must be auto, scalar, neon, or avx2");
-  }
-  ml::set_simd_override(level);
+  out << ")\n";
 }
 
 /// Atomically publishes a shard process's readiness file
@@ -273,22 +347,14 @@ std::string self_binary_path() {
   return path.string();
 }
 
-/// Flags a multiproc parent forwards verbatim to its shard-serve children,
-/// so every process builds the identical engine configuration.
+/// The engine flags of this command line, re-rendered for a child.
 std::vector<std::string> forwarded_child_flags(const CommandLine& cmd) {
-  static const char* kValueFlags[] = {
-      "alert-consecutive", "cooldown",  "queue-capacity",
-      "batch",             "threads",   "wal-group-commit",
-      "checkpoint-interval", "simd",
-  };
-  static const char* kBoolFlags[] = {"shed", "no-flat", "quantized", "strict",
-                                     "lenient"};
   std::vector<std::string> args;
-  for (const char* flag : kValueFlags) {
+  for (const char* flag : kEngineValueFlags) {
     if (cmd.has(flag)) args.push_back("--" + std::string(flag) + "=" +
                                       cmd.get(flag, ""));
   }
-  for (const char* flag : kBoolFlags) {
+  for (const char* flag : kEngineBoolFlags) {
     if (cmd.has(flag)) args.push_back("--" + std::string(flag));
   }
   return args;
@@ -460,15 +526,11 @@ int cmd_predict(const CommandLine& cmd, std::ostream& out) {
 }
 
 int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
-  // --simd pins the inference kernel tier (scalar/neon/avx2; "auto" probes
-  // the CPU). A level the hardware lacks degrades to the strongest
-  // available one, so the resolved level is printed later — that is what
-  // actually ran.
-  apply_simd_flag(cmd);
   // --shards=N (N > 1) routes the same stream across N engine instances by
   // drive-id hash — the sharded serving path (see docs/SERVING.md).
   // Validated before any telemetry work, like every count flag.
   const std::size_t shards = get_positive_count(cmd, "shards", 1);
+  ServingFlags flags = serving_flags_from(cmd);
   const auto robustness = robustness_from(cmd);
   // Input: either a saved telemetry/ticket pair or a generated scenario.
   std::vector<sim::DriveTimeSeries> telemetry;
@@ -488,122 +550,80 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
     tickets = fleet.tickets();
   }
 
-  const auto registry_dir = cmd.get(
-      "registry",
-      (std::filesystem::temp_directory_path() / "mfpa-serve-registry").string());
-  // A stale registry from a previous run would serve yesterday's model —
-  // unless the caller asked for exactly that (--reuse-registry pairs with
-  // --durable-dir: a recovering process must score under the same model the
-  // checkpoint was taken with).
-  const bool reuse_registry = cmd.has("reuse-registry");
-  if (!reuse_registry) std::filesystem::remove_all(registry_dir);
-  const auto threads =
-      static_cast<std::size_t>(cmd.get_number("threads", 0));
   out << "simd kernel: " << ml::to_string(ml::active_simd_level()) << "\n";
-  // --no-flat serves from the node-pointer trees instead of the compiled
-  // flat-forest representation (probabilities are identical either way;
-  // the flag exists for perf A/B runs and debugging). --quantized layers
-  // the uint8 representation on top (also identical probabilities; see
-  // ml/quantized_forest.hpp).
-  serve::ModelRegistry registry(registry_dir, threads, !cmd.has("no-flat"),
-                                cmd.has("quantized"));
-
-  auto train_config = config_from(cmd);
-  int version = registry.current_version();
-  if (reuse_registry && version > 0) {
-    out << "reusing model v" << version << " from " << registry_dir << "\n";
-  } else {
-    version =
-        serve::train_and_publish(registry, train_config, telemetry, tickets);
-    out << "published " << train_config.algorithm << " v" << version << " to "
-        << registry_dir << "\n";
-  }
-
-  net::ShardRouterConfig router_config =
-      router_config_from(cmd, train_config, shards, threads);
-  if (shards > 1) {
-    net::ShardRouter router(registry, router_config);
-    report_shard_recovery(router, out);
-    const serve::FleetReplayer replayer(telemetry);
-    net::ShardedReplayOptions replay_options;
-    replay_options.skip_records = router.resume_records();
-    replay_options.kill_after_records =
-        static_cast<std::size_t>(cmd.get_number("kill-after", 0));
-    replay_options.cancel = &g_shutdown_requested;
-    g_shutdown_requested = 0;
-    std::signal(SIGTERM, handle_shutdown_signal);
-    std::signal(SIGINT, handle_shutdown_signal);
-    const auto sharded = net::replay_sharded(router, replayer, replay_options);
-    router.stop();
-    std::signal(SIGTERM, SIG_DFL);
-    std::signal(SIGINT, SIG_DFL);
-    if (sharded.replay.interrupted) {
-      out << "shutdown signal received: queue drained, durable state "
-             "sealed\n";
-    }
-    print_replay_table(sharded.replay,
-                       {{"shards", std::to_string(router.shard_count())}},
-                       out);
-    read_stats.merge(sharded.replay.store.ingest);
-    report_ingest(read_stats, robustness, out);
-    const auto alerts_path = cmd.get("alerts-out", "");
-    if (!alerts_path.empty()) {
-      write_alerts_file(alerts_path, sharded.replay.alerts, out);
-    }
-    return 0;
-  }
-
-  serve::EngineConfig engine_config = router_config.engine;
-  engine_config.durability.dir = router_config.durable_root;
-  // Recovery happens in the constructor; corruption and model-version
-  // mismatches throw and surface as a loud failure (exit 2).
-  serve::ScoringEngine engine(registry, engine_config);
-
-  if (engine.recovery().has_value()) {
-    const auto& rec = *engine.recovery();
-    out << "durable recovery: "
-        << (rec.checkpoint_loaded
-                ? "checkpoint @ lsn " + std::to_string(rec.checkpoint_lsn)
-                : std::string("no checkpoint"))
-        << ", wal tail replayed " << rec.wal.records_replayable
-        << ", durable alerts " << rec.alerts.size() << ", torn tails "
-        << rec.wal.torn_tails;
-    if (rec.checkpoints_skipped > 0) {
-      out << ", corrupt checkpoints skipped " << rec.checkpoints_skipped;
-    }
-    out << "\n";
-    if (engine.durable_resume_records() > 0) {
-      out << "resuming feed after " << engine.durable_resume_records()
-          << " durable records\n";
-    }
-  }
+  serve::ModelRegistry registry(registry_dir_from(cmd, "mfpa-serve-registry"),
+                                flags.registry);
+  const auto train_config = config_from(cmd);
+  serving_version(
+      cmd, registry,
+      [&] {
+        const int version = serve::train_and_publish(registry, train_config,
+                                                     telemetry, tickets);
+        out << "published " << train_config.algorithm << " v" << version
+            << " to " << registry.directory() << "\n";
+        return version;
+      },
+      out);
 
   const serve::FleetReplayer replayer(telemetry);
-  serve::ReplayOptions replay_options;
-  replay_options.skip_records = engine.durable_resume_records();
-  replay_options.kill_after_records =
-      static_cast<std::size_t>(cmd.get_number("kill-after", 0));
-  replay_options.cancel = &g_shutdown_requested;
-  g_shutdown_requested = 0;
-  std::signal(SIGTERM, handle_shutdown_signal);
-  std::signal(SIGINT, handle_shutdown_signal);
-  const auto report = replayer.replay(engine, replay_options);
-  engine.stop();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
+  serve::ReplayOptions options;
+  options.kill_after_records = flags.kill_after;
+  options.cancel = &g_shutdown_requested;
+  serve::ReplayReport report;
+  std::vector<std::pair<std::string, std::string>> extra;
+  if (shards > 1) {
+    flags.router.shards = shards;
+    net::ShardRouter router(registry, flags.router);
+    options.skip_records = router.resume_records();
+    print_resume(options.skip_records, "shards", out);
+    {
+      const ShutdownSignals signals;
+      report = net::replay_router(router, replayer, options).replay;
+      router.stop();
+    }
+    extra.emplace_back("shards", std::to_string(router.shard_count()));
+  } else {
+    serve::EngineConfig engine_config = flags.router.engine;
+    engine_config.durability.dir = flags.router.durable_root;
+    // Recovery happens in the constructor; corruption and model-version
+    // mismatches throw and surface as a loud failure (exit 2).
+    serve::ScoringEngine engine(registry, engine_config);
+    if (engine.recovery().has_value()) {
+      const auto& rec = *engine.recovery();
+      out << "durable recovery: "
+          << (rec.checkpoint_loaded
+                  ? "checkpoint @ lsn " + std::to_string(rec.checkpoint_lsn)
+                  : std::string("no checkpoint"))
+          << ", wal tail replayed " << rec.wal.records_replayable
+          << ", durable alerts " << rec.alerts.size() << ", torn tails "
+          << rec.wal.torn_tails;
+      if (rec.checkpoints_skipped > 0) {
+        out << ", corrupt checkpoints skipped " << rec.checkpoints_skipped;
+      }
+      out << "\n";
+      if (engine.durable_resume_records() > 0) {
+        out << "resuming feed after " << engine.durable_resume_records()
+            << " durable records\n";
+      }
+    }
+    options.skip_records = {
+        static_cast<std::size_t>(engine.durable_resume_records())};
+    const ShutdownSignals signals;
+    report = replayer.replay(engine, options);
+    engine.stop();
+  }
   if (report.interrupted) {
     out << "shutdown signal received: queue drained, durable state sealed\n";
   }
 
-  print_replay_table(report, {}, out);
+  print_replay_table(report, extra, out);
   read_stats.merge(report.store.ingest);
   report_ingest(read_stats, robustness, out);
 
   // The full alert stream (recovered durable prefix + this run) — the
   // byte-comparable proof artifact of the crash-recovery tests.
-  const auto alerts_path = cmd.get("alerts-out", "");
-  if (!alerts_path.empty()) {
-    write_alerts_file(alerts_path, report.alerts, out);
+  if (!flags.alerts_out.empty()) {
+    write_alerts_file(flags.alerts_out, report.alerts, out);
   }
   return 0;
 }
@@ -615,7 +635,7 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
 /// contract is what lets the supervising fleet-replay treat "all children
 /// exited 0" as the durability barrier.
 int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
-  apply_simd_flag(cmd);
+  ServingFlags flags = serving_flags_from(cmd);
   const std::size_t shard_index =
       static_cast<std::size_t>(cmd.get_number("shard-index", 0));
   const std::size_t shard_count = get_positive_count(cmd, "shard-count", 1);
@@ -628,23 +648,19 @@ int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
         std::to_string(shard_index) + " of " + std::to_string(shard_count) +
         ")");
   }
-  const auto threads = static_cast<std::size_t>(cmd.get_number("threads", 0));
   // A shard process never trains: it serves whatever the registry already
   // holds, so every shard of the topology scores under the same published
   // version (the parent trains once, before spawning).
-  serve::ModelRegistry registry(cmd.require("registry"), threads,
-                                !cmd.has("no-flat"), cmd.has("quantized"));
+  serve::ModelRegistry registry(cmd.require("registry"), flags.registry);
   const int version = registry.current_version();
   if (version <= 0) {
     throw std::runtime_error("shard-serve: no published model in " +
                              cmd.require("registry"));
   }
 
-  net::ShardRouterConfig router_config =
-      router_config_from(cmd, config_from(cmd), /*shards=*/1, threads);
-  router_config.topology_shards = shard_count;
-  router_config.first_shard = shard_index;
-  net::ShardRouter router(registry, router_config);
+  flags.router.topology_shards = shard_count;
+  flags.router.first_shard = shard_index;
+  net::ShardRouter router(registry, flags.router);
   const std::size_t resume = router.resume_records().front();
   if (resume > 0) {
     out << "shard " << shard_index << " resuming after " << resume
@@ -665,15 +681,7 @@ int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
   if (!port_file.empty()) {
     write_port_file(port_file, server.port(), resume, version);
   }
-
-  g_shutdown_requested = 0;
-  std::signal(SIGTERM, handle_shutdown_signal);
-  std::signal(SIGINT, handle_shutdown_signal);
-  while (!g_shutdown_requested) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
+  wait_for_shutdown();
 
   // Graceful teardown order matters: the server first finishes decoding
   // everything already buffered, then the router drains its queues and
@@ -684,9 +692,8 @@ int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
   out << "shard " << shard_index << " drained: records "
       << stats.records_processed << ", alerts " << stats.alerts << ", shed "
       << stats.records_shed << "\n";
-  const auto alerts_path = cmd.get("alerts-out", "");
-  if (!alerts_path.empty()) {
-    write_alerts_file(alerts_path, router.alerts(), out);
+  if (!flags.alerts_out.empty()) {
+    write_alerts_file(flags.alerts_out, router.alerts(), out);
   }
   return 0;
 }
@@ -714,15 +721,7 @@ int cmd_shard_route(const CommandLine& cmd, std::ostream& out) {
     write_port_file(port_file, server.port(), 0,
                     static_cast<int>(downstream_config.model_version));
   }
-
-  g_shutdown_requested = 0;
-  std::signal(SIGTERM, handle_shutdown_signal);
-  std::signal(SIGINT, handle_shutdown_signal);
-  while (!g_shutdown_requested) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
+  wait_for_shutdown();
 
   server.stop();
   downstream.close();
@@ -738,10 +737,9 @@ int cmd_shard_route(const CommandLine& cmd, std::ostream& out) {
 /// shard mid-feed and exits non-zero; re-running with the same flags
 /// resumes every shard from its own durable state.
 int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
-                        sim::FleetSimulator& fleet,
+                        const serve::StreamedFleet& stream,
                         const std::string& registry_dir, int version,
-                        std::size_t processes, std::size_t chunk_drives,
-                        std::size_t threads) {
+                        std::size_t processes) {
   const bool via_router = cmd.has("via-router");
   const auto kill_after =
       static_cast<std::size_t>(cmd.get_number("kill-shard-after", 0));
@@ -787,20 +785,11 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
   net::ShardProcessSupervisor shard_procs(std::move(specs));
   shard_procs.wait_ready(std::chrono::minutes(2));
 
-  std::vector<std::size_t> skips;
-  std::size_t resume_total = 0;
+  serve::ReplayOptions options;
   for (const auto& r : shard_procs.readiness()) {
-    skips.push_back(static_cast<std::size_t>(r.resume_records));
-    resume_total += static_cast<std::size_t>(r.resume_records);
+    options.skip_records.push_back(static_cast<std::size_t>(r.resume_records));
   }
-  if (resume_total > 0) {
-    out << "resuming feed after " << resume_total
-        << " durable records across " << processes << " shard processes (";
-    for (std::size_t k = 0; k < skips.size(); ++k) {
-      out << (k > 0 ? " " : "") << "shard-" << k << "=" << skips[k];
-    }
-    out << ")\n";
-  }
+  print_resume(options.skip_records, "shard processes", out);
 
   std::unique_ptr<net::ShardProcessSupervisor> router_proc;
   net::ShardedClientConfig client_config;
@@ -837,29 +826,23 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
               : "feeding " + std::to_string(processes) +
                     " shard processes directly (shard-aware client)\n");
 
-  net::MultiprocReplayOptions options;
-  options.chunk_drives = chunk_drives;
-  options.generation_threads = threads;
-  options.skip_records = skips;
-  options.topology_shards = processes;
+  // The kill hook SIGKILLs one shard; the feed then stops, so the record
+  // prefix the surviving shards saw is exact and reproducible.
   options.kill_after_records = kill_after;
   options.on_kill = [&] { shard_procs.kill_shard(kill_shard); };
   options.cancel = &g_shutdown_requested;
-  g_shutdown_requested = 0;
-  std::signal(SIGTERM, handle_shutdown_signal);
-  std::signal(SIGINT, handle_shutdown_signal);
-
-  net::MultiprocReplayReport report;
+  serve::ReplayReport report;
   std::string feed_error;
-  try {
-    net::ShardedClient client(client_config);
-    report = net::replay_fleet_multiproc(client, fleet, options);
-    if (!report.interrupted) client.close();
-  } catch (const std::exception& e) {
-    feed_error = e.what();
+  {
+    const ShutdownSignals signals;
+    try {
+      net::ShardedClient client(client_config);
+      report = serve::feed(stream, client, options);
+      if (!report.interrupted) client.close();
+    } catch (const std::exception& e) {
+      feed_error = e.what();
+    }
   }
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
 
   // Router first so its downstream connections close before the shards
   // stop; the shards then drain, seal their WALs, and write their alert
@@ -902,20 +885,8 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
   }
 
   const std::vector<core::Alert> alerts = net::merge_alert_files(alert_files);
-  std::unordered_set<std::uint64_t> alerted;
-  alerted.reserve(alerts.size());
-  for (const auto& alert : alerts) alerted.insert(alert.drive_id);
-  core::DriveLevelMetrics drives;
-  for (const auto& [drive_id, failed] : report.drive_flags) {
-    if (failed) {
-      ++drives.faulty_drives;
-      if (alerted.count(drive_id)) ++drives.detected_drives;
-    } else {
-      ++drives.healthy_drives;
-      if (alerted.count(drive_id)) ++drives.false_alarm_drives;
-    }
-  }
-
+  const core::DriveLevelMetrics drives =
+      serve::drive_level(alerts, report.drive_flags);
   TablePrinter table({"metric", "value"});
   table.add_row(
       {"records submitted", std::to_string(report.records_submitted)});
@@ -935,7 +906,7 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
   table.add_row({"shard processes", std::to_string(processes)});
   table.add_row({"transport", via_router ? "multi-process via router"
                                          : "multi-process direct"});
-  table.add_row({"drives tracked", std::to_string(report.drives_tracked)});
+  table.add_row({"drives tracked", std::to_string(stream.drives_tracked())});
   table.add_row({"generation chunks", std::to_string(report.chunks)});
   table.print(out);
 
@@ -947,100 +918,89 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
 }
 
 int cmd_fleet_replay(const CommandLine& cmd, std::ostream& out) {
-  apply_simd_flag(cmd);
+  ServingFlags flags = serving_flags_from(cmd);
   // Every count flag is validated before the (potentially multi-million
   // drive) simulation starts.
   const std::size_t shards = get_positive_count(cmd, "shards", 4);
   const std::size_t chunk_drives =
       get_positive_count(cmd, "chunk-drives", 4096);
+  if (cmd.has("processes") && cmd.has("in-process")) {
+    throw std::invalid_argument(
+        "--processes and --in-process are mutually exclusive");
+  }
 
   auto scenario =
       sim::scenario_by_name(cmd.get("scenario", "fleet"), get_seed(cmd));
   scenario.fleet_scale = cmd.get_number("scale", scenario.fleet_scale);
   sim::FleetSimulator fleet(scenario);
+  const std::size_t threads = flags.registry.score_threads;
 
-  const auto threads =
-      static_cast<std::size_t>(cmd.get_number("threads", 0));
-  const auto registry_dir = cmd.get(
-      "registry",
-      (std::filesystem::temp_directory_path() / "mfpa-fleet-registry")
-          .string());
-  const bool reuse_registry = cmd.has("reuse-registry");
-  if (!reuse_registry) std::filesystem::remove_all(registry_dir);
   out << "simd kernel: " << ml::to_string(ml::active_simd_level()) << "\n";
-  serve::ModelRegistry registry(registry_dir, threads, !cmd.has("no-flat"),
-                                cmd.has("quantized"));
-
+  serve::ModelRegistry registry(registry_dir_from(cmd, "mfpa-fleet-registry"),
+                                flags.registry);
   // The model trains offline on a down-scaled twin of the scenario (same
   // seed, same catalog, same drift) — training on the full fleet's
   // telemetry would dwarf the serving run this command exists to exercise.
-  auto train_config = config_from(cmd);
-  int version = registry.current_version();
-  if (reuse_registry && version > 0) {
-    out << "reusing model v" << version << " from " << registry_dir << "\n";
-  } else {
-    const double train_scale =
-        cmd.get_number("train-scale", std::min(scenario.fleet_scale, 0.02));
-    if (train_scale <= 0.0) {
-      throw std::invalid_argument("option --train-scale must be > 0");
-    }
-    auto train_scenario = scenario;
-    train_scenario.fleet_scale = train_scale;
-    sim::FleetSimulator train_fleet(train_scenario);
-    const auto train_telemetry = train_fleet.generate_telemetry(threads);
-    const auto train_tickets = train_fleet.tickets();
-    version = serve::train_and_publish(registry, train_config,
-                                       train_telemetry, train_tickets);
-    out << "published " << train_config.algorithm << " v" << version
-        << " to " << registry_dir << " (trained at scale "
-        << format_double(train_scale, 3) << ")\n";
-  }
+  const auto train_config = config_from(cmd);
+  const int version = serving_version(
+      cmd, registry,
+      [&] {
+        const double train_scale = cmd.get_number(
+            "train-scale", std::min(scenario.fleet_scale, 0.02));
+        if (train_scale <= 0.0) {
+          throw std::invalid_argument("option --train-scale must be > 0");
+        }
+        auto train_scenario = scenario;
+        train_scenario.fleet_scale = train_scale;
+        sim::FleetSimulator train_fleet(train_scenario);
+        const int published = serve::train_and_publish(
+            registry, train_config, train_fleet.generate_telemetry(threads),
+            train_fleet.tickets());
+        out << "published " << train_config.algorithm << " v" << published
+            << " to " << registry.directory() << " (trained at scale "
+            << format_double(train_scale, 3) << ")\n";
+        return published;
+      },
+      out);
 
+  const serve::StreamedFleet stream(fleet, chunk_drives, threads);
   if (cmd.has("processes")) {
     // One OS process per shard instead of one router in this process.
-    if (cmd.has("in-process")) {
-      throw std::invalid_argument(
-          "--processes and --in-process are mutually exclusive");
-    }
-    return run_fleet_multiproc(cmd, out, fleet, registry_dir, version,
-                               get_positive_count(cmd, "processes", 4),
-                               chunk_drives, threads);
+    return run_fleet_multiproc(cmd, out, stream, registry.directory(),
+                               version,
+                               get_positive_count(cmd, "processes", 4));
   }
 
-  net::ShardRouter router(
-      registry, router_config_from(cmd, train_config, shards, threads));
-  report_shard_recovery(router, out);
-
-  net::StreamedFleetOptions options;
-  options.chunk_drives = chunk_drives;
-  options.generation_threads = threads;
+  flags.router.shards = shards;
+  net::ShardRouter router(registry, flags.router);
+  serve::ReplayOptions options;
   options.skip_records = router.resume_records();
-  options.over_loopback = !cmd.has("in-process");
-  options.kill_after_records =
-      static_cast<std::size_t>(cmd.get_number("kill-after", 0));
+  print_resume(options.skip_records, "shards", out);
+  options.kill_after_records = flags.kill_after;
   options.cancel = &g_shutdown_requested;
-  g_shutdown_requested = 0;
-  std::signal(SIGTERM, handle_shutdown_signal);
-  std::signal(SIGINT, handle_shutdown_signal);
-  const auto report = net::replay_fleet_streamed(router, fleet, options);
-  router.stop();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  if (report.sharded.replay.interrupted) {
+  const bool in_process = cmd.has("in-process");
+  net::ShardedReplayReport report;
+  {
+    const ShutdownSignals signals;
+    report = net::replay_router(router, stream, options,
+                                in_process ? net::Transport::kInProcess
+                                           : net::Transport::kLoopback);
+    router.stop();
+  }
+  if (report.replay.interrupted) {
     out << "shutdown signal received: queue drained, durable state sealed\n";
   }
 
   print_replay_table(
-      report.sharded.replay,
+      report.replay,
       {{"shards", std::to_string(router.shard_count())},
-       {"transport", options.over_loopback ? "loopback tcp" : "in-process"},
-       {"drives tracked", std::to_string(report.drives_tracked)},
-       {"generation chunks", std::to_string(report.chunks)},
-       {"protocol errors", std::to_string(report.sharded.protocol_errors)}},
+       {"transport", in_process ? "in-process" : "loopback tcp"},
+       {"drives tracked", std::to_string(stream.drives_tracked())},
+       {"generation chunks", std::to_string(report.replay.chunks)},
+       {"protocol errors", std::to_string(report.protocol_errors)}},
       out);
-  const auto alerts_path = cmd.get("alerts-out", "");
-  if (!alerts_path.empty()) {
-    write_alerts_file(alerts_path, report.sharded.replay.alerts, out);
+  if (!flags.alerts_out.empty()) {
+    write_alerts_file(flags.alerts_out, report.replay.alerts, out);
   }
   return 0;
 }
@@ -1171,8 +1131,7 @@ std::string usage() {
       "            --seed=N --scale=X] [--algorithm=RF] [--group=G]\n"
       "            [--threads=N] [--batch=256] [--queue-capacity=4096]\n"
       "            [--shed] [--registry=DIR] [--alert-consecutive=1]\n"
-      "            [--cooldown=0] [--no-flat] [--quantized]\n"
-      "            [--simd=auto|scalar|neon|avx2]\n"
+      "            [--cooldown=0] [--no-flat] [--simd=auto|scalar|avx2]\n"
       "            [--durable-dir=DIR] [--wal-group-commit=256]\n"
       "            [--checkpoint-interval=4096] [--reuse-registry]\n"
       "            [--alerts-out=FILE] [--kill-after=N] [--shards=N]\n"
@@ -1184,7 +1143,6 @@ std::string usage() {
       "            resume must reuse the same --shards; see\n"
       "            docs/SERVING.md)\n"
       "            (--no-flat disables compiled flat-forest inference;\n"
-      "            --quantized serves from the uint8-quantized ensemble;\n"
       "            --simd pins the inference kernel tier, degrading to the\n"
       "            strongest the CPU supports and printing what resolved;\n"
       "            scores are identical, see docs/PERFORMANCE.md)\n"
@@ -1200,7 +1158,7 @@ std::string usage() {
       "            [--registry=DIR] [--reuse-registry] [--alerts-out=FILE]\n"
       "            [--kill-after=N] [--alert-consecutive=1] [--cooldown=0]\n"
       "            [--batch=256] [--queue-capacity=4096] [--shed]\n"
-      "            [--no-flat] [--quantized] [--simd=LEVEL]\n"
+      "            [--no-flat] [--simd=LEVEL]\n"
       "            [--processes=N] [--via-router] [--proc-dir=DIR]\n"
       "            [--kill-shard-after=N] [--kill-shard=K]\n"
       "            stream a (full-scale) fleet scenario through the sharded\n"

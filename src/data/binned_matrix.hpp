@@ -53,8 +53,7 @@ class BinnedMatrix {
     return codes_.data() + f * rows_;
   }
 
-  /// column() with a debug-build bounds check — the form the quantized
-  /// inference kernel uses when transposing code blocks.
+  /// column() with a debug-build bounds check.
   const std::uint8_t* codes_ptr(std::size_t f) const noexcept {
     assert(f < cols_ && "BinnedMatrix::codes_ptr: feature out of range");
     return codes_.data() + f * rows_;

@@ -53,8 +53,8 @@ const FlatMetrics& flat_metrics() {
 constexpr std::size_t kRowBlock = 96;
 
 /// Portable reference kernel (the original 8-row lockstep block); the
-/// vector kernels in flat_forest_avx2.cpp / flat_forest_neon.cpp transcribe
-/// exactly this operation sequence onto lanes.
+/// vector kernel in flat_forest_avx2.cpp transcribes exactly this operation
+/// sequence onto lanes.
 void accumulate_scalar(const detail::ForestView& forest, const double* x,
                        std::size_t cols, std::size_t row_lo,
                        std::size_t row_hi, std::size_t tree_lo,
@@ -182,11 +182,6 @@ KernelChoice select_kernel(std::size_t rows, std::size_t cols) {
                       std::numeric_limits<std::int32_t>::max()) /
                       (cols == 0 ? 1 : cols)) {
         return {fn, SimdLevel::kAvx2};
-      }
-      break;
-    case SimdLevel::kNeon:
-      if (auto* fn = detail::neon_accumulate_kernel(); fn != nullptr) {
-        return {fn, SimdLevel::kNeon};
       }
       break;
     case SimdLevel::kScalar:

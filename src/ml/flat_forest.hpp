@@ -44,7 +44,6 @@
 namespace mfpa::ml {
 
 class RegressionTree;
-class QuantizedForest;
 
 /// Numerically stable logistic shared by the GBDT pointer path and the
 /// compiled path — a single definition keeps the two bit-identical.
@@ -141,16 +140,6 @@ class CompiledInference {
 
   /// The compiled representation, or nullptr when not compiled.
   virtual const FlatForest* flat() const noexcept = 0;
-
-  /// Builds (or rebuilds) the uint8-quantized representation (see
-  /// quantized_forest.hpp for the tolerance contract); returns false when
-  /// there is nothing to compile or the ensemble is not quantizable. After
-  /// a successful call, predict_proba prefers the quantized path over the
-  /// flat one until the next fit()/load_state() invalidates both.
-  virtual bool compile_quantized() = 0;
-
-  /// The quantized representation, or nullptr when not compiled.
-  virtual const QuantizedForest* quantized() const noexcept = 0;
 };
 
 }  // namespace mfpa::ml

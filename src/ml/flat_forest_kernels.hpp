@@ -9,12 +9,11 @@
 // kernel is bit-identical to the scalar reference and to the node-pointer
 // path (see flat_forest.hpp for the equivalence contract).
 //
-// The vector kernels live in dedicated translation units
-// (flat_forest_avx2.cpp built with -mavx2, flat_forest_neon.cpp on
-// aarch64) and are only reachable through their registration functions,
-// which return nullptr when the kernel was not built in. Dispatch — the
-// runtime cpuid probe plus the --simd override — happens in
-// flat_forest.cpp via ml/simd.hpp.
+// The vector kernel lives in a dedicated translation unit
+// (flat_forest_avx2.cpp, built with -mavx2) and is only reachable through
+// its registration function, which returns nullptr when the kernel was not
+// built in. Dispatch — the runtime cpuid probe plus the --simd override —
+// happens in flat_forest.cpp via ml/simd.hpp.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +44,5 @@ using AccumulateFn = void (*)(const ForestView& forest, const double* x,
 /// Caller must ensure the CPU supports AVX2 *and* rows * cols fits int32
 /// (the gather indices are 32-bit) before invoking the returned kernel.
 AccumulateFn avx2_accumulate_kernel() noexcept;
-
-/// NEON build of the kernel; nullptr off aarch64 (or -DMFPA_FORCE_SCALAR).
-AccumulateFn neon_accumulate_kernel() noexcept;
 
 }  // namespace mfpa::ml::detail

@@ -1,7 +1,6 @@
 #include "ml/gbdt.hpp"
 
 #include "ml/parallel_for.hpp"
-#include "ml/quantized_forest.hpp"
 #include "ml/serialize.hpp"
 
 #include <istream>
@@ -25,8 +24,7 @@ GbdtClassifier::GbdtClassifier(Hyperparams params) : params_(std::move(params)) 
 
 void GbdtClassifier::fit(const Matrix& X, const std::vector<int>& y) {
   validate_fit_args(X, y);
-  flat_.reset();  // compiled forms derive from the trees being replaced
-  quant_.reset();
+  flat_.reset();  // the compiled form derives from the trees being replaced
   const std::size_t n_rounds =
       static_cast<std::size_t>(param_or(params_, "n_rounds", 80));
   learning_rate_ = param_or(params_, "learning_rate", 0.2);
@@ -118,13 +116,6 @@ std::vector<double> GbdtClassifier::predict_proba(const Matrix& X) const {
   if (trees_.empty()) throw std::logic_error("GbdtClassifier: predict before fit");
   const std::size_t threads =
       static_cast<std::size_t>(param_or(params_, "threads", 1));
-  if (quant_) {
-    // Quantized path: bit-identical to the loop below because the cuts come
-    // from the booster's own thresholds (see ml/quantized_forest.hpp).
-    std::vector<double> compiled(X.rows());
-    quant_->predict_into(X, compiled, threads);
-    return compiled;
-  }
   if (flat_) {
     // Compiled path: bit-identical to the loop below (see flat_forest.hpp).
     std::vector<double> compiled(X.rows());
@@ -162,7 +153,6 @@ void GbdtClassifier::load_state(std::istream& is) {
   base_score_ = io::read_double(is);
   learning_rate_ = io::read_double(is);
   flat_.reset();
-  quant_.reset();
   trees_.assign(count, RegressionTree{});
   for (auto& tree : trees_) tree.load(is);
 }
@@ -171,17 +161,6 @@ bool GbdtClassifier::compile() {
   if (trees_.empty()) return false;
   flat_ = std::make_shared<const FlatForest>(FlatForest::compile(
       trees_, FlatForest::Output::kSigmoid, learning_rate_, base_score_));
-  return true;
-}
-
-bool GbdtClassifier::compile_quantized() {
-  if (trees_.empty()) return false;
-  try {
-    quant_ = std::make_shared<const QuantizedForest>(QuantizedForest::compile(
-        trees_, FlatForest::Output::kSigmoid, learning_rate_, base_score_));
-  } catch (const std::invalid_argument&) {
-    return false;  // >255 distinct thresholds on some feature (exact splits)
-  }
   return true;
 }
 

@@ -1,7 +1,6 @@
 #include "ml/random_forest.hpp"
 
 #include "ml/parallel_for.hpp"
-#include "ml/quantized_forest.hpp"
 #include "ml/serialize.hpp"
 
 #include <istream>
@@ -24,8 +23,7 @@ RandomForestClassifier::RandomForestClassifier(Hyperparams params)
 
 void RandomForestClassifier::fit(const Matrix& X, const std::vector<int>& y) {
   validate_fit_args(X, y);
-  flat_.reset();  // compiled forms derive from the trees being replaced
-  quant_.reset();
+  flat_.reset();  // the compiled form derives from the trees being replaced
   const std::size_t n_trees =
       static_cast<std::size_t>(param_or(params_, "n_trees", 60));
   const bool bootstrap = param_or(params_, "bootstrap", 1) != 0;
@@ -106,13 +104,6 @@ std::vector<double> RandomForestClassifier::predict_proba(const Matrix& X) const
   }
   const std::size_t threads =
       static_cast<std::size_t>(param_or(params_, "threads", 1));
-  if (quant_) {
-    // Quantized path: bit-identical to the loop below because the cuts come
-    // from the forest's own thresholds (see ml/quantized_forest.hpp).
-    std::vector<double> out(X.rows());
-    quant_->predict_into(X, out, threads);
-    return out;
-  }
   if (flat_) {
     // Compiled path: bit-identical to the loop below (see flat_forest.hpp).
     std::vector<double> out(X.rows());
@@ -153,7 +144,6 @@ void RandomForestClassifier::load_state(std::istream& is) {
     throw std::runtime_error("RandomForestClassifier: bad forest header");
   }
   flat_.reset();
-  quant_.reset();
   trees_.assign(count, RegressionTree{});
   for (auto& tree : trees_) tree.load(is);
 }
@@ -162,17 +152,6 @@ bool RandomForestClassifier::compile() {
   if (trees_.empty()) return false;
   flat_ = std::make_shared<const FlatForest>(FlatForest::compile(
       trees_, FlatForest::Output::kMeanClamp, 1.0, 0.0));
-  return true;
-}
-
-bool RandomForestClassifier::compile_quantized() {
-  if (trees_.empty()) return false;
-  try {
-    quant_ = std::make_shared<const QuantizedForest>(QuantizedForest::compile(
-        trees_, FlatForest::Output::kMeanClamp, 1.0, 0.0));
-  } catch (const std::invalid_argument&) {
-    return false;  // >255 distinct thresholds on some feature (exact splits)
-  }
   return true;
 }
 

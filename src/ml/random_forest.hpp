@@ -48,18 +48,9 @@ class RandomForestClassifier final : public Classifier,
   }
 
   /// CompiledInference: flatten the fitted forest; fit()/load_state()
-  /// invalidate the compiled forms.
+  /// invalidate the compiled form.
   bool compile() override;
   const FlatForest* flat() const noexcept override { return flat_.get(); }
-
-  /// CompiledInference: quantize the fitted forest against its own
-  /// thresholds (bit-identical; see ml/quantized_forest.hpp). Returns false
-  /// when unfitted or some feature exceeds 255 distinct thresholds (only
-  /// possible for exact-split training). predict_proba prefers this path.
-  bool compile_quantized() override;
-  const QuantizedForest* quantized() const noexcept override {
-    return quant_.get();
-  }
 
  private:
   Hyperparams params_;
@@ -67,7 +58,6 @@ class RandomForestClassifier final : public Classifier,
   std::size_t n_features_ = 0;
   std::shared_ptr<const data::BinnedMatrix> shared_bins_;
   std::shared_ptr<const FlatForest> flat_;
-  std::shared_ptr<const QuantizedForest> quant_;
 };
 
 }  // namespace mfpa::ml

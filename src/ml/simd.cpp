@@ -14,8 +14,6 @@ std::atomic<int> g_override{-1};
 SimdLevel probe() noexcept {
 #if defined(MFPA_FORCE_SCALAR)
   return SimdLevel::kScalar;
-#elif defined(__aarch64__)
-  return SimdLevel::kNeon;  // NEON is baseline on aarch64
 #elif defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") ? SimdLevel::kAvx2
                                         : SimdLevel::kScalar;
@@ -55,8 +53,6 @@ SimdLevel active_simd_level() noexcept {
 
 std::string_view to_string(SimdLevel level) noexcept {
   switch (level) {
-    case SimdLevel::kNeon:
-      return "neon";
     case SimdLevel::kAvx2:
       return "avx2";
     case SimdLevel::kScalar:
@@ -73,10 +69,6 @@ bool parse_simd_level(std::string_view text,
   }
   if (text == "scalar") {
     level = SimdLevel::kScalar;
-    return true;
-  }
-  if (text == "neon") {
-    level = SimdLevel::kNeon;
     return true;
   }
   if (text == "avx2") {

@@ -1,20 +1,20 @@
 // Runtime SIMD capability detection and kernel selection for the compiled
 // inference paths (ml/flat_forest).
 //
-// The FlatForest blocked kernel exists in three builds of the same
-// algorithm: portable scalar (always present, the reference), AVX2 (x86-64,
-// compiled in a dedicated -mavx2 translation unit and only ever called
-// after a cpuid probe), and NEON (aarch64, where the ISA is baseline). All
-// three execute the identical operation sequence per row — same descend
-// predicate, same tree-order additions — so they are bit-identical and the
-// parity suites gate every one of them against the node-pointer path.
+// The FlatForest blocked kernel exists in two builds of the same
+// algorithm: portable scalar (always present, the reference) and AVX2
+// (x86-64, compiled in a dedicated -mavx2 translation unit and only ever
+// called after a cpuid probe). Both execute the identical operation
+// sequence per row — same descend predicate, same tree-order additions — so
+// they are bit-identical and the parity suites gate both against the
+// node-pointer path.
 //
 // Selection: `active_simd_level()` = the strongest kernel the CPU supports,
-// clamped by an optional process-wide override (`--simd=scalar|avx2|neon`
-// on the CLI, set_simd_override() in tests and benchmarks). Requesting a
+// clamped by an optional process-wide override (`--simd=scalar|avx2` on
+// the CLI, set_simd_override() in tests and benchmarks). Requesting a
 // level the hardware lacks silently degrades to the best available one —
 // the CLI prints the resolved level so an operator can see what actually
-// ran. Building with -DMFPA_FORCE_SCALAR=ON removes the vector kernels from
+// ran. Building with -DMFPA_FORCE_SCALAR=ON removes the vector kernel from
 // the dispatch entirely (the CI fallback leg).
 #pragma once
 
@@ -24,15 +24,15 @@
 
 namespace mfpa::ml {
 
-/// Kernel instruction-set tiers, ordered weakest first.
+/// Kernel instruction-set tiers, ordered weakest first. The values are the
+/// exported mfpa_flat_simd_level gauge readings.
 enum class SimdLevel : int {
   kScalar = 0,  ///< portable 8-row lockstep kernel (reference)
-  kNeon = 1,    ///< aarch64 NEON build of the same kernel
   kAvx2 = 2,    ///< x86-64 AVX2 gather/blend build
 };
 
-/// Strongest level this process can execute (cpuid probe on x86, compile
-/// target on aarch64). Constant for the process lifetime; cheap to call.
+/// Strongest level this process can execute (cpuid probe on x86, scalar
+/// elsewhere). Constant for the process lifetime; cheap to call.
 SimdLevel detected_simd_level() noexcept;
 
 /// Process-wide override: clamp dispatch to `level` (nullopt restores
@@ -44,11 +44,11 @@ std::optional<SimdLevel> simd_override() noexcept;
 /// clamped to what the hardware supports.
 SimdLevel active_simd_level() noexcept;
 
-/// "scalar" / "neon" / "avx2".
+/// "scalar" / "avx2".
 std::string_view to_string(SimdLevel level) noexcept;
 
 /// Parses a --simd flag value: "auto" clears the override (returns true
-/// with `level` = nullopt); "scalar"/"neon"/"avx2" set it. Returns false on
+/// with `level` = nullopt); "scalar"/"avx2" set it. Returns false on
 /// anything else.
 bool parse_simd_level(std::string_view text,
                       std::optional<SimdLevel>& level) noexcept;

@@ -13,16 +13,13 @@
 
 namespace mfpa::net {
 
-class TelemetryClient {
+class TelemetryClient final : public serve::RecordSink {
  public:
   /// Connects to 127.0.0.1:port (blocking socket). Throws
   /// std::runtime_error when the connection fails.
   explicit TelemetryClient(std::uint16_t port,
                            std::size_t send_buffer = 256 * 1024);
-  ~TelemetryClient();
-
-  TelemetryClient(const TelemetryClient&) = delete;
-  TelemetryClient& operator=(const TelemetryClient&) = delete;
+  ~TelemetryClient() override;
 
   /// Handshake: sends kHello with this client's claimed place in the
   /// topology and blocks for the server's kHelloAck. Throws
@@ -46,6 +43,13 @@ class TelemetryClient {
   /// reports fleet-wide totals as of the barrier. Throws on connection
   /// loss or a malformed reply.
   FlushAck sync();
+
+  /// RecordSink: send_record() / sync().
+  bool submit(const serve::TelemetryUpdate& update) override {
+    send_record(update.drive_id, update.vendor, update.record);
+    return true;
+  }
+  FlushAck flush_totals() override { return sync(); }
 
   /// Sends kGoodbye and closes the socket. Idempotent; the destructor
   /// closes without the goodbye if the caller never got here.

@@ -1,14 +1,9 @@
 #include "net/fleet_replay.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
-#include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
-#include <utility>
 
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -17,8 +12,6 @@
 
 namespace mfpa::net {
 namespace {
-
-using serve::FleetReplayer;
 
 /// Merges `src` into `dst` bin-by-bin. Every shard engine is built from one
 /// EngineConfig template, so the histograms share (lo, hi, bins) and the
@@ -78,70 +71,6 @@ serve::StoreStats merge_store_stats(const ShardRouter& router) {
   return merged;
 }
 
-/// The shared feed loop: walks the deterministic arrival order, applies the
-/// per-shard resume skips, and hands each live record to `deliver`.
-void feed_arrivals(const ShardRouter& router, const FleetReplayer& replayer,
-                   const ShardedReplayOptions& options,
-                   serve::ReplayReport& report,
-                   const std::function<void(const FleetReplayer::Arrival&)>&
-                       deliver) {
-  if (!options.skip_records.empty() &&
-      options.skip_records.size() != router.shard_count()) {
-    throw std::invalid_argument(
-        "replay_sharded: skip_records size (" +
-        std::to_string(options.skip_records.size()) +
-        ") must match the shard count (" +
-        std::to_string(router.shard_count()) + ")");
-  }
-  std::vector<std::size_t> to_skip = options.skip_records;
-  to_skip.resize(router.shard_count(), 0);
-
-  DayIndex current_day = replayer.first_day() - 1;
-  for (const FleetReplayer::Arrival& arrival : replayer.arrivals()) {
-    std::size_t& budget = to_skip[router.shard_of(arrival.drive_id)];
-    if (budget > 0) {
-      --budget;
-      ++report.records_skipped;
-      current_day = arrival.day;
-      continue;
-    }
-    if (options.cancel != nullptr && *options.cancel) {
-      report.interrupted = true;
-      break;
-    }
-    if (arrival.day != current_day) {
-      current_day = arrival.day;
-      ++report.days_replayed;
-      if (options.on_day) options.on_day(current_day);
-    }
-    deliver(arrival);
-    ++report.records_submitted;
-    if (options.kill_after_records > 0 &&
-        report.records_submitted >= options.kill_after_records) {
-      // Die exactly as a power cut would: no flush, no destructors.
-      std::raise(SIGKILL);
-    }
-  }
-}
-
-/// Fills everything but the drive-level verdicts (callers own those — the
-/// streamed replay no longer holds the telemetry by the time totals exist).
-void finish_report(ShardedReplayReport& out, const ShardRouter& router,
-                   std::chrono::steady_clock::time_point start) {
-  const auto end = std::chrono::steady_clock::now();
-  out.replay.wall_seconds =
-      std::chrono::duration<double>(end - start).count();
-  out.router = router.stats();
-  out.replay.engine = merge_engine_stats(out.router);
-  out.replay.store = merge_store_stats(router);
-  out.replay.alerts = router.alerts();
-  out.replay.records_per_sec =
-      out.replay.wall_seconds > 0.0
-          ? static_cast<double>(out.replay.engine.submitted) /
-                out.replay.wall_seconds
-          : 0.0;
-}
-
 std::uint64_t protocol_error_total() {
   std::uint64_t total = 0;
   for (const auto& metric : obs::registry().snapshot().metrics) {
@@ -154,233 +83,37 @@ std::uint64_t protocol_error_total() {
 
 }  // namespace
 
-ShardedReplayReport replay_sharded(ShardRouter& router,
-                                   const FleetReplayer& replayer,
-                                   const ShardedReplayOptions& options) {
-  ShardedReplayReport out;
-  const auto start = std::chrono::steady_clock::now();
-  feed_arrivals(router, replayer, options, out.replay,
-                [&](const FleetReplayer::Arrival& arrival) {
-                  router.submit(
-                      {arrival.drive_id, arrival.vendor, *arrival.record});
-                });
-  router.flush();
-  finish_report(out, router, start);
-  out.replay.drives =
-      FleetReplayer::drive_level(out.replay.alerts, replayer.telemetry());
-  return out;
-}
-
-ShardedReplayReport replay_over_loopback(ShardRouter& router,
-                                         const FleetReplayer& replayer,
-                                         const ShardedReplayOptions& options) {
-  ShardedReplayReport out;
-  const std::uint64_t errors_before = protocol_error_total();
-  const auto start = std::chrono::steady_clock::now();
-  IngestServer server(router, {});
-  {
-    TelemetryClient client(server.port());
-    feed_arrivals(router, replayer, options, out.replay,
-                  [&](const FleetReplayer::Arrival& arrival) {
-                    client.send_record(arrival.drive_id, arrival.vendor,
-                                       *arrival.record);
-                  });
-    client.sync();
-    client.close();
-  }
-  server.stop();
-  router.flush();
-  finish_report(out, router, start);
-  out.replay.drives =
-      FleetReplayer::drive_level(out.replay.alerts, replayer.telemetry());
-  out.protocol_errors = protocol_error_total() - errors_before;
-  return out;
-}
-
-StreamedFleetReport replay_fleet_streamed(ShardRouter& router,
-                                          sim::FleetSimulator& fleet,
-                                          const StreamedFleetOptions& options) {
-  if (options.chunk_drives == 0) {
-    throw std::invalid_argument(
-        "replay_fleet_streamed: chunk_drives must be >= 1");
-  }
+ShardedReplayReport replay_router(ShardRouter& router,
+                                  const serve::ArrivalSource& source,
+                                  const serve::ReplayOptions& options,
+                                  Transport transport) {
   if (!options.skip_records.empty() &&
       options.skip_records.size() != router.shard_count()) {
     throw std::invalid_argument(
-        "replay_fleet_streamed: skip_records size must match the shard "
-        "count");
+        "replay_router: skip_records size (" +
+        std::to_string(options.skip_records.size()) +
+        ") must match the shard count (" +
+        std::to_string(router.shard_count()) + ")");
   }
-  StreamedFleetReport out;
+  ShardedReplayReport out;
   const std::uint64_t errors_before = protocol_error_total();
-  const auto start = std::chrono::steady_clock::now();
-
-  const std::vector<std::size_t> tracked = fleet.tracked_drives();
-  out.drives_tracked = tracked.size();
-
-  std::vector<std::size_t> to_skip = options.skip_records;
-  to_skip.resize(router.shard_count(), 0);
-
-  std::unique_ptr<IngestServer> server;
-  std::unique_ptr<TelemetryClient> client;
-  if (options.over_loopback) {
-    server = std::make_unique<IngestServer>(router, ServerConfig{});
-    client = std::make_unique<TelemetryClient>(server->port());
+  if (transport == Transport::kLoopback) {
+    IngestServer server(router, {});
+    TelemetryClient client(server.port());
+    out.replay = serve::feed(source, client, options);
+    client.close();
+    server.stop();
+  } else {
+    out.replay = serve::feed(source, router, options);
   }
-
-  // (drive id, failed) for every drive that produced records — the ground
-  // truth for the drive-level verdicts after the chunks are long freed.
-  std::vector<std::pair<std::uint64_t, bool>> flags;
-  flags.reserve(tracked.size());
-
-  serve::ReplayReport& totals = out.sharded.replay;
-  for (std::size_t b = 0; b < tracked.size() && !totals.interrupted;
-       b += options.chunk_drives) {
-    const std::vector<sim::DriveTimeSeries> telemetry =
-        fleet.generate_telemetry_chunk(tracked, b, b + options.chunk_drives,
-                                       options.generation_threads);
-    ++out.chunks;
-    for (const auto& series : telemetry) {
-      flags.emplace_back(series.drive_id, series.failed);
-    }
-    const serve::FleetReplayer replayer(telemetry);
-    DayIndex current_day = replayer.first_day() - 1;
-    for (const serve::FleetReplayer::Arrival& arrival : replayer.arrivals()) {
-      std::size_t& budget = to_skip[router.shard_of(arrival.drive_id)];
-      if (budget > 0) {
-        --budget;
-        ++totals.records_skipped;
-        continue;
-      }
-      if (options.cancel != nullptr && *options.cancel) {
-        totals.interrupted = true;
-        break;
-      }
-      if (arrival.day != current_day) {
-        current_day = arrival.day;
-        ++totals.days_replayed;  // per-chunk day passes, not unique days
-      }
-      if (client) {
-        client->send_record(arrival.drive_id, arrival.vendor,
-                            *arrival.record);
-      } else {
-        router.submit({arrival.drive_id, arrival.vendor, *arrival.record});
-      }
-      ++totals.records_submitted;
-      if (options.kill_after_records > 0 &&
-          totals.records_submitted >= options.kill_after_records) {
-        // Die exactly as a power cut would: no flush, no destructors.
-        std::raise(SIGKILL);
-      }
-    }
-  }
-
-  if (client) {
-    client->sync();
-    client->close();
-    client.reset();
-  }
-  if (server) {
-    server->stop();
-    server.reset();
-  }
-  router.flush();
-  finish_report(out.sharded, router, start);
-
-  std::unordered_set<std::uint64_t> alerted;
-  alerted.reserve(out.sharded.replay.alerts.size());
-  for (const auto& alert : out.sharded.replay.alerts) {
-    alerted.insert(alert.drive_id);
-  }
-  core::DriveLevelMetrics& drives = out.sharded.replay.drives;
-  for (const auto& [drive_id, failed] : flags) {
-    if (failed) {
-      ++drives.faulty_drives;
-      if (alerted.count(drive_id)) ++drives.detected_drives;
-    } else {
-      ++drives.healthy_drives;
-      if (alerted.count(drive_id)) ++drives.false_alarm_drives;
-    }
-  }
-  out.sharded.protocol_errors = protocol_error_total() - errors_before;
-  return out;
-}
-
-MultiprocReplayReport replay_fleet_multiproc(
-    ShardedClient& client, sim::FleetSimulator& fleet,
-    const MultiprocReplayOptions& options) {
-  if (options.chunk_drives == 0) {
-    throw std::invalid_argument(
-        "replay_fleet_multiproc: chunk_drives must be >= 1");
-  }
-  const std::size_t topology = options.topology_shards == 0
-                                   ? client.shard_count()
-                                   : options.topology_shards;
-  if (!options.skip_records.empty() &&
-      options.skip_records.size() != topology) {
-    throw std::invalid_argument(
-        "replay_fleet_multiproc: skip_records size must match the topology "
-        "shard count");
-  }
-  MultiprocReplayReport out;
-  const auto start = std::chrono::steady_clock::now();
-
-  const std::vector<std::size_t> tracked = fleet.tracked_drives();
-  out.drives_tracked = tracked.size();
-  out.drive_flags.reserve(tracked.size());
-
-  std::vector<std::size_t> to_skip = options.skip_records;
-  to_skip.resize(topology, 0);
-
-  for (std::size_t b = 0; b < tracked.size() && !out.interrupted;
-       b += options.chunk_drives) {
-    const std::vector<sim::DriveTimeSeries> telemetry =
-        fleet.generate_telemetry_chunk(tracked, b, b + options.chunk_drives,
-                                       options.generation_threads);
-    ++out.chunks;
-    for (const auto& series : telemetry) {
-      out.drive_flags.emplace_back(series.drive_id, series.failed);
-    }
-    const serve::FleetReplayer replayer(telemetry);
-    DayIndex current_day = replayer.first_day() - 1;
-    for (const serve::FleetReplayer::Arrival& arrival : replayer.arrivals()) {
-      std::size_t& budget =
-          to_skip[serve::drive_shard(arrival.drive_id, topology)];
-      if (budget > 0) {
-        --budget;
-        ++out.records_skipped;
-        continue;
-      }
-      if (options.cancel != nullptr && *options.cancel) {
-        out.interrupted = true;
-        break;
-      }
-      if (arrival.day != current_day) {
-        current_day = arrival.day;
-        ++out.days_replayed;
-      }
-      client.send_record(arrival.drive_id, arrival.vendor, *arrival.record);
-      ++out.records_submitted;
-      if (options.kill_after_records > 0 &&
-          out.records_submitted >= options.kill_after_records) {
-        // The caller SIGKILLs one shard here; feeding stops so the record
-        // prefix the surviving shards saw is exact and reproducible.
-        if (options.on_kill) options.on_kill();
-        out.interrupted = true;
-        break;
-      }
-    }
-  }
-
-  if (!out.interrupted) {
-    client.flush_buffers();
-    out.totals = client.sync();
-  }
-  const auto end = std::chrono::steady_clock::now();
-  out.wall_seconds = std::chrono::duration<double>(end - start).count();
-  out.records_per_sec =
-      out.wall_seconds > 0.0
-          ? static_cast<double>(out.records_submitted) / out.wall_seconds
-          : 0.0;
+  router.flush();  // an interrupted feed skipped the barrier
+  out.router = router.stats();
+  out.replay.engine = merge_engine_stats(out.router);
+  out.replay.store = merge_store_stats(router);
+  out.replay.alerts = router.alerts();
+  out.replay.drives =
+      serve::drive_level(out.replay.alerts, out.replay.drive_flags);
+  out.protocol_errors = protocol_error_total() - errors_before;
   return out;
 }
 

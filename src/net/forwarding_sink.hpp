@@ -1,4 +1,4 @@
-// RecordSink that forwards to the per-shard server processes through a
+// ServerSink that forwards to the per-shard server processes through a
 // ShardedClient — the router-process mode (`mfpa shard-route`). A
 // shard-oblivious client connects to one router endpoint exactly as it
 // would a single-process server; the router re-frames each record onto the
@@ -16,7 +16,7 @@
 
 namespace mfpa::net {
 
-class ForwardingSink : public RecordSink {
+class ForwardingSink final : public ServerSink {
  public:
   /// The sharded client (already connected and handshaken) must outlive
   /// the sink.
@@ -24,14 +24,10 @@ class ForwardingSink : public RecordSink {
       : downstream_(&downstream) {}
 
   bool submit(const serve::TelemetryUpdate& update) override {
-    downstream_->send_record(update.drive_id, update.vendor, update.record);
-    return true;
+    return downstream_->submit(update);
   }
 
-  FlushAck flush_totals() override {
-    downstream_->flush_buffers();
-    return downstream_->sync();
-  }
+  FlushAck flush_totals() override { return downstream_->flush_totals(); }
 
   // owns() stays the default "everything": the router fronts the whole
   // topology, that is its purpose.

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <string>
 
+#include "serve/record_sink.hpp"
 #include "sim/telemetry.hpp"
 
 namespace mfpa::net {
@@ -69,12 +70,8 @@ enum class MessageType : std::uint8_t {
   kHelloAck = 6,
 };
 
-/// kFlushAck body.
-struct FlushAck {
-  std::uint64_t records_processed = 0;
-  std::uint64_t alerts = 0;
-  std::uint64_t shed = 0;
-};
+/// kFlushAck body: the serving sink's totals at the barrier.
+using FlushAck = serve::SinkTotals;
 
 /// Wildcard shard index in a kHello/kHelloAck: "any shard" — sent by
 /// shard-oblivious clients and by router-mode servers that front the whole

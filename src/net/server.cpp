@@ -61,16 +61,6 @@ void count_handshake(const char* result) {
 
 }  // namespace
 
-FlushAck RouterSink::flush_totals() {
-  router_->flush();
-  const RouterStats stats = router_->stats();
-  FlushAck ack;
-  ack.records_processed = stats.records_processed;
-  ack.alerts = stats.alerts;
-  ack.shed = stats.records_shed;
-  return ack;
-}
-
 Hello RouterSink::identity() const {
   Hello id;
   // A single-shard slice asserts its global shard index; a router fronting
@@ -96,7 +86,7 @@ struct IngestServer::Connection {
   bool write_pending() const noexcept { return write_off < write_buf.size(); }
 };
 
-IngestServer::IngestServer(RecordSink& sink, ServerConfig config)
+IngestServer::IngestServer(ServerSink& sink, ServerConfig config)
     : sink_(&sink), config_(config) {
   start();
 }

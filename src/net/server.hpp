@@ -2,7 +2,7 @@
 //
 // One poll(2)-driven I/O thread owns every connection: it accepts, reads
 // into per-connection buffers, runs each connection's FrameDecoder, and
-// hands decoded kRecord messages to a RecordSink — a ShardRouter in the
+// hands decoded kRecord messages to a ServerSink — a ShardRouter in the
 // scoring processes, a ForwardingSink in the router process. Sink
 // submission happens on the I/O thread on purpose — when a shard's queue is
 // full, submit() blocks, the I/O thread stops reading, kernel socket
@@ -49,18 +49,13 @@
 
 namespace mfpa::net {
 
-/// Where decoded records go. Implemented by the in-process ShardRouter
-/// (RouterSink) and by the router process's client-fan-out (ForwardingSink,
+/// Where decoded records go: a record sink (its flush_totals() answers
+/// kFlush) that also knows which drives it owns and the identity it
+/// asserts. Implemented over the in-process ShardRouter (RouterSink) and by
+/// the router process's client fan-out (ForwardingSink,
 /// net/forwarding_sink.hpp).
-class RecordSink {
+class ServerSink : public serve::RecordSink {
  public:
-  virtual ~RecordSink() = default;
-  /// Delivers one record; may block (backpressure). Returns false only when
-  /// the record was shed.
-  virtual bool submit(const serve::TelemetryUpdate& update) = 0;
-  /// Barrier: drains everything submitted so far and returns the totals for
-  /// the kFlushAck reply.
-  virtual FlushAck flush_totals() = 0;
   /// Whether this sink's slice of the topology owns the drive. A record for
   /// a drive outside the slice is a misroute and never reaches submit().
   virtual bool owns(std::uint64_t /*drive_id*/) const { return true; }
@@ -68,9 +63,9 @@ class RecordSink {
   virtual Hello identity() const = 0;
 };
 
-/// RecordSink over an in-process ShardRouter (full topology or a
+/// ServerSink over an in-process ShardRouter (full topology or a
 /// single-process slice of one).
-class RouterSink : public RecordSink {
+class RouterSink final : public ServerSink {
  public:
   /// `model_version` is stamped into the handshake identity (0 = wildcard:
   /// version checks are skipped).
@@ -80,7 +75,7 @@ class RouterSink : public RecordSink {
   bool submit(const serve::TelemetryUpdate& update) override {
     return router_->submit(update);
   }
-  FlushAck flush_totals() override;
+  FlushAck flush_totals() override { return router_->flush_totals(); }
   bool owns(std::uint64_t drive_id) const override {
     return router_->owns(drive_id);
   }
@@ -112,7 +107,7 @@ class IngestServer {
   /// Binds and starts the I/O thread. The sink (and, for the convenience
   /// overload, the router) must outlive the server. Throws
   /// std::runtime_error when the socket cannot be bound.
-  IngestServer(RecordSink& sink, ServerConfig config);
+  IngestServer(ServerSink& sink, ServerConfig config);
   /// Convenience: serves an in-process router under a wildcard handshake
   /// identity (the single-process loopback path).
   IngestServer(ShardRouter& router, ServerConfig config);
@@ -141,7 +136,7 @@ class IngestServer {
  private:
   struct Connection;
 
-  RecordSink* sink_;
+  ServerSink* sink_;
   std::unique_ptr<RouterSink> owned_sink_;  ///< backs the router overload
   ServerConfig config_;
   int listen_fd_ = -1;

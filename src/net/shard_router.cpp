@@ -64,6 +64,12 @@ void ShardRouter::flush() {
   for (auto& engine : engines_) engine->flush();
 }
 
+serve::SinkTotals ShardRouter::flush_totals() {
+  flush();
+  const RouterStats s = stats();
+  return {s.records_processed, s.alerts, s.records_shed};
+}
+
 void ShardRouter::stop() {
   for (auto& engine : engines_) engine->stop();
 }

@@ -19,7 +19,7 @@
 // Durability: with `durable_root` set, shard i recovers from and logs to
 // `<durable_root>/shard-NNN`. resume_records() reports each shard's
 // durably applied record count; a resuming feed skips exactly that many
-// records *of that shard's substream* (see net/fleet_replay).
+// records *of that shard's substream* (see serve::ReplayOptions).
 #pragma once
 
 #include <cstddef>
@@ -66,16 +66,13 @@ struct RouterStats {
   std::size_t max_queue_depth = 0;
 };
 
-class ShardRouter {
+class ShardRouter final : public serve::RecordSink {
  public:
   /// Constructs every shard engine (recovering each from its durable
   /// directory when durable_root is set). The registry must outlive the
   /// router. Throws std::invalid_argument for shards == 0.
   ShardRouter(const serve::ModelRegistry& registry, ShardRouterConfig config);
-  ~ShardRouter();
-
-  ShardRouter(const ShardRouter&) = delete;
-  ShardRouter& operator=(const ShardRouter&) = delete;
+  ~ShardRouter() override;
 
   std::size_t shard_count() const noexcept { return engines_.size(); }
   /// Total shards in the topology this router routes within (== shard_count
@@ -110,10 +107,13 @@ class ShardRouter {
   /// this router's slice does not own — a misroute must never touch another
   /// shard's state (the net server closes such connections instead of
   /// submitting).
-  bool submit(const serve::TelemetryUpdate& update);
+  bool submit(const serve::TelemetryUpdate& update) override;
 
   /// Blocks until every shard has drained everything submitted so far.
   void flush();
+
+  /// flush(), then the fleet totals summed over this router's shards.
+  serve::SinkTotals flush_totals() override;
 
   /// Stops every shard (flushing and sealing durable state). Idempotent.
   void stop();

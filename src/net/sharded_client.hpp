@@ -38,15 +38,12 @@ struct ShardedClientConfig {
   std::size_t send_buffer = 256 * 1024;
 };
 
-class ShardedClient {
+class ShardedClient final : public serve::RecordSink {
  public:
   /// Connects and handshakes every shard. Throws std::runtime_error when a
   /// connection fails or any shard's kHelloAck contradicts the claimed
   /// (index, topology, model version).
   explicit ShardedClient(ShardedClientConfig config);
-
-  ShardedClient(const ShardedClient&) = delete;
-  ShardedClient& operator=(const ShardedClient&) = delete;
 
   std::size_t shard_count() const noexcept { return clients_.size(); }
 
@@ -60,6 +57,17 @@ class ShardedClient {
   /// Barrier across the fleet: kFlush to every shard, per-shard acks summed
   /// into fleet totals.
   FlushAck sync();
+
+  /// RecordSink: send_record(); the barrier flushes every shard's buffer
+  /// before awaiting any ack, so the shards drain in parallel.
+  bool submit(const serve::TelemetryUpdate& update) override {
+    send_record(update.drive_id, update.vendor, update.record);
+    return true;
+  }
+  FlushAck flush_totals() override {
+    flush_buffers();
+    return sync();
+  }
 
   /// Orderly kGoodbye + close on every shard. Idempotent.
   void close();

@@ -66,12 +66,8 @@ core::SampleBuilder ServedModel::make_builder() const {
   return core::SampleBuilder(sc, &encoder);
 }
 
-ModelRegistry::ModelRegistry(std::string directory, std::size_t score_threads,
-                             bool compile_models, bool quantize_models)
-    : dir_(std::move(directory)),
-      score_threads_(score_threads),
-      compile_models_(compile_models),
-      quantize_models_(quantize_models) {
+ModelRegistry::ModelRegistry(std::string directory, RegistryOptions options)
+    : dir_(std::move(directory)), options_(options) {
   auto& reg = obs::registry();
   metrics_.publishes = &reg.counter("mfpa_registry_publishes_total");
   metrics_.activations = &reg.counter("mfpa_registry_activations_total");
@@ -253,18 +249,15 @@ std::shared_ptr<const ServedModel> ModelRegistry::load_version(
   }
   f.seekg(payload_start);
   ml::Hyperparams overrides;
-  overrides["threads"] = static_cast<double>(score_threads_);
+  overrides["threads"] = static_cast<double>(options_.score_threads);
   served->classifier = ml::load_classifier(f, overrides);
   // Compile tree ensembles into the flat inference format here, at
   // activation time, so every model the engine hot-swaps to serves from
-  // the compiled representation (probabilities stay bit-identical). The
-  // quantized form layers on top: when requested and the model quantizes,
-  // predict_proba prefers it; otherwise the flat form still serves.
-  if (compile_models_ || quantize_models_) {
+  // the compiled representation (probabilities stay bit-identical).
+  if (options_.compile) {
     if (auto* compiled =
             dynamic_cast<ml::CompiledInference*>(served->classifier.get())) {
-      if (compile_models_) compiled->compile();
-      if (quantize_models_) compiled->compile_quantized();
+      compiled->compile();
     }
   }
   return served;

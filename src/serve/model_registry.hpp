@@ -66,24 +66,27 @@ struct ServedModel {
   core::SampleBuilder make_builder() const;
 };
 
+/// How a registry prepares every model version it loads.
+struct RegistryOptions {
+  /// Stamped onto every loaded classifier's "threads" hyperparameter
+  /// (0 = all cores) so batch predict_proba uses the serving tier's pool
+  /// regardless of how the trainer was configured.
+  std::size_t score_threads = 0;
+  /// Flatten every loaded classifier that supports ml::CompiledInference at
+  /// activation time, so hot-swapped models always serve from the compiled
+  /// representation (bit-identical probabilities; see ml/flat_forest.hpp).
+  /// Off serves from the node-pointer trees (A/B runs, debugging).
+  bool compile = true;
+};
+
 class ModelRegistry {
  public:
   /// Opens (creating if needed) a registry directory and loads the CURRENT
-  /// version when one is recorded. `score_threads` is stamped onto every
-  /// loaded classifier's "threads" hyperparameter (0 = all cores) so batch
-  /// predict_proba uses the serving tier's pool regardless of how the
-  /// trainer was configured. With `compile_models` (the default), every
-  /// loaded classifier that supports ml::CompiledInference is flattened at
-  /// activation time, so hot-swapped models always serve from the compiled
-  /// representation (bit-identical probabilities; see ml/flat_forest.hpp).
-  /// With `quantize_models` additionally set, activation also builds the
-  /// uint8-quantized representation (compile_quantized()), which
-  /// predict_proba then prefers; quantization from the ensemble's own
-  /// thresholds is bit-identical too (see ml/quantized_forest.hpp), and a
-  /// non-quantizable model silently keeps serving from the flat form.
-  explicit ModelRegistry(std::string directory, std::size_t score_threads = 0,
-                         bool compile_models = true,
-                         bool quantize_models = false);
+  /// version when one is recorded.
+  explicit ModelRegistry(std::string directory, RegistryOptions options = {});
+  /// Same, with default options except the scoring thread count.
+  ModelRegistry(std::string directory, std::size_t score_threads)
+      : ModelRegistry(std::move(directory), RegistryOptions{score_threads}) {}
 
   const std::string& directory() const noexcept { return dir_; }
 
@@ -123,9 +126,7 @@ class ModelRegistry {
 
  private:
   std::string dir_;
-  std::size_t score_threads_;
-  bool compile_models_;
-  bool quantize_models_;
+  RegistryOptions options_;
   mutable std::mutex current_mu_;  ///< guards only the current_ pointer copy
   std::shared_ptr<const ServedModel> current_;
   mutable std::mutex publish_mu_;  ///< serializes publishers, never readers

@@ -287,6 +287,12 @@ void ScoringEngine::flush() {
   drained_.wait(lock, [this] { return queue_.empty() && !processing_; });
 }
 
+SinkTotals ScoringEngine::flush_totals() {
+  flush();
+  return {metrics_.records_processed->value(), metrics_.alerts->value(),
+          metrics_.shed->value()};
+}
+
 void ScoringEngine::stop() {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -330,9 +336,12 @@ std::vector<ScoredRow> ScoringEngine::take_scored_rows() {
 
 EngineStats ScoringEngine::stats() const {
   EngineStats out;
-  out.submitted = metrics_.submitted->value();
+  // submit() bumps `submitted` before `accepted`/`shed`, and all three only
+  // grow, so reading them in the reverse order keeps a snapshot taken under
+  // live traffic consistent: accepted + shed <= submitted.
   out.accepted = metrics_.accepted->value();
   out.shed = metrics_.shed->value();
+  out.submitted = metrics_.submitted->value();
   out.rejected = metrics_.rejected->value();
   out.unscored_no_model = metrics_.unscored_no_model->value();
   out.records_processed = metrics_.records_processed->value();

@@ -46,16 +46,9 @@
 #include "serve/checkpoint.hpp"
 #include "serve/drive_state_store.hpp"
 #include "serve/model_registry.hpp"
-#include "sim/telemetry.hpp"
+#include "serve/record_sink.hpp"
 
 namespace mfpa::serve {
-
-/// One queued unit of work: a drive's daily upload.
-struct TelemetryUpdate {
-  std::uint64_t drive_id = 0;
-  int vendor = 0;
-  sim::DailyRecord record;
-};
 
 struct EngineConfig {
   StoreConfig store;
@@ -113,7 +106,7 @@ struct EngineStats {
   std::size_t max_queue_depth = 0;
 };
 
-class ScoringEngine {
+class ScoringEngine final : public RecordSink {
  public:
   /// The registry must outlive the engine. A model need not be published
   /// yet: rows that become scoreable before the first publish are counted
@@ -126,20 +119,20 @@ class ScoringEngine {
   /// normal scoring path. Recovery failures (mid-stream corruption, model
   /// version mismatch, alert-stream hole) throw std::runtime_error.
   ScoringEngine(const ModelRegistry& registry, EngineConfig config);
-  ~ScoringEngine();
-
-  ScoringEngine(const ScoringEngine&) = delete;
-  ScoringEngine& operator=(const ScoringEngine&) = delete;
+  ~ScoringEngine() override;
 
   const EngineConfig& config() const noexcept { return config_; }
   const DriveStateStore& store() const noexcept { return store_; }
 
   /// Enqueues one record. Returns false only when shed_on_full dropped it.
-  bool submit(const TelemetryUpdate& update);
+  bool submit(const TelemetryUpdate& update) override;
 
   /// Blocks until everything submitted so far has been drained and scored.
   /// (Manual-drain mode: drains inline on the calling thread.)
   void flush();
+
+  /// flush(), then this engine's processed/alert/shed totals.
+  SinkTotals flush_totals() override;
 
   /// Drains and scores at most one micro-batch; returns the number of
   /// records processed (manual_drain mode; also safe while stopped).

@@ -236,10 +236,9 @@ TEST(Usage, DocumentsCompiledInferenceFlag) {
   EXPECT_NE(text.find("--no-flat"), std::string::npos);
 }
 
-TEST(Usage, DocumentsQuantizedAndSimdFlags) {
+TEST(Usage, DocumentsSimdFlag) {
   const std::string text = usage();
-  EXPECT_NE(text.find("--quantized"), std::string::npos);
-  EXPECT_NE(text.find("--simd=auto|scalar|neon|avx2"), std::string::npos);
+  EXPECT_NE(text.find("--simd=auto|scalar|avx2"), std::string::npos);
 }
 
 TEST(ServeReplayCommand, RejectsBadSimdValue) {

@@ -168,7 +168,7 @@ TEST(BinnedMatrix, RowCodesIntoGathersRowMajorBlocks) {
 
 TEST(BinnedMatrix, RunAwareCutsOnConstantAndLowCardinalityColumns) {
   // The run-aware equal-frequency sketch must keep its invariants on the
-  // edge cases the quantized scorer leans on: a constant column encodes to
+  // edge cases histogram training leans on: a constant column encodes to
   // a single bin with no cuts, a column with fewer distinct values than
   // the budget gets exactly distinct-1 midpoint cuts (codes == value
   // ranks), and a 90%-tied column still gives the giant run its own bin.

@@ -108,9 +108,9 @@ class FleetServingTest : public ::testing::Test {
     registry.publish_pipeline(*pipeline_, 0, 100);
     net::ShardRouter router(registry, router_config(shards));
     const serve::FleetReplayer replayer(*telemetry_);
-    const auto report = loopback
-                            ? net::replay_over_loopback(router, replayer)
-                            : net::replay_sharded(router, replayer);
+    const auto report = net::replay_router(
+        router, replayer, {},
+        loopback ? net::Transport::kLoopback : net::Transport::kInProcess);
     router.stop();
     EXPECT_EQ(report.replay.records_submitted, replayer.total_records());
     EXPECT_EQ(report.replay.engine.shed, 0u);
@@ -171,18 +171,16 @@ TEST_F(FleetServingTest, StreamedChunksMatchUnchunkedReplay) {
   registry.publish_pipeline(*pipeline_, 0, 100);
   net::ShardRouter router(registry, router_config(2));
   sim::FleetSimulator fleet(sim::tiny_scenario(61));
-  net::StreamedFleetOptions options;
-  options.chunk_drives = 7;  // deliberately awkward chunking
-  const auto streamed = net::replay_fleet_streamed(router, fleet, options);
+  const serve::StreamedFleet stream(fleet, /*chunk_drives=*/7);  // awkward
+  const auto streamed = net::replay_router(router, stream);
   router.stop();
   fs::remove_all(dir);
 
-  EXPECT_GT(streamed.chunks, 1u);
+  EXPECT_GT(streamed.replay.chunks, 1u);
   // Tracked selection precedes empty-series dropping, so it can only be
   // at least as large as the generated telemetry.
-  EXPECT_GE(streamed.drives_tracked, telemetry_->size());
-  EXPECT_TRUE(
-      same_alerts(reference.replay.alerts, streamed.sharded.replay.alerts));
+  EXPECT_GE(stream.drives_tracked(), telemetry_->size());
+  EXPECT_TRUE(same_alerts(reference.replay.alerts, streamed.replay.alerts));
 }
 
 // Satellite: per-shard durable resume. Stop mid-stream after a clean seal,
@@ -218,9 +216,9 @@ TEST_F(FleetServingTest, DurableShardedResumeReproducesAlerts) {
   ASSERT_EQ(resume.size(), 2u);
   EXPECT_EQ(resume[0] + resume[1], cut)
       << "per-shard durable counts must cover exactly the sealed prefix";
-  net::ShardedReplayOptions options;
+  serve::ReplayOptions options;
   options.skip_records = resume;
-  const auto resumed = net::replay_sharded(second, replayer, options);
+  const auto resumed = net::replay_router(second, replayer, options);
   second.stop();
   fs::remove_all(dir);
   fs::remove_all(durable);

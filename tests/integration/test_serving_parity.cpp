@@ -100,18 +100,16 @@ class ServingParityTest : public ::testing::Test {
   }
 
   std::vector<core::Alert> serve_alerts(std::size_t threads,
-                                        bool compile = true,
-                                        bool quantize = false) {
+                                        bool compile = true) {
     // Keyed by test name as well as thread count: ctest runs discovered
     // tests as parallel processes, and both tests publish at threads=1.
     const fs::path dir =
         fs::path(::testing::TempDir()) /
         (std::string("mfpa_parity_registry_") +
          ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-         "_t" + std::to_string(threads) + (compile ? "_flat" : "_ptr") +
-         (quantize ? "_q" : ""));
+         "_t" + std::to_string(threads) + (compile ? "_flat" : "_ptr"));
     fs::remove_all(dir);
-    serve::ModelRegistry registry(dir.string(), threads, compile, quantize);
+    serve::ModelRegistry registry(dir.string(), {threads, compile});
     registry.publish_pipeline(*pipeline_, 0, 100);
     serve::EngineConfig config;
     config.alert_policy = policy();
@@ -172,24 +170,6 @@ TEST_F(ServingParityTest, CompiledAndPointerEnginesIdentical) {
   const auto pointer_mt = sorted_keys(serve_alerts(4, false));
   EXPECT_TRUE(compiled_mt == pointer_mt);
   EXPECT_TRUE(compiled == compiled_mt);
-}
-
-// Quantized serving parity: with --quantized activation the registry scores
-// through the uint8-code QuantizedForest. The pipeline's forest is
-// hist-trained, so compile() from its own thresholds is exact and the alert
-// stream must equal the compiled (and pointer) engines' bit-for-bit —
-// same drives, same days, same score doubles — at every thread count.
-TEST_F(ServingParityTest, QuantizedEngineAlertStreamEquivalent) {
-  const auto compiled = sorted_keys(serve_alerts(1, true, false));
-  const auto quantized = sorted_keys(serve_alerts(1, true, true));
-  ASSERT_GT(compiled.size(), 0u);
-  EXPECT_TRUE(compiled == quantized);
-  const auto quantized_mt = sorted_keys(serve_alerts(4, true, true));
-  EXPECT_TRUE(compiled == quantized_mt);
-  // Quantize-only activation (no flat compile) routes through the same
-  // QuantizedForest and must be indistinguishable too.
-  const auto quant_only = sorted_keys(serve_alerts(1, false, true));
-  EXPECT_TRUE(compiled == quant_only);
 }
 
 }  // namespace

@@ -3,28 +3,22 @@
 // constant columns, skewed deep-tree data, tiny and block-straddling row
 // counts), then require
 //
-//   node-pointer == flat-scalar == flat-vector == quantized(compile)
+//   node-pointer == flat-scalar == flat-vector
 //
-// bit-for-bit, and the quantized compile_binned() form to respect its
-// documented tolerance contract: bit-identical whenever exact(), and
-// otherwise differing only on rows where some feature value shares a bin
-// with a snapped threshold. Heavy configurations live in this binary,
-// which the test tier labels `slow` (per-commit sanitizer CI skips it; the
-// Release and nightly jobs run it).
+// bit-for-bit. Heavy configurations live in this binary, which the test
+// tier labels `slow` (per-commit sanitizer CI skips it; the Release and
+// nightly jobs run it).
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "data/binned_matrix.hpp"
 #include "data/matrix.hpp"
 #include "ml/gbdt.hpp"
-#include "ml/quantized_forest.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/simd.hpp"
 
@@ -85,8 +79,8 @@ void expect_bit_identical(const std::vector<double>& a,
   }
 }
 
-/// One differential round: pointer vs flat (scalar + every vector tier) vs
-/// quantized, all bit-identical on the NaN-riddled scoring matrix.
+/// One differential round: pointer vs flat (scalar + the vector tier), all
+/// bit-identical on the NaN-riddled scoring matrix.
 template <typename Model>
 void differential_round(Model& model, const Fixture& fx) {
   const auto pointer = model.predict_proba(fx.dirty);
@@ -95,15 +89,8 @@ void differential_round(Model& model, const Fixture& fx) {
   set_simd_override(SimdLevel::kScalar);
   const auto scalar = model.predict_proba(fx.dirty);
   expect_bit_identical(pointer, scalar, "flat-scalar");
-  for (const SimdLevel level : {SimdLevel::kNeon, SimdLevel::kAvx2}) {
-    set_simd_override(level);
-    expect_bit_identical(scalar, model.predict_proba(fx.dirty), "flat-vector");
-  }
-  set_simd_override(std::nullopt);
-  if (model.compile_quantized()) {
-    ASSERT_TRUE(model.quantized()->exact());
-    expect_bit_identical(pointer, model.predict_proba(fx.dirty), "quantized");
-  }
+  set_simd_override(SimdLevel::kAvx2);
+  expect_bit_identical(scalar, model.predict_proba(fx.dirty), "flat-vector");
 }
 
 TEST(InferenceFuzz, RandomForestDifferential) {
@@ -134,81 +121,6 @@ TEST(InferenceFuzz, GbdtDifferential) {
     gbdt.fit(fx.X, fx.y);
     differential_round(gbdt, fx);
   }
-}
-
-TEST(InferenceFuzz, CompileBinnedToleranceContract) {
-  // Exercise the inexact regime deliberately: exact-split training draws
-  // midpoint thresholds that need not coincide with a coarse binning's
-  // cuts, so compile_binned() snaps them down. The documented contract: a
-  // row may differ from the float prediction ONLY if some feature value
-  // lands in the same bin as a snapped (inexact) threshold — every other
-  // row must stay bit-identical.
-  std::size_t total_clean_rows = 0;
-  std::size_t inexact_models = 0;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Rng rng(seed * 15485863);
-    Fixture fx = random_fixture(rng);
-    RandomForestClassifier rf(
-        {{"n_trees", 4 + static_cast<double>(rng.uniform_int(0, 12))},
-         {"seed", static_cast<double>(seed)},
-         {"max_depth", 3 + static_cast<double>(rng.uniform_int(0, 7))},
-         {"split_method", 0.0}});
-    rf.fit(fx.X, fx.y);
-    const auto pointer = rf.predict_proba(fx.X);
-
-    // A coarse binning guarantees snapping actually happens.
-    const data::BinnedMatrix bins(fx.X, 16);
-    const auto quant = QuantizedForest::compile_binned(
-        rf.trees(), bins, QuantizedForest::Output::kMeanClamp, 1.0, 0.0);
-    const auto quantized = quant.predict(fx.X);
-
-    if (quant.exact()) {
-      expect_bit_identical(pointer, quantized, "binned-exact");
-      continue;
-    }
-    ++inexact_models;
-    // Per feature, the set of codes occupied by inexact thresholds: a
-    // value whose code avoids this set on every feature cannot change any
-    // descend decision relative to the float model.
-    std::vector<std::set<std::uint8_t>> fuzzy(quant.n_features());
-    for (const auto& tree : rf.trees()) {
-      for (const auto& node : tree.nodes()) {
-        if (node.feature < 0) continue;
-        const auto f = static_cast<std::size_t>(node.feature);
-        const auto& cuts = quant.cuts(f);
-        const auto it =
-            std::lower_bound(cuts.begin(), cuts.end(), node.threshold);
-        if (it == cuts.end() || *it != node.threshold) {
-          fuzzy[f].insert(static_cast<std::uint8_t>(
-              std::lower_bound(cuts.begin(), cuts.end(), node.threshold) -
-              cuts.begin()));
-        }
-      }
-    }
-    std::size_t clean_rows = 0;
-    for (std::size_t r = 0; r < fx.X.rows(); ++r) {
-      bool clean = true;
-      for (std::size_t f = 0; f < quant.n_features() && clean; ++f) {
-        const auto& cuts = quant.cuts(f);
-        const auto code = static_cast<std::uint8_t>(
-            std::lower_bound(cuts.begin(), cuts.end(), fx.X(r, f)) -
-            cuts.begin());
-        clean = fuzzy[f].count(code) == 0;
-      }
-      if (clean) {
-        ++clean_rows;
-        ASSERT_EQ(pointer[r], quantized[r]) << "clean row " << r;
-      }
-    }
-    total_clean_rows += clean_rows;
-  }
-  // Fixture-quality guards, aggregated across seeds (a single seed may
-  // legitimately snap a threshold into every occupied bin, leaving no
-  // clean rows to check): the sweep as a whole must exercise both the
-  // inexact regime and some bit-identity-required rows within it.
-  EXPECT_GT(inexact_models, 0u);
-  EXPECT_GT(total_clean_rows, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // SIMD dispatch and kernel-parity suite. The contract: every kernel tier
-// (scalar / NEON / AVX2) executes the identical operation sequence, so
+// (scalar / AVX2) executes the identical operation sequence, so
 // predictions are bit-identical no matter which tier dispatch selects —
 // the vector kernels are pure speed, never a numerics change. The tests
 // force tiers through the process-wide override and diff against the
@@ -59,12 +59,10 @@ void expect_all_tiers_identical(const FlatForest& flat, const data::Matrix& X) {
   SimdOverrideGuard guard;
   set_simd_override(SimdLevel::kScalar);
   const auto scalar = flat.predict(X);
-  for (const SimdLevel level : {SimdLevel::kNeon, SimdLevel::kAvx2}) {
-    set_simd_override(level);
-    SCOPED_TRACE(std::string("forced=") + std::string(to_string(level)) +
-                 " active=" + std::string(to_string(active_simd_level())));
-    expect_bit_identical(scalar, flat.predict(X));
-  }
+  set_simd_override(SimdLevel::kAvx2);
+  SCOPED_TRACE(std::string("forced=avx2 active=") +
+               std::string(to_string(active_simd_level())));
+  expect_bit_identical(scalar, flat.predict(X));
   set_simd_override(std::nullopt);
   expect_bit_identical(scalar, flat.predict(X));
 }
@@ -75,8 +73,7 @@ TEST(SimdDispatch, ParseFlagValues) {
   EXPECT_FALSE(level.has_value());
   EXPECT_TRUE(parse_simd_level("scalar", level));
   EXPECT_EQ(level, SimdLevel::kScalar);
-  EXPECT_TRUE(parse_simd_level("neon", level));
-  EXPECT_EQ(level, SimdLevel::kNeon);
+  EXPECT_FALSE(parse_simd_level("neon", level));
   EXPECT_TRUE(parse_simd_level("avx2", level));
   EXPECT_EQ(level, SimdLevel::kAvx2);
   EXPECT_FALSE(parse_simd_level("sse9", level));
@@ -85,7 +82,6 @@ TEST(SimdDispatch, ParseFlagValues) {
 
 TEST(SimdDispatch, RoundTripNames) {
   EXPECT_EQ(to_string(SimdLevel::kScalar), "scalar");
-  EXPECT_EQ(to_string(SimdLevel::kNeon), "neon");
   EXPECT_EQ(to_string(SimdLevel::kAvx2), "avx2");
 }
 
@@ -98,15 +94,8 @@ TEST(SimdDispatch, OverrideClampsToDetected) {
   EXPECT_EQ(active_simd_level(), SimdLevel::kScalar);
   // Forcing a tier the hardware lacks degrades to the detected one; forcing
   // one it has is honored exactly.
-  for (const SimdLevel forced : {SimdLevel::kNeon, SimdLevel::kAvx2}) {
-    set_simd_override(forced);
-    const SimdLevel active = active_simd_level();
-    if (static_cast<int>(forced) <= static_cast<int>(detected)) {
-      EXPECT_EQ(active, forced);
-    } else {
-      EXPECT_EQ(active, detected);
-    }
-  }
+  set_simd_override(SimdLevel::kAvx2);
+  EXPECT_EQ(active_simd_level(), detected);
   set_simd_override(std::nullopt);
   EXPECT_EQ(active_simd_level(), detected);
 }

@@ -9,7 +9,6 @@
 #include "core/mfpa.hpp"
 #include "core/preprocess.hpp"
 #include "ml/flat_forest.hpp"
-#include "ml/quantized_forest.hpp"
 #include "sim/fleet.hpp"
 
 namespace mfpa::serve {
@@ -137,27 +136,6 @@ TEST_F(ModelRegistryTest, PublishIsAnRcuSwap) {
   EXPECT_EQ(registry.current()->manifest.version, 2);
   const auto X = probe_rows();
   EXPECT_EQ(snapshot->classifier->predict_proba(X),
-            pipeline_->model().predict_proba(X));
-}
-
-// quantize_models activation: loading a version compiles the uint8-code
-// QuantizedForest form, and — because compile() quantizes against the
-// ensemble's own thresholds — scoring through it stays bit-identical to
-// the pipeline's float model.
-TEST_F(ModelRegistryTest, QuantizeModelsActivatesQuantizedForm) {
-  ModelRegistry registry(dir_.string(), 1, /*compile_models=*/false,
-                         /*quantize_models=*/true);
-  registry.publish_pipeline(*pipeline_, 0, 100);
-  const auto model = registry.current();
-  ASSERT_NE(model, nullptr);
-  const auto* compiled =
-      dynamic_cast<const ml::CompiledInference*>(model->classifier.get());
-  ASSERT_NE(compiled, nullptr);
-  ASSERT_NE(compiled->quantized(), nullptr);
-  EXPECT_TRUE(compiled->quantized()->exact());
-  const auto X = probe_rows();
-  ASSERT_GT(X.rows(), 0u);
-  EXPECT_EQ(model->classifier->predict_proba(X),
             pipeline_->model().predict_proba(X));
 }
 
