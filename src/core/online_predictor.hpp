@@ -72,14 +72,6 @@ class OnlinePredictor {
   const std::vector<Alert>& alerts() const noexcept { return alerts_; }
   void clear_alerts() { alerts_.clear(); }
 
-  /// Fleet-side ingest accounting: deployments fold the per-drive
-  /// `StreamingIngestor::ingest_stats()` (or a batch reader's report) in
-  /// here so "how dirty is the fleet's telemetry" is available next to the
-  /// alert stream.
-  void absorb_ingest(const IngestStats& stats) { ingest_stats_.merge(stats); }
-  const IngestStats& ingest_stats() const noexcept { return ingest_stats_; }
-  void clear_ingest_stats() { ingest_stats_ = IngestStats{}; }
-
   /// Groups labeled test predictions by calendar month (Fig. 12/16).
   static std::vector<MonthlyMetrics> monthly_breakdown(
       const MfpaReport& report);
@@ -92,7 +84,6 @@ class OnlinePredictor {
   SampleBuilder builder_;
   AlertPolicy policy_;
   std::vector<Alert> alerts_;
-  IngestStats ingest_stats_;
 };
 
 }  // namespace mfpa::core

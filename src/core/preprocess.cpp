@@ -5,7 +5,6 @@
 
 #include "core/robust_ingest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/catalog.hpp"
 
 namespace mfpa::core {
@@ -178,7 +177,6 @@ ProcessedDrive Preprocessor::process_well_formed(
 std::vector<ProcessedDrive> Preprocessor::process(
     const std::vector<sim::DriveTimeSeries>& batch,
     PreprocessStats* stats, IngestStats* ingest) const {
-  obs::ScopedSpan span("ingest.batch");
   obs::ScopedTimer batch_timer(
       obs::registry().histogram("mfpa_ingest_batch_seconds", 0.0, 60.0, 256));
   PreprocessStats local;

@@ -85,20 +85,6 @@ BinnedMatrix::BinnedMatrix(const Matrix& X, std::size_t max_bins) {
   }
 }
 
-void BinnedMatrix::row_codes_into(std::size_t row_lo, std::size_t row_hi,
-                                  std::uint8_t* out) const noexcept {
-  assert(row_lo <= row_hi && row_hi <= rows_ &&
-         "BinnedMatrix::row_codes_into: row range out of bounds");
-  assert((out != nullptr || row_lo == row_hi) &&
-         "BinnedMatrix::row_codes_into: null output");
-  for (std::size_t f = 0; f < cols_; ++f) {
-    const std::uint8_t* col = codes_.data() + f * rows_;
-    for (std::size_t r = row_lo; r < row_hi; ++r) {
-      out[(r - row_lo) * cols_ + f] = col[r];
-    }
-  }
-}
-
 BinnedMatrix BinnedMatrix::select_rows(std::span<const std::size_t> indices) const {
   BinnedMatrix out;
   out.rows_ = indices.size();

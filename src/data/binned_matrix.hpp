@@ -10,7 +10,6 @@
 // the training side: code(r, f) <= b  <=>  X(r, f) <= cut(f, b).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -52,18 +51,6 @@ class BinnedMatrix {
   const std::uint8_t* column(std::size_t f) const noexcept {
     return codes_.data() + f * rows_;
   }
-
-  /// column() with a debug-build bounds check.
-  const std::uint8_t* codes_ptr(std::size_t f) const noexcept {
-    assert(f < cols_ && "BinnedMatrix::codes_ptr: feature out of range");
-    return codes_.data() + f * rows_;
-  }
-
-  /// Row-major gather of rows [row_lo, row_hi): writes
-  /// (row_hi - row_lo) * cols() codes into out, row r's codes contiguous at
-  /// out + (r - row_lo) * cols(). Debug-asserts the range is within rows().
-  void row_codes_into(std::size_t row_lo, std::size_t row_hi,
-                      std::uint8_t* out) const noexcept;
 
   /// Ascending raw-value thresholds between bins of feature f
   /// (size n_bins(f) - 1). Splitting "code <= b" is identical to the raw

@@ -8,7 +8,6 @@
 #include "ml/binned_support.hpp"
 #include "ml/metrics.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mfpa::ml {
 
@@ -109,7 +108,6 @@ double cross_val_score(const Classifier& prototype, const CvCache& cache,
   for (const auto& fold : cache.folds) {
     if (!fold.usable) continue;
 
-    obs::ScopedSpan fold_span("train.fold");
     obs::ScopedTimer fold_timer(fold_seconds);
     folds_evaluated.inc();
     auto model = prototype.clone_unfitted();

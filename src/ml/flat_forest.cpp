@@ -268,13 +268,12 @@ std::size_t FlatForest::bytes() const noexcept {
 }
 
 void FlatForest::accumulate_range(const data::Matrix& X, std::size_t row_lo,
-                                  std::size_t row_hi, std::size_t tree_lo,
-                                  std::size_t tree_hi, double* acc) const {
+                                  std::size_t row_hi, double* acc) const {
   const detail::ForestView view{feat_.data(), thr_.data(), left_.data(),
                                 fl_.data(),  roots_.data(), per_tree_scale_};
   const auto choice = select_kernel(X.rows(), X.cols());
-  choice.fn(view, X.data().data(), X.cols(), row_lo, row_hi, tree_lo,
-            tree_hi, acc);
+  choice.fn(view, X.data().data(), X.cols(), row_lo, row_hi, 0, roots_.size(),
+            acc);
 }
 
 void FlatForest::finish_range(const double* acc, std::span<double> out,
@@ -307,7 +306,7 @@ void FlatForest::predict_into(const data::Matrix& X, std::span<double> out,
     for (std::size_t block = lo; block < hi; block += kRowBlock) {
       const std::size_t block_hi = std::min(block + kRowBlock, hi);
       std::fill(acc, acc + (block_hi - block), base_);
-      accumulate_range(X, block, block_hi, 0, roots_.size(), acc);
+      accumulate_range(X, block, block_hi, acc);
       finish_range(acc, out, block, block_hi);
     }
   });
@@ -319,52 +318,6 @@ std::vector<double> FlatForest::predict(const data::Matrix& X,
   std::vector<double> out(X.rows());
   predict_into(X, out, threads);
   return out;
-}
-
-void FlatForest::predict_tree_parallel_into(const data::Matrix& X,
-                                            std::span<double> out,
-                                            std::size_t threads) const {
-  if (empty()) {
-    throw std::logic_error("FlatForest: predict on an empty forest");
-  }
-  if (out.size() != X.rows()) {
-    throw std::invalid_argument(
-        "FlatForest::predict_tree_parallel_into: size mismatch");
-  }
-  threads = resolve_threads(threads);
-  const std::size_t workers = std::min(threads, roots_.size());
-  if (workers <= 1) {
-    predict_into(X, out, 1);
-    return;
-  }
-  const auto& metrics = flat_metrics();
-  obs::ScopedTimer timer(*metrics.batch_seconds);
-  const std::size_t n = X.rows();
-  // Each worker owns a contiguous tree slice and a private accumulator;
-  // partials combine in slice order afterwards, so a fixed thread count is
-  // deterministic (but the regrouped additions are not bit-identical across
-  // thread counts — see the header). The blocked kernel accumulates
-  // straight into the zero-seeded partial vectors — no per-block scratch
-  // buffer to re-zero and copy out of.
-  std::vector<std::vector<double>> partial(workers,
-                                           std::vector<double>(n, 0.0));
-  parallel_for_blocks(workers, workers, [&](std::size_t wlo, std::size_t whi) {
-    for (std::size_t w = wlo; w < whi; ++w) {
-      const std::size_t tree_lo = w * roots_.size() / workers;
-      const std::size_t tree_hi = (w + 1) * roots_.size() / workers;
-      double* part = partial[w].data();
-      for (std::size_t block = 0; block < n; block += kRowBlock) {
-        const std::size_t block_hi = std::min(block + kRowBlock, n);
-        accumulate_range(X, block, block_hi, tree_lo, tree_hi, part + block);
-      }
-    }
-  });
-  std::vector<double> total(n, base_);
-  for (std::size_t w = 0; w < workers; ++w) {
-    for (std::size_t r = 0; r < n; ++r) total[r] += partial[w][r];
-  }
-  finish_range(total.data(), out, 0, n);
-  metrics.rows_scored->inc(n);
 }
 
 }  // namespace mfpa::ml

@@ -92,16 +92,6 @@ class FlatForest {
   std::vector<double> predict(const data::Matrix& X,
                               std::size_t threads = 1) const;
 
-  /// Tree-sliced parallel scoring: each worker accumulates a contiguous
-  /// range of trees over all rows and the partial sums combine in fixed
-  /// range order. Useful when rows are few but trees are many; results are
-  /// deterministic for a given thread count but the regrouped additions are
-  /// NOT bit-identical across thread counts — the serving path therefore
-  /// uses predict_into. Falls back to predict_into when threads <= 1.
-  void predict_tree_parallel_into(const data::Matrix& X,
-                                  std::span<double> out,
-                                  std::size_t threads) const;
-
  private:
   std::vector<std::int32_t> feat_;
   std::vector<double> thr_;
@@ -113,11 +103,10 @@ class FlatForest {
   double base_ = 0.0;
   double inv_trees_ = 0.0;  ///< 1 / tree_count (kMeanClamp finisher)
 
-  /// Adds trees [tree_lo, tree_hi) of rows [row_lo, row_hi) into acc
+  /// Adds every tree's contribution for rows [row_lo, row_hi) into acc
   /// (indexed from row_lo; caller seeds it). The blocked lockstep kernel.
   void accumulate_range(const data::Matrix& X, std::size_t row_lo,
-                        std::size_t row_hi, std::size_t tree_lo,
-                        std::size_t tree_hi, double* acc) const;
+                        std::size_t row_hi, double* acc) const;
 
   /// Applies the output transform to acc into out for rows [lo, hi).
   void finish_range(const double* acc, std::span<double> out, std::size_t lo,

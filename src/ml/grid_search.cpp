@@ -7,7 +7,6 @@
 
 #include "ml/factory.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mfpa::ml {
 
@@ -37,7 +36,6 @@ GridSearchResult grid_search(const std::string& algorithm,
                              const data::Matrix& X, const std::vector<int>& y,
                              const std::vector<Split>& splits, CvMetric metric,
                              std::size_t threads) {
-  obs::ScopedSpan span("train.grid_search");
   const auto points = expand_grid(grid);
   std::vector<Hyperparams> param_sets(points.size());
   std::vector<double> scores(points.size(), -1.0);

@@ -1,9 +1,8 @@
 // Sharded replay: the serve::feed loop driving a ShardRouter, in-process
 // (`serve-replay --shards=N`, `fleet-replay --in-process`, the alert-parity
-// tests) or over the loopback binary protocol (`fleet-replay`,
-// bench_serving's sharded pass: the full encode → TCP → decode → route
-// chain), plus the canonical merge of the per-shard alert files a
-// multi-process topology writes.
+// tests) or over the loopback binary protocol (`fleet-replay`: the full
+// encode → TCP → decode → route chain), plus the canonical merge of the
+// per-shard alert files a multi-process topology writes.
 //
 // Resume protocol: each shard recovers independently, so "how much is
 // already durable" is a per-shard count (ShardRouter::resume_records()),

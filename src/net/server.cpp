@@ -13,7 +13,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mfpa::net {
 namespace {
@@ -28,29 +27,6 @@ void close_fd(int& fd) {
     ::close(fd);
     fd = -1;
   }
-}
-
-struct ServerMetrics {
-  obs::Counter* connections = nullptr;
-  obs::Gauge* active = nullptr;
-  obs::Counter* bytes_received = nullptr;
-  obs::Counter* records = nullptr;
-  obs::Counter* flushes = nullptr;
-  obs::Counter* misrouted = nullptr;
-};
-
-ServerMetrics& server_metrics() {
-  // Re-resolved per call so create_isolated()/ScopedMetricsOverride tests
-  // see the server's traffic in their own registry.
-  thread_local ServerMetrics m;
-  auto& reg = obs::registry();
-  m.connections = &reg.counter("mfpa_net_connections_total", {});
-  m.active = &reg.gauge("mfpa_net_connections_active", {});
-  m.bytes_received = &reg.counter("mfpa_net_bytes_received_total", {});
-  m.records = &reg.counter("mfpa_net_records_total", {});
-  m.flushes = &reg.counter("mfpa_net_flushes_total", {});
-  m.misrouted = &reg.counter("mfpa_net_misrouted_records_total", {});
-  return m;
 }
 
 void count_handshake(const char* result) {
@@ -98,6 +74,14 @@ IngestServer::IngestServer(ShardRouter& router, ServerConfig config)
 }
 
 void IngestServer::start() {
+  auto& reg = obs::registry();
+  metrics_.connections = &reg.counter("mfpa_net_connections_total");
+  metrics_.active = &reg.gauge("mfpa_net_connections_active");
+  metrics_.bytes_received = &reg.counter("mfpa_net_bytes_received_total");
+  metrics_.records = &reg.counter("mfpa_net_records_total");
+  metrics_.flushes = &reg.counter("mfpa_net_flushes_total");
+  metrics_.misrouted = &reg.counter("mfpa_net_misrouted_records_total");
+
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error("IngestServer: socket() failed");
@@ -180,7 +164,6 @@ bool IngestServer::handle_hello(Connection& conn, const NetMessage& msg) {
 }
 
 bool IngestServer::drain_connection(Connection& conn) {
-  auto& metrics = server_metrics();
   NetMessage msg;
   for (;;) {
     const FrameDecoder::Status status = conn.decoder.next(msg);
@@ -206,7 +189,7 @@ bool IngestServer::drain_connection(Connection& conn) {
         if (!sink_->owns(msg.drive_id)) {
           // Digest-valid frame for a drive outside this slice: the client's
           // topology map is wrong. Refuse before any state is touched.
-          metrics.misrouted->inc();
+          metrics_.misrouted->inc();
           return false;
         }
         serve::TelemetryUpdate update;
@@ -216,15 +199,13 @@ bool IngestServer::drain_connection(Connection& conn) {
         // Blocks when the owning shard's queue is full — the I/O thread
         // pausing here is exactly what closes the sender's TCP window.
         sink_->submit(update);
-        metrics.records->inc();
+        metrics_.records->inc();
         break;
       }
-      case MessageType::kFlush: {
-        obs::ScopedSpan span("net.flush");
+      case MessageType::kFlush:
         append_flush_ack_frame(conn.write_buf, msg.seq, sink_->flush_totals());
-        metrics.flushes->inc();
+        metrics_.flushes->inc();
         break;
-      }
       case MessageType::kGoodbye:
         return false;  // orderly close, no error accounting
       case MessageType::kFlushAck:
@@ -237,14 +218,13 @@ bool IngestServer::drain_connection(Connection& conn) {
 }
 
 void IngestServer::io_loop() {
-  auto& metrics = server_metrics();
   std::vector<std::unique_ptr<Connection>> conns;
   std::vector<char> chunk(config_.read_chunk);
   std::vector<pollfd> fds;
 
   auto close_conn = [&](std::size_t i) {
     close_fd(conns[i]->fd);
-    metrics.active->add(-1.0);
+    metrics_.active->add(-1.0);
     conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
   };
 
@@ -309,9 +289,8 @@ void IngestServer::io_loop() {
         auto conn = std::make_unique<Connection>();
         conn->fd = fd;
         conns.push_back(std::move(conn));
-        connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-        metrics.connections->inc();
-        metrics.active->add(1.0);
+        metrics_.connections->inc();
+        metrics_.active->add(1.0);
       }
     }
 
@@ -330,7 +309,7 @@ void IngestServer::io_loop() {
         for (;;) {
           const ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
           if (n > 0) {
-            metrics.bytes_received->inc(static_cast<std::uint64_t>(n));
+            metrics_.bytes_received->inc(static_cast<std::uint64_t>(n));
             conn.decoder.feed(chunk.data(), static_cast<std::size_t>(n));
             if (!drain_connection(conn)) {
               alive = false;

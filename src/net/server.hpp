@@ -46,6 +46,7 @@
 
 #include "net/protocol.hpp"
 #include "net/shard_router.hpp"
+#include "obs/metrics.hpp"
 
 namespace mfpa::net {
 
@@ -128,11 +129,6 @@ class IngestServer {
   /// Does not stop the router — the owner decides when to drain it.
   void stop();
 
-  /// Connections ever accepted (tests).
-  std::uint64_t connections_accepted() const noexcept {
-    return connections_accepted_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Connection;
 
@@ -144,8 +140,20 @@ class IngestServer {
   int wake_write_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_requested_{false};
-  std::atomic<std::uint64_t> connections_accepted_{0};
   std::thread io_thread_;
+
+  // mfpa_net_* instruments, resolved once in start() against the registry
+  // current at construction; the handshake and protocol-error counters are
+  // looked up per event (cold paths).
+  struct Metrics {
+    obs::Counter* connections = nullptr;
+    obs::Gauge* active = nullptr;
+    obs::Counter* bytes_received = nullptr;
+    obs::Counter* records = nullptr;
+    obs::Counter* flushes = nullptr;
+    obs::Counter* misrouted = nullptr;
+  };
+  Metrics metrics_;
 
   void start();
   void io_loop();

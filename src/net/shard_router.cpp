@@ -74,10 +74,6 @@ void ShardRouter::stop() {
   for (auto& engine : engines_) engine->stop();
 }
 
-void ShardRouter::checkpoint_now() {
-  for (auto& engine : engines_) engine->checkpoint_now();
-}
-
 std::vector<std::size_t> ShardRouter::resume_records() const {
   std::vector<std::size_t> counts;
   counts.reserve(engines_.size());

@@ -118,9 +118,6 @@ class ShardRouter final : public serve::RecordSink {
   /// Stops every shard (flushing and sealing durable state). Idempotent.
   void stop();
 
-  /// Flushes and checkpoints every durable shard.
-  void checkpoint_now();
-
   /// Each shard's durably applied record count (empty-dir shards report 0).
   std::vector<std::size_t> resume_records() const;
 

@@ -1,7 +1,7 @@
 // Child-process supervisor for the multi-process sharded topology.
 //
-// The fleet-replay harness (and bench_serving's multi-process pass) runs
-// one `mfpa shard-serve` process per shard. This supervisor owns their
+// The fleet-replay harness (`fleet-replay --processes=N`) runs one
+// `mfpa shard-serve` process per shard. This supervisor owns their
 // lifecycle: fork/exec with stdout+stderr redirected to a per-shard log
 // file, readiness via a port file the child atomically publishes
 // ("<port> <resume_records> <model_version>", dot-temp + rename, see

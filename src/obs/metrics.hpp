@@ -218,7 +218,7 @@ class ScopedMetricsOverride {
   MetricsRegistry* previous_;
 };
 
-/// Monotonic clock in nanoseconds (shared by timers and trace spans).
+/// Monotonic clock in nanoseconds (the ScopedTimer clock).
 std::int64_t monotonic_now_ns() noexcept;
 
 }  // namespace mfpa::obs

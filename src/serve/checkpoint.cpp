@@ -1,8 +1,5 @@
 #include "serve/checkpoint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -40,13 +37,6 @@ std::optional<std::uint64_t> parse_ckpt_name(const std::string& name) {
   }
 }
 
-void fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
 }  // namespace
 
 void write_checkpoint_file(const std::string& path,
@@ -58,31 +48,10 @@ void write_checkpoint_file(const std::string& path,
           << model_version << '\n';
   store.save_state(payload);
   const std::string body = payload.str();
-
-  const fs::path final_path(path);
-  const fs::path tmp = final_path.parent_path() /
-                       ("." + final_path.filename().string() + ".tmp");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("checkpoint: cannot create " + tmp.string());
-    }
-    out << "mfpa_ckpt 1 " << body.size() << ' '
-        << ml::checksum_hex(ml::fnv1a(body)) << '\n';
-    out << body;
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("checkpoint: write failed for " + tmp.string());
-    }
-  }
-  if (fsync) fsync_path(tmp.string());
-  std::error_code ec;
-  fs::rename(tmp, final_path, ec);
-  if (ec) {
-    throw std::runtime_error("checkpoint: cannot publish " + path + ": " +
-                             ec.message());
-  }
-  if (fsync) fsync_path(final_path.parent_path().string());
+  std::string file = "mfpa_ckpt 1 " + std::to_string(body.size()) + ' ' +
+                     ml::checksum_hex(ml::fnv1a(body)) + '\n';
+  file += body;
+  publish_file(path, file, fsync);
 }
 
 CheckpointImage load_checkpoint_file(const std::string& path) {

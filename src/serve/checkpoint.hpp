@@ -11,10 +11,11 @@
 //   <DriveStateStore::save_state image>
 //
 // Files live under `<dir>/ckpt/ckpt-<lsn>.mfc`, written dot-temp + fsync +
-// rename (the model-registry publish idiom), and the two newest are
-// retained so a corrupt newest checkpoint falls back one generation — the
-// WAL keeps segments back to the retained checkpoint (wal.hpp), so the
-// fallback replays a longer tail instead of losing records.
+// rename (serve::publish_file, shared with the model registry), and the
+// two newest are retained so a corrupt newest checkpoint falls back one
+// generation — the WAL keeps segments back to the retained checkpoint
+// (wal.hpp), so the fallback replays a longer tail instead of losing
+// records.
 //
 // Recovery contract (proved by tests/integration/test_durable_replay):
 // newest digest-valid checkpoint -> store; alert log truncated to the

@@ -10,6 +10,7 @@
 #include "ml/checksum.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/serialize.hpp"
+#include "serve/wal.hpp"
 
 namespace mfpa::serve {
 namespace fs = std::filesystem;
@@ -31,23 +32,6 @@ int parse_version_name(const std::string& name) {
     v = v * 10 + (name[i] - '0');
   }
   return v;
-}
-
-void atomic_write(const fs::path& final_path, const std::string& contents) {
-  const fs::path tmp = final_path.parent_path() /
-                       ("." + final_path.filename().string() + ".tmp");
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      throw std::runtime_error("ModelRegistry: cannot write " + tmp.string());
-    }
-    f << contents;
-    if (!f.flush()) {
-      throw std::runtime_error("ModelRegistry: write failed for " +
-                               tmp.string());
-    }
-  }
-  fs::rename(tmp, final_path);  // atomic within a filesystem
 }
 
 void expect_line_token(std::istream& is, const std::string& expected) {
@@ -75,7 +59,7 @@ ModelRegistry::ModelRegistry(std::string directory, RegistryOptions options)
       &reg.histogram("mfpa_registry_swap_seconds", 0.0, 10.0, 256);
   metrics_.current_version = &reg.gauge("mfpa_registry_current_version");
   fs::create_directories(dir_);
-  // A crash between atomic_write's temp write and its rename leaves a
+  // A crash between publish_file's temp write and its rename leaves a
   // ".<name>.tmp" orphan; it was never referenced by CURRENT, so sweeping
   // it here is always safe and keeps the directory listing clean.
   for (const auto& entry : fs::directory_iterator(dir_)) {
@@ -150,7 +134,7 @@ int ModelRegistry::publish(const ml::Classifier& model,
            << "checksum " << ml::checksum_hex(digest) << '\n'
            << payload.str();
 
-  atomic_write(artifact_path(version), artifact.str());
+  publish_file(artifact_path(version), artifact.str(), /*fsync=*/true);
   write_current_marker(version);
   {
     obs::ScopedTimer timer(*metrics_.swap_seconds);
@@ -274,7 +258,8 @@ void ModelRegistry::activate(int version) {
 }
 
 void ModelRegistry::write_current_marker(int version) {
-  atomic_write(fs::path(dir_) / "CURRENT", version_name(version) + "\n");
+  publish_file((fs::path(dir_) / "CURRENT").string(),
+               version_name(version) + "\n", /*fsync=*/true);
 }
 
 }  // namespace mfpa::serve

@@ -8,12 +8,13 @@
 //   <dir>/v000002.model
 //   <dir>/CURRENT           name of the active version ("v000002")
 //
-// Every artifact is written to a dot-temporary in the same directory and
-// renamed into place, and CURRENT is updated the same way, so a concurrent
-// reader (another process, or this process crashing mid-publish) only ever
-// observes complete artifacts. An artifact carries a manifest (model type,
-// feature group, decision threshold, training window, firmware vocabulary,
-// payload checksum) followed by the checksummed ml::save_classifier framing.
+// Every artifact is written to a dot-temporary in the same directory,
+// fsynced, and renamed into place, and CURRENT is updated the same way
+// (serve::publish_file), so a concurrent reader, a crash mid-publish, or a
+// power loss after it only ever observes complete artifacts. An artifact
+// carries a manifest (model type, feature group, decision threshold,
+// training window, firmware vocabulary, payload checksum) followed by the
+// checksummed ml::save_classifier framing.
 //
 // In memory, the active version is a std::shared_ptr<const ServedModel>
 // guarded by a tiny pointer mutex: readers (the ScoringEngine's batch loop)

@@ -5,7 +5,7 @@
 // (StreamedFleet); the sink is a ScoringEngine, a net::ShardRouter, or a
 // net client feeding a server. Resume skips, crash injection, graceful
 // cancel and the day hook live in feed() and nowhere else. Shared by the
-// CLI, bench/bench_serving, the streaming example and the tests.
+// CLI, the streaming example and the tests.
 #pragma once
 
 #include <csignal>

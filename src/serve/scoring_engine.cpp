@@ -6,7 +6,6 @@
 #include <string>
 
 #include "data/matrix.hpp"
-#include "obs/trace.hpp"
 
 namespace mfpa::serve {
 namespace {
@@ -178,7 +177,6 @@ std::size_t ScoringEngine::drain_once() {
 }
 
 std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
-  obs::ScopedSpan span("serve.batch");
   // RCU-style read: one snapshot pins the model (and its encoder/builder
   // inputs) for the whole batch; a concurrent publish affects the next batch.
   auto model = registry_->current();
@@ -194,7 +192,6 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
     // WAL-before-apply: every record is durable (modulo group commit)
     // before any state it produced can be checkpointed. Rejected records
     // are logged too — rejection is deterministic, so replay re-rejects.
-    obs::ScopedSpan wal_span("serve.wal_append");
     for (const auto& queued : batch) {
       durability_->append(queued.update.drive_id, queued.update.vendor,
                           queued.update.record);
@@ -205,24 +202,20 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
   rows.reserve(batch.size());
   std::uint64_t processed = 0;
   std::uint64_t rejected = 0;
-  {
-    obs::ScopedSpan ingest_span("serve.store_ingest");
-    for (const auto& queued : batch) {
-      try {
-        store_.ingest(queued.update.drive_id, queued.update.vendor,
-                      queued.update.record, rows);
-        ++processed;
-      } catch (const std::invalid_argument&) {
-        // Strict-mode day-order violation: the record is unusable but must
-        // never stall the queue; account and move on.
-        ++rejected;
-      }
+  for (const auto& queued : batch) {
+    try {
+      store_.ingest(queued.update.drive_id, queued.update.vendor,
+                    queued.update.record, rows);
+      ++processed;
+    } catch (const std::invalid_argument&) {
+      // Strict-mode day-order violation: the record is unusable but must
+      // never stall the queue; account and move on.
+      ++rejected;
     }
   }
 
   std::vector<double> scores;
   if (!rows.empty() && model) {
-    obs::ScopedSpan predict_span("serve.predict");
     data::Matrix X(0, 0);
     for (const auto& row : rows) {
       X.add_row(cached_builder_->features_of(row.record));
@@ -248,7 +241,6 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
     return batch.size();
   }
   {
-    obs::ScopedSpan alert_span("serve.alerts");
     std::lock_guard<std::mutex> rlock(results_mu_);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const PendingRow& row = rows[i];
@@ -313,13 +305,6 @@ void ScoringEngine::stop() {
     durability_->checkpoint_now(store_,
                                 model ? model->manifest.version : -1);
   }
-}
-
-void ScoringEngine::checkpoint_now() {
-  if (!durability_) return;
-  flush();
-  const auto model = registry_->current();
-  durability_->checkpoint_now(store_, model ? model->manifest.version : -1);
 }
 
 std::vector<core::Alert> ScoringEngine::alerts() const {

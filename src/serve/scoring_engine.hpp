@@ -24,7 +24,7 @@
 // latency histogram lives in the process-wide obs::MetricsRegistry
 // (mfpa_serve_* families, one label set per engine instance), so the same
 // numbers a fleet operator graphs are exported by `serve-replay
-// --metrics-out`, `mfpa metrics`, and bench/bench_serving. EngineStats is a
+// --metrics-out`, `mfpa metrics`, and read by perfbench/. EngineStats is a
 // point-in-time snapshot of this engine's instruments — the legacy ad-hoc
 // counters were migrated onto the registry without changing the snapshot
 // contract (see docs/OBSERVABILITY.md).
@@ -138,7 +138,8 @@ class ScoringEngine final : public RecordSink {
   /// records processed (manual_drain mode; also safe while stopped).
   std::size_t drain_once();
 
-  /// Stops the drain thread after flushing. Idempotent; the destructor
+  /// Stops the drain thread after flushing and, with durability on, seals
+  /// the durable state with a final checkpoint. Idempotent; the destructor
   /// calls it.
   void stop();
 
@@ -162,11 +163,6 @@ class ScoringEngine final : public RecordSink {
   const std::optional<RecoveryResult>& recovery() const noexcept {
     return recovery_;
   }
-
-  /// Flushes the queue and writes a final checkpoint (durability on);
-  /// called by stop(), exposed for graceful-shutdown paths that want the
-  /// durable state sealed before process exit.
-  void checkpoint_now();
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -73,6 +73,16 @@ std::string read_whole_file(const std::string& path) {
   return bytes;
 }
 
+void write_all(int fd, std::string_view bytes, const std::string& path) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      throw std::runtime_error("wal: write failed for " + path);
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+}
+
 void fsync_fd(int fd, const std::string& path) {
   if (::fsync(fd) != 0) {
     throw std::runtime_error("wal: fsync failed for " + path);
@@ -112,6 +122,33 @@ std::optional<std::pair<std::size_t, std::uint64_t>> parse_segment_name(
 }
 
 }  // namespace
+
+void publish_file(const std::string& path, std::string_view contents,
+                  bool fsync) {
+  const fs::path final_path(path);
+  const fs::path dir = final_path.parent_path();
+  const std::string tmp =
+      (dir / ("." + final_path.filename().string() + ".tmp")).string();
+  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (fd < 0) {
+    throw std::runtime_error("publish: cannot create " + tmp);
+  }
+  {
+    struct Closer {
+      int fd;
+      ~Closer() { ::close(fd); }
+    } closer{fd};
+    write_all(fd, contents, tmp);
+    if (fsync) fsync_fd(fd, tmp);
+  }
+  std::error_code ec;
+  fs::rename(tmp, final_path, ec);  // atomic within a filesystem
+  if (ec) {
+    throw std::runtime_error("publish: cannot rename onto " + path + ": " +
+                             ec.message());
+  }
+  if (fsync) fsync_dir(dir.string());
+}
 
 void append_frame(std::string& buf, std::uint64_t lsn,
                   const std::string& payload) {
@@ -269,16 +306,7 @@ std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
 
 void WalWriter::write_out(Segment& seg) {
   if (seg.pending.empty()) return;
-  const char* data = seg.pending.data();
-  std::size_t left = seg.pending.size();
-  while (left > 0) {
-    const ssize_t n = ::write(seg.fd, data, left);
-    if (n < 0) {
-      throw std::runtime_error("wal: write failed for " + seg.path);
-    }
-    data += n;
-    left -= static_cast<std::size_t>(n);
-  }
+  write_all(seg.fd, seg.pending, seg.path);
   seg.pending.clear();
   seg.dirty = true;
 }
@@ -466,16 +494,7 @@ void AlertLog::flush() {
   if (fd_ < 0 || pending_.empty()) {
     return;
   }
-  const char* data = pending_.data();
-  std::size_t left = pending_.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd_, data, left);
-    if (n < 0) {
-      throw std::runtime_error("wal: write failed for alert log in " + dir_);
-    }
-    data += n;
-    left -= static_cast<std::size_t>(n);
-  }
+  write_all(fd_, pending_, alert_log_path(dir_));
   pending_.clear();
   if (fsync_) fsync_fd(fd_, alert_log_path(dir_));
 }

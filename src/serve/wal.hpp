@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/online_predictor.hpp"
@@ -92,6 +93,16 @@ WalEntry decode_wal_payload(std::uint64_t lsn, const std::string& payload);
 /// Serializes / parses the alert-log payload for one alert.
 std::string encode_alert_payload(const core::Alert& alert);
 core::Alert decode_alert_payload(const std::string& payload);
+
+// --- durable file publish (checkpoints, model registry) -------------------
+
+/// Replaces `path` with `contents` crash-safely: writes a dot-temp file
+/// (".<name>.tmp") beside it, fsyncs it, renames it over `path`, and fsyncs
+/// the directory. A crash leaves either the old file or the complete new
+/// one, plus at most a dot-temp orphan. `fsync = false` skips both fsyncs
+/// (throwaway tests and benchmarks). Throws std::runtime_error on failure.
+void publish_file(const std::string& path, std::string_view contents,
+                  bool fsync);
 
 // --- writer ----------------------------------------------------------------
 

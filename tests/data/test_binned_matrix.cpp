@@ -125,47 +125,6 @@ TEST(BinnedMatrix, SelectRowsOutOfRangeThrows) {
   EXPECT_THROW(bins.select_rows(idx), std::out_of_range);
 }
 
-TEST(BinnedMatrix, CodesPtrMatchesColumnAndCodes) {
-  Rng rng(13);
-  Matrix X(64, 3);
-  for (std::size_t r = 0; r < 64; ++r) {
-    X(r, 0) = rng.normal();
-    X(r, 1) = 7.0;  // constant
-    X(r, 2) = static_cast<double>(rng.uniform_int(0, 4));
-  }
-  const BinnedMatrix bins(X, 32);
-  for (std::size_t f = 0; f < 3; ++f) {
-    const std::uint8_t* col = bins.codes_ptr(f);
-    ASSERT_EQ(col, bins.column(f));
-    for (std::size_t r = 0; r < 64; ++r) {
-      EXPECT_EQ(col[r], bins.code(r, f));
-    }
-  }
-}
-
-TEST(BinnedMatrix, RowCodesIntoGathersRowMajorBlocks) {
-  Rng rng(17);
-  Matrix X(50, 4);
-  for (std::size_t r = 0; r < 50; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) X(r, c) = rng.uniform();
-  }
-  const BinnedMatrix bins(X, 8);
-  // Interior block, prefix, suffix, single row, and the empty range.
-  const std::pair<std::size_t, std::size_t> ranges[] = {
-      {10, 30}, {0, 7}, {43, 50}, {25, 26}, {25, 25}};
-  for (const auto& [lo, hi] : ranges) {
-    SCOPED_TRACE("range [" + std::to_string(lo) + ", " + std::to_string(hi) +
-                 ")");
-    std::vector<std::uint8_t> out((hi - lo) * bins.cols(), 0xAA);
-    bins.row_codes_into(lo, hi, out.data());
-    for (std::size_t r = lo; r < hi; ++r) {
-      for (std::size_t f = 0; f < bins.cols(); ++f) {
-        EXPECT_EQ(out[(r - lo) * bins.cols() + f], bins.code(r, f));
-      }
-    }
-  }
-}
-
 TEST(BinnedMatrix, RunAwareCutsOnConstantAndLowCardinalityColumns) {
   // The run-aware equal-frequency sketch must keep its invariants on the
   // edge cases histogram training leans on: a constant column encodes to

@@ -180,32 +180,6 @@ TEST(FlatForest, ThreadCountInvariance) {
   expect_bit_identical(t1, flat.predict(X, 0));
 }
 
-TEST(FlatForest, TreeParallelDeterministicAndEquivalent) {
-  const auto [X, y] = blob_data(300, 9, 41);
-  GbdtClassifier gbdt({{"n_rounds", 24}, {"seed", 8}});
-  gbdt.fit(X, y);
-  ASSERT_TRUE(gbdt.compile());
-  const FlatForest& flat = *gbdt.flat();
-  const auto serial = flat.predict(X, 1);
-
-  // Fixed thread count → deterministic; vs serial only near-equal (the
-  // tree-sliced partial sums regroup the additions). Sweep worker counts so
-  // every tree-slice partition shape — including more workers than trees —
-  // exercises the shared row-block kernel writing into the partial vectors.
-  for (const std::size_t workers :
-       {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8},
-        std::size_t{24}, std::size_t{64}}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    std::vector<double> run1(X.rows()), run2(X.rows());
-    flat.predict_tree_parallel_into(X, run1, workers);
-    flat.predict_tree_parallel_into(X, run2, workers);
-    expect_bit_identical(run1, run2);
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_NEAR(serial[i], run1[i], 1e-12) << i;
-    }
-  }
-}
-
 TEST(FlatForest, FlattenedLayoutAccounting) {
   const auto [X, y] = blob_data(200, 7, 43);
   RandomForestClassifier rf({{"n_trees", 9}, {"seed", 2}});

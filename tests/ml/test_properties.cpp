@@ -1,21 +1,9 @@
 // Cross-implementation property tests: fast algorithms checked against
-// brute-force reference implementations on randomized inputs, plus the
-// observability no-interference properties (instrumented pipelines must be
-// bit-identical to uninstrumented ones; span streams must stay well-formed
-// under randomized threaded workloads).
+// brute-force reference implementations on randomized inputs.
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <functional>
-#include <map>
-#include <numeric>
-#include <thread>
 
 #include "ml/decision_tree.hpp"
 #include "ml/metrics.hpp"
-#include "ml/random_forest.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 
 namespace mfpa::ml {
@@ -132,111 +120,6 @@ TEST_P(TreePropertySweep, PredictionInvariantUnderFeatureScaling) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TreePropertySweep, ::testing::Range(1, 9));
-
-class ObservabilityPropertySweep : public ::testing::TestWithParam<int> {};
-
-// Metrics and spans are pure observers: a pipeline run with the registry
-// hammered and tracing fully on must produce *bit-identical* predictions to
-// one run with everything at defaults. Catches any instrumentation that
-// leaks into RNG draws, iteration order, or numeric state.
-TEST_P(ObservabilityPropertySweep, InstrumentedFitPredictIsBitIdentical) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  const auto [X, y] = testing::make_blobs(60, 4, 1.0, seed);
-  Rng rng(seed + 1234);
-  data::Matrix probe(40, 4);
-  for (std::size_t i = 0; i < probe.rows(); ++i) {
-    for (std::size_t c = 0; c < probe.cols(); ++c) {
-      probe(i, c) = rng.uniform(-3.0, 4.0);
-    }
-  }
-  const Hyperparams params = {
-      {"n_trees", 12}, {"max_depth", 5}, {"seed", 7}, {"threads", 2}};
-
-  auto run = [&](bool instrumented) {
-    auto registry = obs::MetricsRegistry::create_isolated();
-    obs::Tracer tracer;
-    obs::ScopedMetricsOverride metrics_scope(*registry);
-    obs::ScopedTracerOverride trace_scope(tracer);
-    if (instrumented) tracer.set_sample_every(1);  // trace everything
-    RandomForestClassifier model(params);
-    model.fit(X, y);
-    auto scores = model.predict_proba(probe);
-    if (instrumented) {
-      // The instrumented run must actually have exercised the registry.
-      EXPECT_GT(registry->size(), 0u);
-    }
-    return scores;
-  };
-  const auto baseline = run(false);
-  const auto instrumented = run(true);
-  ASSERT_EQ(baseline.size(), instrumented.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    // Bit-identical, not approximately equal.
-    EXPECT_EQ(baseline[i], instrumented[i]) << "probe row " << i;
-  }
-}
-
-// Randomized threaded workload: arbitrary interleavings of nested spans on
-// several threads must always export a well-formed stream — per (thread,
-// root) the depths step by at most one, intervals nest, and nothing is
-// recorded past its parent's close.
-TEST_P(ObservabilityPropertySweep, SpanNestingStaysWellFormedUnderThreads) {
-  obs::Tracer tracer;
-  tracer.set_sample_every(1);
-  obs::ScopedTracerOverride scope(tracer);
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([seed, t] {
-      Rng rng(seed * 97 + static_cast<std::uint64_t>(t));
-      static constexpr const char* kNames[] = {"alpha", "beta", "gamma",
-                                               "delta"};
-      for (int root = 0; root < 8; ++root) {
-        obs::ScopedSpan top("root");
-        // Random recursive nesting up to depth 4.
-        std::function<void(int)> descend = [&](int depth) {
-          if (depth >= 4 || !rng.bernoulli(0.6)) return;
-          obs::ScopedSpan span(kNames[depth]);
-          descend(depth + 1);
-          if (rng.bernoulli(0.3)) {
-            obs::ScopedSpan sibling(kNames[depth]);
-            descend(depth + 1);
-          }
-        };
-        descend(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  std::map<std::uint64_t, std::vector<obs::SpanRecord>> by_thread;
-  for (auto& s : tracer.take_spans()) by_thread[s.thread].push_back(s);
-  EXPECT_EQ(by_thread.size(), static_cast<std::size_t>(kThreads));
-  for (const auto& [tid, spans] : by_thread) {
-    // Exactly 8 roots per thread, each closing after its whole subtree.
-    EXPECT_EQ(std::count_if(
-                  spans.begin(), spans.end(),
-                  [](const obs::SpanRecord& s) { return s.depth == 0; }),
-              8);
-    // Spans close LIFO: any span recorded before span S with greater depth
-    // and start within S's window must be fully contained in S.
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-      EXPECT_LE(spans[i].start_ns, spans[i].end_ns);
-      for (std::size_t j = 0; j < i; ++j) {
-        if (spans[j].depth > spans[i].depth &&
-            spans[j].start_ns >= spans[i].start_ns) {
-          EXPECT_LE(spans[j].end_ns, spans[i].end_ns)
-              << "thread " << tid << ": deeper span escaped its ancestor";
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ObservabilityPropertySweep,
-                         ::testing::Range(1, 7));
 
 }  // namespace
 }  // namespace mfpa::ml

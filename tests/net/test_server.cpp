@@ -115,10 +115,17 @@ TEST(IngestServer, LoopbackEndToEndProcessesRecords) {
 
   {
     TelemetryClient client(server.port());
+    std::string sent;  // the exact bytes the client puts on the wire
+    std::uint64_t seq = 1;
     for (std::uint64_t id = 100; id < 150; ++id) {
       client.send_record(id, 0, make_record(1));
+      append_record_frame(sent, seq++, id, 0, make_record(1));
     }
+    append_control_frame(sent, seq++, MessageType::kFlush);
     const FlushAck ack = client.sync();
+    // The server counted every byte before it answered the flush.
+    EXPECT_EQ(counter_total(*isolated, "mfpa_net_bytes_received_total"),
+              sent.size());
     EXPECT_EQ(ack.records_processed, 50u);
     EXPECT_EQ(ack.shed, 0u);
     client.close();
@@ -126,7 +133,8 @@ TEST(IngestServer, LoopbackEndToEndProcessesRecords) {
   server.stop();
   router.stop();
 
-  EXPECT_EQ(server.connections_accepted(), 1u);
+  EXPECT_EQ(counter_total(*isolated, "mfpa_net_connections_total"), 1u);
+  EXPECT_EQ(isolated->gauge("mfpa_net_connections_active").value(), 0.0);
   EXPECT_EQ(counter_total(*isolated, "mfpa_net_records_total"), 50u);
   EXPECT_EQ(counter_total(*isolated, "mfpa_net_flushes_total"), 1u);
   EXPECT_EQ(counter_total(*isolated, "mfpa_net_protocol_errors_total"), 0u);
@@ -230,7 +238,8 @@ TEST(IngestServer, ServesMultipleConnections) {
   b.close();
   server.stop();
   router.stop();
-  EXPECT_EQ(server.connections_accepted(), 2u);
+  EXPECT_EQ(counter_total(*isolated, "mfpa_net_connections_total"), 2u);
+  EXPECT_EQ(isolated->gauge("mfpa_net_connections_active").value(), 0.0);
   EXPECT_EQ(router.stats().records_processed, 60u);
 }
 

@@ -203,7 +203,7 @@ TEST_F(ModelRegistryTest, NoTempFilesLeftBehind) {
   }
 }
 
-// A crash between atomic_write's temp write and its rename leaves a
+// A crash between publish_file's temp write and its rename leaves a
 // ".<name>.tmp" orphan. It was never referenced by CURRENT, so the next
 // registry to open the directory must sweep it and carry on serving the
 // last durably published version.

@@ -1,28 +1,19 @@
 #!/usr/bin/env python3
 """Perf-regression gate: compare a benchmark JSON against a committed baseline.
 
-Two input schemas are understood, detected per file:
+Inputs are google-benchmark JSON (micro_ml_kernels): every non-aggregate
+entry in `benchmarks` is compared by `name` on `real_time` — lower is
+better. Serving performance is measured by perfbench/ against the bounds in
+BENCHMARK.json, not by this tool.
 
-* google-benchmark JSON (micro_ml_kernels): every non-aggregate entry in
-  `benchmarks` is compared by `name` on `real_time` — lower is better.
-* serving-replay JSON (bench_serving, `"bench": "serving_replay"`): compared
-  on `records_per_sec` — higher is better — plus any of the optional keys in
-  SERVING_OPTIONAL_KEYS present in the file (the durability, sharded-loopback,
-  and multi-process passes each contribute theirs when enabled;
-  throughput/speedup keys are higher-is-better, latency keys
-  lower-is-better).
-
-A benchmark regresses when it is worse than the baseline by more than
+A benchmark regresses when it is slower than the baseline by more than
 `--tolerance` (default 0.15 = 15%). Any regression prints a table and exits
 non-zero, so CI can gate on it. Baselines live in bench/baselines/ and are
 refreshed deliberately with --update after an accepted perf change.
 
---update MERGES rather than overwrites: optional metrics present in the old
-baseline but absent from the new run are carried over (a serving baseline's
-`durable_records_per_sec` survives an --update from a --no-durable run; a
-google-benchmark baseline keeps entries for benchmarks the new run did not
-execute, e.g. a filtered re-run). Metrics the new run does produce always
-replace their baseline values.
+--update MERGES rather than overwrites: baseline entries for benchmarks the
+new run did not execute (e.g. a filtered re-run) are carried over. Entries
+the new run does produce always replace their baseline values.
 
 Exit codes: 0 ok (or baseline updated), 1 regression, 2 usage/input error.
 """
@@ -43,72 +34,39 @@ def load(path: str) -> dict:
         raise SystemExit(f"bench_compare: cannot read {path}: {err}")
 
 
-# Optional serving-replay metrics, gated only when the producing pass ran
-# (--no-durable / --no-sharded runs simply omit theirs; the missing-key
-# paths in compare() skip them with a note either way). Second element is
-# lower_is_better.
-SERVING_OPTIONAL_KEYS = (
-    ("durable_records_per_sec", False),
-    ("sharded_records_per_sec", False),
-    ("sharded_speedup", False),
-    ("sharded_latency_p99_us", True),
-    ("multiproc_records_per_sec", False),
-    ("multiproc_speedup", False),
-)
-
-
-def metrics(doc: dict, path: str) -> dict[str, tuple[float, bool]]:
-    """Extract {name: (value, lower_is_better)} from either schema."""
-    if doc.get("bench") == "serving_replay":
+def metrics(doc: dict, path: str) -> dict[str, float]:
+    """Extract {name: real_time} from a google-benchmark document."""
+    if "benchmarks" not in doc:
+        raise SystemExit(f"bench_compare: {path}: unrecognized schema")
+    out: dict[str, float] = {}
+    for entry in doc["benchmarks"]:
+        # Aggregate rows (mean/median/stddev) duplicate the plain runs.
+        if entry.get("run_type", "iteration") != "iteration":
+            continue
         try:
-            out = {"records_per_sec": (float(doc["records_per_sec"]), False)}
+            out[entry["name"]] = float(entry["real_time"])
         except (KeyError, TypeError, ValueError):
             raise SystemExit(
-                f"bench_compare: {path}: serving schema lacks records_per_sec")
-        for key, lower_better in SERVING_OPTIONAL_KEYS:
-            if key not in doc:
-                continue
-            try:
-                out[key] = (float(doc[key]), lower_better)
-            except (TypeError, ValueError):
-                raise SystemExit(f"bench_compare: {path}: malformed {key}")
-        return out
-    if "benchmarks" in doc:
-        out: dict[str, tuple[float, bool]] = {}
-        for entry in doc["benchmarks"]:
-            # Aggregate rows (mean/median/stddev) duplicate the plain runs.
-            if entry.get("run_type", "iteration") != "iteration":
-                continue
-            try:
-                out[entry["name"]] = (float(entry["real_time"]), True)
-            except (KeyError, TypeError, ValueError):
-                raise SystemExit(
-                    f"bench_compare: {path}: malformed benchmark entry")
-        if not out:
-            raise SystemExit(f"bench_compare: {path}: no benchmark entries")
-        return out
-    raise SystemExit(f"bench_compare: {path}: unrecognized schema")
+                f"bench_compare: {path}: malformed benchmark entry")
+    if not out:
+        raise SystemExit(f"bench_compare: {path}: no benchmark entries")
+    return out
 
 
-def compare(baseline: dict[str, tuple[float, bool]],
-            current: dict[str, tuple[float, bool]],
+def compare(baseline: dict[str, float], current: dict[str, float],
             tolerance: float) -> tuple[list[str], list[str]]:
     """Returns (regressions, notes) as printable lines."""
     regressions: list[str] = []
     notes: list[str] = []
-    for name, (base_value, lower_better) in sorted(baseline.items()):
+    for name, base_value in sorted(baseline.items()):
         if name not in current:
             notes.append(f"  missing in current run (skipped): {name}")
             continue
-        cur_value, _ = current[name]
+        cur_value = current[name]
         if base_value <= 0:
             notes.append(f"  non-positive baseline (skipped): {name}")
             continue
-        # Normalize so +ratio always means "worse than baseline".
-        if lower_better:
-            ratio = cur_value / base_value - 1.0
-        else:
-            ratio = base_value / cur_value - 1.0 if cur_value > 0 else float("inf")
+        ratio = cur_value / base_value - 1.0  # + means slower than baseline
         line = (f"  {name}: baseline {base_value:,.1f}  current "
                 f"{cur_value:,.1f}  ({ratio:+.1%} vs tolerance "
                 f"{tolerance:.0%})")
@@ -123,24 +81,16 @@ def compare(baseline: dict[str, tuple[float, bool]],
 
 
 def merge_for_update(old: dict | None, new: dict) -> dict:
-    """The --update document: the new run, plus any optional metrics only
-    the old baseline carried.
+    """The --update document: the new run, plus the old baseline's entries
+    for benchmarks the new run lacks.
 
-    * serving schema: top-level keys present only in the old baseline are
-      retained (e.g. durable_records_per_sec from a durability-enabled run
-      when the new run passed --no-durable); keys the new run produced
-      always win.
-    * google-benchmark schema: `benchmarks` entries are merged by name —
-      new entries first, then old entries whose name the new run lacks
-      (a filtered or partial re-run must not silently drop coverage).
-    * Missing/unreadable/schema-mismatched old baseline: the new run is
-      taken verbatim.
+    `benchmarks` entries are merged by name — new entries first, then old
+    entries whose name the new run lacks (a filtered or partial re-run must
+    not silently drop coverage). A missing or schema-mismatched old
+    baseline: the new run is taken verbatim.
     """
     if old is None:
         return new
-    if new.get("bench") == "serving_replay" and old.get("bench") == \
-            "serving_replay":
-        return {**old, **new}
     if "benchmarks" in new and "benchmarks" in old:
         merged = dict(new)
         names = {e.get("name") for e in new["benchmarks"]}
@@ -171,10 +121,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.baseline, "w", encoding="utf-8") as fh:
             json.dump(merged, fh, indent=2)
             fh.write("\n")
-        carried = sorted(set(map(str, merged)) - set(map(str, new)))
-        if "benchmarks" in merged:
-            carried += [e["name"] for e in
-                        merged["benchmarks"][len(new.get("benchmarks", [])):]]
+        fresh = len(new.get("benchmarks", []))
+        carried = [e["name"] for e in merged.get("benchmarks", [])[fresh:]]
         print(f"bench_compare: baseline {args.baseline} updated from "
               f"{args.current}"
               + (f" (carried over: {', '.join(carried)})" if carried else ""))
