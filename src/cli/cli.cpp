@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -65,31 +66,28 @@ void wait_for_shutdown() {
   }
 }
 
-/// Fail-fast parse of a flag that must be a positive integer (--shards,
-/// --chunk-drives, ...): rejects zero, negatives, and fractions with the
-/// offending value in the message, before any simulation or IO runs.
-std::size_t get_positive_count(const CommandLine& cmd, const std::string& key,
-                               std::size_t fallback) {
-  const double v = cmd.get_number(key, static_cast<double>(fallback));
-  if (v < 1.0 || v != std::floor(v)) {
-    throw std::invalid_argument("option --" + key +
-                                " expects a positive integer, got '" +
-                                cmd.get(key, "") + "'");
+/// Fail-fast parse of an integer flag, `fallback` when absent. The value
+/// must be a whole number no smaller than `min` and within T's range;
+/// anything else (a negative count, a fraction, an out-of-range port) is a
+/// usage error naming the flag. Commands parse every flag this way before
+/// any simulation or file IO runs.
+template <typename T>
+T get_int(const CommandLine& cmd, const std::string& key, T fallback, T min) {
+  if (!cmd.has(key)) return fallback;
+  const double v = cmd.get_number(key, 0.0);
+  // 2^digits is one past T's maximum and exactly representable.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(v == std::floor(v) && v >= static_cast<double>(min) && v < limit)) {
+    throw std::invalid_argument(
+        "option --" + key + " expects an integer in [" + std::to_string(min) +
+        ", " + std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+        cmd.get(key, "") + "'");
   }
-  return static_cast<std::size_t>(v);
+  return static_cast<T>(v);
 }
 
-/// Fail-fast --seed: a whole non-negative number (silent wraparound of a
-/// negative seed would change every derived random stream).
-std::uint64_t get_seed(const CommandLine& cmd, std::uint64_t fallback = 42) {
-  const double v = cmd.get_number("seed", static_cast<double>(fallback));
-  if (v < 0.0 || v != std::floor(v)) {
-    throw std::invalid_argument(
-        "option --seed expects a non-negative integer, got '" +
-        cmd.get("seed", "") + "'");
-  }
-  return static_cast<std::uint64_t>(v);
-}
+/// --seed when absent.
+constexpr std::uint64_t kDefaultSeed = 42;
 
 RobustnessConfig robustness_from(const CommandLine& cmd) {
   if (cmd.has("strict") && cmd.has("lenient")) {
@@ -111,16 +109,15 @@ void report_ingest(const IngestStats& stats, const RobustnessConfig& robustness,
 core::MfpaConfig config_from(const CommandLine& cmd) {
   core::MfpaConfig config;
   config.preprocess.robustness = robustness_from(cmd);
-  config.vendor = static_cast<int>(cmd.get_number("vendor", -1));
+  config.vendor = get_int(cmd, "vendor", -1, -1);
   config.algorithm = cmd.get("algorithm", "RF");
   config.group = core::feature_group_from_name(cmd.get("group", "SFWB"));
-  config.theta = static_cast<int>(cmd.get_number("theta", 7));
-  config.positive_window =
-      static_cast<int>(cmd.get_number("positive-window", 7));
+  config.theta = get_int(cmd, "theta", 7, 0);
+  config.positive_window = get_int(cmd, "positive-window", 7, 1);
   config.neg_per_pos = cmd.get_number("neg-per-pos", 3.0);
   config.train_fraction = cmd.get_number("train-fraction", 0.7);
   config.decision_threshold = cmd.get_number("threshold", 0.5);
-  config.seed = get_seed(cmd);
+  config.seed = get_int<std::uint64_t>(cmd, "seed", kDefaultSeed, 0);
   return config;
 }
 
@@ -130,16 +127,15 @@ core::MfpaConfig config_from(const CommandLine& cmd) {
 constexpr const char* kEngineValueFlags[] = {
     "alert-consecutive", "cooldown",  "queue-capacity",
     "batch",             "threads",   "wal-group-commit",
-    "checkpoint-interval", "simd",
+    "checkpoint-interval",
 };
-constexpr const char* kEngineBoolFlags[] = {"shed", "no-flat", "strict",
-                                            "lenient"};
+constexpr const char* kEngineBoolFlags[] = {"shed", "strict", "lenient"};
 
 /// What every serving command (serve-replay, fleet-replay, shard-serve)
 /// reads from the engine flags above plus --durable-dir, --alerts-out and
 /// --kill-after, parsed once before any telemetry work.
 struct ServingFlags {
-  serve::RegistryOptions registry;  ///< --threads, --no-flat
+  std::size_t score_threads = 0;    ///< --threads (0 = one per core)
   /// Engine template (--batch, --shed, ...) and the --durable-dir root;
   /// the command sets the shard counts.
   net::ShardRouterConfig router;
@@ -148,40 +144,24 @@ struct ServingFlags {
 };
 
 ServingFlags serving_flags_from(const CommandLine& cmd) {
-  // --simd pins the inference kernel tier ("auto" probes the CPU). A tier
-  // the hardware lacks degrades to the strongest available one, so the
-  // commands print the resolved tier — that is what actually ran.
-  if (cmd.has("simd")) {
-    std::optional<ml::SimdLevel> level;
-    if (!ml::parse_simd_level(cmd.require("simd"), level)) {
-      throw std::runtime_error("--simd must be auto, scalar, or avx2");
-    }
-    ml::set_simd_override(level);
-  }
   ServingFlags flags;
-  const auto threads = static_cast<std::size_t>(cmd.get_number("threads", 0));
-  flags.registry.score_threads = threads;
-  // --no-flat serves from the node-pointer trees instead of the compiled
-  // flat forest (identical probabilities; for A/B runs and debugging).
-  flags.registry.compile = !cmd.has("no-flat");
+  flags.score_threads = get_int<std::size_t>(cmd, "threads", 0, 0);
   serve::EngineConfig& engine = flags.router.engine;
   engine.store.preprocess.robustness = robustness_from(cmd);
-  engine.store.shards = threads;
   engine.alert_policy.min_consecutive =
-      static_cast<int>(cmd.get_number("alert-consecutive", 1));
-  engine.alert_policy.cooldown_days =
-      static_cast<int>(cmd.get_number("cooldown", 0));
+      get_int(cmd, "alert-consecutive", 1, 1);
+  engine.alert_policy.cooldown_days = get_int(cmd, "cooldown", 0, 0);
   engine.queue_capacity =
-      static_cast<std::size_t>(cmd.get_number("queue-capacity", 4096));
-  engine.max_batch = static_cast<std::size_t>(cmd.get_number("batch", 256));
+      get_int<std::size_t>(cmd, "queue-capacity", 4096, 1);
+  engine.max_batch = get_int<std::size_t>(cmd, "batch", 256, 1);
   engine.shed_on_full = cmd.has("shed");
   engine.durability.group_commit_records =
-      static_cast<std::size_t>(cmd.get_number("wal-group-commit", 256));
+      get_int<std::size_t>(cmd, "wal-group-commit", 256, 0);
   engine.durability.checkpoint_interval_records =
-      static_cast<std::size_t>(cmd.get_number("checkpoint-interval", 4096));
+      get_int<std::size_t>(cmd, "checkpoint-interval", 4096, 0);
   flags.router.durable_root = cmd.get("durable-dir", "");
   flags.alerts_out = cmd.get("alerts-out", "");
-  flags.kill_after = static_cast<std::size_t>(cmd.get_number("kill-after", 0));
+  flags.kill_after = get_int<std::size_t>(cmd, "kill-after", 0, 0);
   return flags;
 }
 
@@ -375,12 +355,12 @@ void print_report(const core::MfpaReport& report, std::ostream& out) {
 }
 
 int cmd_simulate(const CommandLine& cmd, std::ostream& out) {
-  auto scenario =
-      sim::scenario_by_name(cmd.get("scenario", "default"), get_seed(cmd));
+  const auto seed = get_int<std::uint64_t>(cmd, "seed", kDefaultSeed, 0);
+  auto scenario = sim::scenario_by_name(cmd.get("scenario", "default"), seed);
   // Per-knob overrides on top of the preset.
   scenario.fleet_scale = cmd.get_number("scale", scenario.fleet_scale);
-  scenario.horizon_days = static_cast<DayIndex>(
-      cmd.get_number("horizon", scenario.horizon_days));
+  scenario.horizon_days =
+      get_int<DayIndex>(cmd, "horizon", scenario.horizon_days, 1);
   scenario.telemetry_end =
       std::min(scenario.telemetry_end, scenario.horizon_days);
   scenario.healthy_per_failed =
@@ -446,12 +426,12 @@ int cmd_evaluate(const CommandLine& cmd, std::ostream& out) {
 
 int cmd_predict(const CommandLine& cmd, std::ostream& out) {
   const auto robustness = robustness_from(cmd);
+  const double threshold = cmd.get_number("threshold", 0.5);
+  const auto top = get_int<std::size_t>(cmd, "top", 20, 0);
   IngestStats ingest;
   const auto telemetry =
       sim::read_telemetry_file(cmd.require("telemetry"), robustness, &ingest);
   const auto model = ml::load_classifier_file(cmd.require("model"));
-  const double threshold = cmd.get_number("threshold", 0.5);
-  const auto top = static_cast<std::size_t>(cmd.get_number("top", 20));
 
   // Score the latest observation of every drive; the feature layout must
   // match the group the model was trained on.
@@ -529,9 +509,10 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
   // --shards=N (N > 1) routes the same stream across N engine instances by
   // drive-id hash — the sharded serving path (see docs/SERVING.md).
   // Validated before any telemetry work, like every count flag.
-  const std::size_t shards = get_positive_count(cmd, "shards", 1);
+  const auto shards = get_int<std::size_t>(cmd, "shards", 1, 1);
   ServingFlags flags = serving_flags_from(cmd);
   const auto robustness = robustness_from(cmd);
+  const auto train_config = config_from(cmd);
   // Input: either a saved telemetry/ticket pair or a generated scenario.
   std::vector<sim::DriveTimeSeries> telemetry;
   std::vector<sim::TroubleTicket> tickets;
@@ -542,8 +523,8 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
     tickets =
         sim::read_tickets_file(cmd.require("tickets"), robustness, &read_stats);
   } else {
-    auto scenario =
-        sim::scenario_by_name(cmd.get("scenario", "default"), get_seed(cmd));
+    auto scenario = sim::scenario_by_name(cmd.get("scenario", "default"),
+                                          train_config.seed);
     scenario.fleet_scale = cmd.get_number("scale", scenario.fleet_scale);
     sim::FleetSimulator fleet(scenario);
     telemetry = fleet.generate_telemetry();
@@ -552,8 +533,7 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
 
   out << "simd kernel: " << ml::to_string(ml::active_simd_level()) << "\n";
   serve::ModelRegistry registry(registry_dir_from(cmd, "mfpa-serve-registry"),
-                                flags.registry);
-  const auto train_config = config_from(cmd);
+                                flags.score_threads);
   serving_version(
       cmd, registry,
       [&] {
@@ -636,12 +616,14 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
 /// exited 0" as the durability barrier.
 int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
   ServingFlags flags = serving_flags_from(cmd);
-  const std::size_t shard_index =
-      static_cast<std::size_t>(cmd.get_number("shard-index", 0));
-  const std::size_t shard_count = get_positive_count(cmd, "shard-count", 1);
   if (cmd.get("shard-index", "").empty()) {
     throw std::invalid_argument("shard-serve requires --shard-index");
   }
+  const auto shard_index = get_int<std::size_t>(cmd, "shard-index", 0, 0);
+  const auto shard_count = get_int<std::size_t>(cmd, "shard-count", 1, 1);
+  net::ServerConfig server_config;
+  server_config.port = get_int<std::uint16_t>(cmd, "port", 0, 0);
+  server_config.require_hello = true;
   if (shard_index >= shard_count) {
     throw std::invalid_argument(
         "option --shard-index must be < --shard-count (got " +
@@ -651,7 +633,7 @@ int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
   // A shard process never trains: it serves whatever the registry already
   // holds, so every shard of the topology scores under the same published
   // version (the parent trains once, before spawning).
-  serve::ModelRegistry registry(cmd.require("registry"), flags.registry);
+  serve::ModelRegistry registry(cmd.require("registry"), flags.score_threads);
   const int version = registry.current_version();
   if (version <= 0) {
     throw std::runtime_error("shard-serve: no published model in " +
@@ -668,10 +650,6 @@ int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
   }
 
   net::RouterSink sink(router, static_cast<std::uint32_t>(version));
-  net::ServerConfig server_config;
-  server_config.port =
-      static_cast<std::uint16_t>(cmd.get_number("port", 0));
-  server_config.require_hello = true;
   net::IngestServer server(sink, server_config);
   out << "shard " << shard_index << "/" << shard_count
       << " serving on 127.0.0.1:" << server.port() << " (model v" << version
@@ -706,12 +684,11 @@ int cmd_shard_route(const CommandLine& cmd, std::ostream& out) {
   net::ShardedClientConfig downstream_config;
   downstream_config.ports = shard_ports;
   downstream_config.model_version =
-      static_cast<std::uint32_t>(cmd.get_number("model-version", 0));
+      get_int<std::uint32_t>(cmd, "model-version", 0, 0);
+  net::ServerConfig server_config;
+  server_config.port = get_int<std::uint16_t>(cmd, "port", 0, 0);
   net::ShardedClient downstream(downstream_config);
   net::ForwardingSink sink(downstream);
-  net::ServerConfig server_config;
-  server_config.port =
-      static_cast<std::uint16_t>(cmd.get_number("port", 0));
   net::IngestServer server(sink, server_config);
   out << "routing 127.0.0.1:" << server.port() << " -> "
       << shard_ports.size() << " shards\n";
@@ -729,6 +706,32 @@ int cmd_shard_route(const CommandLine& cmd, std::ostream& out) {
   return 0;
 }
 
+/// fleet-replay's multi-process flags, parsed with the others before any
+/// simulation.
+struct MultiprocFlags {
+  std::size_t processes = 0;   ///< --processes (0 = one router in process)
+  std::size_t kill_after = 0;  ///< --kill-shard-after (0 = never)
+  std::size_t kill_shard = 0;  ///< --kill-shard
+};
+
+MultiprocFlags multiproc_flags_from(const CommandLine& cmd) {
+  if (cmd.has("processes") && cmd.has("in-process")) {
+    throw std::invalid_argument(
+        "--processes and --in-process are mutually exclusive");
+  }
+  MultiprocFlags flags;
+  if (cmd.has("processes")) {
+    flags.processes = get_int<std::size_t>(cmd, "processes", 4, 1);
+  }
+  flags.kill_after = get_int<std::size_t>(cmd, "kill-shard-after", 0, 0);
+  flags.kill_shard = get_int<std::size_t>(cmd, "kill-shard", 0, 0);
+  if (flags.processes > 0 && flags.kill_after > 0 &&
+      flags.kill_shard >= flags.processes) {
+    throw std::invalid_argument("option --kill-shard must be < --processes");
+  }
+  return flags;
+}
+
 /// The multi-process topology behind `fleet-replay --processes=N`: spawn
 /// one shard-serve child per shard (plus, under --via-router, a
 /// shard-route child), feed the deterministic stream, then terminate the
@@ -739,15 +742,8 @@ int cmd_shard_route(const CommandLine& cmd, std::ostream& out) {
 int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
                         const serve::StreamedFleet& stream,
                         const std::string& registry_dir, int version,
-                        std::size_t processes) {
+                        const MultiprocFlags& mp) {
   const bool via_router = cmd.has("via-router");
-  const auto kill_after =
-      static_cast<std::size_t>(cmd.get_number("kill-shard-after", 0));
-  const auto kill_shard =
-      static_cast<std::size_t>(cmd.get_number("kill-shard", 0));
-  if (kill_after > 0 && kill_shard >= processes) {
-    throw std::invalid_argument("option --kill-shard must be < --processes");
-  }
   const std::string proc_dir = cmd.get(
       "proc-dir",
       (std::filesystem::temp_directory_path() / "mfpa-multiproc").string());
@@ -759,8 +755,8 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
 
   std::vector<net::ShardProcessSpec> specs;
   std::vector<std::string> alert_files;
-  specs.reserve(processes);
-  for (std::size_t k = 0; k < processes; ++k) {
+  specs.reserve(mp.processes);
+  for (std::size_t k = 0; k < mp.processes; ++k) {
     const std::string tag = "shard-" + std::to_string(k);
     net::ShardProcessSpec spec;
     spec.port_file = proc_dir + "/" + tag + ".port";
@@ -769,7 +765,7 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
     spec.argv = {binary,
                  "shard-serve",
                  "--shard-index=" + std::to_string(k),
-                 "--shard-count=" + std::to_string(processes),
+                 "--shard-count=" + std::to_string(mp.processes),
                  "--registry=" + registry_dir,
                  "--port-file=" + spec.port_file,
                  "--alerts-out=" + alert_files.back(),
@@ -821,15 +817,15 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
     client_config.ports = shard_procs.ports();
   }
   out << (via_router
-              ? "feeding " + std::to_string(processes) +
+              ? "feeding " + std::to_string(mp.processes) +
                     " shard processes through the router process\n"
-              : "feeding " + std::to_string(processes) +
+              : "feeding " + std::to_string(mp.processes) +
                     " shard processes directly (shard-aware client)\n");
 
   // The kill hook SIGKILLs one shard; the feed then stops, so the record
   // prefix the surviving shards saw is exact and reproducible.
-  options.kill_after_records = kill_after;
-  options.on_kill = [&] { shard_procs.kill_shard(kill_shard); };
+  options.kill_after_records = mp.kill_after;
+  options.on_kill = [&] { shard_procs.kill_shard(mp.kill_shard); };
   options.cancel = &g_shutdown_requested;
   serve::ReplayReport report;
   std::string feed_error;
@@ -852,7 +848,7 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
 
   bool children_clean = true;
   out << "shard process exit statuses:";
-  for (std::size_t k = 0; k < processes; ++k) {
+  for (std::size_t k = 0; k < mp.processes; ++k) {
     const int status = shard_procs.exit_status(k);
     out << " shard-" << k << "=" << status;
     if (status != 0) children_clean = false;
@@ -866,9 +862,10 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
   if (!feed_error.empty()) {
     throw std::runtime_error("multi-process feed failed: " + feed_error);
   }
-  const bool killed = kill_after > 0 && report.records_submitted >= kill_after;
+  const bool killed =
+      mp.kill_after > 0 && report.records_submitted >= mp.kill_after;
   if (killed) {
-    out << "shard-" << kill_shard << " killed after " << kill_after
+    out << "shard-" << mp.kill_shard << " killed after " << mp.kill_after
         << " records; durable state preserved — rerun with the same flags "
            "to resume\n";
     return 2;
@@ -903,7 +900,7 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
   table.add_row({"alerts", std::to_string(alerts.size())});
   table.add_row({"drive-level TPR", format_percent(drives.drive_tpr())});
   table.add_row({"drive-level FPR", format_percent(drives.drive_fpr())});
-  table.add_row({"shard processes", std::to_string(processes)});
+  table.add_row({"shard processes", std::to_string(mp.processes)});
   table.add_row({"transport", via_router ? "multi-process via router"
                                          : "multi-process direct"});
   table.add_row({"drives tracked", std::to_string(stream.drives_tracked())});
@@ -919,29 +916,25 @@ int run_fleet_multiproc(const CommandLine& cmd, std::ostream& out,
 
 int cmd_fleet_replay(const CommandLine& cmd, std::ostream& out) {
   ServingFlags flags = serving_flags_from(cmd);
-  // Every count flag is validated before the (potentially multi-million
-  // drive) simulation starts.
-  const std::size_t shards = get_positive_count(cmd, "shards", 4);
-  const std::size_t chunk_drives =
-      get_positive_count(cmd, "chunk-drives", 4096);
-  if (cmd.has("processes") && cmd.has("in-process")) {
-    throw std::invalid_argument(
-        "--processes and --in-process are mutually exclusive");
-  }
+  // Every flag is validated before the (potentially multi-million drive)
+  // simulation starts.
+  const auto shards = get_int<std::size_t>(cmd, "shards", 4, 1);
+  const auto chunk_drives = get_int<std::size_t>(cmd, "chunk-drives", 4096, 1);
+  const MultiprocFlags mp = multiproc_flags_from(cmd);
+  const auto train_config = config_from(cmd);
 
   auto scenario =
-      sim::scenario_by_name(cmd.get("scenario", "fleet"), get_seed(cmd));
+      sim::scenario_by_name(cmd.get("scenario", "fleet"), train_config.seed);
   scenario.fleet_scale = cmd.get_number("scale", scenario.fleet_scale);
   sim::FleetSimulator fleet(scenario);
-  const std::size_t threads = flags.registry.score_threads;
+  const std::size_t threads = flags.score_threads;
 
   out << "simd kernel: " << ml::to_string(ml::active_simd_level()) << "\n";
   serve::ModelRegistry registry(registry_dir_from(cmd, "mfpa-fleet-registry"),
-                                flags.registry);
+                                threads);
   // The model trains offline on a down-scaled twin of the scenario (same
   // seed, same catalog, same drift) — training on the full fleet's
   // telemetry would dwarf the serving run this command exists to exercise.
-  const auto train_config = config_from(cmd);
   const int version = serving_version(
       cmd, registry,
       [&] {
@@ -964,11 +957,10 @@ int cmd_fleet_replay(const CommandLine& cmd, std::ostream& out) {
       out);
 
   const serve::StreamedFleet stream(fleet, chunk_drives, threads);
-  if (cmd.has("processes")) {
+  if (mp.processes > 0) {
     // One OS process per shard instead of one router in this process.
     return run_fleet_multiproc(cmd, out, stream, registry.directory(),
-                               version,
-                               get_positive_count(cmd, "processes", 4));
+                               version, mp);
   }
 
   flags.router.shards = shards;
@@ -1131,7 +1123,7 @@ std::string usage() {
       "            --seed=N --scale=X] [--algorithm=RF] [--group=G]\n"
       "            [--threads=N] [--batch=256] [--queue-capacity=4096]\n"
       "            [--shed] [--registry=DIR] [--alert-consecutive=1]\n"
-      "            [--cooldown=0] [--no-flat] [--simd=auto|scalar|avx2]\n"
+      "            [--cooldown=0]\n"
       "            [--durable-dir=DIR] [--wal-group-commit=256]\n"
       "            [--checkpoint-interval=4096] [--reuse-registry]\n"
       "            [--alerts-out=FILE] [--kill-after=N] [--shards=N]\n"
@@ -1142,10 +1134,6 @@ std::string usage() {
       "            --durable-dir each shard logs to DIR/shard-NNN and a\n"
       "            resume must reuse the same --shards; see\n"
       "            docs/SERVING.md)\n"
-      "            (--no-flat disables compiled flat-forest inference;\n"
-      "            --simd pins the inference kernel tier, degrading to the\n"
-      "            strongest the CPU supports and printing what resolved;\n"
-      "            scores are identical, see docs/PERFORMANCE.md)\n"
       "            --durable-dir enables the checksummed WAL + checkpoints\n"
       "            and auto-resumes from existing durable state; pair with\n"
       "            --reuse-registry so recovery scores under the same model\n"
@@ -1158,7 +1146,6 @@ std::string usage() {
       "            [--registry=DIR] [--reuse-registry] [--alerts-out=FILE]\n"
       "            [--kill-after=N] [--alert-consecutive=1] [--cooldown=0]\n"
       "            [--batch=256] [--queue-capacity=4096] [--shed]\n"
-      "            [--no-flat] [--simd=LEVEL]\n"
       "            [--processes=N] [--via-router] [--proc-dir=DIR]\n"
       "            [--kill-shard-after=N] [--kill-shard=K]\n"
       "            stream a (full-scale) fleet scenario through the sharded\n"

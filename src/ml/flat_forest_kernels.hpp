@@ -12,7 +12,7 @@
 // The vector kernel lives in a dedicated translation unit
 // (flat_forest_avx2.cpp, built with -mavx2) and is only reachable through
 // its registration function, which returns nullptr when the kernel was not
-// built in. Dispatch — the runtime cpuid probe plus the --simd override —
+// built in. Dispatch — the runtime cpuid probe plus set_simd_override() —
 // happens in flat_forest.cpp via ml/simd.hpp.
 #pragma once
 

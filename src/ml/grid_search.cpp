@@ -1,10 +1,9 @@
 #include "ml/grid_search.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 
+#include "common/parallel.hpp"
 #include "ml/factory.hpp"
 #include "obs/metrics.hpp"
 
@@ -68,26 +67,7 @@ GridSearchResult grid_search(const std::string& algorithm,
     const auto model = make_classifier(algorithm, param_sets[i]);
     scores[i] = cross_val_score(*model, cache, metric);
   };
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (threads <= 1 || points.size() <= 1) {
-    for (std::size_t i = 0; i < points.size(); ++i) evaluate(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    const std::size_t workers = std::min(threads, points.size());
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < param_sets.size();
-             i = next.fetch_add(1)) {
-          evaluate(i);
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-  }
+  parallel_for_each(points.size(), threads, evaluate);
 
   GridSearchResult result;
   for (std::size_t i = 0; i < points.size(); ++i) {

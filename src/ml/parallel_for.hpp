@@ -1,6 +1,6 @@
 // Minimal deterministic data-parallel helper shared by the ensemble
-// inference paths. Thread-count convention matches random_forest.cpp and
-// sim/fleet.cpp: 0 = hardware_concurrency, <=1 = serial.
+// inference paths. Thread-count convention: common/parallel.hpp's
+// resolve_threads (0 = hardware_concurrency, <=1 = serial).
 #pragma once
 
 #include <algorithm>
@@ -8,16 +8,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 
 namespace mfpa::ml {
-
-/// Resolves the "threads" hyperparameter convention (0 = all hardware).
-inline std::size_t resolve_threads(std::size_t threads) {
-  return threads == 0
-             ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-             : threads;
-}
 
 namespace detail {
 

@@ -7,12 +7,11 @@
 #include <ostream>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "data/binned_matrix.hpp"
 
@@ -28,8 +27,8 @@ void RandomForestClassifier::fit(const Matrix& X, const std::vector<int>& y) {
       static_cast<std::size_t>(param_or(params_, "n_trees", 60));
   const bool bootstrap = param_or(params_, "bootstrap", 1) != 0;
   const auto seed = static_cast<std::uint64_t>(param_or(params_, "seed", 1));
-  const std::size_t threads = resolve_threads(
-      static_cast<std::size_t>(param_or(params_, "threads", 1)));
+  const auto threads =
+      static_cast<std::size_t>(param_or(params_, "threads", 1));
 
   TreeParams tp;
   tp.max_depth = static_cast<int>(param_or(params_, "max_depth", 14));
@@ -79,23 +78,7 @@ void RandomForestClassifier::fit(const Matrix& X, const std::vector<int>& y) {
     }
   };
 
-  if (threads <= 1 || n_trees <= 1) {
-    for (std::size_t t = 0; t < n_trees; ++t) fit_tree(t);
-  } else {
-    std::vector<std::thread> pool;
-    std::atomic<std::size_t> next{0};
-    const std::size_t workers = std::min(threads, n_trees);
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t t = next.fetch_add(1); t < n_trees;
-             t = next.fetch_add(1)) {
-          fit_tree(t);
-        }
-      });
-    }
-    for (auto& th : pool) th.join();
-  }
+  parallel_for_each(n_trees, threads, fit_tree);
 }
 
 std::vector<double> RandomForestClassifier::predict_proba(const Matrix& X) const {

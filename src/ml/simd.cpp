@@ -46,7 +46,7 @@ SimdLevel active_simd_level() noexcept {
   if (!forced) return detected;
   // A forced level the hardware lacks degrades to the detected one; forcing
   // a *weaker* level than detected is honored (that is the point of the
-  // flag: scalar-vs-vector A/B runs and parity bisects).
+  // override: scalar-vs-vector A/B runs and parity bisects).
   return static_cast<int>(*forced) <= static_cast<int>(detected) ? *forced
                                                                  : detected;
 }
@@ -59,23 +59,6 @@ std::string_view to_string(SimdLevel level) noexcept {
     default:
       return "scalar";
   }
-}
-
-bool parse_simd_level(std::string_view text,
-                      std::optional<SimdLevel>& level) noexcept {
-  if (text == "auto") {
-    level = std::nullopt;
-    return true;
-  }
-  if (text == "scalar") {
-    level = SimdLevel::kScalar;
-    return true;
-  }
-  if (text == "avx2") {
-    level = SimdLevel::kAvx2;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace mfpa::ml

@@ -10,12 +10,12 @@
 // node-pointer path.
 //
 // Selection: `active_simd_level()` = the strongest kernel the CPU supports,
-// clamped by an optional process-wide override (`--simd=scalar|avx2` on
-// the CLI, set_simd_override() in tests and benchmarks). Requesting a
-// level the hardware lacks silently degrades to the best available one —
-// the CLI prints the resolved level so an operator can see what actually
-// ran. Building with -DMFPA_FORCE_SCALAR=ON removes the vector kernel from
-// the dispatch entirely (the CI fallback leg).
+// clamped by an optional process-wide override (set_simd_override(), used
+// by the parity tests and micro-benchmarks). Requesting a level the
+// hardware lacks silently degrades to the best available one. The serving
+// commands print the resolved level ("simd kernel: ...") so an operator
+// can see what actually ran. Building with -DMFPA_FORCE_SCALAR=ON removes
+// the vector kernel from the dispatch entirely (the CI fallback leg).
 #pragma once
 
 #include <optional>
@@ -46,11 +46,5 @@ SimdLevel active_simd_level() noexcept;
 
 /// "scalar" / "avx2".
 std::string_view to_string(SimdLevel level) noexcept;
-
-/// Parses a --simd flag value: "auto" clears the override (returns true
-/// with `level` = nullopt); "scalar"/"avx2" set it. Returns false on
-/// anything else.
-bool parse_simd_level(std::string_view text,
-                      std::optional<SimdLevel>& level) noexcept;
 
 }  // namespace mfpa::ml

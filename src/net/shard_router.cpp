@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -47,7 +48,14 @@ ShardRouter::ShardRouter(const serve::ModelRegistry& registry,
   }
 }
 
-ShardRouter::~ShardRouter() { stop(); }
+ShardRouter::~ShardRouter() {
+  try {
+    stop();
+  } catch (...) {
+    // Destructor: a failed final checkpoint leaves that shard's WAL
+    // authoritative; recovery replays it.
+  }
+}
 
 bool ShardRouter::submit(const serve::TelemetryUpdate& update) {
   if (!owns(update.drive_id)) {
@@ -71,7 +79,15 @@ serve::SinkTotals ShardRouter::flush_totals() {
 }
 
 void ShardRouter::stop() {
-  for (auto& engine : engines_) engine->stop();
+  std::exception_ptr first;
+  for (auto& engine : engines_) {
+    try {
+      engine->stop();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 std::vector<std::size_t> ShardRouter::resume_records() const {

@@ -4,12 +4,13 @@
 // ScoringEngine drain loop eventually saturates one core, so the serving
 // tier shards: each engine owns its own DriveStateStore, alert-policy
 // state, and (optionally) its own durable WAL + checkpoint directory, and
-// drives are routed by the same Fibonacci drive-id hash the store's lock
-// stripes and the WAL's segment files already use (serve::drive_shard). A
-// drive's records therefore always land on the same shard in submission
-// order, which is the only ordering the batch/online parity contract needs
-// — so the merged alert stream is identical for every shard count, proven
-// by tests/integration/test_fleet_serving.cpp.
+// drives are routed by a Fibonacci drive-id hash (serve::drive_shard). The
+// router is the only layer that maps drives to shards: inside a shard the
+// engine keeps one state map and one WAL file per generation. A drive's
+// records therefore always land on the same shard in submission order,
+// which is the only ordering the batch/online parity contract needs — so
+// the merged alert stream is identical for every shard count, proven by
+// tests/integration/test_fleet_serving.cpp.
 //
 // Backpressure composes with the engines': submit() routes to the owning
 // shard and blocks (or sheds, under shed_on_full) exactly as that engine's
@@ -115,7 +116,8 @@ class ShardRouter final : public serve::RecordSink {
   /// flush(), then the fleet totals summed over this router's shards.
   serve::SinkTotals flush_totals() override;
 
-  /// Stops every shard (flushing and sealing durable state). Idempotent.
+  /// Stops every shard (flushing and sealing durable state), even when one
+  /// of them fails, then rethrows the first failure. Idempotent.
   void stop();
 
   /// Each shard's durably applied record count (empty-dir shards report 0).

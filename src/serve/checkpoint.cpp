@@ -129,8 +129,8 @@ DurabilityConfig validated(DurabilityConfig config) {
 
 DurabilityManager::DurabilityManager(DurabilityConfig config)
     : config_(validated(std::move(config))),
-      wal_(WalWriterConfig{config_.dir, config_.wal_shards,
-                           config_.group_commit_records, config_.fsync}),
+      wal_(WalWriterConfig{config_.dir, config_.group_commit_records,
+                           config_.fsync}),
       alerts_(config_.dir, config_.fsync) {
   fs::create_directories(ckpt_dir(config_.dir));
   auto& reg = obs::registry();

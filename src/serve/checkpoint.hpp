@@ -13,9 +13,10 @@
 // Files live under `<dir>/ckpt/ckpt-<lsn>.mfc`, written dot-temp + fsync +
 // rename (serve::publish_file, shared with the model registry), and the
 // two newest are retained so a corrupt newest checkpoint falls back one
-// generation — the WAL keeps segments back to the retained checkpoint
-// (wal.hpp), so the fallback replays a longer tail instead of losing
-// records.
+// generation — the WAL keeps its one segment file per generation back to
+// the retained checkpoint (wal.hpp), so the fallback replays a longer tail
+// instead of losing records. The store image lists drives by id with fleet
+// totals, so its bytes depend only on the records applied.
 //
 // Recovery contract (proved by tests/integration/test_durable_replay):
 // newest digest-valid checkpoint -> store; alert log truncated to the
@@ -41,8 +42,6 @@ namespace mfpa::serve {
 struct DurabilityConfig {
   /// Durable root directory; empty disables durability entirely.
   std::string dir;
-  /// Per-shard WAL segment files.
-  std::size_t wal_shards = 4;
   /// fsync the WAL every N appended records (0 = only at flush/checkpoint).
   std::size_t group_commit_records = 256;
   /// Take a checkpoint after this many records since the last one

@@ -7,16 +7,9 @@
 #include <string>
 #include <utility>
 
-#include "ml/parallel_for.hpp"
-
 namespace mfpa::serve {
 
 DriveStateStore::DriveStateStore(StoreConfig config) : config_(config) {
-  const std::size_t n = ml::resolve_threads(config_.shards);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   auto& reg = obs::registry();
   metrics_.records_ingested = &reg.counter("mfpa_store_records_ingested_total");
   metrics_.rows_emitted = &reg.counter("mfpa_store_rows_emitted_total");
@@ -27,22 +20,15 @@ DriveStateStore::DriveStateStore(StoreConfig config) : config_(config) {
   metrics_.drives_tracked = &reg.gauge("mfpa_store_drives_tracked");
 }
 
-DriveStateStore::Shard& DriveStateStore::shard_for(
-    std::uint64_t drive_id) const {
-  // Fibonacci hash spreads sequential drive ids across stripes.
-  return *shards_[drive_shard(drive_id, shards_.size())];
-}
-
 void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
                              const sim::DailyRecord& record,
                              std::vector<PendingRow>& out) {
-  Shard& shard = shard_for(drive_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto [it, inserted] = shard.drives.try_emplace(
-      drive_id, drive_id, vendor, config_.preprocess);
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [it, inserted] =
+      drives_.try_emplace(drive_id, drive_id, vendor, config_.preprocess);
   if (inserted) metrics_.drives_tracked->add(1.0);
   DriveState& state = it->second;
-  ++shard.records_ingested;
+  ++records_ingested_;
   metrics_.records_ingested->inc();
   state.ingestor.ingest(record);
 
@@ -59,7 +45,7 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
     // and applied by should_alert() when scoring crosses the boundary.
     state.segments_seen = state.ingestor.segments_started();
     state.emitted = 0;
-    ++shard.segments_restarted;
+    ++segments_restarted_;
     metrics_.segments_restarted->inc();
   }
 
@@ -71,7 +57,7 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
   }
   for (std::size_t i = state.emitted; i < segment.size(); ++i) {
     out.push_back({drive_id, vendor, segment[i], state.segments_seen});
-    ++shard.rows_emitted;
+    ++rows_emitted_;
   }
   state.emitted = segment.size();
 
@@ -84,10 +70,9 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
 bool DriveStateStore::should_alert(std::uint64_t drive_id, DayIndex day,
                                    int segment, bool crossed,
                                    const core::AlertPolicy& policy) {
-  Shard& shard = shard_for(drive_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.drives.find(drive_id);
-  if (it == shard.drives.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = drives_.find(drive_id);
+  if (it == drives_.end()) {
     throw std::logic_error("DriveStateStore: should_alert for unknown drive " +
                            std::to_string(drive_id));
   }
@@ -115,26 +100,15 @@ bool DriveStateStore::should_alert(std::uint64_t drive_id, DayIndex day,
 }
 
 void DriveStateStore::save_state(std::ostream& os) const {
-  std::size_t drives = 0;
-  std::size_t records_ingested = 0;
-  std::size_t rows_emitted = 0;
-  std::size_t segments_restarted = 0;
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::uint64_t, const DriveState*>> ordered;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    drives += shard->drives.size();
-    records_ingested += shard->records_ingested;
-    rows_emitted += shard->rows_emitted;
-    segments_restarted += shard->segments_restarted;
-    for (const auto& [id, state] : shard->drives) {
-      ordered.emplace_back(id, &state);
-    }
-  }
+  ordered.reserve(drives_.size());
+  for (const auto& [id, state] : drives_) ordered.emplace_back(id, &state);
   std::sort(ordered.begin(), ordered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  os << "store 2 " << records_ingested << ' ' << rows_emitted << ' '
-     << segments_restarted << '\n';
-  os << "drives " << drives << '\n';
+  os << "store 2 " << records_ingested_ << ' ' << rows_emitted_ << ' '
+     << segments_restarted_ << '\n';
+  os << "drives " << drives_.size() << '\n';
   for (const auto& [id, state] : ordered) {
     os << "drive " << id << ' ' << state->ingestor.vendor() << ' '
        << state->emitted << ' ' << state->segments_seen << ' '
@@ -159,20 +133,13 @@ void DriveStateStore::load_state(std::istream& is) {
   if (!(is >> tag >> n) || tag != "drives" || n > (1u << 26)) {
     throw std::runtime_error("DriveStateStore: malformed drive count");
   }
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (!shard->drives.empty()) {
-      throw std::logic_error("DriveStateStore: load_state into non-empty store");
-    }
-    shard->records_ingested = 0;
-    shard->rows_emitted = 0;
-    shard->segments_restarted = 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!drives_.empty()) {
+    throw std::logic_error("DriveStateStore: load_state into non-empty store");
   }
-  // The checkpoint's shard layout is irrelevant: drives re-hash into this
-  // store's stripes; the aggregate counters land on shard 0.
-  shards_[0]->records_ingested = records_ingested;
-  shards_[0]->rows_emitted = rows_emitted;
-  shards_[0]->segments_restarted = segments_restarted;
+  records_ingested_ = records_ingested;
+  rows_emitted_ = rows_emitted;
+  segments_restarted_ = segments_restarted;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t id = 0;
     int vendor = 0;
@@ -193,10 +160,8 @@ void DriveStateStore::load_state(std::istream& is) {
     if (version >= 2 && !(is >> alert_segment)) {
       throw std::runtime_error("DriveStateStore: malformed drive record");
     }
-    Shard& shard = shard_for(id);
-    std::lock_guard<std::mutex> lock(shard.mu);
     const auto [it, inserted] =
-        shard.drives.try_emplace(id, id, vendor, config_.preprocess);
+        drives_.try_emplace(id, id, vendor, config_.preprocess);
     if (!inserted) {
       throw std::runtime_error("DriveStateStore: duplicate drive " +
                                std::to_string(id) + " in checkpoint");
@@ -214,18 +179,16 @@ void DriveStateStore::load_state(std::istream& is) {
 }
 
 StoreStats DriveStateStore::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
   StoreStats out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    out.drives_tracked += shard->drives.size();
-    out.records_ingested += shard->records_ingested;
-    out.rows_emitted += shard->rows_emitted;
-    out.segments_restarted += shard->segments_restarted;
-    for (const auto& [id, state] : shard->drives) {
-      (void)id;
-      if (state.ingestor.quarantined()) ++out.drives_quarantined;
-      out.ingest.merge(state.ingestor.ingest_stats());
-    }
+  out.drives_tracked = drives_.size();
+  out.records_ingested = records_ingested_;
+  out.rows_emitted = rows_emitted_;
+  out.segments_restarted = segments_restarted_;
+  for (const auto& [id, state] : drives_) {
+    (void)id;
+    if (state.ingestor.quarantined()) ++out.drives_quarantined;
+    out.ingest.merge(state.ingestor.ingest_stats());
   }
   return out;
 }

@@ -1,13 +1,13 @@
-// Shard-per-core, lock-striped store of per-drive incremental state.
+// Store of per-drive incremental state for one scoring engine.
 //
 // The batch Preprocessor recomputes a drive's cleaned history from scratch;
 // at fleet scale the scoring service instead keeps one StreamingIngestor per
 // drive (cumulative WindowsEvent/BSOD counters, short-gap fill, long-gap
 // cut, lenient-mode sanitation) so the features for a newly arrived record
-// cost O(window), not O(history). Drives hash onto independently locked
-// shards, so concurrent ingest for different drives contends only when two
-// drives share a stripe; per-drive delivery order is the caller's contract
-// (the ScoringEngine's single drain loop preserves queue order).
+// cost O(window), not O(history). The store is one map behind one mutex:
+// its only writer is the engine's single drain loop, whose queue order is
+// the per-drive delivery order the contract below needs. Parallelism comes
+// from net::ShardRouter, which gives every shard its own engine and store.
 //
 // Emission contract (what keeps the service's alerts equal to the batch
 // MfpaPipeline + OnlinePredictor replay): a drive's records are withheld
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -34,18 +33,10 @@
 
 namespace mfpa::serve {
 
-/// Shard index for a drive id under `shards` shards. The Fibonacci-hash
-/// spread is shared by the store's lock stripes, the WAL's per-shard
-/// segment files, and the net-layer ShardRouter, so "one drive, one shard"
-/// holds across all three layers by construction.
-inline std::size_t drive_shard(std::uint64_t drive_id,
-                               std::size_t shards) noexcept {
-  return static_cast<std::size_t>((drive_id * 0x9E3779B97F4A7C15ULL) % shards);
-}
-
 struct StoreConfig {
   core::PreprocessConfig preprocess;
-  /// Lock stripes; 0 = one per hardware core.
+  /// No effect: the store is one map. Kept so callers that still set it
+  /// (perfbench/) compile unchanged.
   std::size_t shards = 0;
   /// Per-drive retained records after emission (bounds memory; must cover
   /// any feature window the builder needs). 0 = unbounded.
@@ -80,7 +71,6 @@ class DriveStateStore {
   explicit DriveStateStore(StoreConfig config);
 
   const StoreConfig& config() const noexcept { return config_; }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// Feeds one raw record, appending any rows that became ready for scoring
   /// to `out` (in per-drive day order). Strict mode propagates the
@@ -98,16 +88,14 @@ class DriveStateStore {
   bool should_alert(std::uint64_t drive_id, DayIndex day, int segment,
                     bool crossed, const core::AlertPolicy& policy);
 
-  /// Merged accounting across all shards (takes every stripe briefly).
+  /// Accounting snapshot (takes the store lock briefly).
   StoreStats stats() const;
 
   /// Serializes every tracked drive's full state (ingestor, emission cursor,
   /// alert hysteresis) plus the aggregate counters, drives ordered by id so
-  /// the image is deterministic regardless of shard count or hash-map
-  /// iteration order. load_state() rebuilds the fleet into the *current*
-  /// shard layout (aggregate counters land on shard 0), so a checkpoint
-  /// taken with N shards restores correctly under M. Not thread-safe against
-  /// concurrent ingest — call from the single drain thread or before start.
+  /// the image is deterministic regardless of hash-map iteration order.
+  /// load_state() rebuilds it into an empty store. Call from the single
+  /// drain thread or before start.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 
@@ -130,20 +118,16 @@ class DriveStateStore {
     int alert_segment = 0;
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, DriveState> drives;
-    std::size_t records_ingested = 0;
-    std::size_t rows_emitted = 0;
-    std::size_t segments_restarted = 0;
-  };
-
   StoreConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::uint64_t, DriveState> drives_;
+  std::size_t records_ingested_ = 0;
+  std::size_t rows_emitted_ = 0;
+  std::size_t segments_restarted_ = 0;
 
-  // Fleet-level registry instruments (mfpa_store_*). The per-shard counters
-  // above stay authoritative for StoreStats (per-store accounting); these
-  // mirror the same events into the process-wide registry for exporters.
+  // Fleet-level registry instruments (mfpa_store_*). The counters above
+  // stay authoritative for StoreStats (per-store accounting); these mirror
+  // the same events into the process-wide registry for exporters.
   struct Metrics {
     obs::Counter* records_ingested = nullptr;
     obs::Counter* rows_emitted = nullptr;
@@ -152,8 +136,6 @@ class DriveStateStore {
     obs::Gauge* drives_tracked = nullptr;
   };
   Metrics metrics_;
-
-  Shard& shard_for(std::uint64_t drive_id) const;
 };
 
 }  // namespace mfpa::serve

@@ -50,8 +50,8 @@ core::SampleBuilder ServedModel::make_builder() const {
   return core::SampleBuilder(sc, &encoder);
 }
 
-ModelRegistry::ModelRegistry(std::string directory, RegistryOptions options)
-    : dir_(std::move(directory)), options_(options) {
+ModelRegistry::ModelRegistry(std::string directory, std::size_t score_threads)
+    : dir_(std::move(directory)), score_threads_(score_threads) {
   auto& reg = obs::registry();
   metrics_.publishes = &reg.counter("mfpa_registry_publishes_total");
   metrics_.activations = &reg.counter("mfpa_registry_activations_total");
@@ -233,16 +233,14 @@ std::shared_ptr<const ServedModel> ModelRegistry::load_version(
   }
   f.seekg(payload_start);
   ml::Hyperparams overrides;
-  overrides["threads"] = static_cast<double>(options_.score_threads);
+  overrides["threads"] = static_cast<double>(score_threads_);
   served->classifier = ml::load_classifier(f, overrides);
   // Compile tree ensembles into the flat inference format here, at
   // activation time, so every model the engine hot-swaps to serves from
   // the compiled representation (probabilities stay bit-identical).
-  if (options_.compile) {
-    if (auto* compiled =
-            dynamic_cast<ml::CompiledInference*>(served->classifier.get())) {
-      compiled->compile();
-    }
+  if (auto* compiled =
+          dynamic_cast<ml::CompiledInference*>(served->classifier.get())) {
+    compiled->compile();
   }
   return served;
 }

@@ -67,27 +67,15 @@ struct ServedModel {
   core::SampleBuilder make_builder() const;
 };
 
-/// How a registry prepares every model version it loads.
-struct RegistryOptions {
-  /// Stamped onto every loaded classifier's "threads" hyperparameter
-  /// (0 = all cores) so batch predict_proba uses the serving tier's pool
-  /// regardless of how the trainer was configured.
-  std::size_t score_threads = 0;
-  /// Flatten every loaded classifier that supports ml::CompiledInference at
-  /// activation time, so hot-swapped models always serve from the compiled
-  /// representation (bit-identical probabilities; see ml/flat_forest.hpp).
-  /// Off serves from the node-pointer trees (A/B runs, debugging).
-  bool compile = true;
-};
-
 class ModelRegistry {
  public:
   /// Opens (creating if needed) a registry directory and loads the CURRENT
-  /// version when one is recorded.
-  explicit ModelRegistry(std::string directory, RegistryOptions options = {});
-  /// Same, with default options except the scoring thread count.
-  ModelRegistry(std::string directory, std::size_t score_threads)
-      : ModelRegistry(std::move(directory), RegistryOptions{score_threads}) {}
+  /// version when one is recorded. Every loaded classifier gets its
+  /// "threads" hyperparameter set to `score_threads` (0 = all cores), so
+  /// batch predict_proba uses the serving tier's pool regardless of how the
+  /// trainer was configured, and tree ensembles are compiled into the flat
+  /// inference format (bit-identical probabilities; ml/flat_forest.hpp).
+  explicit ModelRegistry(std::string directory, std::size_t score_threads = 0);
 
   const std::string& directory() const noexcept { return dir_; }
 
@@ -127,7 +115,7 @@ class ModelRegistry {
 
  private:
   std::string dir_;
-  RegistryOptions options_;
+  std::size_t score_threads_;
   mutable std::mutex current_mu_;  ///< guards only the current_ pointer copy
   std::shared_ptr<const ServedModel> current_;
   mutable std::mutex publish_mu_;  ///< serializes publishers, never readers

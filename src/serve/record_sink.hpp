@@ -5,11 +5,21 @@
 // server, which hands it to a sink of its own.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/telemetry.hpp"
 
 namespace mfpa::serve {
+
+/// Shard index for a drive id under `shards` shards: a Fibonacci hash that
+/// spreads sequential drive ids. net::ShardRouter, net::ShardedClient and
+/// feed()'s per-shard resume all route with it, so one drive always lands
+/// on one shard — the only ordering the alert-stream parity contract needs.
+inline std::size_t drive_shard(std::uint64_t drive_id,
+                               std::size_t shards) noexcept {
+  return static_cast<std::size_t>((drive_id * 0x9E3779B97F4A7C15ULL) % shards);
+}
 
 /// One queued unit of work: a drive's daily upload.
 struct TelemetryUpdate {

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -13,7 +14,6 @@
 
 #include "common/wire.hpp"
 #include "ml/checksum.hpp"
-#include "serve/drive_state_store.hpp"
 
 namespace mfpa::serve {
 namespace fs = std::filesystem;
@@ -96,29 +96,19 @@ void fsync_dir(const std::string& dir) {
   ::close(fd);
 }
 
-std::string shard_segment_name(std::size_t shard, std::uint64_t base_lsn) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "shard-%03zu.c%llu.wal", shard,
-                static_cast<unsigned long long>(base_lsn));
-  return buf;
+std::string segment_name(std::uint64_t base_lsn) {
+  return "c" + std::to_string(base_lsn) + ".wal";
 }
 
-/// Parses "shard-012.c42.wal" -> (12, 42); nullopt for other names.
-std::optional<std::pair<std::size_t, std::uint64_t>> parse_segment_name(
-    const std::string& name) {
-  if (!name.starts_with("shard-") || !name.ends_with(".wal")) {
-    return std::nullopt;
-  }
-  const std::size_t dot = name.find(".c");
-  if (dot == std::string::npos) return std::nullopt;
-  try {
-    const std::size_t shard = std::stoul(name.substr(6, dot - 6));
-    const std::uint64_t base =
-        std::stoull(name.substr(dot + 2, name.size() - 4 - (dot + 2)));
-    return std::make_pair(shard, base);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+/// Parses "c42.wal" -> 42; nullopt for other names.
+std::optional<std::uint64_t> parse_segment_name(const std::string& name) {
+  if (!name.starts_with("c") || !name.ends_with(".wal")) return std::nullopt;
+  const char* first = name.data() + 1;
+  const char* last = name.data() + name.size() - 4;
+  std::uint64_t base = 0;
+  const auto [end, ec] = std::from_chars(first, last, base);
+  if (ec != std::errc() || end != last || first == last) return std::nullopt;
+  return base;
 }
 
 }  // namespace
@@ -242,7 +232,6 @@ core::Alert decode_alert_payload(const std::string& payload) {
 // --- WalWriter -------------------------------------------------------------
 
 WalWriter::WalWriter(WalWriterConfig config) : config_(std::move(config)) {
-  if (config_.shards == 0) config_.shards = 1;
   fs::create_directories(fs::path(config_.dir) / "wal");
   auto& reg = obs::registry();
   metrics_.appends = &reg.counter("mfpa_wal_appends_total");
@@ -257,45 +246,35 @@ WalWriter::~WalWriter() {
   } catch (...) {
     // Destructor: nothing sane to do; the tail is torn, recovery handles it.
   }
-  close_segments();
+  close_segment();
 }
 
-void WalWriter::close_segments() {
-  for (auto& seg : segments_) {
-    if (seg.fd >= 0) ::close(seg.fd);
-  }
-  segments_.clear();
+void WalWriter::close_segment() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
 }
 
 void WalWriter::open_generation(std::uint64_t base_lsn) {
-  close_segments();
-  generation_ = base_lsn;
+  close_segment();
   const fs::path wal_dir = fs::path(config_.dir) / "wal";
-  segments_.resize(config_.shards);
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    Segment& seg = segments_[s];
-    seg.path = (wal_dir / shard_segment_name(s, base_lsn)).string();
-    seg.fd = ::open(seg.path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-    if (seg.fd < 0) {
-      throw std::runtime_error("wal: cannot create segment " + seg.path);
-    }
+  path_ = (wal_dir / segment_name(base_lsn)).string();
+  fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (fd_ < 0) {
+    throw std::runtime_error("wal: cannot create segment " + path_);
   }
   fsync_dir(wal_dir.string());
 }
 
 std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
                                 const sim::DailyRecord& record) {
-  if (segments_.empty()) {
+  if (fd_ < 0) {
     throw std::logic_error("WalWriter: append before open_generation");
   }
   const std::uint64_t lsn = next_lsn_++;
-  // Same Fibonacci spread as DriveStateStore's lock stripes — one drive's
-  // records stay within one segment file.
-  Segment& seg = segments_[drive_shard(drive_id, segments_.size())];
-  const std::size_t before = seg.pending.size();
-  append_frame(seg.pending, lsn, encode_wal_payload(drive_id, vendor, record));
+  const std::size_t before = pending_.size();
+  append_frame(pending_, lsn, encode_wal_payload(drive_id, vendor, record));
   metrics_.appends->inc();
-  metrics_.bytes->inc(seg.pending.size() - before);
+  metrics_.bytes->inc(pending_.size() - before);
   ++unsynced_records_;
   if (config_.group_commit_records > 0 &&
       unsynced_records_ >= config_.group_commit_records) {
@@ -304,22 +283,17 @@ std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
   return lsn;
 }
 
-void WalWriter::write_out(Segment& seg) {
-  if (seg.pending.empty()) return;
-  write_all(seg.fd, seg.pending, seg.path);
-  seg.pending.clear();
-  seg.dirty = true;
-}
-
 void WalWriter::flush() {
-  for (auto& seg : segments_) {
-    write_out(seg);
-    if (seg.dirty && config_.fsync) {
-      fsync_fd(seg.fd, seg.path);
-      metrics_.fsyncs->inc();
-    }
-    seg.dirty = false;
+  if (!pending_.empty()) {
+    write_all(fd_, pending_, path_);
+    pending_.clear();
+    dirty_ = true;
   }
+  if (dirty_ && config_.fsync) {
+    fsync_fd(fd_, path_);
+    metrics_.fsyncs->inc();
+  }
+  dirty_ = false;
   unsynced_records_ = 0;
 }
 
@@ -328,8 +302,8 @@ void WalWriter::rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn) {
   open_generation(ckpt_lsn);
   const fs::path wal_dir = fs::path(config_.dir) / "wal";
   for (const auto& entry : fs::directory_iterator(wal_dir)) {
-    const auto parsed = parse_segment_name(entry.path().filename().string());
-    if (parsed.has_value() && parsed->second < keep_from_lsn) {
+    const auto base = parse_segment_name(entry.path().filename().string());
+    if (base.has_value() && *base < keep_from_lsn) {
       fs::remove(entry.path());
     }
   }
@@ -338,7 +312,9 @@ void WalWriter::rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn) {
 }
 
 void WalWriter::reset(std::uint64_t base_lsn) {
-  close_segments();
+  close_segment();
+  pending_.clear();
+  dirty_ = false;
   const fs::path wal_dir = fs::path(config_.dir) / "wal";
   if (fs::exists(wal_dir)) {
     for (const auto& entry : fs::directory_iterator(wal_dir)) {
@@ -360,23 +336,17 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
 
   struct PendingFrame {
     std::uint64_t lsn;
-    std::uint64_t digest;
     std::string payload;
-    std::string file;
   };
   std::vector<PendingFrame> merged;
 
   if (fs::exists(wal_dir)) {
-    // Generations ascending, shards within a generation ascending, so the
-    // in-file duplicate check below sees originals before replayed copies.
-    std::vector<std::pair<std::pair<std::uint64_t, std::size_t>, std::string>>
-        files;
+    // Generations ascending, so the in-file duplicate check below sees
+    // originals before replayed copies.
+    std::vector<std::pair<std::uint64_t, std::string>> files;
     for (const auto& entry : fs::directory_iterator(wal_dir)) {
-      const std::string name = entry.path().filename().string();
-      const auto parsed = parse_segment_name(name);
-      if (!parsed.has_value()) continue;
-      files.push_back(
-          {{parsed->second, parsed->first}, entry.path().string()});
+      const auto base = parse_segment_name(entry.path().filename().string());
+      if (base.has_value()) files.emplace_back(*base, entry.path().string());
     }
     std::sort(files.begin(), files.end());
 
@@ -384,7 +354,7 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
     // in-file LSN regression is legal only as an exact replay of one of
     // these (a duplicated segment), never as new bytes.
     std::unordered_map<std::uint64_t, std::uint64_t> seen;
-    for (const auto& [key, path] : files) {
+    for (const auto& [base, path] : files) {
       ++st.segments_scanned;
       FrameScan scan = scan_frames(path);
       if (scan.torn_tail) ++st.torn_tails;
@@ -416,8 +386,7 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
           continue;
         }
         seen.emplace(frame.lsn, frame.digest);
-        merged.push_back(
-            {frame.lsn, frame.digest, std::move(frame.payload), path});
+        merged.push_back({frame.lsn, std::move(frame.payload)});
       }
     }
   }
@@ -430,7 +399,7 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
   std::vector<WalEntry> tail;
   std::uint64_t expected = after_lsn + 1;
   for (std::size_t i = 0; i < merged.size(); ++i) {
-    PendingFrame& frame = merged[i];
+    const PendingFrame& frame = merged[i];
     if (frame.lsn <= after_lsn) {
       ++st.records_skipped_applied;
       continue;

@@ -3,18 +3,18 @@
 // DriveStateStore state (StreamingIngestor windows, AlertPolicy hysteresis)
 // is a pure function of the raw record sequence fed to it, so durability
 // logs *inputs*, not state deltas: every record the engine is about to
-// apply is first framed into a per-shard append-only segment file under
-// `<dir>/wal/`, tagged with a globally monotonic LSN assigned in drain
-// order. Crash recovery loads the newest valid checkpoint (see
-// checkpoint.hpp) and re-applies the WAL tail through the normal scoring
-// path, which regenerates byte-identical state and alerts.
+// apply is first framed into an append-only segment file under
+// `<dir>/wal/`, tagged with a monotonic LSN assigned in drain order. Crash
+// recovery loads the newest valid checkpoint (see checkpoint.hpp) and
+// re-applies the WAL tail through the normal scoring path, which
+// regenerates byte-identical state and alerts.
 //
 // Frame layout (little-endian, fixed-width — the FNV-1a v2 idiom of
 // ml/serialize applied to binary framing):
 //
 //   u32 magic   "MFWL"            resync marker for corruption scanning
 //   u32 size    payload bytes
-//   u64 lsn     global sequence number
+//   u64 lsn     sequence number
 //   u8  payload[size]
 //   u64 digest  FNV-1a 64 over (size, lsn, payload)
 //
@@ -25,13 +25,17 @@
 // valid frame is mid-stream corruption and recovery refuses loudly: state
 // reconstructed over a hole would silently diverge from the real fleet.
 //
-// Segments: at every checkpoint the writer rotates to a fresh set of
-// per-shard files suffixed with the checkpoint LSN ("shard-000.c42.wal").
-// Segments older than the previous retained checkpoint are deleted, so a
-// corrupt newest checkpoint can still fall back one generation without a
-// WAL gap. Group commit: appends are buffered and fsynced every
-// `group_commit_records` records (and always at checkpoint/shutdown),
-// trading a bounded post-power-loss replay window for throughput.
+// Segments: one file per generation, named for the checkpoint LSN it
+// follows ("c42.wal"). At every checkpoint the writer rotates to a fresh
+// segment; segments older than the previous retained checkpoint are
+// deleted, so a corrupt newest checkpoint can still fall back one
+// generation without a WAL gap. The writer is the engine's single drain
+// thread, and sharding happens above it (net::ShardRouter gives every
+// shard its own durable directory), so one file per generation is all the
+// log needs. Group commit: appends are buffered and written with one
+// write and one fsync every `group_commit_records` records (and always at
+// checkpoint/shutdown), trading a bounded post-power-loss replay window
+// for throughput.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +112,6 @@ void publish_file(const std::string& path, std::string_view contents,
 
 struct WalWriterConfig {
   std::string dir;                        ///< durable root (wal/ lives below)
-  std::size_t shards = 4;                 ///< per-shard segment files
   std::size_t group_commit_records = 256; ///< fsync every N appends (0 = every flush only)
   bool fsync = true;                      ///< false only in throwaway tests
 };
@@ -123,41 +126,38 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Opens the segment files for the generation starting after checkpoint
-  /// `base_lsn` (files are created empty; an existing identical generation
-  /// is truncated — it can only be a remnant of a crashed rotate).
+  /// Opens the segment file for the generation starting after checkpoint
+  /// `base_lsn` (created empty; an existing identical generation is
+  /// truncated — it can only be a remnant of a crashed rotate).
   void open_generation(std::uint64_t base_lsn);
 
-  /// Frames and buffers one record under the next LSN; returns it. The
-  /// record lands on the shard file for its drive. Honors group commit.
+  /// Frames and buffers one record under the next LSN; returns it. Honors
+  /// group commit.
   std::uint64_t append(std::uint64_t drive_id, int vendor,
                        const sim::DailyRecord& record);
 
-  /// Writes buffered frames out and fsyncs every dirty segment.
+  /// Writes buffered frames out and fsyncs the segment if anything was
+  /// written since the last fsync.
   void flush();
 
   /// Flushes, then rotates to a fresh generation after checkpoint
   /// `ckpt_lsn`, deleting segment generations older than `keep_from_lsn`.
   void rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn);
 
-  /// Deletes every WAL segment on disk (recovery finished; fresh start).
+  /// Deletes every `*.wal` file on disk (recovery finished; fresh start)
+  /// and opens generation `base_lsn`.
   void reset(std::uint64_t base_lsn);
 
   std::uint64_t last_lsn() const noexcept { return next_lsn_ - 1; }
   void set_next_lsn(std::uint64_t lsn) noexcept { next_lsn_ = lsn; }
 
  private:
-  struct Segment {
-    int fd = -1;
-    std::string path;
-    std::string pending;   ///< frames not yet written to the fd
-    bool dirty = false;    ///< written but not fsynced
-  };
-
   WalWriterConfig config_;
-  std::vector<Segment> segments_;
+  int fd_ = -1;             ///< open segment, -1 before open_generation
+  std::string path_;
+  std::string pending_;     ///< frames not yet written to the fd
+  bool dirty_ = false;      ///< written but not fsynced
   std::uint64_t next_lsn_ = 1;
-  std::uint64_t generation_ = 0;     ///< base lsn of the open generation
   std::size_t unsynced_records_ = 0;
 
   struct Metrics {
@@ -168,8 +168,7 @@ class WalWriter {
   };
   Metrics metrics_;
 
-  void close_segments();
-  void write_out(Segment& seg);
+  void close_segment();
 };
 
 // --- recovery --------------------------------------------------------------
@@ -185,13 +184,14 @@ struct WalRecoveryStats {
   std::size_t torn_tails = 0;          ///< files with a discarded tail
 };
 
-/// Reads every WAL segment under `<dir>/wal`, validates frames, and merges
-/// them into the LSN-contiguous tail starting at `after_lsn + 1`. Exact
-/// duplicate frames (same LSN, same digest — segment replayed twice) are
-/// dropped; an LSN collision or regression with *different* bytes, and any
-/// mid-stream corruption, throw std::runtime_error with the offending file
-/// and LSN. Records beyond the first LSN gap are discarded (counted): they
-/// were never part of the durable contiguous prefix and the feed will
+/// Reads every WAL segment under `<dir>/wal` (generations ascending; other
+/// file names are ignored), validates frames, and returns the
+/// LSN-contiguous tail starting at `after_lsn + 1`. Exact duplicate frames
+/// (same LSN, same digest — segment replayed twice) are dropped; an LSN
+/// collision or regression with *different* bytes, and any mid-stream
+/// corruption, throw std::runtime_error with the offending file and LSN.
+/// Records beyond the first LSN gap are discarded (counted): they were
+/// never part of the durable contiguous prefix and the feed will
 /// re-deliver them.
 std::vector<WalEntry> recover_wal(const std::string& dir,
                                   std::uint64_t after_lsn,

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 
+#include "common/parallel.hpp"
 #include "sim/event_model.hpp"
 #include "sim/smart_model.hpp"
 
@@ -277,29 +276,10 @@ std::vector<DriveTimeSeries> FleetSimulator::generate_telemetry_chunk(
   begin = std::min(begin, end);
   const std::size_t count = end - begin;
 
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
   std::vector<DriveTimeSeries> generated(count);
-  if (threads <= 1 || count <= 1) {
-    for (std::size_t k = 0; k < count; ++k) {
-      generated[k] = generate_drive_telemetry(drives_[tracked[begin + k]]);
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    const std::size_t workers = std::min(threads, count);
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t k = next.fetch_add(1); k < count;
-             k = next.fetch_add(1)) {
-          generated[k] = generate_drive_telemetry(drives_[tracked[begin + k]]);
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-  }
+  parallel_for_each(count, threads, [&](std::size_t k) {
+    generated[k] = generate_drive_telemetry(drives_[tracked[begin + k]]);
+  });
   std::vector<DriveTimeSeries> out;
   out.reserve(generated.size());
   for (auto& series : generated) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -231,24 +233,6 @@ TEST(Usage, DocumentsObservabilityFlags) {
   EXPECT_NE(text.find("--metrics-out"), std::string::npos);
 }
 
-TEST(Usage, DocumentsCompiledInferenceFlag) {
-  const std::string text = usage();
-  EXPECT_NE(text.find("--no-flat"), std::string::npos);
-}
-
-TEST(Usage, DocumentsSimdFlag) {
-  const std::string text = usage();
-  EXPECT_NE(text.find("--simd=auto|scalar|avx2"), std::string::npos);
-}
-
-TEST(ServeReplayCommand, RejectsBadSimdValue) {
-  std::ostringstream out, err;
-  EXPECT_NE(run_command(parse_command_line({"serve-replay", "--simd=sse9"}),
-                        out, err),
-            0);
-  EXPECT_NE(err.str().find("--simd"), std::string::npos);
-}
-
 TEST(Usage, DocumentsShardedServing) {
   const std::string text = usage();
   EXPECT_NE(text.find("fleet-replay"), std::string::npos);
@@ -281,6 +265,27 @@ TEST(FleetReplayCommand, RejectsBadChunkAndSeed) {
                         out, err),
             1);
   EXPECT_NE(err.str().find("--seed"), std::string::npos);
+}
+
+void expect_usage_error(const std::vector<std::string>& args,
+                        const std::string& flag) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_command(parse_command_line(args), out, err), 1) << flag;
+  EXPECT_NE(err.str().find(flag), std::string::npos) << err.str();
+}
+
+// Integer flags are range-checked before any work: a negative count, a
+// fraction or an out-of-range port is a usage error naming the flag.
+TEST(RunCommand, RejectsOutOfRangeIntegerFlags) {
+  expect_usage_error({"serve-replay", "--batch=-1"}, "--batch");
+  expect_usage_error({"serve-replay", "--queue-capacity=2.5"},
+                     "--queue-capacity");
+  expect_usage_error({"fleet-replay", "--kill-after=-3"}, "--kill-after");
+  const std::string registry =
+      ::testing::TempDir() + "/mfpa_cli_int_flags_registry";
+  expect_usage_error({"shard-serve", "--shard-index=0", "--shard-count=1",
+                      "--registry=" + registry, "--port=70000"},
+                     "--port");
 }
 
 TEST(RunCommand, SimulateScaleOverride) {

@@ -81,6 +81,11 @@ TEST(GridSearch, UnknownAlgorithmThrows) {
   EXPECT_THROW(
       grid_search("NoSuchAlgo", {}, {}, X, y, kfold_splits(2, 2, 1)),
       std::invalid_argument);
+  // The same error thrown on a worker thread reaches the caller.
+  const ParamGrid two_points{{"seed", {1.0, 2.0}}};
+  EXPECT_THROW(grid_search("NoSuchAlgo", {}, two_points, X, y,
+                           kfold_splits(2, 2, 1), CvMetric::kAuc, 2),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -67,19 +67,6 @@ void expect_all_tiers_identical(const FlatForest& flat, const data::Matrix& X) {
   expect_bit_identical(scalar, flat.predict(X));
 }
 
-TEST(SimdDispatch, ParseFlagValues) {
-  std::optional<SimdLevel> level;
-  EXPECT_TRUE(parse_simd_level("auto", level));
-  EXPECT_FALSE(level.has_value());
-  EXPECT_TRUE(parse_simd_level("scalar", level));
-  EXPECT_EQ(level, SimdLevel::kScalar);
-  EXPECT_FALSE(parse_simd_level("neon", level));
-  EXPECT_TRUE(parse_simd_level("avx2", level));
-  EXPECT_EQ(level, SimdLevel::kAvx2);
-  EXPECT_FALSE(parse_simd_level("sse9", level));
-  EXPECT_FALSE(parse_simd_level("", level));
-}
-
 TEST(SimdDispatch, RoundTripNames) {
   EXPECT_EQ(to_string(SimdLevel::kScalar), "scalar");
   EXPECT_EQ(to_string(SimdLevel::kAvx2), "avx2");

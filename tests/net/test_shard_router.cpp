@@ -150,5 +150,40 @@ TEST(ShardRouter, ResumeRecordsZeroWithoutDurability) {
   router.stop();
 }
 
+/// A 2-shard durable router whose final checkpoints cannot be published:
+/// its durable root is deleted while the shards run.
+ShardRouterConfig doomed_durable_config(const fs::path& dir) {
+  ShardRouterConfig config;
+  config.shards = 2;
+  config.durable_root = (dir / "durable").string();
+  config.engine.durability.fsync = false;  // throwaway tmpdir
+  return config;
+}
+
+TEST(ShardRouter, DestructorSurvivesFailedFinalCheckpoint) {
+  const fs::path dir = test_dir();
+  fs::remove_all(dir);
+  serve::ModelRegistry registry((dir / "registry").string());
+  const ShardRouterConfig config = doomed_durable_config(dir);
+  {
+    ShardRouter router(registry, config);
+    fs::remove_all(config.durable_root);
+  }  // an exception escaping ~ShardRouter would terminate the process here
+  fs::remove_all(dir);
+}
+
+TEST(ShardRouter, StopStopsEveryShardThenRethrows) {
+  const fs::path dir = test_dir();
+  fs::remove_all(dir);
+  serve::ModelRegistry registry((dir / "registry").string());
+  const ShardRouterConfig config = doomed_durable_config(dir);
+  ShardRouter router(registry, config);
+  fs::remove_all(config.durable_root);
+  EXPECT_THROW(router.stop(), std::runtime_error);
+  // Shard 0 failed first; shard 1 was still stopped and now sheds.
+  EXPECT_FALSE(router.shard(1).submit(serve::TelemetryUpdate{}));
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace mfpa::net

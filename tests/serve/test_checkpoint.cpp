@@ -32,12 +32,6 @@ std::string store_image(const DriveStateStore& store) {
   return os.str();
 }
 
-StoreConfig store_config() {
-  StoreConfig config;
-  config.shards = 2;
-  return config;
-}
-
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -52,7 +46,6 @@ class CheckpointTest : public ::testing::Test {
   DurabilityConfig durability_config() const {
     DurabilityConfig config;
     config.dir = dir_.string();
-    config.wal_shards = 2;
     config.fsync = false;  // throwaway tmpdir
     config.checkpoint_interval_records = 0;  // explicit checkpoints only
     return config;
@@ -77,7 +70,7 @@ class CheckpointTest : public ::testing::Test {
 };
 
 TEST_F(CheckpointTest, CheckpointFileRoundTrips) {
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> rows;
   for (int day = 0; day < 12; ++day) {
     store.ingest(7, 0, make_record(day, 2.0f), rows);
@@ -91,14 +84,14 @@ TEST_F(CheckpointTest, CheckpointFileRoundTrips) {
   EXPECT_EQ(image.model_version, 3);
   EXPECT_EQ(image.store_state, store_image(store));
 
-  DriveStateStore restored(store_config());
+  DriveStateStore restored(StoreConfig{});
   std::istringstream is(image.store_state);
   restored.load_state(is);
   EXPECT_EQ(store_image(restored), store_image(store));
 }
 
 TEST_F(CheckpointTest, CorruptPayloadIsRejected) {
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   const std::string path = (dir_ / "ckpt-1.mfc").string();
   write_checkpoint_file(path, store, 1, 0, 1, /*fsync=*/false);
 
@@ -117,7 +110,7 @@ TEST_F(CheckpointTest, CorruptPayloadIsRejected) {
 }
 
 TEST_F(CheckpointTest, ListCheckpointsSortsByLsnNumerically) {
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   fs::create_directories(dir_ / "ckpt");
   for (const std::uint64_t lsn : {512u, 4096u, 40u}) {
     write_checkpoint_file((dir_ / "ckpt" / ("ckpt-" + std::to_string(lsn) +
@@ -134,7 +127,7 @@ TEST_F(CheckpointTest, ListCheckpointsSortsByLsnNumerically) {
 TEST_F(CheckpointTest, FullCycleCheckpointThenRecover) {
   std::string live_image;
   {
-    DriveStateStore store(store_config());
+    DriveStateStore store(StoreConfig{});
     DurabilityManager manager(durability_config());
     const auto fresh = manager.recover(store, 1);
     EXPECT_FALSE(fresh.checkpoint_loaded);
@@ -151,7 +144,7 @@ TEST_F(CheckpointTest, FullCycleCheckpointThenRecover) {
   }
   // "Crash": nothing sealed after the flush. A fresh manager must land the
   // checkpoint plus a 12-record WAL tail.
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   DurabilityManager manager(durability_config());
   const auto recovered = manager.recover(store, 1);
   EXPECT_TRUE(recovered.checkpoint_loaded);
@@ -175,7 +168,7 @@ TEST_F(CheckpointTest, FullCycleCheckpointThenRecover) {
 
 TEST_F(CheckpointTest, RecoveryIsIdempotent) {
   {
-    DriveStateStore store(store_config());
+    DriveStateStore store(StoreConfig{});
     DurabilityManager manager(durability_config());
     manager.recover(store, 2);
     manager.finish_recovery(store, 2);
@@ -186,7 +179,7 @@ TEST_F(CheckpointTest, RecoveryIsIdempotent) {
   for (int round = 0; round < 2; ++round) {
     // Recover, seal, and crash again without appending anything: every
     // round must land on the identical state and LSN.
-    DriveStateStore store(store_config());
+    DriveStateStore store(StoreConfig{});
     DurabilityManager manager(durability_config());
     const auto recovered = manager.recover(store, 2);
     EXPECT_TRUE(recovered.checkpoint_loaded);
@@ -203,7 +196,7 @@ TEST_F(CheckpointTest, RecoveryIsIdempotent) {
 
 TEST_F(CheckpointTest, FallsBackToOlderCheckpointWhenNewestIsCorrupt) {
   {
-    DriveStateStore store(store_config());
+    DriveStateStore store(StoreConfig{});
     DurabilityManager manager(durability_config());
     manager.recover(store, 1);
     manager.finish_recovery(store, 1);
@@ -222,7 +215,7 @@ TEST_F(CheckpointTest, FallsBackToOlderCheckpointWhenNewestIsCorrupt) {
     f.seekp(30);
     f.put('\x7f');
   }
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   DurabilityManager manager(durability_config());
   const auto recovered = manager.recover(store, 1);
   EXPECT_TRUE(recovered.checkpoint_loaded);
@@ -234,7 +227,7 @@ TEST_F(CheckpointTest, FallsBackToOlderCheckpointWhenNewestIsCorrupt) {
 
 TEST_F(CheckpointTest, RefusesWhenEveryCheckpointIsCorrupt) {
   {
-    DriveStateStore store(store_config());
+    DriveStateStore store(StoreConfig{});
     DurabilityManager manager(durability_config());
     manager.recover(store, 1);
     manager.finish_recovery(store, 1);
@@ -246,21 +239,21 @@ TEST_F(CheckpointTest, RefusesWhenEveryCheckpointIsCorrupt) {
     f.seekp(25);
     f.put('\x7f');
   }
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   DurabilityManager manager(durability_config());
   EXPECT_THROW(manager.recover(store, 1), std::runtime_error);
 }
 
 TEST_F(CheckpointTest, ModelVersionMismatchRefusesLoudly) {
   {
-    DriveStateStore store(store_config());
+    DriveStateStore store(StoreConfig{});
     DurabilityManager manager(durability_config());
     manager.recover(store, 4);
     manager.finish_recovery(store, 4);
     feed(manager, store, 1, 3, 0);
     manager.checkpoint_now(store, 4);
   }
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   DurabilityManager manager(durability_config());
   EXPECT_THROW(manager.recover(store, 5), std::runtime_error);
 }
@@ -270,7 +263,6 @@ TEST_F(CheckpointTest, WalOnlyStartReplaysEverything) {
     // A writer that never checkpoints: the durable state is the WAL alone.
     WalWriterConfig config;
     config.dir = dir_.string();
-    config.shards = 2;
     config.fsync = false;
     WalWriter writer(config);
     writer.open_generation(0);
@@ -280,7 +272,7 @@ TEST_F(CheckpointTest, WalOnlyStartReplaysEverything) {
     }
     writer.flush();
   }
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   DurabilityManager manager(durability_config());
   const auto recovered = manager.recover(store, 1);
   EXPECT_FALSE(recovered.checkpoint_loaded);
@@ -289,7 +281,7 @@ TEST_F(CheckpointTest, WalOnlyStartReplaysEverything) {
 }
 
 TEST_F(CheckpointTest, RetainsOnlyTwoNewestCheckpoints) {
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   DurabilityManager manager(durability_config());
   manager.recover(store, 1);
   manager.finish_recovery(store, 1);
@@ -303,7 +295,7 @@ TEST_F(CheckpointTest, RetainsOnlyTwoNewestCheckpoints) {
 }
 
 TEST_F(CheckpointTest, AppendBeforeFinishRecoveryIsAContractViolation) {
-  DriveStateStore store(store_config());
+  DriveStateStore store(StoreConfig{});
   DurabilityManager manager(durability_config());
   manager.recover(store, 1);
   EXPECT_THROW(manager.append(1, 0, make_record(0, 1.0f)), std::logic_error);

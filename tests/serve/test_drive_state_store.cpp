@@ -15,14 +15,8 @@ sim::DailyRecord raw_record(DayIndex day, float poh = 0.0f) {
   return r;
 }
 
-StoreConfig small_config(std::size_t shards = 2) {
-  StoreConfig config;
-  config.shards = shards;
-  return config;
-}
-
 TEST(DriveStateStore, WithholdsRowsUntilSegmentUsable) {
-  DriveStateStore store(small_config());
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   store.ingest(7, 0, raw_record(10), out);
   store.ingest(7, 0, raw_record(11), out);
@@ -35,7 +29,7 @@ TEST(DriveStateStore, WithholdsRowsUntilSegmentUsable) {
 }
 
 TEST(DriveStateStore, EmitsIncrementallyAfterCatchUp) {
-  DriveStateStore store(small_config());
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   for (DayIndex day = 10; day <= 12; ++day) store.ingest(7, 0, raw_record(day), out);
   out.clear();
@@ -46,7 +40,7 @@ TEST(DriveStateStore, EmitsIncrementallyAfterCatchUp) {
 }
 
 TEST(DriveStateStore, GapFillRowsAreEmitted) {
-  DriveStateStore store(small_config());
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   for (DayIndex day = 10; day <= 12; ++day) store.ingest(7, 0, raw_record(day), out);
   out.clear();
@@ -60,7 +54,7 @@ TEST(DriveStateStore, GapFillRowsAreEmitted) {
 }
 
 TEST(DriveStateStore, LongGapRestartsSegmentAndEmission) {
-  DriveStateStore store(small_config());
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   for (DayIndex day = 10; day <= 13; ++day) store.ingest(7, 0, raw_record(day), out);
   out.clear();
@@ -76,7 +70,7 @@ TEST(DriveStateStore, LongGapRestartsSegmentAndEmission) {
 }
 
 TEST(DriveStateStore, CumulativeCountersSurviveCompaction) {
-  StoreConfig config = small_config();
+  StoreConfig config;
   config.max_records_per_drive = 4;
   DriveStateStore store(config);
   std::vector<PendingRow> out;
@@ -92,9 +86,8 @@ TEST(DriveStateStore, CumulativeCountersSurviveCompaction) {
   }
 }
 
-TEST(DriveStateStore, ShardsAreIndependent) {
-  DriveStateStore store(small_config(4));
-  EXPECT_EQ(store.shard_count(), 4u);
+TEST(DriveStateStore, ManyDrivesTrackedIndependently) {
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   for (std::uint64_t drive = 0; drive < 32; ++drive) {
     for (DayIndex day = 10; day <= 12; ++day) {
@@ -109,14 +102,14 @@ TEST(DriveStateStore, ShardsAreIndependent) {
 }
 
 TEST(DriveStateStore, StrictModePropagatesDayOrderViolations) {
-  DriveStateStore store(small_config());
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   store.ingest(7, 0, raw_record(10), out);
   EXPECT_THROW(store.ingest(7, 0, raw_record(10), out), std::invalid_argument);
 }
 
 TEST(DriveStateStore, LenientModeAbsorbsAndAccounts) {
-  StoreConfig config = small_config();
+  StoreConfig config;
   config.preprocess.robustness.mode = IngestMode::kLenient;
   DriveStateStore store(config);
   std::vector<PendingRow> out;
@@ -127,7 +120,7 @@ TEST(DriveStateStore, LenientModeAbsorbsAndAccounts) {
 }
 
 TEST(DriveStateStore, AlertHysteresisMatchesPolicy) {
-  DriveStateStore store(small_config());
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   for (DayIndex day = 10; day <= 12; ++day) store.ingest(7, 0, raw_record(day), out);
   core::AlertPolicy policy;
@@ -143,7 +136,7 @@ TEST(DriveStateStore, AlertHysteresisMatchesPolicy) {
 }
 
 TEST(DriveStateStore, SegmentChangeResetsHysteresisAtScoringTime) {
-  DriveStateStore store(small_config());
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   for (DayIndex day = 10; day <= 12; ++day) {
     store.ingest(7, 0, raw_record(day), out);
@@ -162,7 +155,7 @@ TEST(DriveStateStore, SegmentChangeResetsHysteresisAtScoringTime) {
 }
 
 TEST(DriveStateStore, AlertCooldownSilencesRepeats) {
-  DriveStateStore store(small_config());
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   for (DayIndex day = 10; day <= 12; ++day) store.ingest(7, 0, raw_record(day), out);
   core::AlertPolicy policy;
@@ -174,7 +167,7 @@ TEST(DriveStateStore, AlertCooldownSilencesRepeats) {
 }
 
 TEST(DriveStateStore, ShouldAlertForUnknownDriveThrows) {
-  DriveStateStore store(small_config());
+  DriveStateStore store(StoreConfig{});
   EXPECT_THROW(store.should_alert(99, 10, 1, true, core::AlertPolicy{}),
                std::logic_error);
 }

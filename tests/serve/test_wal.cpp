@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace mfpa::serve {
 namespace {
@@ -51,12 +54,20 @@ class WalTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  WalWriterConfig writer_config(std::size_t shards = 2) const {
+  WalWriterConfig writer_config() const {
     WalWriterConfig config;
     config.dir = dir_.string();
-    config.shards = shards;
     config.fsync = false;  // throwaway tmpdir
     return config;
+  }
+
+  std::vector<std::string> wal_file_names() const {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir_ / "wal")) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
   }
 
   fs::path dir_;
@@ -131,8 +142,8 @@ TEST_F(WalTest, MidStreamCorruptionThrows) {
   EXPECT_THROW(scan_frames(path), std::runtime_error);
 }
 
-TEST_F(WalTest, WriterRecoverRoundTripAcrossShards) {
-  WalWriter writer(writer_config(3));
+TEST_F(WalTest, WriterRecoverRoundTrip) {
+  WalWriter writer(writer_config());
   writer.open_generation(0);
   std::vector<std::uint64_t> lsns;
   for (int i = 0; i < 40; ++i) {
@@ -152,6 +163,27 @@ TEST_F(WalTest, WriterRecoverRoundTripAcrossShards) {
   }
   EXPECT_EQ(stats.records_replayable, 40u);
   EXPECT_EQ(stats.torn_tails, 0u);
+}
+
+TEST_F(WalTest, OneSegmentFileAndOneFsyncPerGroupCommit) {
+  auto isolated = obs::MetricsRegistry::create_isolated();
+  obs::ScopedMetricsOverride override_metrics(*isolated);
+  WalWriterConfig config = writer_config();
+  config.group_commit_records = 8;
+  config.fsync = true;
+  {
+    WalWriter writer(config);
+    writer.open_generation(0);
+    // 32 records, each from a different drive: every drive lands in the
+    // generation's one file, and each group of 8 is one write + one fsync.
+    for (int i = 0; i < 32; ++i) {
+      writer.append(static_cast<std::uint64_t>(2 * i + 1), 0,
+                    make_record(10 + i, 1.0f));
+    }
+  }
+  EXPECT_EQ(wal_file_names(), std::vector<std::string>{"c0.wal"});
+  EXPECT_EQ(isolated->counter("mfpa_wal_fsyncs_total").value(), 4u);
+  EXPECT_EQ(recover_wal(dir_.string(), 0).size(), 32u);
 }
 
 TEST_F(WalTest, RecoverSkipsRecordsCoveredByCheckpoint) {
@@ -185,13 +217,14 @@ TEST_F(WalTest, ZeroLengthSegmentIsHarmless) {
     writer.append(static_cast<std::uint64_t>(i + 1), 0, make_record(i, 1.0f));
   }
   writer.flush();
-  write_bytes((dir_ / "wal" / "shard-999.c0.wal").string(), "");
+  // The empty next generation a rotate leaves before its first append.
+  write_bytes((dir_ / "wal" / "c8.wal").string(), "");
   const auto tail = recover_wal(dir_.string(), 0);
   EXPECT_EQ(tail.size(), 8u);
 }
 
 TEST_F(WalTest, ExactDuplicateFramesAreDropped) {
-  WalWriter writer(writer_config(1));
+  WalWriter writer(writer_config());
   writer.open_generation(0);
   for (int i = 0; i < 6; ++i) {
     writer.append(static_cast<std::uint64_t>(i + 1), 0, make_record(i, 1.0f));
@@ -220,7 +253,7 @@ TEST_F(WalTest, LsnCollisionWithDifferentBytesThrows) {
   std::string buf;
   append_frame(buf, 1, "one payload");
   append_frame(buf, 1, "a different payload");  // same LSN, different bytes
-  write_bytes((dir_ / "wal" / "shard-000.c0.wal").string(), buf);
+  write_bytes((dir_ / "wal" / "c0.wal").string(), buf);
   EXPECT_THROW(recover_wal(dir_.string(), 0), std::runtime_error);
 }
 
@@ -229,9 +262,9 @@ TEST_F(WalTest, RecordsBeyondAnLsnGapAreDiscarded) {
   std::string buf;
   append_frame(buf, 1, encode_wal_payload(1, 0, make_record(1, 1.0f)));
   append_frame(buf, 2, encode_wal_payload(2, 0, make_record(2, 1.0f)));
-  // LSN 3 lost with its shard file; 4 survives but is past the gap.
+  // LSN 3 never reached the file; 4 survives but is past the gap.
   append_frame(buf, 4, encode_wal_payload(4, 0, make_record(4, 1.0f)));
-  write_bytes((dir_ / "wal" / "shard-000.c0.wal").string(), buf);
+  write_bytes((dir_ / "wal" / "c0.wal").string(), buf);
   WalRecoveryStats stats;
   const auto tail = recover_wal(dir_.string(), 0, &stats);
   ASSERT_EQ(tail.size(), 2u);
@@ -240,7 +273,7 @@ TEST_F(WalTest, RecordsBeyondAnLsnGapAreDiscarded) {
 }
 
 TEST_F(WalTest, RotateRetainsFallbackGenerationAndDropsOlder) {
-  WalWriter writer(writer_config(1));
+  WalWriter writer(writer_config());
   writer.open_generation(0);
   writer.append(1, 0, make_record(1, 1.0f));
   writer.rotate(/*ckpt_lsn=*/1, /*keep_from_lsn=*/0);   // gen c0 retained
@@ -249,14 +282,8 @@ TEST_F(WalTest, RotateRetainsFallbackGenerationAndDropsOlder) {
   writer.append(3, 0, make_record(3, 1.0f));
   writer.flush();
 
-  std::vector<std::string> names;
-  for (const auto& entry : fs::directory_iterator(dir_ / "wal")) {
-    names.push_back(entry.path().filename().string());
-  }
-  EXPECT_EQ(names.size(), 2u);  // generations c1 and c2
-  for (const auto& name : names) {
-    EXPECT_EQ(name.find(".c0."), std::string::npos) << name;
-  }
+  // Generation c0 is gone; c1 (the fallback) and c2 remain.
+  EXPECT_EQ(wal_file_names(), (std::vector<std::string>{"c1.wal", "c2.wal"}));
   // All three records still recoverable from the retained generations.
   const auto tail = recover_wal(dir_.string(), 1);
   ASSERT_EQ(tail.size(), 2u);

@@ -292,7 +292,7 @@ TEST_F(DiskFaultTest, DiskModePredicatesArePartitioned) {
 }
 
 TEST_F(DiskFaultTest, TornFinalWriteTrimsTrailingBytes) {
-  const auto path = make_file("wal/shard-000.c0.wal", 500);
+  const auto path = make_file("wal/c0.wal", 500);
   const std::string before = bytes_of(path);
   FaultInjector injector({{{FaultMode::kTornFinalWrite, 1.0}}, 31});
   injector.corrupt_file(path.string(), FaultMode::kTornFinalWrite);
@@ -304,7 +304,7 @@ TEST_F(DiskFaultTest, TornFinalWriteTrimsTrailingBytes) {
 }
 
 TEST_F(DiskFaultTest, BitFlipChangesExactlyOneBit) {
-  const auto path = make_file("wal/shard-000.c0.wal", 300);
+  const auto path = make_file("wal/c0.wal", 300);
   const std::string before = bytes_of(path);
   FaultInjector injector({{{FaultMode::kBitFlip, 1.0}}, 37});
   injector.corrupt_file(path.string(), FaultMode::kBitFlip);
@@ -322,7 +322,7 @@ TEST_F(DiskFaultTest, BitFlipChangesExactlyOneBit) {
 }
 
 TEST_F(DiskFaultTest, DuplicateSegmentDoublesTheFile) {
-  const auto path = make_file("wal/shard-001.c0.wal", 200);
+  const auto path = make_file("wal/c0.wal", 200);
   const std::string before = bytes_of(path);
   FaultInjector injector({{{FaultMode::kDuplicateSegment, 1.0}}, 41});
   injector.corrupt_file(path.string(), FaultMode::kDuplicateSegment);
@@ -333,19 +333,18 @@ TEST_F(DiskFaultTest, DuplicateSegmentDoublesTheFile) {
 TEST_F(DiskFaultTest, StaleCheckpointDeletesOnlyTheNewest) {
   make_file("ckpt/ckpt-512.mfc", 64);
   make_file("ckpt/ckpt-4096.mfc", 64);  // numerically newest, lex. smallest
-  make_file("wal/shard-000.c4096.wal", 64);
+  make_file("wal/c4096.wal", 64);
   FaultInjector injector({{{FaultMode::kStaleCheckpoint, 1.0}}, 43});
   EXPECT_EQ(injector.corrupt_durable_dir(dir_.string()), 1u);
   EXPECT_FALSE(fs::exists(dir_ / "ckpt" / "ckpt-4096.mfc"));
   EXPECT_TRUE(fs::exists(dir_ / "ckpt" / "ckpt-512.mfc"));
-  EXPECT_TRUE(fs::exists(dir_ / "wal" / "shard-000.c4096.wal"));
+  EXPECT_TRUE(fs::exists(dir_ / "wal" / "c4096.wal"));
 }
 
 TEST_F(DiskFaultTest, DurableDirSweepIsDeterministic) {
   auto populate = [&](const fs::path& root) {
-    for (const char* rel :
-         {"wal/shard-000.c0.wal", "wal/shard-001.c0.wal",
-          "ckpt/ckpt-10.mfc", "ckpt/ckpt-20.mfc"}) {
+    for (const char* rel : {"wal/c0.wal", "wal/c10.wal", "ckpt/ckpt-10.mfc",
+                            "ckpt/ckpt-20.mfc"}) {
       fs::create_directories((root / rel).parent_path());
       std::ofstream os(root / rel, std::ios::binary);
       for (int i = 0; i < 400; ++i) os.put(static_cast<char>('a' + i % 17));
@@ -366,14 +365,13 @@ TEST_F(DiskFaultTest, DurableDirSweepIsDeterministic) {
   EXPECT_EQ(injected_a, injected_b);
   ASSERT_GT(injected_a, 0u);
   for (const char* rel :
-       {"wal/shard-000.c0.wal", "wal/shard-001.c0.wal", "ckpt/ckpt-10.mfc",
-        "ckpt/ckpt-20.mfc"}) {
+       {"wal/c0.wal", "wal/c10.wal", "ckpt/ckpt-10.mfc", "ckpt/ckpt-20.mfc"}) {
     EXPECT_EQ(bytes_of(dir_ / rel), bytes_of(other / rel)) << rel;
   }
 }
 
 TEST_F(DiskFaultTest, ZeroRatePlanTouchesNothing) {
-  const auto wal = make_file("wal/shard-000.c0.wal", 128);
+  const auto wal = make_file("wal/c0.wal", 128);
   const auto ckpt = make_file("ckpt/ckpt-5.mfc", 128);
   const std::string wal_before = bytes_of(wal);
   const std::string ckpt_before = bytes_of(ckpt);
