@@ -1,6 +1,7 @@
-// The thread-count convention and the work-stealing loop shared by forest
-// training, grid search and telemetry generation. (ml/parallel_for.hpp
-// builds the block-partitioned inference loop on the same convention.)
+// The thread-count convention and the one worker pool of the tree: a
+// work-stealing loop (forest training, grid search, telemetry generation)
+// and the block-partitioned loop built on it (batch inference, the GBDT
+// round update).
 #pragma once
 
 #include <algorithm>
@@ -59,6 +60,19 @@ void parallel_for_each(std::size_t n, std::size_t threads, Fn&& fn) {
   }
   for (auto& t : pool) t.join();
   if (error) std::rethrow_exception(error);
+}
+
+/// Calls fn(begin, end) over [0, n) split into one contiguous block per
+/// worker, [w*n/W, (w+1)*n/W) for W = min(resolve_threads(threads), n). The
+/// partition depends only on (n, W) and each index is in exactly one block,
+/// so results are thread-count invariant whenever fn(i) is independent of
+/// fn(j). Exceptions propagate as in parallel_for_each.
+template <typename Fn>
+void parallel_for_blocks(std::size_t n, std::size_t threads, Fn&& fn) {
+  const std::size_t workers = std::min(resolve_threads(threads), n);
+  parallel_for_each(workers, workers, [&](std::size_t w) {
+    fn(w * n / workers, (w + 1) * n / workers);
+  });
 }
 
 }  // namespace mfpa

@@ -19,6 +19,49 @@ std::string firmware_version_string(int vendor, unsigned firmware_index) {
   return cfg.name + "_F_" + std::to_string(firmware_index + 1);
 }
 
+void append_processed(std::vector<ProcessedRecord>& segment,
+                      const sim::DailyRecord& raw, int vendor, int fill_gap,
+                      std::array<double, sim::kNumWindowsEvents>& w_cum,
+                      std::array<double, sim::kNumBsodCodes>& b_cum) {
+  ProcessedRecord rec;
+  rec.day = raw.day;
+  for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
+    rec.smart[a] = static_cast<double>(raw.smart[a]);
+  }
+  rec.firmware = firmware_version_string(vendor, raw.firmware_index);
+  for (std::size_t i = 0; i < sim::kNumWindowsEvents; ++i) {
+    w_cum[i] += static_cast<double>(raw.w[i]);
+  }
+  for (std::size_t i = 0; i < sim::kNumBsodCodes; ++i) {
+    b_cum[i] += static_cast<double>(raw.b[i]);
+  }
+  rec.w_cum = w_cum;
+  rec.b_cum = b_cum;
+
+  const int gap = segment.empty() ? 1 : raw.day - segment.back().day;
+  if (gap >= 2 && gap <= fill_gap) {
+    const ProcessedRecord prev = segment.back();  // copy: the loop reallocates
+    for (int d = 1; d < gap; ++d) {
+      const double t = static_cast<double>(d) / static_cast<double>(gap);
+      ProcessedRecord fill;
+      fill.day = prev.day + d;
+      fill.synthetic = true;
+      fill.firmware = prev.firmware;
+      for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
+        fill.smart[a] = prev.smart[a] + t * (rec.smart[a] - prev.smart[a]);
+      }
+      for (std::size_t w = 0; w < sim::kNumWindowsEvents; ++w) {
+        fill.w_cum[w] = prev.w_cum[w] + t * (rec.w_cum[w] - prev.w_cum[w]);
+      }
+      for (std::size_t b = 0; b < sim::kNumBsodCodes; ++b) {
+        fill.b_cum[b] = prev.b_cum[b] + t * (rec.b_cum[b] - prev.b_cum[b]);
+      }
+      segment.push_back(std::move(fill));
+    }
+  }
+  segment.push_back(std::move(rec));
+}
+
 ProcessedDrive Preprocessor::process_drive(const sim::DriveTimeSeries& series,
                                            IngestStats* ingest) const {
   if (!config_.robustness.lenient()) return process_well_formed(series);
@@ -95,29 +138,7 @@ ProcessedDrive Preprocessor::process_well_formed(
 
   // 2. Keep only the most recent segment that is long enough to be usable
   // ("remove the data with a long interval", §III-C(1)); everything before
-  // it is dropped. Cumulative W/B counters run across the kept sequence.
-  std::array<double, sim::kNumWindowsEvents> w_cum{};
-  std::array<double, sim::kNumBsodCodes> b_cum{};
-
-  auto to_processed = [&](const sim::DailyRecord& raw) {
-    ProcessedRecord rec;
-    rec.day = raw.day;
-    for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
-      rec.smart[a] = static_cast<double>(raw.smart[a]);
-    }
-    rec.firmware = firmware_version_string(series.vendor, raw.firmware_index);
-    for (std::size_t i = 0; i < sim::kNumWindowsEvents; ++i) {
-      w_cum[i] += static_cast<double>(raw.w[i]);
-    }
-    for (std::size_t i = 0; i < sim::kNumBsodCodes; ++i) {
-      b_cum[i] += static_cast<double>(raw.b[i]);
-    }
-    rec.w_cum = w_cum;
-    rec.b_cum = b_cum;
-    return rec;
-  };
-
-  // Pick the last segment meeting the minimum-length requirement.
+  // it is dropped. Pick the last segment meeting the minimum length.
   std::size_t chosen = segments.size();
   for (std::size_t s = segments.size(); s-- > 0;) {
     if (segments[s].second - segments[s].first >=
@@ -133,43 +154,14 @@ ProcessedDrive Preprocessor::process_well_formed(
   out.dropped_records = segments[chosen].first +
                         (series.records.size() - segments[chosen].second);
 
+  // 3. Convert the kept segment (cumulative W/B counters run across it)
+  // and repair its short gaps.
+  std::array<double, sim::kNumWindowsEvents> w_cum{};
+  std::array<double, sim::kNumBsodCodes> b_cum{};
   const auto [seg_lo, seg_hi] = segments[chosen];
   for (std::size_t i = seg_lo; i < seg_hi; ++i) {
-    const auto& raw = series.records[i];
-    // 3. Short-gap repair: synthesize records for missing days between the
-    // previous kept record and this one when the gap is small.
-    if (!out.records.empty()) {
-      const ProcessedRecord prev = out.records.back();  // copy: loop reallocates
-      const int gap = raw.day - prev.day;
-      if (gap >= 2 && gap <= config_.fill_gap) {
-        // Interpolated SMART; cumulative W/B advance linearly toward the
-        // values they will reach at this record.
-        ProcessedRecord next_actual = to_processed(raw);
-        for (int d = 1; d < gap; ++d) {
-          const double t = static_cast<double>(d) / static_cast<double>(gap);
-          ProcessedRecord fill;
-          fill.day = prev.day + d;
-          fill.synthetic = true;
-          fill.firmware = prev.firmware;
-          for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
-            fill.smart[a] =
-                prev.smart[a] + t * (next_actual.smart[a] - prev.smart[a]);
-          }
-          for (std::size_t w = 0; w < sim::kNumWindowsEvents; ++w) {
-            fill.w_cum[w] =
-                prev.w_cum[w] + t * (next_actual.w_cum[w] - prev.w_cum[w]);
-          }
-          for (std::size_t b = 0; b < sim::kNumBsodCodes; ++b) {
-            fill.b_cum[b] =
-                prev.b_cum[b] + t * (next_actual.b_cum[b] - prev.b_cum[b]);
-          }
-          out.records.push_back(std::move(fill));
-        }
-        out.records.push_back(std::move(next_actual));
-        continue;
-      }
-    }
-    out.records.push_back(to_processed(raw));
+    append_processed(out.records, series.records[i], series.vendor,
+                     config_.fill_gap, w_cum, b_cum);
   }
   return out;
 }

@@ -77,6 +77,18 @@ struct PreprocessStats {
 /// consecutive names).
 std::string firmware_version_string(int vendor, unsigned firmware_index);
 
+/// Appends the cleaned form of `raw`, the next record of one segment, to
+/// `segment`: first the short-gap fill — when `raw` follows segment.back()
+/// by 2..fill_gap days, one synthetic record per missing day, SMART and
+/// cumulative W/B interpolated linearly toward `raw` — then `raw` itself,
+/// after advancing the segment's running `w_cum` / `b_cum` by its daily
+/// counts. The one record conversion of the batch Preprocessor and
+/// StreamingIngestor, so both produce identical records.
+void append_processed(std::vector<ProcessedRecord>& segment,
+                      const sim::DailyRecord& raw, int vendor, int fill_gap,
+                      std::array<double, sim::kNumWindowsEvents>& w_cum,
+                      std::array<double, sim::kNumBsodCodes>& b_cum);
+
 class Preprocessor {
  public:
   explicit Preprocessor(PreprocessConfig config = {}) : config_(config) {}

@@ -25,25 +25,6 @@ StreamingIngestor::StreamingIngestor(std::uint64_t drive_id, int vendor,
       &reg.counter("mfpa_stream_segments_restarted_total");
 }
 
-ProcessedRecord StreamingIngestor::convert(const sim::DailyRecord& raw) {
-  // Mirrors the batch Preprocessor's to_processed exactly.
-  ProcessedRecord rec;
-  rec.day = raw.day;
-  for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
-    rec.smart[a] = static_cast<double>(raw.smart[a]);
-  }
-  rec.firmware = firmware_version_string(vendor_, raw.firmware_index);
-  for (std::size_t i = 0; i < sim::kNumWindowsEvents; ++i) {
-    w_cum_[i] += static_cast<double>(raw.w[i]);
-  }
-  for (std::size_t i = 0; i < sim::kNumBsodCodes; ++i) {
-    b_cum_[i] += static_cast<double>(raw.b[i]);
-  }
-  rec.w_cum = w_cum_;
-  rec.b_cum = b_cum_;
-  return rec;
-}
-
 std::vector<ProcessedRecord> StreamingIngestor::ingest(
     const sim::DailyRecord& raw) {
   // The sanitizer enforces the day-order contract (strict: throws; lenient:
@@ -58,12 +39,7 @@ std::vector<ProcessedRecord> StreamingIngestor::ingest(
   if (!sanitized.has_value()) return {};
   const sim::DailyRecord& record = *sanitized;
 
-  std::vector<ProcessedRecord> produced;
-  const bool first = !last_day_.has_value();
-  const int gap = first ? 1 : record.day - *last_day_;
-  last_day_ = record.day;
-
-  if (!first && gap >= config_.drop_gap) {
+  if (last_day_.has_value() && record.day - *last_day_ >= config_.drop_gap) {
     // Long gap: the accumulated segment is unusable going forward; start
     // fresh (counters included), exactly like the batch segment cut.
     segment_.clear();
@@ -72,41 +48,16 @@ std::vector<ProcessedRecord> StreamingIngestor::ingest(
     b_cum_.fill(0.0);
     ++segments_started_;
     metrics_.segments_restarted->inc();
-  } else if (!first && gap >= 2 && gap <= config_.fill_gap &&
-             !segment_.empty()) {
-    const ProcessedRecord prev = segment_.back();
-    ProcessedRecord next_actual = convert(record);
-    for (int d = 1; d < gap; ++d) {
-      const double t = static_cast<double>(d) / static_cast<double>(gap);
-      ProcessedRecord fill;
-      fill.day = prev.day + d;
-      fill.synthetic = true;
-      fill.firmware = prev.firmware;
-      for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
-        fill.smart[a] = prev.smart[a] + t * (next_actual.smart[a] - prev.smart[a]);
-      }
-      for (std::size_t w = 0; w < sim::kNumWindowsEvents; ++w) {
-        fill.w_cum[w] = prev.w_cum[w] + t * (next_actual.w_cum[w] - prev.w_cum[w]);
-      }
-      for (std::size_t b = 0; b < sim::kNumBsodCodes; ++b) {
-        fill.b_cum[b] = prev.b_cum[b] + t * (next_actual.b_cum[b] - prev.b_cum[b]);
-      }
-      segment_.push_back(fill);
-      produced.push_back(std::move(fill));
-      metrics_.rows_synthetic->inc();
-    }
-    segment_.push_back(next_actual);
-    ++real_records_;
-    metrics_.rows_real->inc();
-    produced.push_back(std::move(next_actual));
-    return produced;
   }
+  last_day_ = record.day;
 
-  ProcessedRecord rec = convert(record);
-  segment_.push_back(rec);
+  const std::size_t before = segment_.size();
+  append_processed(segment_, record, vendor_, config_.fill_gap, w_cum_, b_cum_);
+  std::vector<ProcessedRecord> produced(
+      segment_.begin() + static_cast<std::ptrdiff_t>(before), segment_.end());
   ++real_records_;
   metrics_.rows_real->inc();
-  produced.push_back(std::move(rec));
+  metrics_.rows_synthetic->inc(produced.size() - 1);
   return produced;
 }
 

@@ -114,8 +114,6 @@ class StreamingIngestor {
   std::array<double, sim::kNumWindowsEvents> w_cum_{};
   std::array<double, sim::kNumBsodCodes> b_cum_{};
   std::optional<DayIndex> last_day_;
-
-  ProcessedRecord convert(const sim::DailyRecord& raw);
 };
 
 }  // namespace mfpa::core

@@ -4,20 +4,20 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/parallel.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/flat_forest_kernels.hpp"
-#include "ml/parallel_for.hpp"
 #include "ml/simd.hpp"
 #include "obs/metrics.hpp"
 
 namespace mfpa::ml {
 namespace {
 
-/// Compile/scoring instruments, cached per thread the same way as
-/// parallel_for.hpp's: predict_into runs on every serving micro-batch, so
-/// the handles must not take the registry mutex on the hot path. The cache
-/// key is the (registry address, generation) pair, which invalidates it
-/// whenever a test swaps in an isolated registry.
+/// Compile/scoring instruments, cached per thread: predict_into runs on
+/// every serving micro-batch, so the handles must not take the registry
+/// mutex on the hot path. The cache key is the (registry address,
+/// generation) pair, which invalidates it whenever a test swaps in an
+/// isolated registry — even one reusing a just-freed address.
 struct FlatMetrics {
   obs::Counter* compiles = nullptr;
   obs::Counter* rows_scored = nullptr;

@@ -1,6 +1,5 @@
 #include "ml/gbdt.hpp"
 
-#include "ml/parallel_for.hpp"
 #include "ml/serialize.hpp"
 
 #include <istream>
@@ -12,6 +11,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "data/binned_matrix.hpp"
 

@@ -1,6 +1,5 @@
 #include "ml/random_forest.hpp"
 
-#include "ml/parallel_for.hpp"
 #include "ml/serialize.hpp"
 
 #include <istream>

@@ -13,6 +13,9 @@
 namespace mfpa::net {
 namespace {
 
+/// Send-buffer bytes: encoded frames go to the socket once this many wait.
+constexpr std::size_t kSendBufferBytes = 256 * 1024;
+
 /// connect(2) with EINTR handling: an interrupted connect keeps completing
 /// in the background, so retrying the call races against it — instead poll
 /// for writability and read the outcome from SO_ERROR.
@@ -39,8 +42,7 @@ int connect_retry(int fd, const sockaddr* addr, socklen_t len) {
 
 }  // namespace
 
-TelemetryClient::TelemetryClient(std::uint16_t port, std::size_t send_buffer)
-    : send_buffer_limit_(send_buffer) {
+TelemetryClient::TelemetryClient(std::uint16_t port) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) throw std::runtime_error("TelemetryClient: socket() failed");
   sockaddr_in addr{};
@@ -84,7 +86,7 @@ void TelemetryClient::send_record(std::uint64_t drive_id, int vendor,
   if (fd_ < 0) throw std::runtime_error("TelemetryClient: closed");
   append_record_frame(send_buf_, next_seq_++, drive_id, vendor, record);
   ++records_sent_;
-  if (send_buf_.size() >= send_buffer_limit_) flush_buffer();
+  if (send_buf_.size() >= kSendBufferBytes) flush_buffer();
 }
 
 void TelemetryClient::flush_buffer() {

@@ -17,8 +17,7 @@ class TelemetryClient final : public serve::RecordSink {
  public:
   /// Connects to 127.0.0.1:port (blocking socket). Throws
   /// std::runtime_error when the connection fails.
-  explicit TelemetryClient(std::uint16_t port,
-                           std::size_t send_buffer = 256 * 1024);
+  explicit TelemetryClient(std::uint16_t port);
   ~TelemetryClient() override;
 
   /// Handshake: sends kHello with this client's claimed place in the
@@ -32,7 +31,7 @@ class TelemetryClient final : public serve::RecordSink {
   Hello handshake(const Hello& claim);
 
   /// Encodes one record frame into the send buffer (flushing the buffer to
-  /// the socket whenever it exceeds the configured size).
+  /// the socket whenever it reaches 256 KiB).
   void send_record(std::uint64_t drive_id, int vendor,
                    const sim::DailyRecord& record);
 
@@ -61,7 +60,6 @@ class TelemetryClient final : public serve::RecordSink {
   int fd_ = -1;
   std::uint64_t next_seq_ = 1;
   std::uint64_t records_sent_ = 0;
-  std::size_t send_buffer_limit_;
   std::string send_buf_;
   FrameDecoder decoder_;
 

@@ -4,28 +4,9 @@
 #include <string_view>
 
 #include "common/wire.hpp"
-#include "ml/checksum.hpp"
 #include "serve/wal.hpp"
 
 namespace mfpa::net {
-namespace {
-
-/// Frames `payload` under `seq` with the shared digest-over-(size, seq,
-/// payload) layout. The digest region starts at the size field, exactly
-/// like a WAL frame — only the magic differs.
-void append_net_frame(std::string& buf, std::uint64_t seq,
-                      std::string_view payload) {
-  const std::size_t body_start = buf.size() + 4;
-  wire::put_u32(buf, kNetFrameMagic);
-  wire::put_u32(buf, static_cast<std::uint32_t>(payload.size()));
-  wire::put_u64(buf, seq);
-  buf.append(payload);
-  const std::uint64_t digest = ml::fnv1a(
-      std::string_view(buf.data() + body_start, buf.size() - body_start));
-  wire::put_u64(buf, digest);
-}
-
-}  // namespace
 
 void append_record_frame(std::string& buf, std::uint64_t seq,
                          std::uint64_t drive_id, int vendor,
@@ -33,13 +14,14 @@ void append_record_frame(std::string& buf, std::uint64_t seq,
   std::string payload;
   payload.push_back(static_cast<char>(MessageType::kRecord));
   payload += serve::encode_wal_payload(drive_id, vendor, record);
-  append_net_frame(buf, seq, payload);
+  serve::append_frame(buf, kNetFrameMagic, seq, payload);
 }
 
 void append_control_frame(std::string& buf, std::uint64_t seq,
                           MessageType type) {
   const char payload[1] = {static_cast<char>(type)};
-  append_net_frame(buf, seq, std::string_view(payload, 1));
+  serve::append_frame(buf, kNetFrameMagic, seq,
+                      std::string_view(payload, 1));
 }
 
 void append_flush_ack_frame(std::string& buf, std::uint64_t seq,
@@ -49,7 +31,7 @@ void append_flush_ack_frame(std::string& buf, std::uint64_t seq,
   wire::put_u64(payload, ack.records_processed);
   wire::put_u64(payload, ack.alerts);
   wire::put_u64(payload, ack.shed);
-  append_net_frame(buf, seq, payload);
+  serve::append_frame(buf, kNetFrameMagic, seq, payload);
 }
 
 void append_hello_frame(std::string& buf, std::uint64_t seq, MessageType type,
@@ -63,7 +45,7 @@ void append_hello_frame(std::string& buf, std::uint64_t seq, MessageType type,
   wire::put_u32(payload, hello.shard_index);
   wire::put_u32(payload, hello.shard_count);
   wire::put_u32(payload, hello.model_version);
-  append_net_frame(buf, seq, payload);
+  serve::append_frame(buf, kNetFrameMagic, seq, payload);
 }
 
 const char* Hello::mismatch(const Hello& server) const noexcept {
@@ -108,47 +90,41 @@ void FrameDecoder::feed(const char* data, std::size_t n) {
 
 FrameDecoder::Status FrameDecoder::next(NetMessage& out) {
   if (error_ != DecodeError::kNone) return Status::kError;
-  const std::size_t avail = buf_.size() - off_;
-  if (avail < kNetFrameHeaderBytes) return Status::kNeedMore;
-  if (wire::read_u32_at(buf_.data(), off_) != kNetFrameMagic) {
-    error_ = DecodeError::kBadMagic;
-    return Status::kError;
+  // parse_frame rejects an oversized length from the header alone, so the
+  // buffer only ever holds bytes the peer actually sent.
+  const serve::ParsedFrame frame = serve::parse_frame(
+      std::string_view(buf_).substr(off_), kNetFrameMagic, kMaxNetPayload);
+  switch (frame.status) {
+    case serve::FrameStatus::kFrame:
+      break;
+    case serve::FrameStatus::kNeedMore:
+      return Status::kNeedMore;
+    case serve::FrameStatus::kBadMagic:
+      error_ = DecodeError::kBadMagic;
+      return Status::kError;
+    case serve::FrameStatus::kOversized:
+      error_ = DecodeError::kOversized;
+      return Status::kError;
+    case serve::FrameStatus::kBadDigest:
+      error_ = DecodeError::kBadDigest;
+      return Status::kError;
   }
-  const std::uint32_t size = wire::read_u32_at(buf_.data(), off_ + 4);
-  // The length field is validated from the header alone: a hostile or
-  // corrupt size never causes a proportional allocation — the buffer only
-  // ever holds bytes the peer actually sent.
-  if (size > max_payload_) {
-    error_ = DecodeError::kOversized;
-    return Status::kError;
-  }
-  const std::size_t total = kNetFrameHeaderBytes + size + kNetFrameDigestBytes;
-  if (avail < total) return Status::kNeedMore;
-  const std::uint64_t want =
-      wire::read_u64_at(buf_.data(), off_ + kNetFrameHeaderBytes + size);
-  const std::uint64_t got = ml::fnv1a(
-      std::string_view(buf_.data() + off_ + 4, 4 + 8 + size));
-  if (want != got) {
-    error_ = DecodeError::kBadDigest;
-    return Status::kError;
-  }
-  const std::uint64_t seq = wire::read_u64_at(buf_.data(), off_ + 8);
-  const std::string payload = buf_.substr(off_ + kNetFrameHeaderBytes, size);
-  off_ += total;
+  off_ += frame.bytes;
 
-  if (payload.empty()) {
+  if (frame.payload.empty()) {
     error_ = DecodeError::kBadMessage;
     return Status::kError;
   }
   out = NetMessage{};
-  out.seq = seq;
+  out.seq = frame.seq;
   const auto type = static_cast<MessageType>(
-      static_cast<std::uint8_t>(payload[0]));
-  const std::string body = payload.substr(1);
+      static_cast<std::uint8_t>(frame.payload[0]));
+  const std::string body(frame.payload.substr(1));
   try {
     switch (type) {
       case MessageType::kRecord: {
-        const serve::WalEntry entry = serve::decode_wal_payload(seq, body);
+        const serve::WalEntry entry =
+            serve::decode_wal_payload(frame.seq, body);
         out.type = MessageType::kRecord;
         out.drive_id = entry.drive_id;
         out.vendor = entry.vendor;

@@ -1,11 +1,11 @@
 // Binary ingestion protocol for the sharded scoring service.
 //
-// The wire format applies the tree's FNV-1a framing conventions (the
-// ml/serialize v2 artifact framing and the serve/wal segment frames) to a
-// TCP byte stream:
+// A TCP byte stream of serve/wal frames under their own magic and size
+// bound: serve::append_frame encodes and serve::parse_frame validates every
+// frame, exactly as for WAL segments and alerts.log.
 //
 //   u32 magic   "MFNP"            marks a frame boundary
-//   u32 size    payload bytes
+//   u32 size    payload bytes (at most kMaxNetPayload)
 //   u64 seq     sender-assigned sequence number (1-based, diagnostics)
 //   u8  payload[size]             first byte = message type
 //   u64 digest  FNV-1a 64 over (size, seq, payload)
@@ -51,10 +51,6 @@
 namespace mfpa::net {
 
 inline constexpr std::uint32_t kNetFrameMagic = 0x504E464DU;  // "MFNP"
-
-/// Frame overhead: magic + size + seq header, trailing digest.
-inline constexpr std::size_t kNetFrameHeaderBytes = 4 + 4 + 8;
-inline constexpr std::size_t kNetFrameDigestBytes = 8;
 
 /// Hard payload bound. A record payload is ~150 bytes and control bodies
 /// are smaller still; anything claiming more is a corrupt or hostile
@@ -145,9 +141,6 @@ class FrameDecoder {
  public:
   enum class Status { kMessage, kNeedMore, kError };
 
-  explicit FrameDecoder(std::size_t max_payload = kMaxNetPayload)
-      : max_payload_(max_payload) {}
-
   void feed(const char* data, std::size_t n);
 
   /// Decodes the next complete frame into `out`.
@@ -159,7 +152,6 @@ class FrameDecoder {
  private:
   std::string buf_;
   std::size_t off_ = 0;  ///< consumed prefix (compacted as it grows)
-  std::size_t max_payload_;
   DecodeError error_ = DecodeError::kNone;
 };
 

@@ -17,6 +17,10 @@
 namespace mfpa::net {
 namespace {
 
+constexpr int kListenBacklog = 16;
+/// Bytes read from a connection per recv().
+constexpr std::size_t kReadChunk = 64 * 1024;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -95,7 +99,7 @@ void IngestServer::start() {
   addr.sin_port = htons(config_.port);
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, config_.backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string why = std::strerror(errno);
     close_fd(listen_fd_);
     throw std::runtime_error("IngestServer: cannot bind 127.0.0.1:" +
@@ -219,7 +223,7 @@ bool IngestServer::drain_connection(Connection& conn) {
 
 void IngestServer::io_loop() {
   std::vector<std::unique_ptr<Connection>> conns;
-  std::vector<char> chunk(config_.read_chunk);
+  std::vector<char> chunk(kReadChunk);
   std::vector<pollfd> fds;
 
   auto close_conn = [&](std::size_t i) {

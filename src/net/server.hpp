@@ -91,10 +91,6 @@ struct ServerConfig {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (tests, the
   /// loopback replay) — read the actual one from IngestServer::port().
   std::uint16_t port = 0;
-  /// Listen backlog.
-  int backlog = 16;
-  /// Per-read chunk size.
-  std::size_t read_chunk = 64 * 1024;
   /// When true, every connection must open with a compatible kHello before
   /// any other message (the per-shard server processes; misdirected legacy
   /// clients must not feed a shard's state). When false, a kHello is still

@@ -12,8 +12,7 @@ ShardedClient::ShardedClient(ShardedClientConfig config) {
   }
   clients_.reserve(config.ports.size());
   for (std::size_t i = 0; i < config.ports.size(); ++i) {
-    auto client =
-        std::make_unique<TelemetryClient>(config.ports[i], config.send_buffer);
+    auto client = std::make_unique<TelemetryClient>(config.ports[i]);
     Hello claim;
     if (config.claim_topology) {
       claim.shard_index = static_cast<std::uint32_t>(i);

@@ -34,8 +34,6 @@ struct ShardedClientConfig {
   /// endpoint, where the connection count is not the fleet topology and a
   /// concrete claim would be a lie the handshake rightly rejects.
   bool claim_topology = true;
-  /// Per-connection send-buffer bytes.
-  std::size_t send_buffer = 256 * 1024;
 };
 
 class ShardedClient final : public serve::RecordSink {

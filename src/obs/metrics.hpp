@@ -154,7 +154,7 @@ class MetricsRegistry {
 
   /// Distinguishes registry instances even across address reuse (pointer +
   /// generation pairs are unique for the process lifetime); lets hot paths
-  /// cache resolved handles safely (see ml/parallel_for.hpp).
+  /// cache resolved handles safely (see ml/flat_forest.cpp).
   std::uint64_t generation() const noexcept { return generation_; }
 
   /// Finds or registers the (name, labels) member of a counter family.

@@ -146,14 +146,7 @@ RecoveryResult DurabilityManager::recover(DriveStateStore& store,
                                           int current_model_version) {
   RecoveryResult result;
 
-  // A crash mid-publish leaves a dot-temp behind; it was never the durable
-  // truth, so clear it before selecting a checkpoint.
-  for (const auto& entry : fs::directory_iterator(ckpt_dir(config_.dir))) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with(".") && name.ends_with(".tmp")) {
-      fs::remove(entry.path());
-    }
-  }
+  remove_publish_orphans(ckpt_dir(config_.dir).string());
 
   auto candidates = list_checkpoints(config_.dir);
   std::optional<CheckpointImage> image;
@@ -211,20 +204,7 @@ RecoveryResult DurabilityManager::recover(DriveStateStore& store,
 
 void DurabilityManager::finish_recovery(const DriveStateStore& store,
                                         int model_version) {
-  // Seal the replayed state: checkpoint it, then restart the WAL from a
-  // clean generation (the old segments are fully covered by the snapshot).
-  alerts_.flush();
-  const std::uint64_t lsn = wal_.last_lsn();
-  write_checkpoint_file(
-      (ckpt_dir(config_.dir) / ckpt_name(lsn)).string(), store, lsn,
-      alerts_.count(), model_version, config_.fsync);
-  metrics_.writes->inc();
-  metrics_.last_lsn->set(static_cast<double>(lsn));
-  prev_checkpoint_lsn_ = last_checkpoint_lsn_;
-  last_checkpoint_lsn_ = lsn;
-  wal_.reset(lsn);
-  prune_checkpoints();
-  records_since_checkpoint_ = 0;
+  seal(store, model_version, /*after_recovery=*/true);
   recovered_ = true;
 }
 
@@ -251,10 +231,14 @@ void DurabilityManager::on_batch_end(const DriveStateStore& store,
 
 void DurabilityManager::checkpoint_now(const DriveStateStore& store,
                                        int model_version) {
+  seal(store, model_version, /*after_recovery=*/false);
+}
+
+void DurabilityManager::seal(const DriveStateStore& store, int model_version,
+                             bool after_recovery) {
   // Everything appended so far must be durable before the snapshot claims
   // to cover it (WAL-then-checkpoint ordering).
-  wal_.flush();
-  alerts_.flush();
+  flush();
   const std::uint64_t lsn = wal_.last_lsn();
   const std::string path = (ckpt_dir(config_.dir) / ckpt_name(lsn)).string();
   write_checkpoint_file(path, store, lsn, alerts_.count(), model_version,
@@ -266,8 +250,14 @@ void DurabilityManager::checkpoint_now(const DriveStateStore& store,
     prev_checkpoint_lsn_ = last_checkpoint_lsn_;
     last_checkpoint_lsn_ = lsn;
   }
-  // Keep WAL generations back to the fallback checkpoint, no further.
-  wal_.rotate(lsn, prev_checkpoint_lsn_);
+  if (after_recovery) {
+    // The replayed segments are fully covered by the snapshot: restart the
+    // WAL from a clean generation.
+    wal_.reset(lsn);
+  } else {
+    // Keep WAL generations back to the fallback checkpoint, no further.
+    wal_.rotate(lsn, prev_checkpoint_lsn_);
+  }
   prune_checkpoints();
   records_since_checkpoint_ = 0;
 }

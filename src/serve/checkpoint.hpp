@@ -11,7 +11,9 @@
 //   <DriveStateStore::save_state image>
 //
 // Files live under `<dir>/ckpt/ckpt-<lsn>.mfc`, written dot-temp + fsync +
-// rename (serve::publish_file, shared with the model registry), and the
+// rename (serve::publish_file, shared with the model registry; recovery
+// sweeps a crashed publish's orphan with remove_publish_orphans). The
+// startup seal and every later checkpoint take one write path, and the
 // two newest are retained so a corrupt newest checkpoint falls back one
 // generation — the WAL keeps its one segment file per generation back to
 // the retained checkpoint (wal.hpp), so the fallback replays a longer tail
@@ -108,7 +110,7 @@ class DurabilityManager {
   RecoveryResult recover(DriveStateStore& store, int current_model_version);
 
   /// Phase two: seals recovery with a fresh checkpoint of the replayed
-  /// state and rotates the WAL to a clean generation. Also the correct
+  /// state and resets the WAL to a clean generation. Also the correct
   /// "start fresh" call when recover() found nothing.
   void finish_recovery(const DriveStateStore& store, int model_version);
 
@@ -153,6 +155,10 @@ class DurabilityManager {
   };
   Metrics metrics_;
 
+  /// The one checkpoint write path: flush, write, count, advance the LSN
+  /// bookkeeping, then reset (after recovery) or rotate the WAL, and prune.
+  void seal(const DriveStateStore& store, int model_version,
+            bool after_recovery);
   void prune_checkpoints();
 };
 

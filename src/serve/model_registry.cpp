@@ -59,16 +59,9 @@ ModelRegistry::ModelRegistry(std::string directory, std::size_t score_threads)
       &reg.histogram("mfpa_registry_swap_seconds", 0.0, 10.0, 256);
   metrics_.current_version = &reg.gauge("mfpa_registry_current_version");
   fs::create_directories(dir_);
-  // A crash between publish_file's temp write and its rename leaves a
-  // ".<name>.tmp" orphan; it was never referenced by CURRENT, so sweeping
-  // it here is always safe and keeps the directory listing clean.
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (entry.is_regular_file() && name.size() > 5 && name.front() == '.' &&
-        name.ends_with(".tmp")) {
-      fs::remove(entry.path());
-    }
-  }
+  // An orphan was never referenced by CURRENT, so sweeping it is always
+  // safe and keeps the directory listing clean.
+  remove_publish_orphans(dir_);
   const fs::path marker = fs::path(dir_) / "CURRENT";
   if (fs::exists(marker)) {
     std::ifstream f(marker);

@@ -16,6 +16,9 @@ namespace {
 /// many engines per process; production runs one).
 std::atomic<std::uint64_t> g_engine_seq{0};
 
+/// Upper edge of the per-record latency histogram, microseconds.
+constexpr double kLatencyHiUs = 50000.0;
+
 }  // namespace
 
 ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config)
@@ -53,7 +56,7 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config)
       static_cast<double>(config_.queue_capacity) + 1.0,
       std::min<std::size_t>(config_.queue_capacity + 1, 128), labels);
   metrics_.latency_us = &reg.histogram("mfpa_serve_latency_us", 0.0,
-                                       config_.latency_hi_us, 512, labels);
+                                       kLatencyHiUs, 512, labels);
   metrics_.max_queue_depth = &reg.gauge("mfpa_serve_max_queue_depth", labels);
   if (config_.durability.enabled()) {
     recover_durable_state();
@@ -135,15 +138,8 @@ void ScoringEngine::drain_loop() {
       queue_not_empty_.wait(lock,
                             [this] { return !queue_.empty() || stopping_; });
       if (queue_.empty()) break;  // stopping_ and fully drained
-      const std::size_t depth = queue_.size();
-      const std::size_t take = std::min(config_.max_batch, queue_.size());
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      batch = pop_batch_locked();
       processing_ = true;
-      metrics_.queue_depth->observe(static_cast<double>(depth));
     }
     queue_not_full_.notify_all();
     process_batch(batch);
@@ -161,19 +157,24 @@ void ScoringEngine::drain_loop() {
 std::size_t ScoringEngine::drain_once() {
   std::vector<QueuedUpdate> batch;
   {
-    std::unique_lock<std::mutex> lock(queue_mu_);
+    std::lock_guard<std::mutex> lock(queue_mu_);
     if (queue_.empty()) return 0;
-    const std::size_t depth = queue_.size();
-    const std::size_t take = std::min(config_.max_batch, queue_.size());
-    batch.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    metrics_.queue_depth->observe(static_cast<double>(depth));
+    batch = pop_batch_locked();
   }
   queue_not_full_.notify_all();
   return process_batch(batch);
+}
+
+std::vector<ScoringEngine::QueuedUpdate> ScoringEngine::pop_batch_locked() {
+  metrics_.queue_depth->observe(static_cast<double>(queue_.size()));
+  const std::size_t take = std::min(config_.max_batch, queue_.size());
+  std::vector<QueuedUpdate> batch;
+  batch.reserve(take);
+  for (std::size_t i = 0; i < take; ++i) {
+    batch.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+  }
+  return batch;
 }
 
 std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
@@ -288,9 +289,6 @@ SinkTotals ScoringEngine::flush_totals() {
 void ScoringEngine::stop() {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stopping_) {
-      // Already stopping; fall through to join below.
-    }
     stopping_ = true;
   }
   queue_not_empty_.notify_all();

@@ -5,7 +5,7 @@
 // `max_batch` records at a time, runs them through the DriveStateStore
 // (incremental cleaning), extracts feature rows with the active model's
 // builder, scores the whole batch in one predict_proba call on the
-// ml/parallel_for pool, and applies the AlertPolicy per drive. Scores are
+// common/parallel.hpp pool, and applies the AlertPolicy per drive. Scores are
 // per-row and the drain is single-threaded, so results are independent of
 // batch boundaries, queue timing, and the scoring thread count — the
 // batch/online parity tests rely on this.
@@ -64,8 +64,6 @@ struct EngineConfig {
   /// When true, no drain thread is started; the owner calls drain_once()
   /// explicitly (deterministic unit tests, single-threaded embedding).
   bool manual_drain = false;
-  /// Histogram range for per-record latency, microseconds.
-  double latency_hi_us = 50000.0;
   /// Value of the `engine` label on this engine's mfpa_serve_* instruments.
   /// Empty picks the next process-wide sequence number (the historical
   /// behaviour); the ShardRouter sets "shard-N" so per-shard queue depth,
@@ -228,6 +226,9 @@ class ScoringEngine final : public RecordSink {
   std::thread drain_thread_;
 
   void drain_loop();
+  /// Pops up to max_batch queued records and observes the queue depth;
+  /// the caller holds queue_mu_.
+  std::vector<QueuedUpdate> pop_batch_locked();
   std::size_t process_batch(std::vector<QueuedUpdate>& batch);
   void recover_durable_state();
 };

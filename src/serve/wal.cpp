@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -31,37 +32,7 @@ using wire::put_u16;
 using wire::put_u32;
 using wire::put_u64;
 
-constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8;  // magic, size, lsn
 constexpr std::size_t kFrameDigestBytes = 8;
-constexpr std::uint32_t kMaxFramePayload = 1u << 24;  // sanity bound
-
-/// Tries to decode a frame at `off`; returns nullopt when the bytes there
-/// are not a complete, digest-valid frame.
-std::optional<DecodedFrame> try_frame_at(const std::string& bytes,
-                                         std::size_t off) {
-  if (off + kFrameHeaderBytes + kFrameDigestBytes > bytes.size()) {
-    return std::nullopt;
-  }
-  if (wire::read_u32_at(bytes.data(), off) != kWalFrameMagic) {
-    return std::nullopt;
-  }
-  const std::uint32_t size = wire::read_u32_at(bytes.data(), off + 4);
-  if (size > kMaxFramePayload) return std::nullopt;
-  const std::size_t total = kFrameHeaderBytes + size + kFrameDigestBytes;
-  if (off + total > bytes.size()) return std::nullopt;
-  // Digest covers (size, lsn, payload) — everything after the magic.
-  const std::uint64_t want =
-      wire::read_u64_at(bytes.data(), off + kFrameHeaderBytes + size);
-  const std::uint64_t got = ml::fnv1a(
-      std::string_view(bytes.data() + off + 4, 4 + 8 + size));
-  if (want != got) return std::nullopt;
-  DecodedFrame frame;
-  frame.lsn = wire::read_u64_at(bytes.data(), off + 8);
-  frame.payload = bytes.substr(off + kFrameHeaderBytes, size);
-  frame.digest = want;
-  frame.end_offset = off + total;
-  return frame;
-}
 
 std::string read_whole_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -96,6 +67,15 @@ void fsync_dir(const std::string& dir) {
   ::close(fd);
 }
 
+/// publish_file's temp name for `path`: ".<name>.tmp" beside it.
+fs::path publish_temp_path(const fs::path& path) {
+  return path.parent_path() / ("." + path.filename().string() + ".tmp");
+}
+
+bool is_publish_temp_name(const std::string& name) {
+  return name.size() > 5 && name.front() == '.' && name.ends_with(".tmp");
+}
+
 std::string segment_name(std::uint64_t base_lsn) {
   return "c" + std::to_string(base_lsn) + ".wal";
 }
@@ -117,8 +97,7 @@ void publish_file(const std::string& path, std::string_view contents,
                   bool fsync) {
   const fs::path final_path(path);
   const fs::path dir = final_path.parent_path();
-  const std::string tmp =
-      (dir / ("." + final_path.filename().string() + ".tmp")).string();
+  const std::string tmp = publish_temp_path(final_path).string();
   const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
   if (fd < 0) {
     throw std::runtime_error("publish: cannot create " + tmp);
@@ -140,34 +119,78 @@ void publish_file(const std::string& path, std::string_view contents,
   if (fsync) fsync_dir(dir.string());
 }
 
-void append_frame(std::string& buf, std::uint64_t lsn,
-                  const std::string& payload) {
+void remove_publish_orphans(const std::string& dir) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.is_regular_file() &&
+        is_publish_temp_name(entry.path().filename().string())) {
+      fs::remove(entry.path());
+    }
+  }
+}
+
+void append_frame(std::string& buf, std::uint32_t magic, std::uint64_t seq,
+                  std::string_view payload) {
   const std::size_t body_start = buf.size() + 4;  // digest region starts here
-  put_u32(buf, kWalFrameMagic);
+  put_u32(buf, magic);
   put_u32(buf, static_cast<std::uint32_t>(payload.size()));
-  put_u64(buf, lsn);
+  put_u64(buf, seq);
   buf.append(payload);
   const std::uint64_t digest = ml::fnv1a(
       std::string_view(buf.data() + body_start, buf.size() - body_start));
   put_u64(buf, digest);
 }
 
+ParsedFrame parse_frame(std::string_view bytes, std::uint32_t magic,
+                        std::size_t max_payload) {
+  ParsedFrame frame;
+  if (bytes.size() < kFrameHeaderBytes) return frame;  // kNeedMore
+  if (wire::read_u32_at(bytes.data(), 0) != magic) {
+    frame.status = FrameStatus::kBadMagic;
+    return frame;
+  }
+  const std::size_t size = wire::read_u32_at(bytes.data(), 4);
+  if (size > max_payload) {
+    frame.status = FrameStatus::kOversized;
+    return frame;
+  }
+  const std::size_t total = kFrameHeaderBytes + size + kFrameDigestBytes;
+  if (bytes.size() < total) return frame;  // kNeedMore
+  // Digest covers (size, seq, payload) — everything after the magic.
+  const std::uint64_t want =
+      wire::read_u64_at(bytes.data(), kFrameHeaderBytes + size);
+  if (ml::fnv1a(bytes.substr(4, 4 + 8 + size)) != want) {
+    frame.status = FrameStatus::kBadDigest;
+    return frame;
+  }
+  frame.status = FrameStatus::kFrame;
+  frame.seq = wire::read_u64_at(bytes.data(), 8);
+  frame.payload = bytes.substr(kFrameHeaderBytes, size);
+  frame.digest = want;
+  frame.bytes = total;
+  return frame;
+}
+
 FrameScan scan_frames(const std::string& path) {
-  const std::string bytes = read_whole_file(path);
+  const std::string file = read_whole_file(path);
+  const std::string_view bytes(file);
+  const auto frame_at = [bytes](std::size_t off) {
+    return parse_frame(bytes.substr(off), kWalFrameMagic, kMaxWalPayload);
+  };
   FrameScan scan;
   std::size_t off = 0;
   while (off < bytes.size()) {
-    auto frame = try_frame_at(bytes, off);
-    if (frame.has_value()) {
-      off = frame->end_offset;
+    const ParsedFrame frame = frame_at(off);
+    if (frame.status == FrameStatus::kFrame) {
+      off += frame.bytes;
       scan.valid_bytes = off;
-      scan.frames.push_back(std::move(*frame));
+      scan.frames.push_back(
+          {frame.seq, std::string(frame.payload), frame.digest, off});
       continue;
     }
     // Corrupt or incomplete bytes at `off`. If any complete valid frame
     // exists later in the file, this is mid-stream corruption: refuse.
     for (std::size_t probe = off + 1; probe + 1 < bytes.size(); ++probe) {
-      if (try_frame_at(bytes, probe).has_value()) {
+      if (frame_at(probe).status == FrameStatus::kFrame) {
         throw std::runtime_error(
             "wal: mid-stream corruption in " + path + " at byte " +
             std::to_string(off) + " (valid frame follows at byte " +
@@ -229,9 +252,60 @@ core::Alert decode_alert_payload(const std::string& payload) {
   return alert;
 }
 
+// --- FramedLogWriter -------------------------------------------------------
+
+FramedLogWriter::~FramedLogWriter() {
+  try {
+    flush();
+  } catch (...) {
+    // Destructor: nothing sane to do; the tail is torn, recovery handles it.
+  }
+  close();
+}
+
+void FramedLogWriter::open(const std::string& path, bool truncate) {
+  close();
+  path_ = path;
+  fd_ = ::open(path_.c_str(),
+               O_CREAT | O_WRONLY | (truncate ? O_TRUNC : O_APPEND), 0644);
+  if (fd_ < 0) {
+    throw std::runtime_error("wal: cannot open " + path_);
+  }
+}
+
+void FramedLogWriter::close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  pending_.clear();
+  dirty_ = false;
+}
+
+std::size_t FramedLogWriter::append(std::uint64_t seq,
+                                    std::string_view payload) {
+  if (fd_ < 0) {
+    throw std::logic_error("FramedLogWriter: append before open");
+  }
+  const std::size_t before = pending_.size();
+  append_frame(pending_, kWalFrameMagic, seq, payload);
+  return pending_.size() - before;
+}
+
+bool FramedLogWriter::flush() {
+  if (!pending_.empty()) {
+    write_all(fd_, pending_, path_);
+    pending_.clear();
+    dirty_ = true;
+  }
+  const bool sync = dirty_ && fsync_;
+  if (sync) fsync_fd(fd_, path_);
+  dirty_ = false;
+  return sync;
+}
+
 // --- WalWriter -------------------------------------------------------------
 
-WalWriter::WalWriter(WalWriterConfig config) : config_(std::move(config)) {
+WalWriter::WalWriter(WalWriterConfig config)
+    : config_(std::move(config)), segment_(config_.fsync) {
   fs::create_directories(fs::path(config_.dir) / "wal");
   auto& reg = obs::registry();
   metrics_.appends = &reg.counter("mfpa_wal_appends_total");
@@ -242,39 +316,26 @@ WalWriter::WalWriter(WalWriterConfig config) : config_(std::move(config)) {
 
 WalWriter::~WalWriter() {
   try {
-    flush();
+    flush();  // counted like any group commit; the segment closes after
   } catch (...) {
     // Destructor: nothing sane to do; the tail is torn, recovery handles it.
   }
-  close_segment();
-}
-
-void WalWriter::close_segment() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
 }
 
 void WalWriter::open_generation(std::uint64_t base_lsn) {
-  close_segment();
   const fs::path wal_dir = fs::path(config_.dir) / "wal";
-  path_ = (wal_dir / segment_name(base_lsn)).string();
-  fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd_ < 0) {
-    throw std::runtime_error("wal: cannot create segment " + path_);
-  }
+  segment_.open((wal_dir / segment_name(base_lsn)).string(),
+                /*truncate=*/true);
   fsync_dir(wal_dir.string());
 }
 
 std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
                                 const sim::DailyRecord& record) {
-  if (fd_ < 0) {
-    throw std::logic_error("WalWriter: append before open_generation");
-  }
-  const std::uint64_t lsn = next_lsn_++;
-  const std::size_t before = pending_.size();
-  append_frame(pending_, lsn, encode_wal_payload(drive_id, vendor, record));
+  const std::uint64_t lsn = next_lsn_;
+  metrics_.bytes->inc(
+      segment_.append(lsn, encode_wal_payload(drive_id, vendor, record)));
+  ++next_lsn_;
   metrics_.appends->inc();
-  metrics_.bytes->inc(pending_.size() - before);
   ++unsynced_records_;
   if (config_.group_commit_records > 0 &&
       unsynced_records_ >= config_.group_commit_records) {
@@ -284,16 +345,7 @@ std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
 }
 
 void WalWriter::flush() {
-  if (!pending_.empty()) {
-    write_all(fd_, pending_, path_);
-    pending_.clear();
-    dirty_ = true;
-  }
-  if (dirty_ && config_.fsync) {
-    fsync_fd(fd_, path_);
-    metrics_.fsyncs->inc();
-  }
-  dirty_ = false;
+  if (segment_.flush()) metrics_.fsyncs->inc();
   unsynced_records_ = 0;
 }
 
@@ -312,9 +364,7 @@ void WalWriter::rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn) {
 }
 
 void WalWriter::reset(std::uint64_t base_lsn) {
-  close_segment();
-  pending_.clear();
-  dirty_ = false;
+  segment_.close();
   const fs::path wal_dir = fs::path(config_.dir) / "wal";
   if (fs::exists(wal_dir)) {
     for (const auto& entry : fs::directory_iterator(wal_dir)) {
@@ -432,40 +482,18 @@ std::string alert_log_path(const std::string& dir) {
 }  // namespace
 
 AlertLog::AlertLog(std::string dir, bool fsync)
-    : dir_(std::move(dir)), fsync_(fsync) {
-  fs::create_directories(dir_);
-}
-
-AlertLog::~AlertLog() {
-  try {
-    flush();
-  } catch (...) {
-  }
-  if (fd_ >= 0) ::close(fd_);
+    : FramedLogWriter(fsync), path_(alert_log_path(dir)) {
+  fs::create_directories(dir);
 }
 
 void AlertLog::open(std::uint64_t count) {
-  if (fd_ >= 0) ::close(fd_);
-  const std::string path = alert_log_path(dir_);
-  fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (fd_ < 0) {
-    throw std::runtime_error("wal: cannot open alert log " + path);
-  }
+  FramedLogWriter::open(path_, /*truncate=*/false);
   count_ = count;
 }
 
 void AlertLog::append(const core::Alert& alert) {
-  if (fd_ < 0) throw std::logic_error("AlertLog: append before open");
-  append_frame(pending_, ++count_, encode_alert_payload(alert));
-}
-
-void AlertLog::flush() {
-  if (fd_ < 0 || pending_.empty()) {
-    return;
-  }
-  write_all(fd_, pending_, alert_log_path(dir_));
-  pending_.clear();
-  if (fsync_) fsync_fd(fd_, alert_log_path(dir_));
+  FramedLogWriter::append(count_ + 1, encode_alert_payload(alert));
+  ++count_;
 }
 
 std::vector<core::Alert> recover_alert_log(const std::string& dir,

@@ -10,13 +10,15 @@
 // regenerates byte-identical state and alerts.
 //
 // Frame layout (little-endian, fixed-width — the FNV-1a v2 idiom of
-// ml/serialize applied to binary framing):
+// ml/serialize applied to binary framing). The framing section below owns
+// it for every framed byte stream in the tree: WAL segments, alerts.log and
+// the MFNP wire (net/protocol), which differ only in magic and size bound:
 //
-//   u32 magic   "MFWL"            resync marker for corruption scanning
+//   u32 magic   "MFWL" on disk, "MFNP" on the wire
 //   u32 size    payload bytes
-//   u64 lsn     sequence number
+//   u64 seq     LSN (WAL), alert ordinal (alerts.log), sender seq (MFNP)
 //   u8  payload[size]
-//   u64 digest  FNV-1a 64 over (size, lsn, payload)
+//   u64 digest  FNV-1a 64 over (size, seq, payload)
 //
 // Torn-tail semantics (the btrfs-progs discipline): a frame that runs past
 // EOF or fails its digest *with no valid frame after it* is a torn final
@@ -39,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,8 +51,6 @@
 
 namespace mfpa::serve {
 
-inline constexpr std::uint32_t kWalFrameMagic = 0x4C57464DU;  // "MFWL"
-
 /// One durable ingest record: the raw telemetry update plus its LSN.
 struct WalEntry {
   std::uint64_t lsn = 0;
@@ -60,13 +59,48 @@ struct WalEntry {
   sim::DailyRecord record;
 };
 
-// --- low-level framing (shared by the WAL, the alert log, and tests) ------
+// --- framing (WAL segments, alerts.log, the MFNP wire) ---------------------
 
-/// Appends one frame (magic, size, lsn, payload, digest) to `buf`.
-void append_frame(std::string& buf, std::uint64_t lsn,
-                  const std::string& payload);
+inline constexpr std::uint32_t kWalFrameMagic = 0x4C57464DU;  // "MFWL"
 
-/// One frame decoded from a byte stream.
+/// Frame header: magic, size, seq.
+inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8;
+
+/// Payload bound of the on-disk frames (WAL segments, alerts.log).
+inline constexpr std::size_t kMaxWalPayload = std::size_t{1} << 24;
+
+/// Appends one frame (magic, size, seq, payload, digest) to `buf`. The only
+/// encoder of the frame layout.
+void append_frame(std::string& buf, std::uint32_t magic, std::uint64_t seq,
+                  std::string_view payload);
+
+/// Outcome of parse_frame at the start of a byte range.
+enum class FrameStatus {
+  kFrame,       ///< a complete, digest-valid frame
+  kNeedMore,    ///< a prefix of a frame that passes every check so far
+  kBadMagic,
+  kOversized,   ///< size field above the caller's bound (header alone)
+  kBadDigest,
+};
+
+/// One parse_frame result; `seq`, `payload`, `digest` and `bytes` are set
+/// only for kFrame. `payload` views the parsed bytes.
+struct ParsedFrame {
+  FrameStatus status = FrameStatus::kNeedMore;
+  std::uint64_t seq = 0;
+  std::string_view payload;
+  std::uint64_t digest = 0;
+  std::size_t bytes = 0;  ///< whole frame, header through digest
+};
+
+/// Validates the frame at the start of `bytes`: magic, then the size bound
+/// from the 16-byte header alone (before waiting for the payload, so a
+/// hostile length never makes a caller buffer toward it), then the digest.
+/// The only decoder of the frame layout.
+ParsedFrame parse_frame(std::string_view bytes, std::uint32_t magic,
+                        std::size_t max_payload);
+
+/// One frame of a scanned file.
 struct DecodedFrame {
   std::uint64_t lsn = 0;
   std::string payload;
@@ -82,12 +116,48 @@ struct FrameScan {
   bool torn_tail = false;             ///< trailing bytes were discarded
 };
 
-/// Scans a framed file, returning every frame of the valid prefix. A torn
-/// or corrupt tail is reported in the result; corruption *followed by*
-/// another valid frame throws std::runtime_error (mid-stream corruption —
-/// the file cannot be trusted past the hole, but data after it provably
-/// existed). `what` names the file in diagnostics.
+/// Scans a WAL segment or alerts.log (kWalFrameMagic, kMaxWalPayload),
+/// returning every frame of the valid prefix. A torn or corrupt tail is
+/// reported in the result; corruption *followed by* another valid frame
+/// throws std::runtime_error (mid-stream corruption — the file cannot be
+/// trusted past the hole, but data after it provably existed).
 FrameScan scan_frames(const std::string& path);
+
+/// Append side of one framed file (a WAL segment, alerts.log): frames are
+/// buffered in memory, then flush() writes them with one write and fsyncs
+/// the file if anything was written since its last fsync. Single-threaded.
+class FramedLogWriter {
+ public:
+  /// `fsync = false` skips every fsync (throwaway tests and benchmarks).
+  explicit FramedLogWriter(bool fsync) : fsync_(fsync) {}
+  /// Flushes (a failure leaves a torn tail recovery discards), then closes.
+  ~FramedLogWriter();
+
+  FramedLogWriter(const FramedLogWriter&) = delete;
+  FramedLogWriter& operator=(const FramedLogWriter&) = delete;
+
+  /// Closes any open file, then opens `path` (created if missing) for
+  /// appending; `truncate` empties it first.
+  void open(const std::string& path, bool truncate);
+
+  /// Closes the file, discarding frames not yet written.
+  void close();
+
+  /// Buffers one kWalFrameMagic frame; returns its size in bytes. Throws
+  /// std::logic_error when no file is open.
+  std::size_t append(std::uint64_t seq, std::string_view payload);
+
+  /// Writes buffered frames, then fsyncs if anything was written since the
+  /// last fsync; returns true when it fsynced.
+  bool flush();
+
+ private:
+  bool fsync_;
+  int fd_ = -1;
+  std::string path_;
+  std::string pending_;  ///< frames not yet written to the fd
+  bool dirty_ = false;   ///< written but not fsynced
+};
 
 /// Serializes / parses the WAL payload for one telemetry record.
 std::string encode_wal_payload(std::uint64_t drive_id, int vendor,
@@ -107,6 +177,10 @@ core::Alert decode_alert_payload(const std::string& payload);
 /// (throwaway tests and benchmarks). Throws std::runtime_error on failure.
 void publish_file(const std::string& path, std::string_view contents,
                   bool fsync);
+
+/// Removes the dot-temp orphans a crashed publish_file left in `dir`. None
+/// was ever renamed into place, so none is durable state.
+void remove_publish_orphans(const std::string& dir);
 
 // --- writer ----------------------------------------------------------------
 
@@ -153,10 +227,7 @@ class WalWriter {
 
  private:
   WalWriterConfig config_;
-  int fd_ = -1;             ///< open segment, -1 before open_generation
-  std::string path_;
-  std::string pending_;     ///< frames not yet written to the fd
-  bool dirty_ = false;      ///< written but not fsynced
+  FramedLogWriter segment_;  ///< the open generation's file
   std::uint64_t next_lsn_ = 1;
   std::size_t unsynced_records_ = 0;
 
@@ -167,8 +238,6 @@ class WalWriter {
     obs::Counter* rotations = nullptr;
   };
   Metrics metrics_;
-
-  void close_segment();
 };
 
 // --- recovery --------------------------------------------------------------
@@ -203,29 +272,21 @@ std::vector<WalEntry> recover_wal(const std::string& dir,
 /// numbered by alert ordinal (1-based), so a checkpoint can pin "the first
 /// N alerts are durable" and recovery truncates back to exactly N before
 /// the WAL replay regenerates the rest.
-class AlertLog {
+class AlertLog : private FramedLogWriter {
  public:
   AlertLog(std::string dir, bool fsync = true);
-  ~AlertLog();
-
-  AlertLog(const AlertLog&) = delete;
-  AlertLog& operator=(const AlertLog&) = delete;
 
   /// Opens for appending after `count` durable alerts (file must already be
   /// truncated to that many frames — see recover_alert_log).
   void open(std::uint64_t count);
 
   void append(const core::Alert& alert);
-  void flush();
+  using FramedLogWriter::flush;
 
   std::uint64_t count() const noexcept { return count_; }
 
  private:
-  std::string dir_;
-  bool fsync_;
-  int fd_ = -1;
-  std::string pending_;
-  bool dirty_ = false;
+  std::string path_;
   std::uint64_t count_ = 0;
 };
 

@@ -230,6 +230,20 @@ std::vector<DriveTimeSeries> read_telemetry_csv(
                      [](const DailyRecord& a, const DailyRecord& b) {
                        return a.day < b.day;
                      });
+    if (!lenient) {
+      // Strict mode rejects what serving's strict ingest would reject: one
+      // drive uploading the same day twice.
+      const auto repeat = std::adjacent_find(
+          series.records.begin(), series.records.end(),
+          [](const DailyRecord& a, const DailyRecord& b) {
+            return a.day == b.day;
+          });
+      if (repeat != series.records.end()) {
+        throw std::runtime_error("telemetry_io: drive " + std::to_string(sn) +
+                                 ": repeated day " +
+                                 std::to_string(repeat->day));
+      }
+    }
     out.push_back(std::move(series));
   }
   if (stats != nullptr) stats->merge(local, robustness.max_diagnostics);

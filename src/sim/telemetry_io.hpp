@@ -30,10 +30,12 @@ void write_telemetry_csv(std::ostream& os,
 
 /// Reads rows written by write_telemetry_csv, regrouping them by drive
 /// (records of one drive need not be adjacent; output series are sorted by
-/// drive id with records ascending by day, duplicate days preserved in file
-/// order). Strict mode throws std::runtime_error on the first malformed row
-/// ("line N, column 'X': ..."); lenient mode drops unparsable rows, repairs
-/// malformed firmware fields, and accounts for both in `stats`.
+/// drive id with records ascending by day). Strict mode throws
+/// std::runtime_error on the first malformed row ("line N, column 'X':
+/// ...") and on a drive with two rows for one day ("drive S: repeated day
+/// D"); lenient mode drops unparsable rows, repairs malformed firmware
+/// fields, accounts for both in `stats`, and keeps duplicate days in file
+/// order for the sanitizer to drop.
 std::vector<DriveTimeSeries> read_telemetry_csv(
     std::istream& is, const RobustnessConfig& robustness,
     IngestStats* stats = nullptr);

@@ -148,6 +148,47 @@ TEST(RunCommand, EvaluateReportsDriveLevelMetrics) {
   std::remove(tickets.c_str());
 }
 
+TEST(RunCommand, StrictTrainRejectsRepeatedDay) {
+  // One drive's upload repeated verbatim: `validate` reports it and the
+  // strict serving ingest rejects it, so strict `train` must not learn
+  // from both copies.
+  const std::string dir = ::testing::TempDir();
+  const std::string telemetry = dir + "/mfpa_cli_dup.csv";
+  const std::string tickets = dir + "/mfpa_cli_dupk.csv";
+  const std::string model = dir + "/mfpa_cli_dupm.txt";
+  std::ostringstream out, err;
+  ASSERT_EQ(run_command(parse_command_line({"simulate",
+                                            "--telemetry=" + telemetry,
+                                            "--tickets=" + tickets,
+                                            "--scenario=tiny", "--seed=7"}),
+                        out, err),
+            0)
+      << err.str();
+  {
+    std::ifstream in(telemetry);
+    std::string header, row;
+    ASSERT_TRUE(std::getline(in, header) && std::getline(in, row));
+    std::stringstream rest;
+    rest << in.rdbuf();
+    in.close();
+    std::ofstream(telemetry) << header << '\n'
+                             << row << '\n'
+                             << row << '\n'
+                             << rest.str();
+  }
+  err.str("");
+  EXPECT_NE(run_command(parse_command_line(
+                            {"train", "--telemetry=" + telemetry,
+                             "--tickets=" + tickets, "--model=" + model,
+                             "--algorithm=DT", "--seed=7"}),
+                        out, err),
+            0);
+  EXPECT_NE(err.str().find("repeated day"), std::string::npos) << err.str();
+  std::remove(telemetry.c_str());
+  std::remove(tickets.c_str());
+  std::remove(model.c_str());
+}
+
 TEST(RunCommand, TrainRejectsUnknownGroup) {
   std::ostringstream out, err;
   const int rc = run_command(

@@ -76,6 +76,42 @@ TEST(RobustIngest, StrictReadErrorNamesLineAndColumn) {
   }
 }
 
+/// small_csv() with its third row (day 3) uploaded twice.
+std::string csv_with_repeated_day() {
+  auto lines = split(small_csv(), '\n');
+  const std::string day3 = lines.at(3);
+  lines.insert(lines.begin() + 3, day3);
+  return join(lines, "\n");
+}
+
+TEST(RobustIngest, StrictReadRejectsRepeatedDayNamingDriveAndDay) {
+  std::stringstream ss(csv_with_repeated_day());
+  try {
+    (void)sim::read_telemetry_csv(ss);
+    FAIL() << "strict read of a repeated day must throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("drive 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("day 3"), std::string::npos) << what;
+  }
+}
+
+TEST(RobustIngest, LenientReadAndPreprocessDropRepeatedDayOnce) {
+  std::stringstream ss(csv_with_repeated_day());
+  IngestStats read_stats;
+  const auto batch = sim::read_telemetry_csv(ss, lenient(), &read_stats);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].records.size(), 6u);  // the reader keeps both copies
+  EXPECT_EQ(read_stats.rows_dropped, 0u);
+  PreprocessConfig config;
+  config.robustness = lenient();
+  IngestStats stats;
+  const auto out = Preprocessor(config).process(batch, nullptr, &stats);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].records.size(), 5u);
+  EXPECT_EQ(stats.duplicate_days, 1u);
+}
+
 TEST(RobustIngest, LenientReadSkipsBadRowsWithDiagnostics) {
   const std::string csv = patch_field(small_csv(), 2, 1, "garbage");
   std::stringstream ss(csv);

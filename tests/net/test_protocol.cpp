@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/wire.hpp"
-#include "ml/checksum.hpp"
+#include "serve/wal.hpp"
 
 namespace mfpa::net {
 namespace {
@@ -48,6 +48,47 @@ TEST(NetProtocol, RecordFrameRoundTrips) {
   EXPECT_EQ(msg.record.b, rec.b);
   EXPECT_EQ(decoder.next(msg), FrameDecoder::Status::kNeedMore);
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
+}
+
+TEST(NetProtocol, FrameBytesMatchTheGoldenLayout) {
+  // Frozen bytes of one kRecord and one kFlushAck frame. Round-trip tests
+  // cannot see a layout change made to the encoder and the decoder at
+  // once; these can. Changing them breaks every deployed client.
+  sim::DailyRecord rec;
+  rec.day = 37;
+  rec.firmware_index = 2;
+  for (std::size_t i = 0; i < rec.smart.size(); ++i) {
+    rec.smart[i] = 1.0f + 0.5f * static_cast<float>(i);
+  }
+  for (std::size_t i = 0; i < rec.w.size(); ++i) {
+    rec.w[i] = static_cast<std::uint16_t>(i);
+  }
+  for (std::size_t i = 0; i < rec.b.size(); ++i) {
+    rec.b[i] = static_cast<std::uint16_t>(2 * i);
+  }
+  const auto to_hex = [](const std::string& bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (const unsigned char c : bytes) {
+      out += kDigits[c >> 4];
+      out += kDigits[c & 0xF];
+    }
+    return out;
+  };
+  std::string record;
+  append_record_frame(record, 1, 9001, 2, rec);
+  EXPECT_EQ(to_hex(record),
+            "4d464e5095000000010000000000000001292300000000000002000000250000"
+            "00020000000000803f0000c03f00000040000020400000404000006040000080"
+            "40000090400000a0400000b0400000c0400000d0400000e0400000f040000000"
+            "4100000841000001000200030004000500060007000800000002000400060008"
+            "000a000c000e00100012001400160018001a001c001e00200022002400260028"
+            "002a002c0003f90ce6501b2112");
+  std::string ack;
+  append_flush_ack_frame(ack, 2, {134180, 4214, 3});
+  EXPECT_EQ(to_hex(ack),
+            "4d464e5019000000020000000000000003240c02000000000076100000000000"
+            "0003000000000000000042df93305bdd8c");
 }
 
 TEST(NetProtocol, ControlAndAckFramesRoundTrip) {
@@ -165,7 +206,7 @@ TEST(NetProtocol, OversizedLengthRejectedFromHeaderAlone) {
   EXPECT_EQ(decoder.next(msg), FrameDecoder::Status::kError);
   EXPECT_EQ(decoder.error(), DecodeError::kOversized);
   // The decoder holds exactly the bytes fed, not the claimed payload.
-  EXPECT_EQ(decoder.buffered_bytes(), kNetFrameHeaderBytes);
+  EXPECT_EQ(decoder.buffered_bytes(), serve::kFrameHeaderBytes);
 }
 
 TEST(NetProtocol, JustOverMaxPayloadRejected) {
@@ -187,14 +228,7 @@ TEST(NetProtocol, DigestValidFrameWithMalformedBodyIsBadMessage) {
   record_payload.push_back(static_cast<char>(MessageType::kRecord));
   record_payload += "short";  // nothing like a WAL record payload
   std::string buf;
-  const std::size_t body_start = buf.size() + 4;
-  wire::put_u32(buf, kNetFrameMagic);
-  wire::put_u32(buf, static_cast<std::uint32_t>(record_payload.size()));
-  wire::put_u64(buf, 9);
-  buf += record_payload;
-  const std::uint64_t digest = ml::fnv1a(
-      std::string_view(buf.data() + body_start, buf.size() - body_start));
-  wire::put_u64(buf, digest);
+  serve::append_frame(buf, kNetFrameMagic, 9, record_payload);
 
   FrameDecoder decoder;
   decoder.feed(buf.data(), buf.size());
@@ -208,13 +242,7 @@ TEST(NetProtocol, ControlFrameWithTrailingBytesIsBadMessage) {
   payload.push_back(static_cast<char>(MessageType::kFlush));
   payload.push_back('x');  // kFlush takes no body
   std::string buf;
-  const std::size_t body_start = buf.size() + 4;
-  wire::put_u32(buf, kNetFrameMagic);
-  wire::put_u32(buf, static_cast<std::uint32_t>(payload.size()));
-  wire::put_u64(buf, 1);
-  buf += payload;
-  wire::put_u64(buf, ml::fnv1a(std::string_view(buf.data() + body_start,
-                                                buf.size() - body_start)));
+  serve::append_frame(buf, kNetFrameMagic, 1, payload);
   FrameDecoder decoder;
   decoder.feed(buf.data(), buf.size());
   NetMessage msg;
@@ -343,13 +371,7 @@ TEST(NetProtocol, TruncatedHelloBodyIsBadMessage) {
   wire::put_u32(payload, 1);
   wire::put_u32(payload, 4);
   std::string buf;
-  const std::size_t body_start = buf.size() + 4;
-  wire::put_u32(buf, kNetFrameMagic);
-  wire::put_u32(buf, static_cast<std::uint32_t>(payload.size()));
-  wire::put_u64(buf, 5);
-  buf += payload;
-  wire::put_u64(buf, ml::fnv1a(std::string_view(buf.data() + body_start,
-                                                buf.size() - body_start)));
+  serve::append_frame(buf, kNetFrameMagic, 5, payload);
   FrameDecoder decoder;
   decoder.feed(buf.data(), buf.size());
   NetMessage msg;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/drive_state_store.hpp"
 #include "serve/wal.hpp"
 
@@ -292,6 +293,41 @@ TEST_F(CheckpointTest, RetainsOnlyTwoNewestCheckpoints) {
   const auto ckpts = list_checkpoints(dir_.string());
   ASSERT_EQ(ckpts.size(), 2u);
   EXPECT_EQ(ckpts.back().first, manager.last_lsn());
+}
+
+TEST_F(CheckpointTest, DotTempOrphanIsRemovedAndNeverLoaded) {
+  {
+    DriveStateStore store(StoreConfig{});
+    DurabilityManager manager(durability_config());
+    manager.recover(store, 1);
+    manager.finish_recovery(store, 1);
+    feed(manager, store, 2, 3, 0);
+    manager.checkpoint_now(store, 1);  // ckpt @ 6
+  }
+  // A crash mid-publish of a newer checkpoint left its dot-temp behind.
+  const fs::path orphan = dir_ / "ckpt" / ".ckpt-9.mfc.tmp";
+  std::ofstream(orphan, std::ios::binary) << "mfpa_ckpt 1 9 garbage";
+  DriveStateStore store(StoreConfig{});
+  DurabilityManager manager(durability_config());
+  const auto recovered = manager.recover(store, 1);
+  EXPECT_FALSE(fs::exists(orphan));
+  EXPECT_TRUE(recovered.checkpoint_loaded);
+  EXPECT_EQ(recovered.checkpoint_lsn, 6u);
+  EXPECT_EQ(recovered.checkpoints_skipped, 0u);
+}
+
+TEST_F(CheckpointTest, StartupSealCountsItsBytes) {
+  auto isolated = obs::MetricsRegistry::create_isolated();
+  obs::ScopedMetricsOverride override_metrics(*isolated);
+  DriveStateStore store(StoreConfig{});
+  DurabilityManager manager(durability_config());
+  manager.recover(store, 1);
+  manager.finish_recovery(store, 1);
+  const auto ckpts = list_checkpoints(dir_.string());
+  ASSERT_EQ(ckpts.size(), 1u);
+  EXPECT_EQ(isolated->counter("mfpa_ckpt_writes_total").value(), 1u);
+  EXPECT_EQ(isolated->counter("mfpa_ckpt_bytes_total").value(),
+            fs::file_size(ckpts.front().second));
 }
 
 TEST_F(CheckpointTest, AppendBeforeFinishRecoveryIsAContractViolation) {

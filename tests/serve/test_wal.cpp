@@ -43,6 +43,29 @@ std::string read_bytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+std::string to_hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xF];
+  }
+  return out;
+}
+
+/// Rewrites `path` once per byte offset, the magic included, with one bit
+/// of that byte flipped, and calls check(offset) after each rewrite.
+template <typename Check>
+void for_each_bit_flip(const std::string& path, Check&& check) {
+  const std::string pristine = read_bytes(path);
+  for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
+    std::string corrupt = pristine;
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
+    write_bytes(path, corrupt);
+    check(pos);
+  }
+}
+
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -100,9 +123,9 @@ TEST_F(WalTest, AlertPayloadRoundTrips) {
 
 TEST_F(WalTest, FrameScanReturnsFramesInOrder) {
   std::string buf;
-  append_frame(buf, 1, "alpha");
-  append_frame(buf, 2, "beta");
-  append_frame(buf, 3, std::string("\0binary\xff", 8));
+  append_frame(buf, kWalFrameMagic, 1, "alpha");
+  append_frame(buf, kWalFrameMagic, 2, "beta");
+  append_frame(buf, kWalFrameMagic, 3, std::string("\0binary\xff", 8));
   const std::string path = (dir_ / "frames.bin").string();
   write_bytes(path, buf);
   const FrameScan scan = scan_frames(path);
@@ -118,8 +141,8 @@ TEST_F(WalTest, FrameScanReturnsFramesInOrder) {
 
 TEST_F(WalTest, TornTailIsDiscardedNotFatal) {
   std::string buf;
-  append_frame(buf, 1, "first");
-  append_frame(buf, 2, "second");
+  append_frame(buf, kWalFrameMagic, 1, "first");
+  append_frame(buf, kWalFrameMagic, 2, "second");
   const std::size_t full = buf.size();
   buf.resize(full - 7);  // power loss mid final frame
   const std::string path = (dir_ / "torn.bin").string();
@@ -133,9 +156,9 @@ TEST_F(WalTest, TornTailIsDiscardedNotFatal) {
 
 TEST_F(WalTest, MidStreamCorruptionThrows) {
   std::string buf;
-  append_frame(buf, 1, "first");
+  append_frame(buf, kWalFrameMagic, 1, "first");
   const std::size_t first_end = buf.size();
-  append_frame(buf, 2, "second");
+  append_frame(buf, kWalFrameMagic, 2, "second");
   buf[first_end / 2] ^= 0x40;  // flip a bit inside frame 1's payload
   const std::string path = (dir_ / "hole.bin").string();
   write_bytes(path, buf);
@@ -251,8 +274,9 @@ TEST_F(WalTest, ExactDuplicateFramesAreDropped) {
 TEST_F(WalTest, LsnCollisionWithDifferentBytesThrows) {
   fs::create_directories(dir_ / "wal");
   std::string buf;
-  append_frame(buf, 1, "one payload");
-  append_frame(buf, 1, "a different payload");  // same LSN, different bytes
+  append_frame(buf, kWalFrameMagic, 1, "one payload");
+  // Same LSN, different bytes.
+  append_frame(buf, kWalFrameMagic, 1, "a different payload");
   write_bytes((dir_ / "wal" / "c0.wal").string(), buf);
   EXPECT_THROW(recover_wal(dir_.string(), 0), std::runtime_error);
 }
@@ -260,10 +284,13 @@ TEST_F(WalTest, LsnCollisionWithDifferentBytesThrows) {
 TEST_F(WalTest, RecordsBeyondAnLsnGapAreDiscarded) {
   fs::create_directories(dir_ / "wal");
   std::string buf;
-  append_frame(buf, 1, encode_wal_payload(1, 0, make_record(1, 1.0f)));
-  append_frame(buf, 2, encode_wal_payload(2, 0, make_record(2, 1.0f)));
+  append_frame(buf, kWalFrameMagic, 1,
+               encode_wal_payload(1, 0, make_record(1, 1.0f)));
+  append_frame(buf, kWalFrameMagic, 2,
+               encode_wal_payload(2, 0, make_record(2, 1.0f)));
   // LSN 3 never reached the file; 4 survives but is past the gap.
-  append_frame(buf, 4, encode_wal_payload(4, 0, make_record(4, 1.0f)));
+  append_frame(buf, kWalFrameMagic, 4,
+               encode_wal_payload(4, 0, make_record(4, 1.0f)));
   write_bytes((dir_ / "wal" / "c0.wal").string(), buf);
   WalRecoveryStats stats;
   const auto tail = recover_wal(dir_.string(), 0, &stats);
@@ -289,6 +316,108 @@ TEST_F(WalTest, RotateRetainsFallbackGenerationAndDropsOlder) {
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(tail.front().lsn, 2u);
   EXPECT_EQ(tail.back().lsn, 3u);
+}
+
+TEST_F(WalTest, BitFlipAtEveryOffsetNeverRecoversAWrongEntry) {
+  std::vector<sim::DailyRecord> records;
+  {
+    WalWriter writer(writer_config());
+    writer.open_generation(0);
+    for (int i = 0; i < 3; ++i) {
+      records.push_back(make_record(20 + i, 1.0f + static_cast<float>(i)));
+      writer.append(static_cast<std::uint64_t>(100 + i), i, records.back());
+    }
+  }
+  // Recovery either refuses (mid-stream corruption) or returns a prefix of
+  // what was written with the torn tail counted; never a changed entry.
+  for_each_bit_flip((dir_ / "wal" / "c0.wal").string(), [&](std::size_t pos) {
+    WalRecoveryStats stats;
+    std::vector<WalEntry> tail;
+    try {
+      tail = recover_wal(dir_.string(), 0, &stats);
+    } catch (const std::runtime_error&) {
+      return;
+    }
+    ASSERT_LT(tail.size(), records.size()) << "byte " << pos;
+    EXPECT_EQ(stats.torn_tails, 1u) << "byte " << pos;
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+      EXPECT_EQ(tail[i].lsn, i + 1) << "byte " << pos;
+      EXPECT_EQ(tail[i].drive_id, 100 + i) << "byte " << pos;
+      EXPECT_EQ(tail[i].vendor, static_cast<int>(i)) << "byte " << pos;
+      EXPECT_EQ(tail[i].record.day, records[i].day) << "byte " << pos;
+      EXPECT_EQ(tail[i].record.firmware_index, records[i].firmware_index);
+      EXPECT_EQ(tail[i].record.smart, records[i].smart) << "byte " << pos;
+      EXPECT_EQ(tail[i].record.w, records[i].w) << "byte " << pos;
+      EXPECT_EQ(tail[i].record.b, records[i].b) << "byte " << pos;
+    }
+  });
+}
+
+TEST_F(WalTest, AlertLogBitFlipAtEveryOffsetNeverScansAWrongAlert) {
+  const std::vector<core::Alert> alerts = {
+      {11, 3, 0.75}, {12, 4, 0.8125}, {13, 5, 0.875}};
+  {
+    AlertLog log(dir_.string(), /*fsync=*/false);
+    log.open(0);
+    for (const auto& alert : alerts) log.append(alert);
+    log.flush();
+  }
+  for_each_bit_flip((dir_ / "alerts.log").string(), [&](std::size_t pos) {
+    FrameScan scan;
+    try {
+      scan = scan_frames((dir_ / "alerts.log").string());
+    } catch (const std::runtime_error&) {
+      return;
+    }
+    ASSERT_LT(scan.frames.size(), alerts.size()) << "byte " << pos;
+    EXPECT_TRUE(scan.torn_tail) << "byte " << pos;
+    for (std::size_t i = 0; i < scan.frames.size(); ++i) {
+      EXPECT_EQ(scan.frames[i].lsn, i + 1) << "byte " << pos;
+      const core::Alert got = decode_alert_payload(scan.frames[i].payload);
+      EXPECT_EQ(got.drive_id, alerts[i].drive_id) << "byte " << pos;
+      EXPECT_EQ(got.day, alerts[i].day) << "byte " << pos;
+      EXPECT_EQ(got.score, alerts[i].score) << "byte " << pos;
+    }
+  });
+}
+
+TEST_F(WalTest, FrameBytesMatchTheGoldenLayout) {
+  // Frozen bytes of one WAL record frame and one alert frame. Round-trip
+  // tests cannot see a layout change made to the encoder and the decoder
+  // at once; these can. Changing them orphans every existing durable dir.
+  sim::DailyRecord rec;
+  rec.day = 37;
+  rec.firmware_index = 2;
+  for (std::size_t i = 0; i < rec.smart.size(); ++i) {
+    rec.smart[i] = 1.0f + 0.5f * static_cast<float>(i);
+  }
+  for (std::size_t i = 0; i < rec.w.size(); ++i) {
+    rec.w[i] = static_cast<std::uint16_t>(i);
+  }
+  for (std::size_t i = 0; i < rec.b.size(); ++i) {
+    rec.b[i] = static_cast<std::uint16_t>(2 * i);
+  }
+  {
+    WalWriter writer(writer_config());
+    writer.open_generation(0);
+    writer.append(9001, 2, rec);
+  }
+  EXPECT_EQ(
+      to_hex(read_bytes((dir_ / "wal" / "c0.wal").string())),
+      "4d46574c94000000010000000000000029230000000000000200000025000000"
+      "020000000000803f0000c03f0000004000002040000040400000604000008040"
+      "000090400000a0400000b0400000c0400000d0400000e0400000f04000000041"
+      "0000084100000100020003000400050006000700080000000200040006000800"
+      "0a000c000e00100012001400160018001a001c001e0020002200240026002800"
+      "2a002c00138862d44c02d5b2");
+  {
+    AlertLog log(dir_.string(), /*fsync=*/false);
+    log.open(0);
+    log.append({9001, 37, 0.8125});
+  }
+  EXPECT_EQ(to_hex(read_bytes((dir_ / "alerts.log").string())),
+            "4d46574c14000000010000000000000029230000000000002500000000000000"
+            "0000ea3fa628cb1f60a8d8d2");
 }
 
 TEST_F(WalTest, AlertLogRoundTripAndTruncation) {
