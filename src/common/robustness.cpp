@@ -1,31 +1,44 @@
 #include "common/robustness.hpp"
 
+#include <array>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
 #include "common/table_printer.hpp"
+#include "common/wire.hpp"
 
 namespace mfpa {
+namespace {
+
+/// The additive counters, in image order.
+constexpr std::array<std::size_t IngestStats::*, 13> kCounters = {
+    &IngestStats::rows_read,
+    &IngestStats::rows_repaired,
+    &IngestStats::rows_dropped,
+    &IngestStats::short_rows,
+    &IngestStats::bad_cells,
+    &IngestStats::firmware_repairs,
+    &IngestStats::duplicate_days,
+    &IngestStats::clock_rollbacks,
+    &IngestStats::counter_resets_rebased,
+    &IngestStats::values_repaired,
+    &IngestStats::duplicate_drives,
+    &IngestStats::drives_quarantined,
+    &IngestStats::tickets_dropped,
+};
+
+constexpr std::size_t kMaxDiagnostics = 10000;
+constexpr std::size_t kMaxDiagnosticBytes = 1u << 20;
+
+}  // namespace
 
 void IngestStats::note(std::string diagnostic, std::size_t cap) {
   if (diagnostics.size() < cap) diagnostics.push_back(std::move(diagnostic));
 }
 
 void IngestStats::merge(const IngestStats& other, std::size_t diag_cap) {
-  rows_read += other.rows_read;
-  rows_repaired += other.rows_repaired;
-  rows_dropped += other.rows_dropped;
-  short_rows += other.short_rows;
-  bad_cells += other.bad_cells;
-  firmware_repairs += other.firmware_repairs;
-  duplicate_days += other.duplicate_days;
-  clock_rollbacks += other.clock_rollbacks;
-  counter_resets_rebased += other.counter_resets_rebased;
-  values_repaired += other.values_repaired;
-  duplicate_drives += other.duplicate_drives;
-  drives_quarantined += other.drives_quarantined;
-  tickets_dropped += other.tickets_dropped;
+  for (const auto field : kCounters) this->*field += other.*field;
   for (const auto& d : other.diagnostics) note(d, diag_cap);
 }
 
@@ -65,40 +78,44 @@ std::string IngestStats::summary() const {
   return out;
 }
 
-void IngestStats::save(std::ostream& os) const {
-  os << "ingest_stats 1 " << rows_read << ' ' << rows_repaired << ' '
-     << rows_dropped << ' ' << short_rows << ' ' << bad_cells << ' '
-     << firmware_repairs << ' ' << duplicate_days << ' ' << clock_rollbacks
-     << ' ' << counter_resets_rebased << ' ' << values_repaired << ' '
-     << duplicate_drives << ' ' << drives_quarantined << ' ' << tickets_dropped
-     << '\n';
-  os << "diagnostics " << diagnostics.size() << '\n';
+void IngestStats::save(std::string& out) const {
+  for (const auto field : kCounters) wire::put_u64(out, this->*field);
+  wire::put_u32(out, static_cast<std::uint32_t>(diagnostics.size()));
   for (const auto& d : diagnostics) {
-    os << d.size() << ' ' << d << '\n';
+    wire::put_u32(out, static_cast<std::uint32_t>(d.size()));
+    out += d;
   }
 }
 
-void IngestStats::load(std::istream& is) {
+void IngestStats::load(wire::ByteReader& in) {
+  for (const auto field : kCounters) this->*field = in.u64();
+  const std::size_t n = in.count(kMaxDiagnostics);
+  diagnostics.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    diagnostics.push_back(in.bytes(in.count(kMaxDiagnosticBytes)));
+  }
+}
+
+void IngestStats::load_text(std::istream& is) {
   std::string tag;
   int version = 0;
   if (!(is >> tag >> version) || tag != "ingest_stats" || version != 1) {
     throw std::runtime_error("IngestStats: malformed header");
   }
-  if (!(is >> rows_read >> rows_repaired >> rows_dropped >> short_rows >>
-        bad_cells >> firmware_repairs >> duplicate_days >> clock_rollbacks >>
-        counter_resets_rebased >> values_repaired >> duplicate_drives >>
-        drives_quarantined >> tickets_dropped)) {
-    throw std::runtime_error("IngestStats: truncated counters");
+  for (const auto field : kCounters) {
+    if (!(is >> this->*field)) {
+      throw std::runtime_error("IngestStats: truncated counters");
+    }
   }
   std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "diagnostics" || n > 10000) {
+  if (!(is >> tag >> n) || tag != "diagnostics" || n > kMaxDiagnostics) {
     throw std::runtime_error("IngestStats: malformed diagnostics count");
   }
   diagnostics.clear();
   diagnostics.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t len = 0;
-    if (!(is >> len) || len > (1u << 20) || is.get() != ' ') {
+    if (!(is >> len) || len > kMaxDiagnosticBytes || is.get() != ' ') {
       throw std::runtime_error("IngestStats: malformed diagnostic length");
     }
     std::string d(len, '\0');

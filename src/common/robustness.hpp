@@ -19,6 +19,10 @@
 
 namespace mfpa {
 
+namespace wire {
+class ByteReader;
+}  // namespace wire
+
 enum class IngestMode {
   kStrict,   ///< throw on the first anomaly, with a located diagnostic
   kLenient,  ///< repair what is repairable, drop the rest, count everything
@@ -94,11 +98,17 @@ struct IngestStats {
   /// One-line summary ("rows 1200 (repaired 3, dropped 2), faults: ...").
   std::string summary() const;
 
-  /// Whitespace-tokenized serialization (used inside durable checkpoints;
-  /// integrity is the enclosing format's job). Diagnostics are
-  /// length-prefixed so embedded spaces survive the round trip.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
+  bool operator==(const IngestStats&) const = default;
+
+  /// Fixed-width binary image (common/wire.hpp) inside durable checkpoints:
+  /// the thirteen counters as u64, then the diagnostics as u32 count and
+  /// u32-length-prefixed bytes. Integrity is the enclosing format's job;
+  /// load() checks every count against a limit before allocating.
+  void save(std::string& out) const;
+  void load(wire::ByteReader& in);
+  /// Reads the whitespace-tokenized text image of checkpoints written
+  /// before the binary format (store images 1 and 2).
+  void load_text(std::istream& is);
 };
 
 /// Renders the full report (summary, per-cause table, diagnostics) to `os`.

@@ -1,10 +1,11 @@
 // Little-endian fixed-width byte packing shared by every binary format in
-// the tree: the WAL / alert-log frames (serve/wal), the durable checkpoint
-// images (serve/checkpoint), and the network ingestion protocol
-// (net/protocol). The durable formats are host-local (written and recovered
-// on the same machine) and the wire format is loopback-first, but pinning
-// the byte order keeps each framing well-defined, portable across mixed
-// client/server builds, and lets tests craft exact corruption.
+// the tree: the WAL / alert-log frames (serve/wal), the durable store image
+// inside each checkpoint (serve/drive_state_store), and the network
+// ingestion protocol (net/protocol). The durable formats are host-local
+// (written and recovered on the same machine) and the wire format is
+// loopback-first, but pinning the byte order keeps each framing
+// well-defined, portable across mixed client/server builds, and lets tests
+// craft exact corruption.
 //
 // Writers append to a std::string (cheap, append-only, reusable buffer);
 // ByteReader walks a payload with bounds checks and throws
@@ -12,12 +13,17 @@
 // payload — the shared "refuse, don't misparse" discipline.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
 namespace mfpa::wire {
+
+inline void put_u8(std::string& buf, std::uint8_t v) {
+  buf.push_back(static_cast<char>(v));
+}
 
 inline void put_u16(std::string& buf, std::uint16_t v) {
   buf.push_back(static_cast<char>(v & 0xFF));
@@ -79,6 +85,7 @@ class ByteReader {
   ByteReader(const std::string& bytes, const char* what)
       : bytes_(bytes), what_(what) {}
 
+  std::uint8_t u8() { return static_cast<std::uint8_t>(u(1)); }
   std::uint16_t u16() { return static_cast<std::uint16_t>(u(2)); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(u(4)); }
   std::uint64_t u64() { return u(8); }
@@ -94,6 +101,37 @@ class ByteReader {
     double v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
+  }
+
+  /// A u8 flag that must be 0 or 1.
+  bool flag() {
+    const std::uint8_t v = u8();
+    if (v > 1) {
+      throw std::runtime_error(std::string(what_) + ": bad flag byte");
+    }
+    return v != 0;
+  }
+
+  /// The next `n` bytes, checked against the payload before allocating.
+  std::string bytes(std::size_t n) {
+    if (n > remaining()) {
+      throw std::runtime_error(std::string(what_) + ": short payload");
+    }
+    std::string out = bytes_.substr(off_, n);
+    off_ += n;
+    return out;
+  }
+
+  /// A u32 element count or byte length, refused above `limit` so the
+  /// caller never sizes an allocation from an unchecked field.
+  std::size_t count(std::size_t limit) {
+    const std::uint32_t n = u32();
+    if (n > limit) {
+      throw std::runtime_error(std::string(what_) + ": count " +
+                               std::to_string(n) + " over limit " +
+                               std::to_string(limit));
+    }
+    return n;
   }
 
   std::size_t remaining() const noexcept { return bytes_.size() - off_; }

@@ -7,6 +7,22 @@
 
 namespace mfpa::core {
 
+bool AlertGate::step(DayIndex day, bool crossed, const AlertPolicy& policy) {
+  if (!crossed) {
+    consecutive = 0;
+    return false;
+  }
+  ++consecutive;
+  if (consecutive < policy.min_consecutive) return false;
+  if (policy.cooldown_days > 0 &&
+      last_alert > std::numeric_limits<DayIndex>::min() &&
+      day - last_alert < policy.cooldown_days) {
+    return false;
+  }
+  last_alert = day;
+  return true;
+}
+
 OnlinePredictor::OnlinePredictor(const MfpaPipeline& pipeline,
                                  AlertPolicy policy)
     : pipeline_(&pipeline),
@@ -40,22 +56,12 @@ std::vector<double> OnlinePredictor::score_drive(const ProcessedDrive& drive) {
   }
   if (ds.empty()) return {};
   const auto scores = pipeline_->score(ds);
-  int consecutive = 0;
-  DayIndex last_alert = std::numeric_limits<DayIndex>::min();
+  AlertGate gate;
   for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (scores[i] < pipeline_->threshold()) {
-      consecutive = 0;
-      continue;
-    }
-    ++consecutive;
-    if (consecutive < policy_.min_consecutive) continue;
     const DayIndex day = ds.meta[i].day;
-    if (policy_.cooldown_days > 0 && last_alert > std::numeric_limits<DayIndex>::min() &&
-        day - last_alert < policy_.cooldown_days) {
-      continue;
+    if (gate.step(day, scores[i] >= pipeline_->threshold(), policy_)) {
+      alerts_.push_back({drive.drive_id, day, scores[i]});
     }
-    alerts_.push_back({drive.drive_id, day, scores[i]});
-    last_alert = day;
   }
   return scores;
 }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +29,17 @@ struct Alert {
 struct AlertPolicy {
   int min_consecutive = 1;  ///< crossings in a row before the first alert
   int cooldown_days = 0;    ///< silence after an alert (0 = alert every time)
+};
+
+/// One drive's AlertPolicy state machine (consecutive-crossing hysteresis
+/// plus cooldown), shared by batch scoring (OnlinePredictor) and serving
+/// (serve::DriveStateStore). A default-constructed gate is a fresh segment.
+struct AlertGate {
+  int consecutive = 0;
+  DayIndex last_alert = std::numeric_limits<DayIndex>::min();
+
+  /// Feeds one scored row, in day order; true when it raises an alert.
+  bool step(DayIndex day, bool crossed, const AlertPolicy& policy);
 };
 
 /// Monthly sample-level evaluation row (Fig. 12/16 series).

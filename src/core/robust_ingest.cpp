@@ -3,10 +3,10 @@
 #include <cmath>
 #include <istream>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 #include <type_traits>
 
+#include "common/wire.hpp"
 #include "ml/serialize.hpp"
 
 namespace mfpa::core {
@@ -172,31 +172,32 @@ std::optional<sim::DailyRecord> RecordSanitizer::sanitize(
   return rec;
 }
 
-void RecordSanitizer::save_state(std::ostream& os) const {
-  os << "sanitizer 1\n";
-  stats_.save(os);
-  os << "last_day " << (last_day_.has_value() ? 1 : 0) << ' '
-     << (last_day_.has_value() ? *last_day_ : 0) << '\n';
-  const auto write_array = [&os](const char* tag, const auto& values) {
-    os << tag << ' ' << values.size();
-    for (const auto v : values) {
-      os << ' ';
-      ml::io::write_double(os, static_cast<double>(v));
-    }
-    os << '\n';
-  };
-  write_array("last_raw", last_raw_);
-  write_array("rebase_offset", rebase_offset_);
-  write_array("last_good", last_good_);
+void RecordSanitizer::save_state(std::string& out) const {
+  stats_.save(out);
+  wire::put_u8(out, last_day_.has_value() ? 1 : 0);
+  wire::put_i32(out, last_day_.value_or(0));
+  for (const float v : last_raw_) wire::put_f32(out, v);
+  for (const double v : rebase_offset_) wire::put_f64(out, v);
+  for (const float v : last_good_) wire::put_f32(out, v);
 }
 
-void RecordSanitizer::load_state(std::istream& is) {
+void RecordSanitizer::load_state(wire::ByteReader& in) {
+  stats_.load(in);
+  const bool has_day = in.flag();
+  const DayIndex day = in.i32();
+  last_day_ = has_day ? std::optional<DayIndex>(day) : std::nullopt;
+  for (float& v : last_raw_) v = in.f32();
+  for (double& v : rebase_offset_) v = in.f64();
+  for (float& v : last_good_) v = in.f32();
+}
+
+void RecordSanitizer::load_text_state(std::istream& is) {
   std::string tag;
   int version = 0;
   if (!(is >> tag >> version) || tag != "sanitizer" || version != 1) {
     throw std::runtime_error("RecordSanitizer: malformed state header");
   }
-  stats_.load(is);
+  stats_.load_text(is);
   int has = 0;
   DayIndex day = 0;
   if (!(is >> tag >> has >> day) || tag != "last_day") {

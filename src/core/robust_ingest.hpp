@@ -60,13 +60,15 @@ class RecordSanitizer {
   /// Resets all state for a new drive.
   void reset();
 
-  /// Serializes the full sanitizer state (day-order cursor, re-basing
-  /// offsets, last-good values, accounting) for durable checkpoints; a
-  /// loaded sanitizer continues the delivery sequence bit-identically.
-  /// Doubles round-trip at full precision; integrity is the enclosing
-  /// checkpoint's checksum.
-  void save_state(std::ostream& os) const;
-  void load_state(std::istream& is);
+  /// Appends the full sanitizer state (accounting, day-order cursor,
+  /// re-basing offsets, last-good values) to a durable checkpoint's binary
+  /// image; a loaded sanitizer continues the delivery sequence
+  /// bit-identically. Floats and doubles are stored as their IEEE-754 bits;
+  /// integrity is the enclosing checkpoint's checksum.
+  void save_state(std::string& out) const;
+  void load_state(wire::ByteReader& in);
+  /// Reads the text image of checkpoints written before the binary format.
+  void load_text_state(std::istream& is);
 
  private:
   RobustnessConfig config_;

@@ -1,14 +1,20 @@
 #include "core/streaming.hpp"
 
-#include <algorithm>
 #include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "common/wire.hpp"
 #include "ml/serialize.hpp"
 
 namespace mfpa::core {
+namespace {
+
+// Checkpoint-image limits, checked before anything is allocated.
+constexpr std::size_t kMaxSegmentRecords = 1u << 24;
+constexpr std::size_t kMaxFirmwareBytes = 4096;
+
+}  // namespace
 
 StreamingIngestor::StreamingIngestor(std::uint64_t drive_id, int vendor,
                                      PreprocessConfig config)
@@ -61,10 +67,9 @@ std::vector<ProcessedRecord> StreamingIngestor::ingest(
   return produced;
 }
 
-std::size_t StreamingIngestor::compact(std::size_t max_records) {
-  max_records = std::max<std::size_t>(1, max_records);
-  if (segment_.size() <= max_records) return 0;
-  const std::size_t drop = segment_.size() - max_records;
+std::size_t StreamingIngestor::compact() {
+  if (segment_.size() <= 1) return 0;
+  const std::size_t drop = segment_.size() - 1;
   segment_.erase(segment_.begin(),
                  segment_.begin() + static_cast<std::ptrdiff_t>(drop));
   return drop;
@@ -87,41 +92,62 @@ ProcessedDrive StreamingIngestor::snapshot() const {
   return out;
 }
 
-void StreamingIngestor::save_state(std::ostream& os) const {
-  os << "ingestor 1\n";
-  sanitizer_.save_state(os);
-  os << "counters " << real_records_ << ' ' << segments_started_ << ' '
-     << (last_day_.has_value() ? 1 : 0) << ' '
-     << (last_day_.has_value() ? *last_day_ : 0) << '\n';
-  const auto write_doubles = [&os](const auto& values) {
-    for (const double v : values) {
-      os << ' ';
-      ml::io::write_double(os, v);
-    }
+void StreamingIngestor::save_state(std::string& out) const {
+  sanitizer_.save_state(out);
+  wire::put_u64(out, real_records_);
+  wire::put_i32(out, segments_started_);
+  wire::put_u8(out, last_day_.has_value() ? 1 : 0);
+  wire::put_i32(out, last_day_.value_or(0));
+  const auto put_doubles = [&out](const auto& values) {
+    for (const double v : values) wire::put_f64(out, v);
   };
-  os << "w_cum";
-  write_doubles(w_cum_);
-  os << "\nb_cum";
-  write_doubles(b_cum_);
-  os << '\n';
-  os << "segment " << segment_.size() << '\n';
+  put_doubles(w_cum_);
+  put_doubles(b_cum_);
+  wire::put_u32(out, static_cast<std::uint32_t>(segment_.size()));
   for (const auto& rec : segment_) {
-    os << rec.day << ' ' << (rec.synthetic ? 1 : 0) << ' '
-       << rec.firmware.size() << ' ' << rec.firmware;
-    write_doubles(rec.smart);
-    write_doubles(rec.w_cum);
-    write_doubles(rec.b_cum);
-    os << '\n';
+    wire::put_i32(out, rec.day);
+    wire::put_u8(out, rec.synthetic ? 1 : 0);
+    wire::put_u32(out, static_cast<std::uint32_t>(rec.firmware.size()));
+    out += rec.firmware;
+    put_doubles(rec.smart);
+    put_doubles(rec.w_cum);
+    put_doubles(rec.b_cum);
   }
 }
 
-void StreamingIngestor::load_state(std::istream& is) {
+void StreamingIngestor::load_state(wire::ByteReader& in) {
+  sanitizer_.load_state(in);
+  real_records_ = in.u64();
+  segments_started_ = in.i32();
+  const bool has_day = in.flag();
+  const DayIndex day = in.i32();
+  last_day_ = has_day ? std::optional<DayIndex>(day) : std::nullopt;
+  const auto get_doubles = [&in](auto& values) {
+    for (double& v : values) v = in.f64();
+  };
+  get_doubles(w_cum_);
+  get_doubles(b_cum_);
+  const std::size_t n = in.count(kMaxSegmentRecords);
+  segment_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    ProcessedRecord rec;
+    rec.day = in.i32();
+    rec.synthetic = in.flag();
+    rec.firmware = in.bytes(in.count(kMaxFirmwareBytes));
+    get_doubles(rec.smart);
+    get_doubles(rec.w_cum);
+    get_doubles(rec.b_cum);
+    segment_.push_back(std::move(rec));
+  }
+}
+
+void StreamingIngestor::load_text_state(std::istream& is) {
   std::string tag;
   int version = 0;
   if (!(is >> tag >> version) || tag != "ingestor" || version != 1) {
     throw std::runtime_error("StreamingIngestor: malformed state header");
   }
-  sanitizer_.load_state(is);
+  sanitizer_.load_text_state(is);
   int has_day = 0;
   DayIndex day = 0;
   if (!(is >> tag >> real_records_ >> segments_started_ >> has_day >> day) ||
@@ -141,17 +167,16 @@ void StreamingIngestor::load_state(std::istream& is) {
   }
   read_doubles(b_cum_);
   std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "segment" || n > (1u << 24)) {
+  if (!(is >> tag >> n) || tag != "segment" || n > kMaxSegmentRecords) {
     throw std::runtime_error("StreamingIngestor: malformed segment size");
   }
   segment_.clear();
-  segment_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ProcessedRecord rec;
     int synthetic = 0;
     std::size_t fw_len = 0;
-    if (!(is >> rec.day >> synthetic >> fw_len) || fw_len > 4096 ||
-        is.get() != ' ') {
+    if (!(is >> rec.day >> synthetic >> fw_len) ||
+        fw_len > kMaxFirmwareBytes || is.get() != ' ') {
       throw std::runtime_error("StreamingIngestor: malformed segment record");
     }
     rec.synthetic = synthetic != 0;

@@ -68,14 +68,13 @@ class StreamingIngestor {
     return sanitizer_.stats();
   }
 
-  /// Drops the oldest records of the current segment until at most
-  /// `max_records` remain; returns how many were dropped. The conversion
-  /// state (cumulative counters, last-day, sanitizer) is independent of the
-  /// retained records, and gap filling only reads segment().back(), so
-  /// compaction never changes future ingest output — it only bounds memory
-  /// for long-running per-drive state (the serving tier's DriveStateStore
-  /// compacts after every emit). `max_records` is clamped to >= 1.
-  std::size_t compact(std::size_t max_records);
+  /// Drops every record of the current segment but the newest; returns how
+  /// many were dropped. The conversion state (cumulative counters, last
+  /// day, sanitizer) is independent of the retained records, and gap
+  /// filling reads only segment().back(), so compaction never changes
+  /// future ingest output. The serving tier's DriveStateStore compacts
+  /// once a drive's rows are emitted, which keeps its state O(1).
+  std::size_t compact();
 
   /// Number of long-gap cuts seen so far.
   int segments_started() const noexcept { return segments_started_; }
@@ -87,13 +86,16 @@ class StreamingIngestor {
   /// through SampleBuilder / OnlinePredictor).
   ProcessedDrive snapshot() const;
 
-  /// Serializes the full incremental state (sanitizer, current segment,
-  /// cumulative counters, day cursor) for durable checkpoints. Identity
+  /// Appends the full incremental state (sanitizer, counters, day cursor,
+  /// current segment) to a durable checkpoint's binary image. Identity
   /// (drive_id, vendor) and config are NOT serialized — the loader must
   /// construct the ingestor with the same arguments, after which a loaded
-  /// ingestor continues the ingest sequence bit-identically.
-  void save_state(std::ostream& os) const;
-  void load_state(std::istream& is);
+  /// ingestor continues the ingest sequence bit-identically. load_state()
+  /// checks the segment and firmware lengths before allocating.
+  void save_state(std::string& out) const;
+  void load_state(wire::ByteReader& in);
+  /// Reads the text image of checkpoints written before the binary format.
+  void load_text_state(std::istream& is);
 
  private:
   std::uint64_t drive_id_;

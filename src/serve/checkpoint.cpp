@@ -43,11 +43,10 @@ void write_checkpoint_file(const std::string& path,
                            const DriveStateStore& store, std::uint64_t lsn,
                            std::uint64_t alert_count, int model_version,
                            bool fsync) {
-  std::ostringstream payload;
-  payload << "checkpoint 1 " << lsn << ' ' << alert_count << ' '
-          << model_version << '\n';
-  store.save_state(payload);
-  const std::string body = payload.str();
+  std::string body = "checkpoint 1 " + std::to_string(lsn) + ' ' +
+                     std::to_string(alert_count) + ' ' +
+                     std::to_string(model_version) + '\n';
+  store.save_state(body);
   std::string file = "mfpa_ckpt 1 " + std::to_string(body.size()) + ' ' +
                      ml::checksum_hex(ml::fnv1a(body)) + '\n';
   file += body;

@@ -2,13 +2,19 @@
 // service crash-consistent.
 //
 // A checkpoint is a point-in-time snapshot of the DriveStateStore (every
-// ingestor window, emission cursor, and alert-hysteresis register) plus the
-// WAL position and durable-alert count it corresponds to, written with the
-// same checksummed framing as model artifacts:
+// drive's ingestor state and retained records, emission cursor, and alert
+// gate) plus the WAL position and durable-alert count it corresponds to,
+// written with the same checksummed framing as model artifacts:
 //
 //   mfpa_ckpt 1 <payload bytes> <fnv1a-64 hex of payload>
 //   checkpoint 1 <lsn> <durable alert count> <model version>
 //   <DriveStateStore::save_state image>
+//
+// The two header lines are text; the store image is binary (`store 3`,
+// fixed-width little-endian, O(1) per drive). The digest is verified
+// before any of the payload is parsed. Checkpoints written before the
+// binary image hold the text images `store 1` / `store 2`, which
+// DriveStateStore::load_state still reads.
 //
 // Files live under `<dir>/ckpt/ckpt-<lsn>.mfc`, written dot-temp + fsync +
 // rename (serve::publish_file, shared with the model registry; recovery
@@ -17,8 +23,8 @@
 // two newest are retained so a corrupt newest checkpoint falls back one
 // generation — the WAL keeps its one segment file per generation back to
 // the retained checkpoint (wal.hpp), so the fallback replays a longer tail
-// instead of losing records. The store image lists drives by id with fleet
-// totals, so its bytes depend only on the records applied.
+// instead of losing records. The store image lists drives by id after the
+// fleet totals, so its bytes depend only on the records applied.
 //
 // Recovery contract (proved by tests/integration/test_durable_replay):
 // newest digest-valid checkpoint -> store; alert log truncated to the

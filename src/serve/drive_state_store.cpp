@@ -3,11 +3,21 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
-#include <string>
-#include <utility>
+#include <string_view>
+
+#include "common/wire.hpp"
 
 namespace mfpa::serve {
+namespace {
+
+/// Leading tag of the binary image. The text images of older checkpoints
+/// start "store 1 " or "store 2 ".
+constexpr std::string_view kImageTag = "store 3\n";
+constexpr std::size_t kMaxDrives = 1u << 26;
+
+}  // namespace
 
 DriveStateStore::DriveStateStore(StoreConfig config) : config_(config) {
   auto& reg = obs::registry();
@@ -28,7 +38,7 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
       drives_.try_emplace(drive_id, drive_id, vendor, config_.preprocess);
   if (inserted) metrics_.drives_tracked->add(1.0);
   DriveState& state = it->second;
-  ++records_ingested_;
+  ++totals_.records_ingested;
   metrics_.records_ingested->inc();
   state.ingestor.ingest(record);
 
@@ -45,7 +55,7 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
     // and applied by should_alert() when scoring crosses the boundary.
     state.segments_seen = state.ingestor.segments_started();
     state.emitted = 0;
-    ++segments_restarted_;
+    ++totals_.segments_restarted;
     metrics_.segments_restarted->inc();
   }
 
@@ -57,13 +67,15 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
   }
   for (std::size_t i = state.emitted; i < segment.size(); ++i) {
     out.push_back({drive_id, vendor, segment[i], state.segments_seen});
-    ++rows_emitted_;
+    ++totals_.rows_emitted;
   }
   state.emitted = segment.size();
+  retain(state);
+}
 
-  if (config_.max_records_per_drive > 0 &&
-      segment.size() > config_.max_records_per_drive) {
-    state.emitted -= state.ingestor.compact(config_.max_records_per_drive);
+void DriveStateStore::retain(DriveState& state) {
+  if (state.emitted == state.ingestor.segment().size()) {
+    state.emitted -= state.ingestor.compact();
   }
 }
 
@@ -81,65 +93,119 @@ bool DriveStateStore::should_alert(std::uint64_t drive_id, DayIndex day,
     // First scored row of a new segment: hysteresis restarts exactly like
     // the batch path, which never saw the old segment.
     state.alert_segment = segment;
-    state.consecutive = 0;
-    state.last_alert = std::numeric_limits<DayIndex>::min();
+    state.gate = core::AlertGate{};
   }
-  if (!crossed) {
-    state.consecutive = 0;
-    return false;
-  }
-  ++state.consecutive;
-  if (state.consecutive < policy.min_consecutive) return false;
-  if (policy.cooldown_days > 0 &&
-      state.last_alert > std::numeric_limits<DayIndex>::min() &&
-      day - state.last_alert < policy.cooldown_days) {
-    return false;
-  }
-  state.last_alert = day;
-  return true;
+  return state.gate.step(day, crossed, policy);
 }
 
-void DriveStateStore::save_state(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::vector<std::pair<std::uint64_t, const DriveStateStore::DriveState*>>
+DriveStateStore::by_id() const {
   std::vector<std::pair<std::uint64_t, const DriveState*>> ordered;
   ordered.reserve(drives_.size());
   for (const auto& [id, state] : drives_) ordered.emplace_back(id, &state);
   std::sort(ordered.begin(), ordered.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  os << "store 2 " << records_ingested_ << ' ' << rows_emitted_ << ' '
-     << segments_restarted_ << '\n';
-  os << "drives " << drives_.size() << '\n';
-  for (const auto& [id, state] : ordered) {
-    os << "drive " << id << ' ' << state->ingestor.vendor() << ' '
-       << state->emitted << ' ' << state->segments_seen << ' '
-       << (state->quarantine_counted ? 1 : 0) << ' ' << state->consecutive
-       << ' ' << state->last_alert << ' ' << state->alert_segment << '\n';
-    state->ingestor.save_state(os);
+  return ordered;
+}
+
+void DriveStateStore::save_state(std::ostream& os) const {
+  std::string image;
+  save_state(image);
+  os.write(image.data(), static_cast<std::streamsize>(image.size()));
+}
+
+void DriveStateStore::save_state(std::string& out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  out += kImageTag;
+  wire::put_u64(out, totals_.records_ingested);
+  wire::put_u64(out, totals_.rows_emitted);
+  wire::put_u64(out, totals_.segments_restarted);
+  wire::put_u32(out, static_cast<std::uint32_t>(drives_.size()));
+  for (const auto& [id, state] : by_id()) {
+    wire::put_u64(out, id);
+    wire::put_i32(out, state->ingestor.vendor());
+    wire::put_u32(out, static_cast<std::uint32_t>(state->emitted));
+    wire::put_i32(out, state->segments_seen);
+    wire::put_u8(out, state->quarantine_counted ? 1 : 0);
+    wire::put_i32(out, state->alert_segment);
+    wire::put_i32(out, state->gate.consecutive);
+    wire::put_i32(out, state->gate.last_alert);
+    state->ingestor.save_state(out);
   }
 }
 
 void DriveStateStore::load_state(std::istream& is) {
-  std::string tag;
-  int version = 0;
-  std::size_t records_ingested = 0;
-  std::size_t rows_emitted = 0;
-  std::size_t segments_restarted = 0;
-  if (!(is >> tag >> version >> records_ingested >> rows_emitted >>
-        segments_restarted) ||
-      tag != "store" || version < 1 || version > 2) {
-    throw std::runtime_error("DriveStateStore: malformed state header");
+  std::ostringstream buffer;
+  buffer << is.rdbuf();
+  const std::string image = std::move(buffer).str();
+  Totals totals;
+  DriveMap drives;
+  if (image.starts_with(kImageTag)) {
+    read_image(image, totals, drives);
+  } else {
+    read_text_image(image, totals, drives);
   }
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "drives" || n > (1u << 26)) {
-    throw std::runtime_error("DriveStateStore: malformed drive count");
+  for (auto& [id, state] : drives) {
+    if (state.emitted > state.ingestor.segment().size()) {
+      throw std::runtime_error("DriveStateStore: drive " + std::to_string(id) +
+                               " emission cursor past its segment");
+    }
+    // Text images hold up to 16 emitted records per drive; re-saved they
+    // take the same shape as a store fed from scratch.
+    retain(state);
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (!drives_.empty()) {
     throw std::logic_error("DriveStateStore: load_state into non-empty store");
   }
-  records_ingested_ = records_ingested;
-  rows_emitted_ = rows_emitted;
-  segments_restarted_ = segments_restarted;
+  totals_ = totals;
+  drives_ = std::move(drives);
+  metrics_.drives_tracked->add(static_cast<double>(drives_.size()));
+}
+
+void DriveStateStore::read_image(const std::string& bytes, Totals& totals,
+                                 DriveMap& drives) const {
+  wire::ByteReader in(bytes, "store image");
+  in.bytes(kImageTag.size());
+  totals.records_ingested = in.u64();
+  totals.rows_emitted = in.u64();
+  totals.segments_restarted = in.u64();
+  const std::size_t n = in.count(kMaxDrives);
+  std::uint64_t prev_id = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t id = in.u64();
+    if (i > 0 && id <= prev_id) {
+      throw std::runtime_error("store image: drive ids out of order");
+    }
+    prev_id = id;
+    const int vendor = in.i32();
+    DriveState& state =
+        drives.try_emplace(id, id, vendor, config_.preprocess).first->second;
+    state.emitted = in.u32();
+    state.segments_seen = in.i32();
+    state.quarantine_counted = in.flag();
+    state.alert_segment = in.i32();
+    state.gate.consecutive = in.i32();
+    state.gate.last_alert = in.i32();
+    state.ingestor.load_state(in);
+  }
+  in.expect_done();
+}
+
+void DriveStateStore::read_text_image(const std::string& bytes, Totals& totals,
+                                      DriveMap& drives) const {
+  std::istringstream is(bytes);
+  std::string tag;
+  int version = 0;
+  if (!(is >> tag >> version >> totals.records_ingested >>
+        totals.rows_emitted >> totals.segments_restarted) ||
+      tag != "store" || version < 1 || version > 2) {
+    throw std::runtime_error("DriveStateStore: malformed state header");
+  }
+  std::size_t n = 0;
+  if (!(is >> tag >> n) || tag != "drives" || n > kMaxDrives) {
+    throw std::runtime_error("DriveStateStore: malformed drive count");
+  }
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t id = 0;
     int vendor = 0;
@@ -161,7 +227,7 @@ void DriveStateStore::load_state(std::istream& is) {
       throw std::runtime_error("DriveStateStore: malformed drive record");
     }
     const auto [it, inserted] =
-        drives_.try_emplace(id, id, vendor, config_.preprocess);
+        drives.try_emplace(id, id, vendor, config_.preprocess);
     if (!inserted) {
       throw std::runtime_error("DriveStateStore: duplicate drive " +
                                std::to_string(id) + " in checkpoint");
@@ -170,11 +236,10 @@ void DriveStateStore::load_state(std::istream& is) {
     state.emitted = emitted;
     state.segments_seen = segments_seen;
     state.quarantine_counted = quarantine_counted != 0;
-    state.consecutive = consecutive;
-    state.last_alert = last_alert;
+    state.gate.consecutive = consecutive;
+    state.gate.last_alert = last_alert;
     state.alert_segment = alert_segment;
-    state.ingestor.load_state(is);
-    metrics_.drives_tracked->add(1.0);
+    state.ingestor.load_text_state(is);
   }
 }
 
@@ -182,13 +247,14 @@ StoreStats DriveStateStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   StoreStats out;
   out.drives_tracked = drives_.size();
-  out.records_ingested = records_ingested_;
-  out.rows_emitted = rows_emitted_;
-  out.segments_restarted = segments_restarted_;
-  for (const auto& [id, state] : drives_) {
-    (void)id;
-    if (state.ingestor.quarantined()) ++out.drives_quarantined;
-    out.ingest.merge(state.ingestor.ingest_stats());
+  out.records_ingested = totals_.records_ingested;
+  out.rows_emitted = totals_.rows_emitted;
+  out.segments_restarted = totals_.segments_restarted;
+  // Id order: merge() keeps only the first diagnostics, so the sample must
+  // not depend on hash-map order (a restored store inserts in id order).
+  for (const auto& [id, state] : by_id()) {
+    if (state->ingestor.quarantined()) ++out.drives_quarantined;
+    out.ingest.merge(state->ingestor.ingest_stats());
   }
   return out;
 }

@@ -3,11 +3,17 @@
 // The batch Preprocessor recomputes a drive's cleaned history from scratch;
 // at fleet scale the scoring service instead keeps one StreamingIngestor per
 // drive (cumulative WindowsEvent/BSOD counters, short-gap fill, long-gap
-// cut, lenient-mode sanitation) so the features for a newly arrived record
-// cost O(window), not O(history). The store is one map behind one mutex:
-// its only writer is the engine's single drain loop, whose queue order is
-// the per-drive delivery order the contract below needs. Parallelism comes
-// from net::ShardRouter, which gives every shard its own engine and store.
+// cut, lenient-mode sanitation) so a newly arrived record costs O(1), not
+// O(history). The store is one map behind one mutex: its only writer is the
+// engine's single drain loop, whose queue order is the per-drive delivery
+// order the contract below needs. Parallelism comes from net::ShardRouter,
+// which gives every shard its own engine and store.
+//
+// Retention rule (no knob): once a drive's rows are emitted, only its
+// newest cleaned record stays — the one the next gap fill interpolates
+// from; features read only the scored row. Records held back before the
+// segment is usable (fewer than min_records real records plus their gap
+// fills, or a quarantined drive's segment) stay until they are emitted.
 //
 // Emission contract (what keeps the service's alerts equal to the batch
 // MfpaPipeline + OnlinePredictor replay): a drive's records are withheld
@@ -20,9 +26,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <limits>
 #include <mutex>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/online_predictor.hpp"
@@ -38,9 +45,6 @@ struct StoreConfig {
   /// No effect: the store is one map. Kept so callers that still set it
   /// (perfbench/) compile unchanged.
   std::size_t shards = 0;
-  /// Per-drive retained records after emission (bounds memory; must cover
-  /// any feature window the builder needs). 0 = unbounded.
-  std::size_t max_records_per_drive = 16;
 };
 
 /// One cleaned record ready for feature extraction + scoring.
@@ -79,24 +83,31 @@ class DriveStateStore {
   void ingest(std::uint64_t drive_id, int vendor,
               const sim::DailyRecord& record, std::vector<PendingRow>& out);
 
-  /// Applies the alert policy (consecutive-crossing hysteresis + cooldown)
-  /// for one scored row, mirroring OnlinePredictor's state machine. Must be
-  /// called in the same order rows were emitted, with each row's `segment`;
-  /// a segment change resets the hysteresis exactly like the batch path
-  /// restarting on the new segment. Returns true when an alert should be
-  /// raised.
+  /// Steps the drive's core::AlertGate (consecutive-crossing hysteresis +
+  /// cooldown, the same gate OnlinePredictor runs) for one scored row. Must
+  /// be called in the same order rows were emitted, with each row's
+  /// `segment`; a segment change resets the gate exactly like the batch
+  /// path restarting on the new segment. Returns true when an alert should
+  /// be raised.
   bool should_alert(std::uint64_t drive_id, DayIndex day, int segment,
                     bool crossed, const core::AlertPolicy& policy);
 
   /// Accounting snapshot (takes the store lock briefly).
   StoreStats stats() const;
 
-  /// Serializes every tracked drive's full state (ingestor, emission cursor,
-  /// alert hysteresis) plus the aggregate counters, drives ordered by id so
-  /// the image is deterministic regardless of hash-map iteration order.
-  /// load_state() rebuilds it into an empty store. Call from the single
-  /// drain thread or before start.
+  /// Writes the store image, `store 3`: the tag line "store 3\n", then
+  /// fixed-width little-endian fields (common/wire.hpp) — the aggregate
+  /// counters, the drive count, and per drive, in id order, its emission
+  /// cursor, alert gate and ingestor. The image depends only on the records
+  /// applied, never on hash-map order. The string overload appends.
+  /// load_state() rebuilds an image into an empty store; it dispatches on
+  /// the version tag, reading `store 3` as binary (every count checked
+  /// against a limit before allocating, trailing bytes refused) and the
+  /// text images `store 1` / `store 2` of older checkpoints with the text
+  /// readers. It throws std::runtime_error on a malformed image. Call from
+  /// the single drain thread or before start.
   void save_state(std::ostream& os) const;
+  void save_state(std::string& out) const;
   void load_state(std::istream& is);
 
  private:
@@ -108,22 +119,36 @@ class DriveStateStore {
     std::size_t emitted = 0;  ///< segment records already handed out
     int segments_seen = 0;
     bool quarantine_counted = false;  ///< metrics: transition seen
-    // Alert-policy state (OnlinePredictor's loop variables, kept per drive).
-    // `alert_segment` is the segment generation the state belongs to — it
+    // `alert_segment` is the segment generation the gate belongs to — it
     // trails `segments_seen` while already-emitted rows of the old segment
     // are still being scored, which is why the reset cannot happen at
     // ingest time (it would be batch-boundary dependent).
-    int consecutive = 0;
-    DayIndex last_alert = std::numeric_limits<DayIndex>::min();
+    core::AlertGate gate;
     int alert_segment = 0;
   };
+  using DriveMap = std::unordered_map<std::uint64_t, DriveState>;
+
+  /// Aggregate counters (the image's leading fields).
+  struct Totals {
+    std::size_t records_ingested = 0;
+    std::size_t rows_emitted = 0;
+    std::size_t segments_restarted = 0;
+  };
+
+  /// The retention rule: once every record of the segment is emitted, only
+  /// the newest stays.
+  static void retain(DriveState& state);
+  /// Tracked drives in id order (caller holds mu_).
+  std::vector<std::pair<std::uint64_t, const DriveState*>> by_id() const;
+  void read_image(const std::string& bytes, Totals& totals,
+                  DriveMap& drives) const;
+  void read_text_image(const std::string& bytes, Totals& totals,
+                       DriveMap& drives) const;
 
   StoreConfig config_;
   mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, DriveState> drives_;
-  std::size_t records_ingested_ = 0;
-  std::size_t rows_emitted_ = 0;
-  std::size_t segments_restarted_ = 0;
+  DriveMap drives_;
+  Totals totals_;
 
   // Fleet-level registry instruments (mfpa_store_*). The counters above
   // stay authoritative for StoreStats (per-store accounting); these mirror

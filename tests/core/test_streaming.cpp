@@ -133,9 +133,10 @@ TEST(Streaming, MatchesBatchPreprocessorOnRealTelemetry) {
 }
 
 TEST(Streaming, CompactBoundsMemoryWithoutChangingFutureOutput) {
-  // Two ingestors fed identically; one compacts aggressively after every
-  // record. Their produced records must stay byte-identical — conversion
-  // state (cumulative counters, gap fill) is independent of retained rows.
+  // Two ingestors fed identically; one compacts to its newest record after
+  // every upload. Their produced records must stay byte-identical —
+  // conversion state (cumulative counters, gap fill) is independent of
+  // retained rows.
   StreamingIngestor full(1, 0);
   StreamingIngestor compacted(1, 0);
   std::vector<ProcessedRecord> from_full, from_compacted;
@@ -146,8 +147,8 @@ TEST(Streaming, CompactBoundsMemoryWithoutChangingFutureOutput) {
     const auto b = compacted.ingest(raw_record(day, 100.0f + day));
     from_full.insert(from_full.end(), a.begin(), a.end());
     from_compacted.insert(from_compacted.end(), b.begin(), b.end());
-    compacted.compact(2);
-    EXPECT_LE(compacted.segment().size(), 2u);
+    compacted.compact();
+    EXPECT_EQ(compacted.segment().size(), 1u);
   }
   ASSERT_EQ(from_full.size(), from_compacted.size());
   for (std::size_t i = 0; i < from_full.size(); ++i) {
@@ -157,7 +158,7 @@ TEST(Streaming, CompactBoundsMemoryWithoutChangingFutureOutput) {
     EXPECT_EQ(from_full[i].w_cum, from_compacted[i].w_cum);
     EXPECT_EQ(from_full[i].b_cum, from_compacted[i].b_cum);
   }
-  const std::size_t dropped = full.compact(1);
+  const std::size_t dropped = full.compact();
   EXPECT_EQ(full.segment().size(), 1u);
   EXPECT_GT(dropped, 0u);
 }

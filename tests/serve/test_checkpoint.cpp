@@ -110,6 +110,35 @@ TEST_F(CheckpointTest, CorruptPayloadIsRejected) {
   EXPECT_THROW(load_checkpoint_file(path), std::runtime_error);
 }
 
+TEST_F(CheckpointTest, BitFlipAtEveryOffsetIsRejected) {
+  DriveStateStore store(StoreConfig{});
+  std::vector<PendingRow> rows;
+  for (int day = 0; day < 4; ++day) {
+    store.ingest(7, 0, make_record(day, 2.0f), rows);
+  }
+  const std::string path = (dir_ / "ckpt-9.mfc").string();
+  write_checkpoint_file(path, store, 9, 2, 1, /*fsync=*/false);
+  std::string pristine;
+  {
+    std::ifstream is(path, std::ios::binary);
+    pristine.assign((std::istreambuf_iterator<char>(is)),
+                    std::istreambuf_iterator<char>());
+  }
+  // Header or payload: the text header must not parse to the same values
+  // and the digest covers every payload byte, so no flip ever loads. The
+  // flipped bit rotates with the offset, so every bit position is hit.
+  for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
+    std::string corrupt = pristine;
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 << (pos % 8)));
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    }
+    EXPECT_THROW(load_checkpoint_file(path), std::runtime_error)
+        << "byte " << pos;
+  }
+}
+
 TEST_F(CheckpointTest, ListCheckpointsSortsByLsnNumerically) {
   DriveStateStore store(StoreConfig{});
   fs::create_directories(dir_ / "ckpt");

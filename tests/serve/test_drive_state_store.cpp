@@ -70,13 +70,11 @@ TEST(DriveStateStore, LongGapRestartsSegmentAndEmission) {
 }
 
 TEST(DriveStateStore, CumulativeCountersSurviveCompaction) {
-  StoreConfig config;
-  config.max_records_per_drive = 4;
-  DriveStateStore store(config);
+  DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
   for (DayIndex day = 10; day < 40; ++day) store.ingest(7, 0, raw_record(day), out);
-  // Every raw record emitted exactly once despite the retained window being
-  // capped at 4 records.
+  // Every raw record emitted exactly once although only the newest record
+  // is retained after each emit.
   ASSERT_EQ(out.size(), 30u);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i].record.day, 10 + static_cast<DayIndex>(i));
