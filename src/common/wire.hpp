@@ -7,12 +7,15 @@
 // well-defined, portable across mixed client/server builds, and lets tests
 // craft exact corruption.
 //
-// Writers append to a std::string (cheap, append-only, reusable buffer);
-// ByteReader walks a payload with bounds checks and throws
+// Writers append to a std::string (cheap, append-only, reusable buffer).
+// On a little-endian host every value moves as one word (one append, one
+// memcpy); the byte loops are the big-endian path, and both produce the
+// same bytes. ByteReader walks a payload with bounds checks and throws
 // std::runtime_error naming the caller's context on a short or overlong
 // payload — the shared "refuse, don't misparse" discipline.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -25,21 +28,48 @@ inline void put_u8(std::string& buf, std::uint8_t v) {
   buf.push_back(static_cast<char>(v));
 }
 
+namespace detail {
+
+/// Appends `v`'s little-endian bytes: on a little-endian host, one append of
+/// the value's own bytes; elsewhere, a byte loop.
+template <typename T>
+inline void put_le(std::string& buf, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    }
+  }
+}
+
+/// Reads `n` little-endian bytes (n <= 8) at `bytes` into the low bytes of
+/// a u64: one memcpy on a little-endian host, a byte loop elsewhere.
+inline std::uint64_t read_le(const char* bytes, std::size_t n) {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, bytes, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
+           << (8 * i);
+    }
+  }
+  return v;
+}
+
+}  // namespace detail
+
 inline void put_u16(std::string& buf, std::uint16_t v) {
-  buf.push_back(static_cast<char>(v & 0xFF));
-  buf.push_back(static_cast<char>((v >> 8) & 0xFF));
+  detail::put_le(buf, v);
 }
 
 inline void put_u32(std::string& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  detail::put_le(buf, v);
 }
 
 inline void put_u64(std::string& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  detail::put_le(buf, v);
 }
 
 inline void put_i32(std::string& buf, std::int32_t v) {
@@ -61,21 +91,11 @@ inline void put_f64(std::string& buf, double v) {
 /// Reads fixed-width little-endian values at an arbitrary byte offset
 /// (no bounds check — the caller has already sized the buffer).
 inline std::uint32_t read_u32_at(const char* bytes, std::size_t off) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[off + i]))
-         << (8 * i);
-  }
-  return v;
+  return static_cast<std::uint32_t>(detail::read_le(bytes + off, 4));
 }
 
 inline std::uint64_t read_u64_at(const char* bytes, std::size_t off) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[off + i]))
-         << (8 * i);
-  }
-  return v;
+  return detail::read_le(bytes + off, 8);
 }
 
 /// Sequential bounds-checked reader over one payload. `what` names the
@@ -147,12 +167,8 @@ class ByteReader {
     if (off_ + static_cast<std::size_t>(n) > bytes_.size()) {
       throw std::runtime_error(std::string(what_) + ": short payload");
     }
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[off_ + i]))
-           << (8 * i);
-    }
+    const std::uint64_t v =
+        detail::read_le(bytes_.data() + off_, static_cast<std::size_t>(n));
     off_ += static_cast<std::size_t>(n);
     return v;
   }

@@ -13,7 +13,7 @@ void append_record_frame(std::string& buf, std::uint64_t seq,
                          const sim::DailyRecord& record) {
   std::string payload;
   payload.push_back(static_cast<char>(MessageType::kRecord));
-  payload += serve::encode_wal_payload(drive_id, vendor, record);
+  serve::append_wal_payload(payload, drive_id, vendor, record);
   serve::append_frame(buf, kNetFrameMagic, seq, payload);
 }
 

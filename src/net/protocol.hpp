@@ -12,7 +12,7 @@
 //
 // Message types:
 //   kRecord    one drive's daily telemetry upload; body is the exact
-//              serve/wal record payload (encode_wal_payload), so the wire
+//              serve/wal record payload (append_wal_payload), so the wire
 //              and the durable log share one record serialization.
 //   kFlush     barrier: the client asks the server to drain everything
 //              received so far and reply with kFlushAck.

@@ -236,7 +236,8 @@ void DurabilityManager::checkpoint_now(const DriveStateStore& store,
 void DurabilityManager::seal(const DriveStateStore& store, int model_version,
                              bool after_recovery) {
   // Everything appended so far must be durable before the snapshot claims
-  // to cover it (WAL-then-checkpoint ordering).
+  // to cover it (WAL-then-checkpoint ordering): flush() waits for the
+  // commit that covers `lsn`.
   flush();
   const std::uint64_t lsn = wal_.last_lsn();
   const std::string path = (ckpt_dir(config_.dir) / ckpt_name(lsn)).string();

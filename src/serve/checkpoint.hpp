@@ -99,8 +99,13 @@ std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
 // --- coordinator -----------------------------------------------------------
 
 /// Owns the WAL writer, the alert log, and the checkpoint cadence for one
-/// engine. Single-threaded by contract: every method is called from the
-/// engine's drain thread (or before it starts / after it stops).
+/// engine. Single-threaded by contract: every method but wait_committed()
+/// is called from the engine's drain thread (or before it starts / after
+/// it stops). The WAL's writes and fsyncs run on the writer's commit thread
+/// (wal.hpp). A checkpoint is published only after the commit that covers
+/// its LSN: seal() starts with flush(), which commits the open group and
+/// waits for it. Publishing, WAL rotation and pruning stay on the drain
+/// thread, and so do the alert log's writes and fsyncs.
 class DurabilityManager {
  public:
   explicit DurabilityManager(DurabilityConfig config);
@@ -120,7 +125,8 @@ class DurabilityManager {
   /// "start fresh" call when recover() found nothing.
   void finish_recovery(const DriveStateStore& store, int model_version);
 
-  /// Frames one record into the WAL (group commit applies); returns its LSN.
+  /// Adds one record to the WAL's open group (group commit applies);
+  /// returns its LSN.
   std::uint64_t append(std::uint64_t drive_id, int vendor,
                        const sim::DailyRecord& record);
 
@@ -138,6 +144,10 @@ class DurabilityManager {
 
   /// Makes everything appended so far durable (no checkpoint).
   void flush();
+
+  /// Waits until the WAL group in flight, if any, is written and fsynced;
+  /// rethrows a failed commit. Any thread may call it.
+  void wait_committed() const { wal_.wait_committed(); }
 
   std::uint64_t last_lsn() const noexcept { return wal_.last_lsn(); }
   std::uint64_t alert_count() const noexcept { return alerts_.count(); }

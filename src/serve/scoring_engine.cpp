@@ -190,9 +190,10 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
   }
 
   if (durability_ && !recovering_) {
-    // WAL-before-apply: every record is durable (modulo group commit)
-    // before any state it produced can be checkpointed. Rejected records
-    // are logged too — rejection is deterministic, so replay re-rejects.
+    // WAL-before-apply: every record enters the WAL's open group before it
+    // touches the store, and a checkpoint waits for the commit covering its
+    // LSN. Rejected records are logged too — rejection is deterministic, so
+    // replay re-rejects.
     for (const auto& queued : batch) {
       durability_->append(queued.update.drive_id, queued.update.vendor,
                           queued.update.record);
@@ -274,10 +275,13 @@ void ScoringEngine::flush() {
   if (config_.manual_drain) {
     while (drain_once() > 0) {
     }
-    return;
+  } else {
+    std::unique_lock<std::mutex> lock(queue_mu_);
+    drained_.wait(lock, [this] { return queue_.empty() && !processing_; });
   }
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  drained_.wait(lock, [this] { return queue_.empty() && !processing_; });
+  // Every full WAL group is handed off by now; wait for the one in flight,
+  // so the durable directory holds what a synchronous commit left there.
+  if (durability_) durability_->wait_committed();
 }
 
 SinkTotals ScoringEngine::flush_totals() {

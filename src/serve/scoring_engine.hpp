@@ -125,8 +125,10 @@ class ScoringEngine final : public RecordSink {
   /// Enqueues one record. Returns false only when shed_on_full dropped it.
   bool submit(const TelemetryUpdate& update) override;
 
-  /// Blocks until everything submitted so far has been drained and scored.
-  /// (Manual-drain mode: drains inline on the calling thread.)
+  /// Blocks until everything submitted so far has been drained and scored
+  /// and, with durability on, the WAL group in flight is written and
+  /// fsynced; rethrows a failed WAL commit. (Manual-drain mode: drains
+  /// inline on the calling thread.)
   void flush();
 
   /// flush(), then this engine's processed/alert/shed totals.

@@ -32,8 +32,6 @@ using wire::put_u16;
 using wire::put_u32;
 using wire::put_u64;
 
-constexpr std::size_t kFrameDigestBytes = 8;
-
 std::string read_whole_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) {
@@ -204,11 +202,9 @@ FrameScan scan_frames(const std::string& path) {
   return scan;
 }
 
-std::string encode_wal_payload(std::uint64_t drive_id, int vendor,
-                               const sim::DailyRecord& record) {
-  std::string buf;
-  buf.reserve(8 + 4 + 4 + 4 + sim::kNumSmartAttrs * 4 +
-              sim::kNumWindowsEvents * 2 + sim::kNumBsodCodes * 2);
+void append_wal_payload(std::string& buf, std::uint64_t drive_id, int vendor,
+                        const sim::DailyRecord& record) {
+  buf.reserve(buf.size() + kWalPayloadBytes);
   put_u64(buf, drive_id);
   put_i32(buf, vendor);
   put_i32(buf, record.day);
@@ -216,7 +212,6 @@ std::string encode_wal_payload(std::uint64_t drive_id, int vendor,
   for (const float v : record.smart) put_f32(buf, v);
   for (const std::uint16_t v : record.w) put_u16(buf, v);
   for (const std::uint16_t v : record.b) put_u16(buf, v);
-  return buf;
 }
 
 WalEntry decode_wal_payload(std::uint64_t lsn, const std::string& payload) {
@@ -280,14 +275,11 @@ void FramedLogWriter::close() {
   dirty_ = false;
 }
 
-std::size_t FramedLogWriter::append(std::uint64_t seq,
-                                    std::string_view payload) {
+void FramedLogWriter::append(std::uint64_t seq, std::string_view payload) {
   if (fd_ < 0) {
     throw std::logic_error("FramedLogWriter: append before open");
   }
-  const std::size_t before = pending_.size();
   append_frame(pending_, kWalFrameMagic, seq, payload);
-  return pending_.size() - before;
 }
 
 bool FramedLogWriter::flush() {
@@ -312,6 +304,7 @@ WalWriter::WalWriter(WalWriterConfig config)
   metrics_.bytes = &reg.counter("mfpa_wal_bytes_total");
   metrics_.fsyncs = &reg.counter("mfpa_wal_fsyncs_total");
   metrics_.rotations = &reg.counter("mfpa_wal_rotations_total");
+  commit_thread_ = std::thread([this] { commit_loop(); });
 }
 
 WalWriter::~WalWriter() {
@@ -320,9 +313,16 @@ WalWriter::~WalWriter() {
   } catch (...) {
     // Destructor: nothing sane to do; the tail is torn, recovery handles it.
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+  }
+  work_.notify_one();
+  commit_thread_.join();
 }
 
 void WalWriter::open_generation(std::uint64_t base_lsn) {
+  flush();
   const fs::path wal_dir = fs::path(config_.dir) / "wal";
   segment_.open((wal_dir / segment_name(base_lsn)).string(),
                 /*truncate=*/true);
@@ -331,26 +331,69 @@ void WalWriter::open_generation(std::uint64_t base_lsn) {
 
 std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
                                 const sim::DailyRecord& record) {
-  const std::uint64_t lsn = next_lsn_;
-  metrics_.bytes->inc(
-      segment_.append(lsn, encode_wal_payload(drive_id, vendor, record)));
-  ++next_lsn_;
+  const std::uint64_t lsn = next_lsn_++;
+  open_group_.push_back({lsn, drive_id, vendor, record});
   metrics_.appends->inc();
-  ++unsynced_records_;
+  metrics_.bytes->inc(kWalRecordFrameBytes);
   if (config_.group_commit_records > 0 &&
-      unsynced_records_ >= config_.group_commit_records) {
-    flush();
+      open_group_.size() >= config_.group_commit_records) {
+    hand_off();
   }
   return lsn;
 }
 
+void WalWriter::hand_off() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_.wait(lock, [this] { return !in_flight_; });
+  if (failure_) std::rethrow_exception(failure_);
+  if (open_group_.empty()) return;
+  open_group_.swap(committing_);  // committing_ was left empty, capacity kept
+  in_flight_ = true;
+  lock.unlock();
+  work_.notify_one();
+}
+
+void WalWriter::wait_committed() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_.wait(lock, [this] { return !in_flight_; });
+  if (failure_) std::rethrow_exception(failure_);
+}
+
 void WalWriter::flush() {
+  hand_off();
+  wait_committed();
+}
+
+void WalWriter::commit_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_.wait(lock, [this] { return in_flight_ || stopping_; });
+    if (!in_flight_) return;  // stopping, nothing left to commit
+    lock.unlock();
+    std::exception_ptr failure;
+    try {
+      commit_group();
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    lock.lock();
+    if (failure) failure_ = failure;
+    in_flight_ = false;
+    idle_.notify_all();
+  }
+}
+
+void WalWriter::commit_group() {
+  for (const WalEntry& entry : committing_) {
+    payload_.clear();
+    append_wal_payload(payload_, entry.drive_id, entry.vendor, entry.record);
+    segment_.append(entry.lsn, payload_);
+  }
+  committing_.clear();
   if (segment_.flush()) metrics_.fsyncs->inc();
-  unsynced_records_ = 0;
 }
 
 void WalWriter::rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn) {
-  flush();
   open_generation(ckpt_lsn);
   const fs::path wal_dir = fs::path(config_.dir) / "wal";
   for (const auto& entry : fs::directory_iterator(wal_dir)) {
@@ -364,6 +407,7 @@ void WalWriter::rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn) {
 }
 
 void WalWriter::reset(std::uint64_t base_lsn) {
+  flush();
   segment_.close();
   const fs::path wal_dir = fs::path(config_.dir) / "wal";
   if (fs::exists(wal_dir)) {

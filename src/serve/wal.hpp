@@ -31,18 +31,27 @@
 // follows ("c42.wal"). At every checkpoint the writer rotates to a fresh
 // segment; segments older than the previous retained checkpoint are
 // deleted, so a corrupt newest checkpoint can still fall back one
-// generation without a WAL gap. The writer is the engine's single drain
-// thread, and sharding happens above it (net::ShardRouter gives every
-// shard its own durable directory), so one file per generation is all the
-// log needs. Group commit: appends are buffered and written with one
-// write and one fsync every `group_commit_records` records (and always at
-// checkpoint/shutdown), trading a bounded post-power-loss replay window
-// for throughput.
+// generation without a WAL gap. Appends come from the engine's single
+// drain thread, and sharding happens above it (net::ShardRouter gives
+// every shard its own durable directory), so one file per generation is
+// all the log needs.
+//
+// Group commit: appends are copied into an open group; every
+// `group_commit_records` records (and always at checkpoint/shutdown) the
+// group goes to the writer's commit thread, which frames it, writes it
+// with one write and fsyncs once while the drain thread goes on scoring.
+// At most one group is in flight, so a crash loses fewer than
+// 2 x `group_commit_records` never-durable records, which the feed
+// re-delivers.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/online_predictor.hpp"
@@ -65,6 +74,9 @@ inline constexpr std::uint32_t kWalFrameMagic = 0x4C57464DU;  // "MFWL"
 
 /// Frame header: magic, size, seq.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8;
+
+/// Frame trailer: the digest.
+inline constexpr std::size_t kFrameDigestBytes = 8;
 
 /// Payload bound of the on-disk frames (WAL segments, alerts.log).
 inline constexpr std::size_t kMaxWalPayload = std::size_t{1} << 24;
@@ -125,7 +137,9 @@ FrameScan scan_frames(const std::string& path);
 
 /// Append side of one framed file (a WAL segment, alerts.log): frames are
 /// buffered in memory, then flush() writes them with one write and fsyncs
-/// the file if anything was written since its last fsync. Single-threaded.
+/// the file if anything was written since its last fsync. One thread at a
+/// time (a WalWriter hands its segment between its commit thread and the
+/// appending thread).
 class FramedLogWriter {
  public:
   /// `fsync = false` skips every fsync (throwaway tests and benchmarks).
@@ -143,9 +157,9 @@ class FramedLogWriter {
   /// Closes the file, discarding frames not yet written.
   void close();
 
-  /// Buffers one kWalFrameMagic frame; returns its size in bytes. Throws
-  /// std::logic_error when no file is open.
-  std::size_t append(std::uint64_t seq, std::string_view payload);
+  /// Buffers one kWalFrameMagic frame. Throws std::logic_error when no file
+  /// is open.
+  void append(std::uint64_t seq, std::string_view payload);
 
   /// Writes buffered frames, then fsyncs if anything was written since the
   /// last fsync; returns true when it fsynced.
@@ -159,9 +173,21 @@ class FramedLogWriter {
   bool dirty_ = false;   ///< written but not fsynced
 };
 
-/// Serializes / parses the WAL payload for one telemetry record.
-std::string encode_wal_payload(std::uint64_t drive_id, int vendor,
-                               const sim::DailyRecord& record);
+/// Bytes of one WAL record payload: drive id, vendor, day, firmware index,
+/// then the SMART values (f32), Windows event and BSOD counts (u16).
+inline constexpr std::size_t kWalPayloadBytes =
+    8 + 4 + 4 + 4 + sim::kNumSmartAttrs * 4 + sim::kNumWindowsEvents * 2 +
+    sim::kNumBsodCodes * 2;
+
+/// Bytes of one WAL record frame (header, payload, digest), so the writer
+/// counts a record's bytes when it appends, before the frame exists.
+inline constexpr std::size_t kWalRecordFrameBytes =
+    kFrameHeaderBytes + kWalPayloadBytes + kFrameDigestBytes;
+
+/// Appends the WAL payload for one telemetry record to `buf` (the only
+/// encoder; the MFNP record message reuses it) / parses one back.
+void append_wal_payload(std::string& buf, std::uint64_t drive_id, int vendor,
+                        const sim::DailyRecord& record);
 WalEntry decode_wal_payload(std::uint64_t lsn, const std::string& payload);
 
 /// Serializes / parses the alert-log payload for one alert.
@@ -190,36 +216,50 @@ struct WalWriterConfig {
   bool fsync = true;                      ///< false only in throwaway tests
 };
 
-/// Append side of the log. Single-writer by contract (the engine's drain
-/// loop); rotate() and flush() are called from the same thread.
+/// Append side of the log. Single-writer by contract: append(), flush(),
+/// rotate(), reset() and open_generation() come from one thread (the
+/// engine's drain loop). The writer's own commit thread does every write
+/// and fsync of the segment: append() copies the record into the open
+/// group, and a full group is handed to the commit thread, which frames,
+/// writes and fsyncs it while the appending thread goes on. A hand-off
+/// first waits for the previous group, so at most one group is in flight.
+/// A failed write or fsync is stored and rethrown on the appending thread
+/// at the next hand-off, flush, rotate or reset, and from wait_committed().
 class WalWriter {
  public:
   explicit WalWriter(WalWriterConfig config);
+  /// Commits the open group (a failure leaves a torn tail recovery
+  /// discards), then stops the commit thread.
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Opens the segment file for the generation starting after checkpoint
-  /// `base_lsn` (created empty; an existing identical generation is
-  /// truncated — it can only be a remnant of a crashed rotate).
+  /// Commits the open group, then opens the segment file for the
+  /// generation starting after checkpoint `base_lsn` (created empty; an
+  /// existing identical generation is truncated — it can only be a remnant
+  /// of a crashed rotate).
   void open_generation(std::uint64_t base_lsn);
 
-  /// Frames and buffers one record under the next LSN; returns it. Honors
-  /// group commit.
+  /// Copies one record into the open group under the next LSN; returns it.
+  /// Hands the group off when it holds `group_commit_records` records.
   std::uint64_t append(std::uint64_t drive_id, int vendor,
                        const sim::DailyRecord& record);
 
-  /// Writes buffered frames out and fsyncs the segment if anything was
-  /// written since the last fsync.
+  /// Hands off the open group and waits until it is written and fsynced.
   void flush();
 
-  /// Flushes, then rotates to a fresh generation after checkpoint
-  /// `ckpt_lsn`, deleting segment generations older than `keep_from_lsn`.
+  /// Waits until the group in flight, if any, is written and fsynced; hands
+  /// nothing off. Reads only the hand-off state, so any thread may call it.
+  void wait_committed() const;
+
+  /// Commits the open group, then rotates to a fresh generation after
+  /// checkpoint `ckpt_lsn`, deleting segment generations older than
+  /// `keep_from_lsn`.
   void rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn);
 
-  /// Deletes every `*.wal` file on disk (recovery finished; fresh start)
-  /// and opens generation `base_lsn`.
+  /// Commits the open group, deletes every `*.wal` file on disk (recovery
+  /// finished; fresh start) and opens generation `base_lsn`.
   void reset(std::uint64_t base_lsn);
 
   std::uint64_t last_lsn() const noexcept { return next_lsn_ - 1; }
@@ -227,9 +267,21 @@ class WalWriter {
 
  private:
   WalWriterConfig config_;
-  FramedLogWriter segment_;  ///< the open generation's file
+  /// The open generation's file: the commit thread's while a group is in
+  /// flight, the appending thread's otherwise.
+  FramedLogWriter segment_;
   std::uint64_t next_lsn_ = 1;
-  std::size_t unsynced_records_ = 0;
+  std::vector<WalEntry> open_group_;  ///< appended, not yet handed off
+  std::vector<WalEntry> committing_;  ///< the group in flight
+  std::string payload_;               ///< commit thread's reused buffer
+
+  // Hand-off state, under mu_.
+  mutable std::mutex mu_;
+  std::condition_variable work_;          ///< wakes the commit thread
+  mutable std::condition_variable idle_;  ///< no group in flight
+  bool in_flight_ = false;
+  bool stopping_ = false;
+  std::exception_ptr failure_;  ///< first failed commit, rethrown forever
 
   struct Metrics {
     obs::Counter* appends = nullptr;
@@ -238,6 +290,15 @@ class WalWriter {
     obs::Counter* rotations = nullptr;
   };
   Metrics metrics_;
+
+  std::thread commit_thread_;  ///< started last, once every member exists
+
+  /// Waits for the group in flight, rethrows a stored failure, then hands
+  /// the open group (if any) to the commit thread.
+  void hand_off();
+  void commit_loop();
+  /// Frames `committing_` into the segment, writes it, fsyncs once.
+  void commit_group();
 };
 
 // --- recovery --------------------------------------------------------------

@@ -11,7 +11,9 @@
 
 #include "core/mfpa.hpp"
 #include "core/preprocess.hpp"
+#include "obs/metrics.hpp"
 #include "serve/model_registry.hpp"
+#include "serve/wal.hpp"
 #include "sim/fleet.hpp"
 
 namespace mfpa::serve {
@@ -351,6 +353,48 @@ TEST_F(ScoringEngineTest, HammerConcurrentSubmitSwapAndStats) {
   EXPECT_EQ(stats.latency_us.total(), sent);
   EXPECT_GT(stats.batches, 0u);
   EXPECT_GT(stats.rows_scored, 0u);
+}
+
+// flush() returns with every full WAL group written and fsynced and the
+// open group still buffered, as a synchronous group commit leaves it: a
+// crash image taken right after flush() holds only whole groups.
+TEST_F(ScoringEngineTest, FlushLeavesOnlyWholeWalGroupsOnDisk) {
+  auto isolated = obs::MetricsRegistry::create_isolated();
+  obs::ScopedMetricsOverride override_metrics(*isolated);
+  ModelRegistry registry((dir_ / "registry").string());
+  EngineConfig config;
+  config.durability.dir = (dir_ / "durable").string();
+  config.durability.group_commit_records = 8;
+  config.durability.checkpoint_interval_records = 0;
+  config.durability.fsync = true;
+  {
+    ScoringEngine engine(registry, config);
+    for (std::size_t i = 0; i < 20; ++i) {
+      const TelemetryUpdate& update = (*updates_)[i];
+      if (i > 0) {
+        ASSERT_GT(update.drive_id, (*updates_)[i - 1].drive_id);
+      }
+      engine.submit(update);
+    }
+    engine.flush();
+
+    // Read the fsync count first: it moves only when a group's fsync is
+    // done, so a flush() that returned with a commit still running would
+    // read 1 here.
+    EXPECT_EQ(isolated->counter("mfpa_wal_fsyncs_total").value(), 2u);
+    EXPECT_EQ(isolated->counter("mfpa_wal_bytes_total").value(),
+              20u * kWalRecordFrameBytes);
+    EXPECT_EQ(kWalRecordFrameBytes, 172u);
+    const std::vector<WalEntry> on_disk =
+        recover_wal(config.durability.dir, 0);
+    ASSERT_EQ(on_disk.size(), 16u);
+    for (std::size_t i = 0; i < on_disk.size(); ++i) {
+      EXPECT_EQ(on_disk[i].lsn, i + 1);
+    }
+    engine.stop();
+  }
+  ScoringEngine resumed(registry, config);
+  EXPECT_EQ(resumed.durable_resume_records(), 20u);
 }
 
 }  // namespace

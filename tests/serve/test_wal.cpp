@@ -31,6 +31,13 @@ sim::DailyRecord make_record(DayIndex day, float seed) {
   return rec;
 }
 
+std::string wal_payload(std::uint64_t drive_id, int vendor,
+                        const sim::DailyRecord& record) {
+  std::string buf;
+  append_wal_payload(buf, drive_id, vendor, record);
+  return buf;
+}
+
 void write_bytes(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -98,7 +105,8 @@ class WalTest : public ::testing::Test {
 
 TEST_F(WalTest, WalPayloadRoundTripsEveryField) {
   const sim::DailyRecord rec = make_record(37, 2.25f);
-  const std::string payload = encode_wal_payload(991, 3, rec);
+  const std::string payload = wal_payload(991, 3, rec);
+  EXPECT_EQ(payload.size(), kWalPayloadBytes);
   const WalEntry entry = decode_wal_payload(55, payload);
   EXPECT_EQ(entry.lsn, 55u);
   EXPECT_EQ(entry.drive_id, 991u);
@@ -203,10 +211,41 @@ TEST_F(WalTest, OneSegmentFileAndOneFsyncPerGroupCommit) {
       writer.append(static_cast<std::uint64_t>(2 * i + 1), 0,
                     make_record(10 + i, 1.0f));
     }
+    // The 32nd append handed the 4th group to the commit thread;
+    // wait_committed() returns once that group's fsync is done.
+    writer.wait_committed();
+    EXPECT_EQ(isolated->counter("mfpa_wal_fsyncs_total").value(), 4u);
   }
   EXPECT_EQ(wal_file_names(), std::vector<std::string>{"c0.wal"});
   EXPECT_EQ(isolated->counter("mfpa_wal_fsyncs_total").value(), 4u);
   EXPECT_EQ(recover_wal(dir_.string(), 0).size(), 32u);
+}
+
+TEST_F(WalTest, FailedCommitIsRethrownNeverSwallowed) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "needs /dev/full";
+  // Every write to the segment fails (ENOSPC) on the commit thread; the
+  // failure must reach the appending thread and stay there.
+  fs::create_directories(dir_ / "wal");
+  fs::create_symlink("/dev/full", dir_ / "wal" / "c0.wal");
+  WalWriterConfig config = writer_config();
+  config.group_commit_records = 4;
+  {
+    WalWriter writer(config);
+    writer.open_generation(0);
+    try {
+      for (int i = 0; i < 8; ++i) {
+        writer.append(static_cast<std::uint64_t>(i + 1), 0,
+                      make_record(i, 1.0f));
+      }
+      writer.flush();
+      ADD_FAILURE() << "a failed commit was swallowed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("c0.wal"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(writer.flush(), std::runtime_error);
+    EXPECT_THROW(writer.wait_committed(), std::runtime_error);
+  }  // the destructor neither hangs nor throws
 }
 
 TEST_F(WalTest, RecoverSkipsRecordsCoveredByCheckpoint) {
@@ -285,12 +324,12 @@ TEST_F(WalTest, RecordsBeyondAnLsnGapAreDiscarded) {
   fs::create_directories(dir_ / "wal");
   std::string buf;
   append_frame(buf, kWalFrameMagic, 1,
-               encode_wal_payload(1, 0, make_record(1, 1.0f)));
+               wal_payload(1, 0, make_record(1, 1.0f)));
   append_frame(buf, kWalFrameMagic, 2,
-               encode_wal_payload(2, 0, make_record(2, 1.0f)));
+               wal_payload(2, 0, make_record(2, 1.0f)));
   // LSN 3 never reached the file; 4 survives but is past the gap.
   append_frame(buf, kWalFrameMagic, 4,
-               encode_wal_payload(4, 0, make_record(4, 1.0f)));
+               wal_payload(4, 0, make_record(4, 1.0f)));
   write_bytes((dir_ / "wal" / "c0.wal").string(), buf);
   WalRecoveryStats stats;
   const auto tail = recover_wal(dir_.string(), 0, &stats);
