@@ -630,6 +630,7 @@ int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
         std::to_string(shard_index) + " of " + std::to_string(shard_count) +
         ")");
   }
+  out << "simd kernel: " << ml::to_string(ml::active_simd_level()) << "\n";
   // A shard process never trains: it serves whatever the registry already
   // holds, so every shard of the topology scores under the same published
   // version (the parent trains once, before spawning).
@@ -666,10 +667,10 @@ int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
   // seals the WAL — only then are the alerts complete and durable.
   server.stop();
   router.stop();
-  const net::RouterStats stats = router.stats();
+  const serve::EngineStats stats = router.stats();
   out << "shard " << shard_index << " drained: records "
       << stats.records_processed << ", alerts " << stats.alerts << ", shed "
-      << stats.records_shed << "\n";
+      << stats.shed << "\n";
   if (!flags.alerts_out.empty()) {
     write_alerts_file(flags.alerts_out, router.alerts(), out);
   }

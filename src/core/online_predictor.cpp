@@ -33,26 +33,9 @@ std::vector<double> OnlinePredictor::score_drive(const ProcessedDrive& drive) {
   data::Dataset ds;
   ds.feature_names = builder_.feature_names();
   for (std::size_t r = 0; r < drive.records.size(); ++r) {
-    // Online scoring sees one observation at a time; sequence models get the
-    // history up to r via the builder's padding rules.
-    if (builder_.config().sequences) {
-      // Reuse build_positives_at_distance-style row assembly: construct via a
-      // one-record "window" by temporarily treating r as the anchor.
-      // SampleBuilder::features_of is flat-only; sequence rows come from the
-      // private row_for, so we re-implement the padded window here.
-      std::vector<double> row;
-      const int T = builder_.config().seq_len;
-      for (int t = T - 1; t >= 0; --t) {
-        const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(r) - t;
-        const std::size_t clamped = idx < 0 ? 0 : static_cast<std::size_t>(idx);
-        const auto step = builder_.features_of(drive.records[clamped]);
-        row.insert(row.end(), step.begin(), step.end());
-      }
-      ds.add(row, 0, {drive.drive_id, drive.records[r].day, drive.vendor});
-    } else {
-      ds.add(builder_.features_of(drive.records[r]), 0,
-             {drive.drive_id, drive.records[r].day, drive.vendor});
-    }
+    // Online scoring sees the history up to r, built by the training rule.
+    ds.add(builder_.row(drive, r), 0,
+           {drive.drive_id, drive.records[r].day, drive.vendor});
   }
   if (ds.empty()) return {};
   const auto scores = pipeline_->score(ds);

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "core/robust_ingest.hpp"
-#include "obs/metrics.hpp"
 #include "sim/catalog.hpp"
 
 namespace mfpa::core {
@@ -84,9 +83,6 @@ ProcessedDrive Preprocessor::process_drive(const sim::DriveTimeSeries& series,
   }
   const bool quarantined =
       sanitizer.quarantined(static_cast<std::size_t>(config_.min_records));
-  if (quarantined) {
-    obs::registry().counter("mfpa_ingest_drives_quarantined_total").inc();
-  }
   if (ingest != nullptr) {
     ingest->merge(sanitizer.stats(), config_.robustness.max_diagnostics);
     if (quarantined) {
@@ -169,8 +165,6 @@ ProcessedDrive Preprocessor::process_well_formed(
 std::vector<ProcessedDrive> Preprocessor::process(
     const std::vector<sim::DriveTimeSeries>& batch,
     PreprocessStats* stats, IngestStats* ingest) const {
-  obs::ScopedTimer batch_timer(
-      obs::registry().histogram("mfpa_ingest_batch_seconds", 0.0, 60.0, 256));
   PreprocessStats local;
   IngestStats local_ingest;
   const bool lenient = config_.robustness.lenient();

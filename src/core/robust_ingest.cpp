@@ -34,9 +34,6 @@ const std::array<sim::SmartAttr, 6>& monotone_smart_attrs() noexcept {
 
 RecordSanitizer::RecordSanitizer(RobustnessConfig config) : config_(config) {
   auto& reg = obs::registry();
-  metrics_.records = &reg.counter("mfpa_ingest_records_total");
-  metrics_.rows_repaired = &reg.counter("mfpa_ingest_rows_repaired_total");
-  metrics_.rows_dropped = &reg.counter("mfpa_ingest_rows_dropped_total");
   metrics_.duplicate_days =
       &reg.counter("mfpa_ingest_faults_total", {{"cause", "duplicate_day"}});
   metrics_.clock_rollbacks =
@@ -65,7 +62,6 @@ bool RecordSanitizer::quarantined(std::size_t min_delivered) const noexcept {
 std::optional<sim::DailyRecord> RecordSanitizer::sanitize(
     const sim::DailyRecord& raw) {
   ++stats_.rows_read;
-  metrics_.records->inc();
 
   // Day-order policy. Strict keeps the historical fail-fast contract;
   // lenient treats a re-delivered day as an idempotent retry and a rollback
@@ -78,7 +74,6 @@ std::optional<sim::DailyRecord> RecordSanitizer::sanitize(
           ")");
     }
     ++stats_.rows_dropped;
-    metrics_.rows_dropped->inc();
     if (raw.day == *last_day_) {
       ++stats_.duplicate_days;
       metrics_.duplicate_days->inc();
@@ -164,10 +159,9 @@ std::optional<sim::DailyRecord> RecordSanitizer::sanitize(
     }
   }
 
-  metrics_.values_repaired->inc(stats_.values_repaired - values_before);
   if (repaired) {
     ++stats_.rows_repaired;
-    metrics_.rows_repaired->inc();
+    metrics_.values_repaired->inc(stats_.values_repaired - values_before);
   }
   return rec;
 }

@@ -73,13 +73,10 @@ class RecordSanitizer {
  private:
   RobustnessConfig config_;
   IngestStats stats_;
-  // Fleet-wide registry mirrors (mfpa_ingest_*). IngestStats stays the
-  // per-drive/per-run accounting; these accumulate the same events across
-  // every sanitizer in the process so exporters see ingestion as one layer.
+  // mfpa_ingest_faults_total{cause}: each fault as it is seen, summed over
+  // every sanitizer in the process. IngestStats stays the per-drive/per-run
+  // accounting.
   struct Metrics {
-    obs::Counter* records = nullptr;
-    obs::Counter* rows_repaired = nullptr;
-    obs::Counter* rows_dropped = nullptr;
     obs::Counter* duplicate_days = nullptr;
     obs::Counter* clock_rollbacks = nullptr;
     obs::Counter* counter_resets = nullptr;

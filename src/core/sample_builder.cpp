@@ -90,15 +90,15 @@ std::vector<std::string> SampleBuilder::feature_names() const {
   return base;
 }
 
-std::vector<double> SampleBuilder::row_for(const ProcessedDrive& drive,
-                                           std::size_t record_index) const {
+std::vector<double> SampleBuilder::row(const ProcessedDrive& drive,
+                                       std::size_t record_index) const {
   if (!config_.sequences) {
-    std::vector<double> row = features_of(drive.records[record_index]);
+    std::vector<double> flat = features_of(drive.records[record_index]);
     if (config_.include_deltas) {
       // Newest record at least delta_days older than this one.
       const DayIndex anchor_day =
           drive.records[record_index].day - config_.delta_days;
-      std::vector<double> past(row.size(), 0.0);
+      std::vector<double> past(flat.size(), 0.0);
       bool found = false;
       for (std::size_t r = record_index; r-- > 0;) {
         if (drive.records[r].day <= anchor_day) {
@@ -107,13 +107,15 @@ std::vector<double> SampleBuilder::row_for(const ProcessedDrive& drive,
           break;
         }
       }
-      const std::size_t base = row.size();
-      row.resize(2 * base, 0.0);
+      const std::size_t base = flat.size();
+      flat.resize(2 * base, 0.0);
       if (found) {
-        for (std::size_t c = 0; c < base; ++c) row[base + c] = row[c] - past[c];
+        for (std::size_t c = 0; c < base; ++c) {
+          flat[base + c] = flat[c] - past[c];
+        }
       }
     }
-    return row;
+    return flat;
   }
   // Sequence row: the seq_len records ending at record_index, earliest
   // first, padded by repeating the oldest available record.
@@ -156,7 +158,7 @@ data::Dataset SampleBuilder::build(
     for (std::size_t r = 0; r < drive.records.size(); ++r) {
       const DayIndex day = drive.records[r].day;
       if (day < lo || day > hi) continue;
-      ds.add(row_for(drive, r), 1, {drive.drive_id, day, drive.vendor});
+      ds.add(row(drive, r), 1, {drive.drive_id, day, drive.vendor});
       ++n_pos;
     }
   }
@@ -179,7 +181,7 @@ data::Dataset SampleBuilder::build(
   for (std::size_t c : chosen) {
     const auto [d, r] = negative_candidates[c];
     const ProcessedDrive& drive = drives[d];
-    ds.add(row_for(drive, r), 0,
+    ds.add(row(drive, r), 0,
            {drive.drive_id, drive.records[r].day, drive.vendor});
   }
   ds.check_invariants();
@@ -200,7 +202,7 @@ data::Dataset SampleBuilder::build_positives_at_distance(
     for (std::size_t r = 0; r < drive.records.size(); ++r) {
       const int dist = drive.failure_day - drive.records[r].day;
       if (dist < distance_lo || dist > distance_hi) continue;
-      ds.add(row_for(drive, r), 1,
+      ds.add(row(drive, r), 1,
              {drive.drive_id, drive.records[r].day, drive.vendor});
     }
   }

@@ -47,6 +47,12 @@ class SampleBuilder {
   /// Feature vector of one record under the configured group.
   std::vector<double> features_of(const ProcessedRecord& record) const;
 
+  /// The model row of `drive.records[record_index]`: flat, flat plus deltas
+  /// against the drive's older records, or the seq_len records ending there
+  /// (padded by repeating the oldest). Training and online scoring share it.
+  std::vector<double> row(const ProcessedDrive& drive,
+                          std::size_t record_index) const;
+
   /// Feature names of the built dataset (flat or sequence-expanded).
   std::vector<std::string> feature_names() const;
 
@@ -74,9 +80,6 @@ class SampleBuilder {
   bool use_firmware_ = false;
   std::vector<std::size_t> w_indices_;
   std::vector<std::size_t> b_indices_;
-
-  std::vector<double> row_for(const ProcessedDrive& drive,
-                              std::size_t record_index) const;
 };
 
 }  // namespace mfpa::core

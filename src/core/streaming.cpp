@@ -21,15 +21,7 @@ StreamingIngestor::StreamingIngestor(std::uint64_t drive_id, int vendor,
     : drive_id_(drive_id),
       vendor_(vendor),
       config_(config),
-      sanitizer_(config.robustness) {
-  auto& reg = obs::registry();
-  metrics_.rows_real =
-      &reg.counter("mfpa_stream_rows_total", {{"kind", "real"}});
-  metrics_.rows_synthetic =
-      &reg.counter("mfpa_stream_rows_total", {{"kind", "synthetic"}});
-  metrics_.segments_restarted =
-      &reg.counter("mfpa_stream_segments_restarted_total");
-}
+      sanitizer_(config.robustness) {}
 
 std::vector<ProcessedRecord> StreamingIngestor::ingest(
     const sim::DailyRecord& raw) {
@@ -53,18 +45,14 @@ std::vector<ProcessedRecord> StreamingIngestor::ingest(
     w_cum_.fill(0.0);
     b_cum_.fill(0.0);
     ++segments_started_;
-    metrics_.segments_restarted->inc();
   }
   last_day_ = record.day;
 
   const std::size_t before = segment_.size();
   append_processed(segment_, record, vendor_, config_.fill_gap, w_cum_, b_cum_);
-  std::vector<ProcessedRecord> produced(
-      segment_.begin() + static_cast<std::ptrdiff_t>(before), segment_.end());
   ++real_records_;
-  metrics_.rows_real->inc();
-  metrics_.rows_synthetic->inc(produced.size() - 1);
-  return produced;
+  return std::vector<ProcessedRecord>(
+      segment_.begin() + static_cast<std::ptrdiff_t>(before), segment_.end());
 }
 
 std::size_t StreamingIngestor::compact() {

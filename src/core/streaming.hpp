@@ -102,14 +102,6 @@ class StreamingIngestor {
   int vendor_;
   PreprocessConfig config_;
   RecordSanitizer sanitizer_;
-  // Fleet-wide registry mirrors (mfpa_stream_*): cleaned-row production by
-  // kind and long-gap segment cuts, accumulated over every ingestor.
-  struct Metrics {
-    obs::Counter* rows_real = nullptr;
-    obs::Counter* rows_synthetic = nullptr;
-    obs::Counter* segments_restarted = nullptr;
-  };
-  Metrics metrics_;
   std::vector<ProcessedRecord> segment_;
   std::size_t real_records_ = 0;
   int segments_started_ = 0;

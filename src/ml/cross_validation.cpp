@@ -7,7 +7,6 @@
 
 #include "ml/binned_support.hpp"
 #include "ml/metrics.hpp"
-#include "obs/metrics.hpp"
 
 namespace mfpa::ml {
 
@@ -99,17 +98,11 @@ double cross_val_score(const Classifier& prototype, const CvCache& cache,
   if (cache.folds.empty()) {
     throw std::invalid_argument("cross_val_score: no splits");
   }
-  auto& reg = obs::registry();
-  auto& fold_seconds =
-      reg.histogram("mfpa_train_fold_seconds", 0.0, 60.0, 256);
-  auto& folds_evaluated = reg.counter("mfpa_train_folds_total");
   double total = 0.0;
   std::size_t used = 0;
   for (const auto& fold : cache.folds) {
     if (!fold.usable) continue;
 
-    obs::ScopedTimer fold_timer(fold_seconds);
-    folds_evaluated.inc();
     auto model = prototype.clone_unfitted();
     if (fold.bins) {
       if (auto* binned = dynamic_cast<BinnedFitSupport*>(model.get())) {

@@ -2,14 +2,12 @@
 
 #include "data/binned_matrix.hpp"
 #include "ml/serialize.hpp"
-#include "obs/metrics.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <istream>
 #include <numeric>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -57,19 +55,9 @@ void RegressionTree::fit(const data::Matrix& X, std::span<const double> grad,
     throw std::invalid_argument("RegressionTree::fit: empty row set");
   }
   if (params_.split_method == SplitMethod::kHist) {
-    // Bin construction is the hist path's fixed cost; time it separately
-    // from the split scans so the breakdown shows where a fit went.
-    std::optional<data::BinnedMatrix> bins;
-    {
-      obs::ScopedTimer bin_timer(obs::registry().histogram(
-          "mfpa_train_bin_build_seconds", 0.0, 10.0, 256));
-      bins.emplace(X, params_.max_bins);
-    }
-    fit(*bins, grad, hess, rows, rng);
+    fit(data::BinnedMatrix(X, params_.max_bins), grad, hess, rows, rng);
     return;
   }
-  obs::registry().counter("mfpa_train_tree_fits_total", {{"path", "exact"}})
-      .inc();
   nodes_.clear();
   BuildContext ctx;
   ctx.X = &X;
@@ -289,10 +277,6 @@ void RegressionTree::fit(const data::BinnedMatrix& bins,
   }
   ctx.total_bins = total;
   std::vector<std::size_t> row_copy(rows.begin(), rows.end());
-  auto& reg = obs::registry();
-  reg.counter("mfpa_train_tree_fits_total", {{"path", "hist"}}).inc();
-  obs::ScopedTimer scan_timer(
-      reg.histogram("mfpa_train_split_scan_seconds", 0.0, 10.0, 256));
   build_node_hist(ctx, row_copy, params_.max_depth, {});
 }
 

@@ -13,38 +13,22 @@
 namespace mfpa::ml {
 namespace {
 
-/// Compile/scoring instruments, cached per thread: predict_into runs on
-/// every serving micro-batch, so the handles must not take the registry
-/// mutex on the hot path. The cache key is the (registry address,
-/// generation) pair, which invalidates it whenever a test swaps in an
-/// isolated registry — even one reusing a just-freed address.
-struct FlatMetrics {
-  obs::Counter* compiles = nullptr;
-  obs::Counter* rows_scored = nullptr;
-  obs::Gauge* nodes = nullptr;
-  obs::Gauge* simd_level = nullptr;
-  obs::HistogramMetric* compile_seconds = nullptr;
-  obs::HistogramMetric* batch_seconds = nullptr;
-};
-
-const FlatMetrics& flat_metrics() {
+/// The predict-call timer (mfpa_flat_batch_seconds), cached per thread:
+/// predict_into runs on every serving micro-batch, so the handle must not
+/// take the registry mutex on the hot path. The cache key is the (registry
+/// address, generation) pair, which invalidates it whenever a test swaps in
+/// an isolated registry — even one reusing a just-freed address.
+obs::HistogramMetric& batch_seconds() {
   thread_local obs::MetricsRegistry* cached_registry = nullptr;
   thread_local std::uint64_t cached_generation = 0;
-  thread_local FlatMetrics metrics;
+  thread_local obs::HistogramMetric* hist = nullptr;
   auto& reg = obs::registry();
   if (&reg != cached_registry || reg.generation() != cached_generation) {
-    metrics.compiles = &reg.counter("mfpa_flat_compiles_total");
-    metrics.rows_scored = &reg.counter("mfpa_flat_rows_scored_total");
-    metrics.nodes = &reg.gauge("mfpa_flat_nodes");
-    metrics.simd_level = &reg.gauge("mfpa_flat_simd_level");
-    metrics.compile_seconds =
-        &reg.histogram("mfpa_flat_compile_seconds", 0.0, 10.0, 256);
-    metrics.batch_seconds =
-        &reg.histogram("mfpa_flat_batch_seconds", 0.0, 1.0, 512);
+    hist = &reg.histogram("mfpa_flat_batch_seconds", 0.0, 1.0, 512);
     cached_registry = &reg;
     cached_generation = reg.generation();
   }
-  return metrics;
+  return *hist;
 }
 
 /// Rows per cache block: one tree's node arrays are fetched once per block,
@@ -168,12 +152,7 @@ void accumulate_scalar(const detail::ForestView& forest, const double* x,
 /// Resolves the kernel for one predict call: the active SIMD level, with
 /// the AVX2 kernel additionally gated on its 32-bit gather indices being
 /// able to address the matrix (rows * cols elements).
-struct KernelChoice {
-  detail::AccumulateFn fn;
-  SimdLevel level;
-};
-
-KernelChoice select_kernel(std::size_t rows, std::size_t cols) {
+detail::AccumulateFn select_kernel(std::size_t rows, std::size_t cols) {
   switch (active_simd_level()) {
     case SimdLevel::kAvx2:
       if (auto* fn = detail::avx2_accumulate_kernel();
@@ -181,13 +160,13 @@ KernelChoice select_kernel(std::size_t rows, std::size_t cols) {
           rows <= static_cast<std::size_t>(
                       std::numeric_limits<std::int32_t>::max()) /
                       (cols == 0 ? 1 : cols)) {
-        return {fn, SimdLevel::kAvx2};
+        return fn;
       }
       break;
     case SimdLevel::kScalar:
       break;
   }
-  return {&accumulate_scalar, SimdLevel::kScalar};
+  return &accumulate_scalar;
 }
 
 }  // namespace
@@ -208,9 +187,6 @@ FlatForest FlatForest::compile(std::span<const RegressionTree> trees,
   if (total > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
     throw std::invalid_argument("FlatForest::compile: ensemble too large");
   }
-  const auto& metrics = flat_metrics();
-  obs::ScopedTimer timer(*metrics.compile_seconds);
-
   FlatForest out;
   out.output_ = output;
   out.per_tree_scale_ = per_tree_scale;
@@ -255,8 +231,6 @@ FlatForest FlatForest::compile(std::span<const RegressionTree> trees,
           static_cast<std::uint32_t>(out.feat_[static_cast<std::size_t>(dst)]);
     }
   }
-  metrics.compiles->inc();
-  metrics.nodes->set(static_cast<double>(total));
   return out;
 }
 
@@ -271,9 +245,8 @@ void FlatForest::accumulate_range(const data::Matrix& X, std::size_t row_lo,
                                   std::size_t row_hi, double* acc) const {
   const detail::ForestView view{feat_.data(), thr_.data(), left_.data(),
                                 fl_.data(),  roots_.data(), per_tree_scale_};
-  const auto choice = select_kernel(X.rows(), X.cols());
-  choice.fn(view, X.data().data(), X.cols(), row_lo, row_hi, 0, roots_.size(),
-            acc);
+  select_kernel(X.rows(), X.cols())(view, X.data().data(), X.cols(), row_lo,
+                                    row_hi, 0, roots_.size(), acc);
 }
 
 void FlatForest::finish_range(const double* acc, std::span<double> out,
@@ -297,10 +270,7 @@ void FlatForest::predict_into(const data::Matrix& X, std::span<double> out,
   if (out.size() != X.rows()) {
     throw std::invalid_argument("FlatForest::predict_into: size mismatch");
   }
-  const auto& metrics = flat_metrics();
-  obs::ScopedTimer timer(*metrics.batch_seconds);
-  metrics.simd_level->set(
-      static_cast<double>(select_kernel(X.rows(), X.cols()).level));
+  obs::ScopedTimer timer(batch_seconds());
   parallel_for_blocks(X.rows(), threads, [&](std::size_t lo, std::size_t hi) {
     double acc[kRowBlock];
     for (std::size_t block = lo; block < hi; block += kRowBlock) {
@@ -310,7 +280,6 @@ void FlatForest::predict_into(const data::Matrix& X, std::span<double> out,
       finish_range(acc, out, block, block_hi);
     }
   });
-  metrics.rows_scored->inc(X.rows());
 }
 
 std::vector<double> FlatForest::predict(const data::Matrix& X,

@@ -5,7 +5,6 @@
 
 #include "common/parallel.hpp"
 #include "ml/factory.hpp"
-#include "obs/metrics.hpp"
 
 namespace mfpa::ml {
 
@@ -55,15 +54,7 @@ GridSearchResult grid_search(const std::string& algorithm,
       std::clamp(param_or(base, "max_bins", 255.0), 2.0, 255.0));
   const CvCache cache = build_cv_cache(X, y, splits, share_bins, max_bins);
 
-  // Resolve instruments once; evaluate() runs on the worker pool and only
-  // touches the lock-free handles.
-  auto& reg = obs::registry();
-  auto& grid_points = reg.counter("mfpa_train_grid_points_total");
-  auto& point_seconds =
-      reg.histogram("mfpa_train_grid_point_seconds", 0.0, 600.0, 256);
   auto evaluate = [&](std::size_t i) {
-    obs::ScopedTimer point_timer(point_seconds);
-    grid_points.inc();
     const auto model = make_classifier(algorithm, param_sets[i]);
     scores[i] = cross_val_score(*model, cache, metric);
   };

@@ -13,8 +13,9 @@
 // clamped by an optional process-wide override (set_simd_override(), used
 // by the parity tests and micro-benchmarks). Requesting a level the
 // hardware lacks silently degrades to the best available one. The serving
-// commands print the resolved level ("simd kernel: ...") so an operator
-// can see what actually ran. Building with -DMFPA_FORCE_SCALAR=ON removes
+// commands (serve-replay, fleet-replay, shard-serve) print the resolved
+// level at start-up ("simd kernel: ...") so an operator can see what
+// actually ran. Building with -DMFPA_FORCE_SCALAR=ON removes
 // the vector kernel from the dispatch entirely (the CI fallback leg).
 #pragma once
 
@@ -24,8 +25,7 @@
 
 namespace mfpa::ml {
 
-/// Kernel instruction-set tiers, ordered weakest first. The values are the
-/// exported mfpa_flat_simd_level gauge readings.
+/// Kernel instruction-set tiers, ordered weakest first.
 enum class SimdLevel : int {
   kScalar = 0,  ///< portable 8-row lockstep kernel (reference)
   kAvx2 = 2,    ///< x86-64 AVX2 gather/blend build

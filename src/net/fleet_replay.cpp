@@ -13,50 +13,6 @@
 namespace mfpa::net {
 namespace {
 
-/// Merges `src` into `dst` bin-by-bin. Every shard engine is built from one
-/// EngineConfig template, so the histograms share (lo, hi, bins) and the
-/// merge is exact to one bin width (midpoints re-land in the same bin).
-void merge_histogram(stats::Histogram& dst, const stats::Histogram& src) {
-  for (std::size_t i = 0; i < src.bins(); ++i) {
-    const std::size_t n = src.bin_count(i);
-    if (n > 0) dst.add_count(0.5 * (src.bin_lo(i) + src.bin_hi(i)), n);
-  }
-}
-
-/// Collapses per-shard engine stats into one fleet-wide EngineStats so the
-/// sharded report prints/exports through the exact same code paths as the
-/// single-engine one.
-serve::EngineStats merge_engine_stats(const RouterStats& router) {
-  serve::EngineStats merged;
-  bool first = true;
-  for (const auto& s : router.shards) {
-    merged.submitted += s.submitted;
-    merged.accepted += s.accepted;
-    merged.shed += s.shed;
-    merged.rejected += s.rejected;
-    merged.unscored_no_model += s.unscored_no_model;
-    merged.records_processed += s.records_processed;
-    merged.rows_scored += s.rows_scored;
-    merged.synthetic_rows += s.synthetic_rows;
-    merged.batches += s.batches;
-    merged.alerts += s.alerts;
-    merged.model_swaps += s.model_swaps;
-    merged.max_queue_depth = std::max(merged.max_queue_depth,
-                                      s.max_queue_depth);
-    if (first) {
-      merged.batch_size = s.batch_size;
-      merged.queue_depth = s.queue_depth;
-      merged.latency_us = s.latency_us;
-      first = false;
-    } else {
-      merge_histogram(merged.batch_size, s.batch_size);
-      merge_histogram(merged.queue_depth, s.queue_depth);
-      merge_histogram(merged.latency_us, s.latency_us);
-    }
-  }
-  return merged;
-}
-
 serve::StoreStats merge_store_stats(const ShardRouter& router) {
   serve::StoreStats merged;
   for (std::size_t i = 0; i < router.shard_count(); ++i) {
@@ -107,8 +63,7 @@ ShardedReplayReport replay_router(ShardRouter& router,
     out.replay = serve::feed(source, router, options);
   }
   router.flush();  // an interrupted feed skipped the barrier
-  out.router = router.stats();
-  out.replay.engine = merge_engine_stats(out.router);
+  out.replay.engine = router.stats();
   out.replay.store = merge_store_stats(router);
   out.replay.alerts = router.alerts();
   out.replay.drives =

@@ -32,7 +32,6 @@ enum class Transport {
 /// alerts are in the canonical fleet order (day, drive id).
 struct ShardedReplayReport {
   serve::ReplayReport replay;          ///< merged totals + merged alerts
-  RouterStats router;                  ///< per-shard accounting
   std::uint64_t protocol_errors = 0;   ///< loopback runs only
 };
 

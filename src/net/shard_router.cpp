@@ -15,6 +15,16 @@ std::string shard_dir(const std::string& root, std::size_t index) {
   return root + "/shard-" + suffix;
 }
 
+/// Merges `src` into `dst` bin-by-bin. Every shard engine is built from one
+/// EngineConfig template, so the histograms share (lo, hi, bins) and the
+/// merge is exact to one bin width (midpoints re-land in the same bin).
+void merge_histogram(stats::Histogram& dst, const stats::Histogram& src) {
+  for (std::size_t i = 0; i < src.bins(); ++i) {
+    const std::size_t n = src.bin_count(i);
+    if (n > 0) dst.add_count(0.5 * (src.bin_lo(i) + src.bin_hi(i)), n);
+  }
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(const serve::ModelRegistry& registry,
@@ -74,8 +84,8 @@ void ShardRouter::flush() {
 
 serve::SinkTotals ShardRouter::flush_totals() {
   flush();
-  const RouterStats s = stats();
-  return {s.records_processed, s.alerts, s.records_shed};
+  const serve::EngineStats s = stats();
+  return {s.records_processed, s.alerts, s.shed};
 }
 
 void ShardRouter::stop() {
@@ -116,19 +126,27 @@ std::vector<core::Alert> ShardRouter::alerts() const {
   return merged;
 }
 
-RouterStats ShardRouter::stats() const {
-  RouterStats out;
-  out.shards.reserve(engines_.size());
-  for (const auto& engine : engines_) {
-    serve::EngineStats s = engine->stats();
-    out.records_processed += s.records_processed;
-    out.records_shed += s.shed;
-    out.rows_scored += s.rows_scored;
-    out.alerts += s.alerts;
-    out.max_queue_depth = std::max(out.max_queue_depth, s.max_queue_depth);
-    out.shards.push_back(std::move(s));
+serve::EngineStats ShardRouter::stats() const {
+  serve::EngineStats merged = engines_.front()->stats();
+  for (std::size_t i = 1; i < engines_.size(); ++i) {
+    const serve::EngineStats s = engines_[i]->stats();
+    merged.submitted += s.submitted;
+    merged.accepted += s.accepted;
+    merged.shed += s.shed;
+    merged.rejected += s.rejected;
+    merged.unscored_no_model += s.unscored_no_model;
+    merged.records_processed += s.records_processed;
+    merged.rows_scored += s.rows_scored;
+    merged.synthetic_rows += s.synthetic_rows;
+    merged.batches += s.batches;
+    merged.alerts += s.alerts;
+    merged.model_swaps += s.model_swaps;
+    merged.max_queue_depth = std::max(merged.max_queue_depth,
+                                      s.max_queue_depth);
+    merge_histogram(merged.batch_size, s.batch_size);
+    merge_histogram(merged.latency_us, s.latency_us);
   }
-  return out;
+  return merged;
 }
 
 }  // namespace mfpa::net

@@ -54,19 +54,6 @@ struct ShardRouterConfig {
   std::size_t first_shard = 0;
 };
 
-/// Per-shard accounting snapshot plus the merged fleet totals.
-struct RouterStats {
-  std::vector<serve::EngineStats> shards;
-  std::uint64_t records_processed = 0;
-  std::uint64_t records_shed = 0;
-  std::uint64_t rows_scored = 0;
-  std::uint64_t alerts = 0;
-  /// Largest per-shard queue high-water mark — the router-level congestion
-  /// signal (per-shard values stay visible in `shards` and in the
-  /// mfpa_serve_max_queue_depth{engine="shard-N"} gauges).
-  std::size_t max_queue_depth = 0;
-};
-
 class ShardRouter final : public serve::RecordSink {
  public:
   /// Constructs every shard engine (recovering each from its durable
@@ -127,7 +114,11 @@ class ShardRouter final : public serve::RecordSink {
   /// (day, drive id) — identical for every shard count.
   std::vector<core::Alert> alerts() const;
 
-  RouterStats stats() const;
+  /// Every shard's EngineStats merged into one: counters add, histograms
+  /// add bin by bin (every shard shares the template's geometry), and
+  /// `max_queue_depth` is the largest shard's. Per-shard figures come from
+  /// shard(i).stats().
+  serve::EngineStats stats() const;
 
  private:
   std::vector<std::unique_ptr<serve::ScoringEngine>> engines_;

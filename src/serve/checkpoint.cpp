@@ -135,9 +135,7 @@ DurabilityManager::DurabilityManager(DurabilityConfig config)
   auto& reg = obs::registry();
   metrics_.writes = &reg.counter("mfpa_ckpt_writes_total");
   metrics_.bytes = &reg.counter("mfpa_ckpt_bytes_total");
-  metrics_.loads = &reg.counter("mfpa_ckpt_loads_total");
   metrics_.fallbacks = &reg.counter("mfpa_ckpt_fallbacks_total");
-  metrics_.pruned = &reg.counter("mfpa_ckpt_pruned_total");
   metrics_.last_lsn = &reg.gauge("mfpa_ckpt_last_lsn");
 }
 
@@ -188,7 +186,6 @@ RecoveryResult DurabilityManager::recover(DriveStateStore& store,
     result.model_version = image->model_version;
     after_lsn = image->lsn;
     durable_alerts = image->alert_count;
-    metrics_.loads->inc();
   }
 
   result.alerts = recover_alert_log(config_.dir, durable_alerts);
@@ -272,7 +269,6 @@ void DurabilityManager::prune_checkpoints() {
   if (checkpoints.size() <= 2) return;
   for (std::size_t i = 0; i + 2 < checkpoints.size(); ++i) {
     fs::remove(checkpoints[i].second);
-    metrics_.pruned->inc();
   }
 }
 

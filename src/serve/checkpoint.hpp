@@ -164,9 +164,7 @@ class DurabilityManager {
   struct Metrics {
     obs::Counter* writes = nullptr;
     obs::Counter* bytes = nullptr;
-    obs::Counter* loads = nullptr;
     obs::Counter* fallbacks = nullptr;
-    obs::Counter* pruned = nullptr;
     obs::Gauge* last_lsn = nullptr;
   };
   Metrics metrics_;

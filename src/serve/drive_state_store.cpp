@@ -21,8 +21,6 @@ constexpr std::size_t kMaxDrives = 1u << 26;
 
 DriveStateStore::DriveStateStore(StoreConfig config) : config_(config) {
   auto& reg = obs::registry();
-  metrics_.records_ingested = &reg.counter("mfpa_store_records_ingested_total");
-  metrics_.rows_emitted = &reg.counter("mfpa_store_rows_emitted_total");
   metrics_.segments_restarted =
       &reg.counter("mfpa_store_segments_restarted_total");
   metrics_.drives_quarantined =
@@ -39,7 +37,6 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
   if (inserted) metrics_.drives_tracked->add(1.0);
   DriveState& state = it->second;
   ++totals_.records_ingested;
-  metrics_.records_ingested->inc();
   state.ingestor.ingest(record);
 
   if (!state.quarantine_counted && state.ingestor.quarantined()) {
@@ -62,9 +59,6 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
   if (!state.ingestor.usable()) return;
 
   const auto& segment = state.ingestor.segment();
-  if (segment.size() > state.emitted) {
-    metrics_.rows_emitted->inc(segment.size() - state.emitted);
-  }
   for (std::size_t i = state.emitted; i < segment.size(); ++i) {
     out.push_back({drive_id, vendor, segment[i], state.segments_seen});
     ++totals_.rows_emitted;

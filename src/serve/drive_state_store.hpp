@@ -150,12 +150,10 @@ class DriveStateStore {
   DriveMap drives_;
   Totals totals_;
 
-  // Fleet-level registry instruments (mfpa_store_*). The counters above
-  // stay authoritative for StoreStats (per-store accounting); these mirror
-  // the same events into the process-wide registry for exporters.
+  // Registry instruments (mfpa_store_*), summed over every store in the
+  // process: drives tracked, quarantines and long-gap cuts. The totals above
+  // stay authoritative for StoreStats (per-store accounting).
   struct Metrics {
-    obs::Counter* records_ingested = nullptr;
-    obs::Counter* rows_emitted = nullptr;
     obs::Counter* segments_restarted = nullptr;
     obs::Counter* drives_quarantined = nullptr;
     obs::Gauge* drives_tracked = nullptr;

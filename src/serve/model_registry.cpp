@@ -140,6 +140,17 @@ int ModelRegistry::publish(const ml::Classifier& model,
 
 int ModelRegistry::publish_pipeline(const core::MfpaPipeline& pipeline,
                                     DayIndex train_lo, DayIndex train_hi) {
+  // Serving keeps one record per drive and builds flat rows of the
+  // manifest's group from it (ServedModel::make_builder); a model trained
+  // on sequence or delta rows would be fed rows of the wrong shape.
+  const core::SampleConfig rows = pipeline.make_builder().config();
+  if (rows.sequences || rows.include_deltas) {
+    throw std::invalid_argument(
+        "ModelRegistry: cannot publish a " +
+        std::string(rows.sequences ? "sequence-row" : "delta-row") + " " +
+        pipeline.model().name() +
+        " model: serving scores flat rows built from one record per drive");
+  }
   return publish(pipeline.model(), pipeline.firmware_encoder(),
                  pipeline.config().group, pipeline.threshold(), train_lo,
                  train_hi);

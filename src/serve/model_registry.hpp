@@ -87,7 +87,9 @@ class ModelRegistry {
               DayIndex train_hi);
 
   /// Convenience: publishes a trained pipeline's artifacts (model, firmware
-  /// encoder, group, tuned threshold).
+  /// encoder, group, tuned threshold). Serving scores flat rows of one
+  /// record, so a pipeline whose builder makes sequence rows (CNN_LSTM) or
+  /// delta rows throws std::invalid_argument before anything is written.
   int publish_pipeline(const core::MfpaPipeline& pipeline, DayIndex train_lo,
                        DayIndex train_hi);
 

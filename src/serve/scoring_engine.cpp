@@ -51,10 +51,6 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config)
   metrics_.batch_size = &reg.histogram(
       "mfpa_serve_batch_size", 0.0, static_cast<double>(config_.max_batch) + 1.0,
       std::min<std::size_t>(config_.max_batch + 1, 512), labels);
-  metrics_.queue_depth = &reg.histogram(
-      "mfpa_serve_queue_depth", 0.0,
-      static_cast<double>(config_.queue_capacity) + 1.0,
-      std::min<std::size_t>(config_.queue_capacity + 1, 128), labels);
   metrics_.latency_us = &reg.histogram("mfpa_serve_latency_us", 0.0,
                                        kLatencyHiUs, 512, labels);
   metrics_.max_queue_depth = &reg.gauge("mfpa_serve_max_queue_depth", labels);
@@ -166,7 +162,6 @@ std::size_t ScoringEngine::drain_once() {
 }
 
 std::vector<ScoringEngine::QueuedUpdate> ScoringEngine::pop_batch_locked() {
-  metrics_.queue_depth->observe(static_cast<double>(queue_.size()));
   const std::size_t take = std::min(config_.max_batch, queue_.size());
   std::vector<QueuedUpdate> batch;
   batch.reserve(take);
@@ -242,12 +237,12 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
     }
     return batch.size();
   }
+  std::uint64_t synthetic = 0;
   {
     std::lock_guard<std::mutex> rlock(results_mu_);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const PendingRow& row = rows[i];
-      metrics_.rows_scored->inc();
-      if (row.record.synthetic) metrics_.synthetic_rows->inc();
+      if (row.record.synthetic) ++synthetic;
       const bool crossed = scores[i] >= model->manifest.threshold;
       if (config_.record_scores) {
         scored_rows_.push_back({row.drive_id, row.record.day, scores[i],
@@ -265,6 +260,8 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
       }
     }
   }
+  metrics_.rows_scored->inc(rows.size());
+  metrics_.synthetic_rows->inc(synthetic);
   if (durability_ && !recovering_) {
     durability_->on_batch_end(store_, model->manifest.version);
   }
@@ -338,7 +335,6 @@ EngineStats ScoringEngine::stats() const {
   out.alerts = metrics_.alerts->value();
   out.model_swaps = metrics_.model_swaps->value();
   out.batch_size = metrics_.batch_size->snapshot();
-  out.queue_depth = metrics_.queue_depth->snapshot();
   out.latency_us = metrics_.latency_us->snapshot();
   out.max_queue_depth =
       static_cast<std::size_t>(metrics_.max_queue_depth->value());

@@ -20,8 +20,8 @@
 // next batch scores on the new one, and `model_swaps` counts the
 // transitions observed.
 //
-// Observability: every throughput counter and batch-size / queue-depth /
-// latency histogram lives in the process-wide obs::MetricsRegistry
+// Observability: every throughput counter and the batch-size and latency
+// histograms live in the process-wide obs::MetricsRegistry
 // (mfpa_serve_* families, one label set per engine instance), so the same
 // numbers a fleet operator graphs are exported by `serve-replay
 // --metrics-out`, `mfpa metrics`, and read by perfbench/. EngineStats is a
@@ -99,7 +99,6 @@ struct EngineStats {
   std::uint64_t alerts = 0;
   std::uint64_t model_swaps = 0;      ///< version changes observed by the drain
   stats::Histogram batch_size{0.0, 1.0, 1};     ///< replaced in snapshot
-  stats::Histogram queue_depth{0.0, 1.0, 1};
   stats::Histogram latency_us{0.0, 1.0, 1};
   std::size_t max_queue_depth = 0;
 };
@@ -214,7 +213,6 @@ class ScoringEngine final : public RecordSink {
     obs::Counter* alerts = nullptr;
     obs::Counter* model_swaps = nullptr;
     obs::HistogramMetric* batch_size = nullptr;
-    obs::HistogramMetric* queue_depth = nullptr;
     obs::HistogramMetric* latency_us = nullptr;
     obs::Gauge* max_queue_depth = nullptr;
   };
@@ -228,8 +226,7 @@ class ScoringEngine final : public RecordSink {
   std::thread drain_thread_;
 
   void drain_loop();
-  /// Pops up to max_batch queued records and observes the queue depth;
-  /// the caller holds queue_mu_.
+  /// Pops up to max_batch queued records; the caller holds queue_mu_.
   std::vector<QueuedUpdate> pop_batch_locked();
   std::size_t process_batch(std::vector<QueuedUpdate>& batch);
   void recover_durable_state();

@@ -300,10 +300,8 @@ WalWriter::WalWriter(WalWriterConfig config)
     : config_(std::move(config)), segment_(config_.fsync) {
   fs::create_directories(fs::path(config_.dir) / "wal");
   auto& reg = obs::registry();
-  metrics_.appends = &reg.counter("mfpa_wal_appends_total");
   metrics_.bytes = &reg.counter("mfpa_wal_bytes_total");
   metrics_.fsyncs = &reg.counter("mfpa_wal_fsyncs_total");
-  metrics_.rotations = &reg.counter("mfpa_wal_rotations_total");
   commit_thread_ = std::thread([this] { commit_loop(); });
 }
 
@@ -333,7 +331,6 @@ std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
                                 const sim::DailyRecord& record) {
   const std::uint64_t lsn = next_lsn_++;
   open_group_.push_back({lsn, drive_id, vendor, record});
-  metrics_.appends->inc();
   metrics_.bytes->inc(kWalRecordFrameBytes);
   if (config_.group_commit_records > 0 &&
       open_group_.size() >= config_.group_commit_records) {
@@ -403,7 +400,6 @@ void WalWriter::rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn) {
     }
   }
   fsync_dir(wal_dir.string());
-  metrics_.rotations->inc();
 }
 
 void WalWriter::reset(std::uint64_t base_lsn) {

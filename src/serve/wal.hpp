@@ -284,10 +284,8 @@ class WalWriter {
   std::exception_ptr failure_;  ///< first failed commit, rethrown forever
 
   struct Metrics {
-    obs::Counter* appends = nullptr;
     obs::Counter* bytes = nullptr;
     obs::Counter* fsyncs = nullptr;
-    obs::Counter* rotations = nullptr;
   };
   Metrics metrics_;
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -266,6 +268,137 @@ TEST(RunCommand, MetricsOutWritesSchemaStableJson) {
   std::remove(telemetry.c_str());
   std::remove(tickets.c_str());
   std::remove(metrics.c_str());
+}
+
+/// One exported family member as "name{k=v,...} type[ value]". The
+/// `engine` label is masked (in-process it is a process-wide sequence
+/// number), and so is every value that follows where drain batches fall:
+/// histograms, batch counts, queue depth, fsyncs and checkpoint bytes.
+std::string vocabulary_line(const obs::MetricValue& m) {
+  static const std::set<std::string> kBatchDependent = {
+      "mfpa_serve_batches_total", "mfpa_serve_max_queue_depth",
+      "mfpa_wal_fsyncs_total", "mfpa_ckpt_bytes_total"};
+  std::ostringstream line;
+  line << m.name << "{";
+  for (const auto& [key, value] : m.labels) {
+    line << key << "=" << (key == "engine" ? "*" : value) << ",";
+  }
+  line << "} ";
+  switch (m.kind) {
+    case obs::MetricKind::kCounter:
+      line << "counter";
+      if (!kBatchDependent.count(m.name)) line << " " << m.counter;
+      break;
+    case obs::MetricKind::kGauge:
+      line << "gauge";
+      if (!kBatchDependent.count(m.name)) line << " " << m.gauge;
+      break;
+    case obs::MetricKind::kHistogram:
+      line << "histogram";
+      break;
+  }
+  return line.str();
+}
+
+// The metrics vocabulary, pinned: every family a durable serving run
+// exports, with its labels, type and each value that does not depend on
+// batch boundaries. Each event has one family, so a family added twice for
+// one event, or one that lost its only reader, shows up here first (see
+// docs/OBSERVABILITY.md, "Adding a metric").
+TEST(ServeReplayCommand, DurableRunExportsThePinnedVocabulary) {
+  auto reg = obs::MetricsRegistry::create_isolated();
+  obs::ScopedMetricsOverride scope(*reg);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "mfpa_cli_vocabulary";
+  std::filesystem::remove_all(dir);
+  const std::string metrics = (dir / "metrics.json").string();
+  std::ostringstream out, err;
+  ASSERT_EQ(run_command(parse_command_line(
+                            {"serve-replay", "--scenario=tiny", "--seed=7",
+                             "--durable-dir=" + (dir / "durable").string(),
+                             "--registry=" + (dir / "registry").string(),
+                             "--metrics-out=" + metrics}),
+                        out, err),
+            0)
+      << err.str();
+
+  std::vector<std::string> lines;
+  std::set<std::string> families;
+  for (const auto& m : reg->snapshot().metrics) {
+    lines.push_back(vocabulary_line(m));
+    families.insert(m.name);
+  }
+  const std::vector<std::string> expected = {
+      "mfpa_ckpt_bytes_total{} counter",
+      "mfpa_ckpt_fallbacks_total{} counter 0",
+      "mfpa_ckpt_last_lsn{} gauge 14233",
+      "mfpa_ckpt_writes_total{} counter 5",
+      "mfpa_flat_batch_seconds{} histogram",
+      "mfpa_ingest_faults_total{cause=clock_rollback,} counter 0",
+      "mfpa_ingest_faults_total{cause=counter_reset_rebased,} counter 0",
+      "mfpa_ingest_faults_total{cause=duplicate_day,} counter 0",
+      "mfpa_ingest_faults_total{cause=value_repaired,} counter 0",
+      "mfpa_registry_activations_total{} counter 0",
+      "mfpa_registry_current_version{} gauge 1",
+      "mfpa_registry_publishes_total{} counter 1",
+      "mfpa_registry_swap_seconds{} histogram",
+      "mfpa_serve_accepted_total{engine=*,} counter 14233",
+      "mfpa_serve_alerts_total{engine=*,} counter 473",
+      "mfpa_serve_batch_size{engine=*,} histogram",
+      "mfpa_serve_batches_total{engine=*,} counter",
+      "mfpa_serve_latency_us{engine=*,} histogram",
+      "mfpa_serve_max_queue_depth{engine=*,} gauge",
+      "mfpa_serve_model_swaps_total{engine=*,} counter 0",
+      "mfpa_serve_records_processed_total{engine=*,} counter 14233",
+      "mfpa_serve_rejected_total{engine=*,} counter 0",
+      "mfpa_serve_rows_scored_total{engine=*,} counter 18304",
+      "mfpa_serve_shed_total{engine=*,} counter 0",
+      "mfpa_serve_submitted_total{engine=*,} counter 14233",
+      "mfpa_serve_synthetic_rows_total{engine=*,} counter 4080",
+      "mfpa_serve_unscored_no_model_total{engine=*,} counter 0",
+      "mfpa_store_drives_quarantined_total{} counter 0",
+      "mfpa_store_drives_tracked{} gauge 78",
+      "mfpa_store_segments_restarted_total{} counter 88",
+      "mfpa_wal_bytes_total{} counter 2448076",  // 14,233 x 172
+      "mfpa_wal_fsyncs_total{} counter",
+      "mfpa_wal_recovery_replayed_total{} counter 0",
+      "mfpa_wal_recovery_skipped_total{} counter 0",
+      "mfpa_wal_recovery_torn_tails_total{} counter 0",
+  };
+  EXPECT_EQ(lines, expected);
+  EXPECT_EQ(families.size(), 32u);
+
+  // --metrics-out exports exactly these families.
+  std::ifstream in(metrics);
+  ASSERT_TRUE(in.good()) << metrics;
+  std::set<std::string> exported;
+  const std::string key = "\"name\": \"";
+  for (std::string line; std::getline(in, line);) {
+    const auto at = line.find(key);
+    if (at == std::string::npos) continue;
+    const auto begin = at + key.size();
+    exported.insert(line.substr(begin, line.find('"', begin) - begin));
+  }
+  EXPECT_EQ(exported, families);
+  std::filesystem::remove_all(dir);
+}
+
+// Serving builds flat rows from the one record it keeps per drive, so a
+// sequence model must be refused at publish time, not abort the drain.
+TEST(ServeReplayCommand, RefusesToPublishASequenceModel) {
+  const std::filesystem::path registry =
+      std::filesystem::path(::testing::TempDir()) / "mfpa_cli_cnn_registry";
+  std::filesystem::remove_all(registry);
+  std::ostringstream out, err;
+  EXPECT_EQ(run_command(parse_command_line(
+                            {"serve-replay", "--scenario=tiny", "--seed=7",
+                             "--algorithm=CNN_LSTM",
+                             "--registry=" + registry.string()}),
+                        out, err),
+            1);
+  EXPECT_NE(err.str().find("CNN_LSTM"), std::string::npos) << err.str();
+  EXPECT_FALSE(std::filesystem::exists(registry / "CURRENT"));
+  std::filesystem::remove_all(registry);
 }
 
 TEST(Usage, DocumentsObservabilityFlags) {

@@ -180,6 +180,33 @@ TEST_F(OnlinePredictorTest, SequenceModelScoresOnline) {
   FAIL() << "no suitable drive";
 }
 
+// Online scoring builds each row by the training builder's own rule, so a
+// delta pipeline (2F columns: values plus their change over delta_days)
+// scores a drive online exactly as the batch rows of that drive.
+TEST_F(OnlinePredictorTest, DeltaPipelineScoresOnlineAsInBatch) {
+  MfpaConfig config;
+  config.vendor = 0;
+  config.seed = 11;
+  config.include_deltas = true;
+  MfpaPipeline pipeline(config);
+  pipeline.run(*telemetry_, *tickets_);
+  const SampleBuilder builder = pipeline.make_builder();
+  ASSERT_TRUE(builder.config().include_deltas);
+  OnlinePredictor predictor(pipeline);
+  const Preprocessor pre;
+  std::size_t drives = 0;
+  for (const auto& series : *telemetry_) {
+    if (series.vendor != 0) continue;
+    const auto drive = pre.process_drive(series);
+    if (drive.records.empty()) continue;
+    const auto batch = pipeline.score(builder.build({drive}, {}));
+    ASSERT_EQ(predictor.score_drive(drive), batch) << "drive "
+                                                   << drive.drive_id;
+    if (++drives == 50) break;
+  }
+  EXPECT_EQ(drives, 50u);
+}
+
 TEST_F(OnlinePredictorTest, ClearAlertsResets) {
   OnlinePredictor predictor(*pipeline_);
   const Preprocessor pre;

@@ -38,6 +38,19 @@ std::string read_bytes(const fs::path& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Value of one counter in a `--metrics-out` document: the entry whose
+/// labels render as `labels` (e.g. `{"outcome": "signal"}`) and whose name
+/// is `name`; -1 when absent.
+long counter_value(const std::string& json, const std::string& name,
+                   const std::string& labels = "{}") {
+  const std::string entry =
+      "{\"labels\": " + labels + ", \"name\": \"" + name +
+      "\", \"type\": \"counter\", \"value\": ";
+  const auto at = json.find(entry);
+  if (at == std::string::npos) return -1;
+  return std::stol(json.substr(at + entry.size()));
+}
+
 class MultiprocReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -113,14 +126,28 @@ TEST_F(MultiprocReplayTest, KilledShardProcessResumesToIdenticalAlerts) {
   // child (137 = 128 + SIGKILL) and the run must exit 2, leaving durable
   // per-shard WAL state behind.
   const fs::path durable = root_ / "durable";
+  const fs::path metrics = root_ / "crash.metrics.json";
   ASSERT_EQ(run_cli("--processes=4 --durable-dir=" + durable.string() +
-                        " --kill-shard-after=9000 --kill-shard=2",
+                        " --kill-shard-after=9000 --kill-shard=2" +
+                        " --metrics-out=" + metrics.string(),
                     "crash"),
             2)
       << log_of("crash");
   EXPECT_NE(log_of("crash").find("shard-2=137"), std::string::npos)
       << log_of("crash");
   ASSERT_TRUE(fs::exists(durable / "shard-002" / "wal")) << log_of("crash");
+
+  // The supervisor families of the parent: four children spawned, one
+  // killed, and every child reaped exactly once.
+  const std::string json = read_bytes(metrics);
+  EXPECT_EQ(counter_value(json, "mfpa_supervisor_spawns_total"), 4) << json;
+  EXPECT_EQ(counter_value(json, "mfpa_supervisor_kills_total"), 1) << json;
+  const long signalled = counter_value(json, "mfpa_supervisor_exits_total",
+                                       "{\"outcome\": \"signal\"}");
+  const long clean = counter_value(json, "mfpa_supervisor_exits_total",
+                                   "{\"outcome\": \"clean\"}");
+  EXPECT_EQ(signalled, 1) << json;
+  EXPECT_EQ(clean + signalled, 4) << json;
 
   // Resume: fresh shard processes recover their slices from the WALs,
   // report durable progress, skip what was already absorbed, and the

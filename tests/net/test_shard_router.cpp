@@ -122,16 +122,22 @@ TEST(ShardRouter, StatsAggregateAcrossShards) {
   record.day = 1;
   for (std::uint64_t id = 0; id < 100; ++id) router.submit({id, 0, record});
   router.flush();
-  const RouterStats stats = router.stats();
-  ASSERT_EQ(stats.shards.size(), 4u);
+  const serve::EngineStats stats = router.stats();
   EXPECT_EQ(stats.records_processed, 100u);
   std::uint64_t per_shard = 0;
+  std::uint64_t batches = 0;
   std::size_t max_depth = 0;
-  for (const auto& s : stats.shards) {
+  for (std::size_t i = 0; i < router.shard_count(); ++i) {
+    const serve::EngineStats s = router.shard(i).stats();
     per_shard += s.records_processed;
+    batches += s.batches;
     max_depth = std::max(max_depth, s.max_queue_depth);
   }
   EXPECT_EQ(per_shard, 100u);
+  // Counters add; histograms add bin by bin.
+  EXPECT_EQ(stats.batches, batches);
+  EXPECT_EQ(stats.batch_size.total(), batches);
+  EXPECT_EQ(stats.latency_us.total(), 100u);
   // The queue high-water mark surfaces both per shard and at router level.
   EXPECT_EQ(stats.max_queue_depth, max_depth);
   EXPECT_GT(stats.max_queue_depth, 0u);

@@ -230,5 +230,26 @@ TEST_F(ModelRegistryTest, SweepsStrayTempFilesFromACrashedPublish) {
   EXPECT_EQ(registry.publish_pipeline(*pipeline_, 0, 130), 2);
 }
 
+// Serving scores flat rows of the manifest's group built from one record
+// per drive. A delta pipeline trains on 2F columns, so publishing it must
+// fail before anything reaches the directory.
+TEST_F(ModelRegistryTest, RefusesADeltaPipelineBeforeWritingAnything) {
+  sim::FleetSimulator fleet(sim::tiny_scenario(51));
+  core::MfpaConfig config;
+  config.seed = 51;
+  config.include_deltas = true;
+  config.hyperparams = {{"n_trees", 10.0}, {"seed", 1.0}};
+  core::MfpaPipeline deltas(config);
+  deltas.run(*telemetry_, fleet.tickets());
+  ASSERT_TRUE(deltas.make_builder().config().include_deltas);
+
+  ModelRegistry registry(dir_.string());
+  EXPECT_THROW(registry.publish_pipeline(deltas, 0, 100),
+               std::invalid_argument);
+  EXPECT_TRUE(registry.versions().empty());
+  EXPECT_FALSE(fs::exists(dir_ / "CURRENT"));
+  EXPECT_EQ(registry.current(), nullptr);
+}
+
 }  // namespace
 }  // namespace mfpa::serve
