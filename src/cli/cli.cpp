@@ -125,9 +125,8 @@ core::MfpaConfig config_from(const CommandLine& cmd) {
 /// them verbatim to its shard-serve children, so every process builds the
 /// identical engine configuration.
 constexpr const char* kEngineValueFlags[] = {
-    "alert-consecutive", "cooldown",  "queue-capacity",
-    "batch",             "threads",   "wal-group-commit",
-    "checkpoint-interval",
+    "alert-consecutive", "cooldown",         "queue-capacity",
+    "batch",             "wal-group-commit", "checkpoint-interval",
 };
 constexpr const char* kEngineBoolFlags[] = {"shed", "strict", "lenient"};
 
@@ -135,7 +134,6 @@ constexpr const char* kEngineBoolFlags[] = {"shed", "strict", "lenient"};
 /// reads from the engine flags above plus --durable-dir, --alerts-out and
 /// --kill-after, parsed once before any telemetry work.
 struct ServingFlags {
-  std::size_t score_threads = 0;    ///< --threads (0 = one per core)
   /// Engine template (--batch, --shed, ...) and the --durable-dir root;
   /// the command sets the shard counts.
   net::ShardRouterConfig router;
@@ -145,7 +143,6 @@ struct ServingFlags {
 
 ServingFlags serving_flags_from(const CommandLine& cmd) {
   ServingFlags flags;
-  flags.score_threads = get_int<std::size_t>(cmd, "threads", 0, 0);
   serve::EngineConfig& engine = flags.router.engine;
   engine.store.preprocess.robustness = robustness_from(cmd);
   engine.alert_policy.min_consecutive =
@@ -510,6 +507,9 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
   // drive-id hash — the sharded serving path (see docs/SERVING.md).
   // Validated before any telemetry work, like every count flag.
   const auto shards = get_int<std::size_t>(cmd, "shards", 1, 1);
+  // Telemetry-generation workers (0 = one per core). Serving itself
+  // predicts inline on each engine's drain thread.
+  const auto threads = get_int<std::size_t>(cmd, "threads", 0, 0);
   ServingFlags flags = serving_flags_from(cmd);
   const auto robustness = robustness_from(cmd);
   const auto train_config = config_from(cmd);
@@ -527,13 +527,12 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
                                           train_config.seed);
     scenario.fleet_scale = cmd.get_number("scale", scenario.fleet_scale);
     sim::FleetSimulator fleet(scenario);
-    telemetry = fleet.generate_telemetry();
+    telemetry = fleet.generate_telemetry(threads);
     tickets = fleet.tickets();
   }
 
   out << "simd kernel: " << ml::to_string(ml::active_simd_level()) << "\n";
-  serve::ModelRegistry registry(registry_dir_from(cmd, "mfpa-serve-registry"),
-                                flags.score_threads);
+  serve::ModelRegistry registry(registry_dir_from(cmd, "mfpa-serve-registry"));
   serving_version(
       cmd, registry,
       [&] {
@@ -634,7 +633,7 @@ int cmd_shard_serve(const CommandLine& cmd, std::ostream& out) {
   // A shard process never trains: it serves whatever the registry already
   // holds, so every shard of the topology scores under the same published
   // version (the parent trains once, before spawning).
-  serve::ModelRegistry registry(cmd.require("registry"), flags.score_threads);
+  serve::ModelRegistry registry(cmd.require("registry"));
   const int version = registry.current_version();
   if (version <= 0) {
     throw std::runtime_error("shard-serve: no published model in " +
@@ -921,6 +920,9 @@ int cmd_fleet_replay(const CommandLine& cmd, std::ostream& out) {
   // simulation starts.
   const auto shards = get_int<std::size_t>(cmd, "shards", 4, 1);
   const auto chunk_drives = get_int<std::size_t>(cmd, "chunk-drives", 4096, 1);
+  // Generation workers for the training twin and the streamed chunks (0 =
+  // one per core); the shards predict inline on their drain threads.
+  const auto threads = get_int<std::size_t>(cmd, "threads", 0, 0);
   const MultiprocFlags mp = multiproc_flags_from(cmd);
   const auto train_config = config_from(cmd);
 
@@ -928,11 +930,9 @@ int cmd_fleet_replay(const CommandLine& cmd, std::ostream& out) {
       sim::scenario_by_name(cmd.get("scenario", "fleet"), train_config.seed);
   scenario.fleet_scale = cmd.get_number("scale", scenario.fleet_scale);
   sim::FleetSimulator fleet(scenario);
-  const std::size_t threads = flags.score_threads;
 
   out << "simd kernel: " << ml::to_string(ml::active_simd_level()) << "\n";
-  serve::ModelRegistry registry(registry_dir_from(cmd, "mfpa-fleet-registry"),
-                                threads);
+  serve::ModelRegistry registry(registry_dir_from(cmd, "mfpa-fleet-registry"));
   // The model trains offline on a down-scaled twin of the scenario (same
   // seed, same catalog, same drift) — training on the full fleet's
   // telemetry would dwarf the serving run this command exists to exercise.
@@ -1141,6 +1141,9 @@ std::string usage() {
       "            (see docs/DURABILITY.md). SIGTERM/SIGINT drain the queue,\n"
       "            seal the durable state, and exit 0. --kill-after raises\n"
       "            SIGKILL mid-stream (crash-recovery testing).\n"
+      "            --threads=N sets the telemetry-generation workers (0 =\n"
+      "            one per core); each engine predicts inline on its drain\n"
+      "            thread, so --shards sets serving's concurrency.\n"
       "  fleet-replay  [--scenario=fleet] [--seed=N] [--scale=X]\n"
       "            [--shards=4] [--chunk-drives=4096] [--train-scale=X]\n"
       "            [--threads=N] [--in-process] [--durable-dir=DIR]\n"
@@ -1166,9 +1169,12 @@ std::string usage() {
       "            --kill-shard-after=N SIGKILLs shard --kill-shard after N\n"
       "            records (exit status 2); rerunning with the same flags\n"
       "            resumes every shard from its own durable state.\n"
+      "            --threads=N sets the generation workers of the chunks\n"
+      "            and the training twin (0 = one per core); serving's\n"
+      "            concurrency is --shards or --processes.\n"
       "  shard-serve  --shard-index=K --shard-count=N --registry=DIR\n"
       "            [--port=0] [--port-file=FILE] [--alerts-out=FILE]\n"
-      "            [--durable-dir=DIR] [--threads=N] [engine flags]\n"
+      "            [--durable-dir=DIR] [engine flags]\n"
       "            serve ONE shard of the topology: a require-hello MFNP\n"
       "            endpoint whose durable state lives in DIR/shard-KKK\n"
       "            (identical layout to a single N-shard process). The\n"

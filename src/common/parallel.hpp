@@ -1,7 +1,10 @@
-// The thread-count convention and the one worker pool of the tree: a
+// The thread-count convention and the parallel loops of the tree: a
 // work-stealing loop (forest training, grid search, telemetry generation)
 // and the block-partitioned loop built on it (batch inference, the GBDT
-// round update).
+// round update). Each call starts its workers and joins them before it
+// returns; no thread outlives a call, so a caller that must not pay for
+// thread start-up (serving's drain thread) passes threads = 1 and runs
+// inline.
 #pragma once
 
 #include <algorithm>

@@ -1,9 +1,7 @@
 #include "common/robustness.hpp"
 
 #include <array>
-#include <istream>
 #include <ostream>
-#include <stdexcept>
 
 #include "common/table_printer.hpp"
 #include "common/wire.hpp"
@@ -33,13 +31,15 @@ constexpr std::size_t kMaxDiagnosticBytes = 1u << 20;
 
 }  // namespace
 
-void IngestStats::note(std::string diagnostic, std::size_t cap) {
-  if (diagnostics.size() < cap) diagnostics.push_back(std::move(diagnostic));
+void IngestStats::note(std::string diagnostic) {
+  if (diagnostics.size() < kDiagnosticsCap) {
+    diagnostics.push_back(std::move(diagnostic));
+  }
 }
 
-void IngestStats::merge(const IngestStats& other, std::size_t diag_cap) {
+void IngestStats::merge(const IngestStats& other) {
   for (const auto field : kCounters) this->*field += other.*field;
-  for (const auto& d : other.diagnostics) note(d, diag_cap);
+  for (const auto& d : other.diagnostics) note(d);
 }
 
 std::size_t IngestStats::faults_total() const noexcept {
@@ -93,36 +93,6 @@ void IngestStats::load(wire::ByteReader& in) {
   diagnostics.clear();
   for (std::size_t i = 0; i < n; ++i) {
     diagnostics.push_back(in.bytes(in.count(kMaxDiagnosticBytes)));
-  }
-}
-
-void IngestStats::load_text(std::istream& is) {
-  std::string tag;
-  int version = 0;
-  if (!(is >> tag >> version) || tag != "ingest_stats" || version != 1) {
-    throw std::runtime_error("IngestStats: malformed header");
-  }
-  for (const auto field : kCounters) {
-    if (!(is >> this->*field)) {
-      throw std::runtime_error("IngestStats: truncated counters");
-    }
-  }
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "diagnostics" || n > kMaxDiagnostics) {
-    throw std::runtime_error("IngestStats: malformed diagnostics count");
-  }
-  diagnostics.clear();
-  diagnostics.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t len = 0;
-    if (!(is >> len) || len > kMaxDiagnosticBytes || is.get() != ' ') {
-      throw std::runtime_error("IngestStats: malformed diagnostic length");
-    }
-    std::string d(len, '\0');
-    if (!is.read(d.data(), static_cast<std::streamsize>(len))) {
-      throw std::runtime_error("IngestStats: truncated diagnostic");
-    }
-    diagnostics.push_back(std::move(d));
   }
 }
 

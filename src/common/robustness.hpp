@@ -28,30 +28,12 @@ enum class IngestMode {
   kLenient,  ///< repair what is repairable, drop the rest, count everything
 };
 
+/// The ingestion mode. Lenient mode's policies are constants where they
+/// apply: counter re-basing, value repair and the quarantine fraction in
+/// core/robust_ingest.cpp, the ticket window slack in core/mfpa.cpp, and
+/// the diagnostics cap IngestStats::kDiagnosticsCap.
 struct RobustnessConfig {
   IngestMode mode = IngestMode::kStrict;
-
-  /// Lenient mode: re-base monotone SMART counters (power-on hours, power
-  /// cycles, data units, media errors, error-log entries) after a reset so
-  /// downstream deltas stay meaningful (effective = raw + sum of pre-reset
-  /// plateaus).
-  bool rebase_counter_resets = true;
-
-  /// Lenient mode: replace NaN / negative / saturated fields with the last
-  /// good value seen for that attribute (0 when there is none).
-  bool repair_bad_values = true;
-
-  /// Lenient mode: a drive whose sanitizer-dropped-row fraction exceeds this
-  /// (once at least `min_records` rows were delivered) is quarantined —
-  /// excluded from output entirely, with the drop recorded.
-  double quarantine_bad_fraction = 0.5;
-
-  /// Lenient mode: tickets whose IMT falls more than this many days outside
-  /// the observed telemetry window are dropped before failure labeling.
-  int ticket_window_slack_days = 45;
-
-  /// Cap on the retained line-numbered diagnostic samples.
-  std::size_t max_diagnostics = 20;
 
   bool lenient() const noexcept { return mode == IngestMode::kLenient; }
 };
@@ -78,14 +60,17 @@ struct IngestStats {
   std::size_t drives_quarantined = 0;     ///< drives dropped by the bad-fraction policy
   std::size_t tickets_dropped = 0;        ///< unparsable tickets or IMT out of window
 
+  /// Cap on the retained diagnostic samples.
+  static constexpr std::size_t kDiagnosticsCap = 20;
+
   /// Capped sample of human-readable, line-numbered diagnostics.
   std::vector<std::string> diagnostics;
 
-  /// Appends a diagnostic unless the cap is already reached.
-  void note(std::string diagnostic, std::size_t cap);
+  /// Appends a diagnostic unless kDiagnosticsCap are already kept.
+  void note(std::string diagnostic);
 
-  /// Adds `other` into this report (diagnostics capped at `diag_cap`).
-  void merge(const IngestStats& other, std::size_t diag_cap = 20);
+  /// Adds `other` into this report (diagnostics capped at kDiagnosticsCap).
+  void merge(const IngestStats& other);
 
   /// Total anomalies observed (sum of the per-cause counters).
   std::size_t faults_total() const noexcept;
@@ -106,9 +91,6 @@ struct IngestStats {
   /// load() checks every count against a limit before allocating.
   void save(std::string& out) const;
   void load(wire::ByteReader& in);
-  /// Reads the whitespace-tokenized text image of checkpoints written
-  /// before the binary format (store images 1 and 2).
-  void load_text(std::istream& is);
 };
 
 /// Renders the full report (summary, per-cause table, diagnostics) to `os`.

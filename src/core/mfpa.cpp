@@ -11,6 +11,13 @@
 #include "ml/sampler.hpp"
 
 namespace mfpa::core {
+namespace {
+
+/// Lenient mode drops tickets whose IMT falls more than this many days
+/// outside the observed telemetry window.
+constexpr DayIndex kTicketWindowSlackDays = 45;
+
+}  // namespace
 
 MfpaPipeline::MfpaPipeline(MfpaConfig config) : config_(std::move(config)) {
   if (config_.train_fraction <= 0.0 || config_.train_fraction >= 1.0) {
@@ -73,20 +80,18 @@ MfpaReport MfpaPipeline::run(const std::vector<sim::DriveTimeSeries>& telemetry,
   // timestamp cannot be theta-matched to any tracking point and would only
   // distort labeling).
   timer.begin("failure_labeling");
-  const RobustnessConfig& robustness = config_.preprocess.robustness;
   std::vector<sim::TroubleTicket> kept_tickets;
   const std::vector<sim::TroubleTicket>* ticket_input = &tickets;
-  if (robustness.lenient()) {
-    const DayIndex slack = robustness.ticket_window_slack_days;
+  if (config_.preprocess.robustness.lenient()) {
     kept_tickets.reserve(tickets.size());
     for (const auto& t : tickets) {
-      if (t.imt < day_lo - slack || t.imt > day_hi + slack) {
+      if (t.imt < day_lo - kTicketWindowSlackDays ||
+          t.imt > day_hi + kTicketWindowSlackDays) {
         ++report.ingest_stats.tickets_dropped;
         report.ingest_stats.note(
             "ticket for drive " + std::to_string(t.drive_id) + ": IMT day " +
                 std::to_string(t.imt) + " outside observation window [" +
-                std::to_string(day_lo) + ", " + std::to_string(day_hi) + "]",
-            robustness.max_diagnostics);
+                std::to_string(day_lo) + ", " + std::to_string(day_hi) + "]");
         continue;
       }
       kept_tickets.push_back(t);

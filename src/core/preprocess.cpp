@@ -84,15 +84,14 @@ ProcessedDrive Preprocessor::process_drive(const sim::DriveTimeSeries& series,
   const bool quarantined =
       sanitizer.quarantined(static_cast<std::size_t>(config_.min_records));
   if (ingest != nullptr) {
-    ingest->merge(sanitizer.stats(), config_.robustness.max_diagnostics);
+    ingest->merge(sanitizer.stats());
     if (quarantined) {
       ++ingest->drives_quarantined;
       ingest->note("drive " + std::to_string(series.drive_id) +
                        ": quarantined (" +
                        std::to_string(sanitizer.stats().rows_dropped) + "/" +
                        std::to_string(sanitizer.stats().rows_read) +
-                       " records dropped)",
-                   config_.robustness.max_diagnostics);
+                       " records dropped)");
     }
   }
   if (quarantined) {
@@ -181,8 +180,7 @@ std::vector<ProcessedDrive> Preprocessor::process(
       local_ingest.rows_read += series.records.size();
       local_ingest.rows_dropped += series.records.size();
       local_ingest.note("drive " + std::to_string(series.drive_id) +
-                            ": duplicate series dropped",
-                        config_.robustness.max_diagnostics);
+                            ": duplicate series dropped");
       local.records_dropped += series.records.size();
       continue;
     }
@@ -208,7 +206,7 @@ std::vector<ProcessedDrive> Preprocessor::process(
   }
   if (stats != nullptr) *stats = local;
   if (ingest != nullptr) {
-    ingest->merge(local_ingest, config_.robustness.max_diagnostics);
+    ingest->merge(local_ingest);
   }
   return out;
 }

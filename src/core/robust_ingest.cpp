@@ -1,13 +1,10 @@
 #include "core/robust_ingest.hpp"
 
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 
 #include "common/wire.hpp"
-#include "ml/serialize.hpp"
 
 namespace mfpa::core {
 namespace {
@@ -16,6 +13,10 @@ namespace {
 /// (the largest legitimate counter in the catalog is orders of magnitude
 /// smaller).
 constexpr float kSaturationThreshold = 1e30f;
+
+/// Lenient mode quarantines a drive once more than this fraction of its
+/// delivered records was dropped.
+constexpr double kQuarantineBadFraction = 0.5;
 
 bool bad_smart_value(float v) noexcept {
   return !std::isfinite(v) || v < 0.0f || v >= kSaturationThreshold;
@@ -55,7 +56,7 @@ void RecordSanitizer::reset() {
 bool RecordSanitizer::quarantined(std::size_t min_delivered) const noexcept {
   return config_.lenient() && stats_.rows_read >= min_delivered &&
          static_cast<double>(stats_.rows_dropped) >
-             config_.quarantine_bad_fraction *
+             kQuarantineBadFraction *
                  static_cast<double>(stats_.rows_read);
 }
 
@@ -77,14 +78,12 @@ std::optional<sim::DailyRecord> RecordSanitizer::sanitize(
     if (raw.day == *last_day_) {
       ++stats_.duplicate_days;
       metrics_.duplicate_days->inc();
-      stats_.note("day " + std::to_string(raw.day) + ": duplicate upload",
-                  config_.max_diagnostics);
+      stats_.note("day " + std::to_string(raw.day) + ": duplicate upload");
     } else {
       ++stats_.clock_rollbacks;
       metrics_.clock_rollbacks->inc();
       stats_.note("day " + std::to_string(raw.day) + ": clock rollback past " +
-                      std::to_string(*last_day_),
-                  config_.max_diagnostics);
+                  std::to_string(*last_day_));
     }
     return std::nullopt;
   }
@@ -98,64 +97,61 @@ std::optional<sim::DailyRecord> RecordSanitizer::sanitize(
   // Monotone counters first: re-base resets on the raw scale, then repair
   // garbage on the effective scale so output stays monotone.
   std::array<bool, sim::kNumSmartAttrs> handled{};
-  if (config_.rebase_counter_resets) {
-    const auto& monotone = monotone_smart_attrs();
-    for (std::size_t m = 0; m < monotone.size(); ++m) {
-      const auto a = static_cast<std::size_t>(monotone[m]);
-      handled[a] = true;
-      float& v = rec.smart[a];
-      if (config_.repair_bad_values && bad_smart_value(v)) {
-        v = last_good_[a];
-        ++stats_.values_repaired;
-        repaired = true;
-        continue;  // a garbage value must not shift the re-basing state
-      }
-      if (v + 1e-3f < last_raw_[m]) {
-        // Counter restarted (firmware update / controller reset): carry the
-        // pre-reset total forward so deltas stay meaningful.
-        rebase_offset_[m] += static_cast<double>(last_raw_[m]);
-        ++stats_.counter_resets_rebased;
-        metrics_.counter_resets->inc();
-        stats_.note("day " + std::to_string(rec.day) + ": counter reset (" +
-                        sim::smart_attr_names()[a] + " " +
-                        std::to_string(last_raw_[m]) + " -> " +
-                        std::to_string(v) + "), re-based",
-                    config_.max_diagnostics);
-        repaired = true;
-      }
-      last_raw_[m] = v;
-      v = static_cast<float>(static_cast<double>(v) + rebase_offset_[m]);
+  const auto& monotone = monotone_smart_attrs();
+  for (std::size_t m = 0; m < monotone.size(); ++m) {
+    const auto a = static_cast<std::size_t>(monotone[m]);
+    handled[a] = true;
+    float& v = rec.smart[a];
+    if (bad_smart_value(v)) {
+      v = last_good_[a];
+      ++stats_.values_repaired;
+      repaired = true;
+      continue;  // a garbage value must not shift the re-basing state
+    }
+    if (v + 1e-3f < last_raw_[m]) {
+      // Counter restarted (firmware update / controller reset): carry the
+      // pre-reset total forward so deltas stay meaningful.
+      rebase_offset_[m] += static_cast<double>(last_raw_[m]);
+      ++stats_.counter_resets_rebased;
+      metrics_.counter_resets->inc();
+      stats_.note("day " + std::to_string(rec.day) + ": counter reset (" +
+                  sim::smart_attr_names()[a] + " " +
+                  std::to_string(last_raw_[m]) + " -> " + std::to_string(v) +
+                  "), re-based");
+      repaired = true;
+    }
+    last_raw_[m] = v;
+    v = static_cast<float>(static_cast<double>(v) + rebase_offset_[m]);
+    last_good_[a] = v;
+  }
+
+  // Every other SMART field: NaN / negative / saturated values take the
+  // last good value seen for the attribute (0 when there is none).
+  for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
+    if (handled[a]) continue;
+    float& v = rec.smart[a];
+    if (bad_smart_value(v)) {
+      v = last_good_[a];
+      ++stats_.values_repaired;
+      repaired = true;
+    } else {
       last_good_[a] = v;
     }
   }
-
-  if (config_.repair_bad_values) {
-    for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
-      if (handled[a]) continue;
-      float& v = rec.smart[a];
-      if (bad_smart_value(v)) {
-        v = last_good_[a];
-        ++stats_.values_repaired;
-        repaired = true;
-      } else {
-        last_good_[a] = v;
-      }
+  // Saturated daily event counts are transport artifacts, not activity:
+  // zero them rather than pollute the cumulative W/B features.
+  for (auto& v : rec.w) {
+    if (v == std::numeric_limits<std::uint16_t>::max()) {
+      v = 0;
+      ++stats_.values_repaired;
+      repaired = true;
     }
-    // Saturated daily event counts are transport artifacts, not activity:
-    // zero them rather than pollute the cumulative W/B features.
-    for (auto& v : rec.w) {
-      if (v == std::numeric_limits<std::uint16_t>::max()) {
-        v = 0;
-        ++stats_.values_repaired;
-        repaired = true;
-      }
-    }
-    for (auto& v : rec.b) {
-      if (v == std::numeric_limits<std::uint16_t>::max()) {
-        v = 0;
-        ++stats_.values_repaired;
-        repaired = true;
-      }
+  }
+  for (auto& v : rec.b) {
+    if (v == std::numeric_limits<std::uint16_t>::max()) {
+      v = 0;
+      ++stats_.values_repaired;
+      repaired = true;
     }
   }
 
@@ -183,35 +179,6 @@ void RecordSanitizer::load_state(wire::ByteReader& in) {
   for (float& v : last_raw_) v = in.f32();
   for (double& v : rebase_offset_) v = in.f64();
   for (float& v : last_good_) v = in.f32();
-}
-
-void RecordSanitizer::load_text_state(std::istream& is) {
-  std::string tag;
-  int version = 0;
-  if (!(is >> tag >> version) || tag != "sanitizer" || version != 1) {
-    throw std::runtime_error("RecordSanitizer: malformed state header");
-  }
-  stats_.load_text(is);
-  int has = 0;
-  DayIndex day = 0;
-  if (!(is >> tag >> has >> day) || tag != "last_day") {
-    throw std::runtime_error("RecordSanitizer: malformed last_day");
-  }
-  last_day_ = has ? std::optional<DayIndex>(day) : std::nullopt;
-  const auto read_array = [&is](const char* expect_tag, auto& values) {
-    std::string t;
-    std::size_t n = 0;
-    if (!(is >> t >> n) || t != expect_tag || n != values.size()) {
-      throw std::runtime_error(std::string("RecordSanitizer: malformed ") +
-                               expect_tag);
-    }
-    for (auto& v : values) {
-      v = static_cast<std::decay_t<decltype(v)>>(ml::io::read_double(is));
-    }
-  };
-  read_array("last_raw", last_raw_);
-  read_array("rebase_offset", rebase_offset_);
-  read_array("last_good", last_good_);
 }
 
 }  // namespace mfpa::core

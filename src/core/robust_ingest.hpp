@@ -20,7 +20,6 @@
 #pragma once
 
 #include <array>
-#include <iosfwd>
 #include <optional>
 
 #include "common/robustness.hpp"
@@ -67,8 +66,6 @@ class RecordSanitizer {
   /// integrity is the enclosing checkpoint's checksum.
   void save_state(std::string& out) const;
   void load_state(wire::ByteReader& in);
-  /// Reads the text image of checkpoints written before the binary format.
-  void load_text_state(std::istream& is);
 
  private:
   RobustnessConfig config_;

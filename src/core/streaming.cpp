@@ -1,11 +1,9 @@
 #include "core/streaming.hpp"
 
-#include <istream>
 #include <stdexcept>
 #include <string>
 
 #include "common/wire.hpp"
-#include "ml/serialize.hpp"
 
 namespace mfpa::core {
 namespace {
@@ -23,7 +21,7 @@ StreamingIngestor::StreamingIngestor(std::uint64_t drive_id, int vendor,
       config_(config),
       sanitizer_(config.robustness) {}
 
-std::vector<ProcessedRecord> StreamingIngestor::ingest(
+std::span<const ProcessedRecord> StreamingIngestor::ingest(
     const sim::DailyRecord& raw) {
   // The sanitizer enforces the day-order contract (strict: throws; lenient:
   // idempotent duplicate / rollback drops) and repairs values; the gap
@@ -51,8 +49,7 @@ std::vector<ProcessedRecord> StreamingIngestor::ingest(
   const std::size_t before = segment_.size();
   append_processed(segment_, record, vendor_, config_.fill_gap, w_cum_, b_cum_);
   ++real_records_;
-  return std::vector<ProcessedRecord>(
-      segment_.begin() + static_cast<std::ptrdiff_t>(before), segment_.end());
+  return std::span<const ProcessedRecord>(segment_).subspan(before);
 }
 
 std::size_t StreamingIngestor::compact() {
@@ -126,59 +123,6 @@ void StreamingIngestor::load_state(wire::ByteReader& in) {
     get_doubles(rec.w_cum);
     get_doubles(rec.b_cum);
     segment_.push_back(std::move(rec));
-  }
-}
-
-void StreamingIngestor::load_text_state(std::istream& is) {
-  std::string tag;
-  int version = 0;
-  if (!(is >> tag >> version) || tag != "ingestor" || version != 1) {
-    throw std::runtime_error("StreamingIngestor: malformed state header");
-  }
-  sanitizer_.load_text_state(is);
-  int has_day = 0;
-  DayIndex day = 0;
-  if (!(is >> tag >> real_records_ >> segments_started_ >> has_day >> day) ||
-      tag != "counters") {
-    throw std::runtime_error("StreamingIngestor: malformed counters");
-  }
-  last_day_ = has_day ? std::optional<DayIndex>(day) : std::nullopt;
-  const auto read_doubles = [&is](auto& values) {
-    for (double& v : values) v = ml::io::read_double(is);
-  };
-  if (!(is >> tag) || tag != "w_cum") {
-    throw std::runtime_error("StreamingIngestor: malformed w_cum");
-  }
-  read_doubles(w_cum_);
-  if (!(is >> tag) || tag != "b_cum") {
-    throw std::runtime_error("StreamingIngestor: malformed b_cum");
-  }
-  read_doubles(b_cum_);
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "segment" || n > kMaxSegmentRecords) {
-    throw std::runtime_error("StreamingIngestor: malformed segment size");
-  }
-  segment_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    ProcessedRecord rec;
-    int synthetic = 0;
-    std::size_t fw_len = 0;
-    if (!(is >> rec.day >> synthetic >> fw_len) ||
-        fw_len > kMaxFirmwareBytes || is.get() != ' ') {
-      throw std::runtime_error("StreamingIngestor: malformed segment record");
-    }
-    rec.synthetic = synthetic != 0;
-    rec.firmware.assign(fw_len, '\0');
-    if (!is.read(rec.firmware.data(), static_cast<std::streamsize>(fw_len))) {
-      throw std::runtime_error("StreamingIngestor: truncated firmware string");
-    }
-    read_doubles(rec.smart);
-    read_doubles(rec.w_cum);
-    read_doubles(rec.b_cum);
-    segment_.push_back(std::move(rec));
-  }
-  if (!is) {
-    throw std::runtime_error("StreamingIngestor: truncated state");
   }
 }
 

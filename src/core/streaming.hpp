@@ -17,8 +17,8 @@
 // tests/core/test_robust_ingest.cpp).
 #pragma once
 
-#include <iosfwd>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/preprocess.hpp"
@@ -33,9 +33,11 @@ class StreamingIngestor {
   StreamingIngestor(std::uint64_t drive_id, int vendor,
                     PreprocessConfig config = {});
 
-  /// Ingests the next raw daily record. Returns the cleaned records this
-  /// upload produced: possibly several (gap-fill synthesizes intermediate
-  /// days), possibly the start of a fresh segment (long gap), possibly none.
+  /// Ingests the next raw daily record. Returns a view of the cleaned
+  /// records this upload appended to segment(): possibly several (gap-fill
+  /// synthesizes intermediate days), possibly the start of a fresh segment
+  /// (long gap), possibly none. The view is valid until the next call that
+  /// changes segment(): ingest(), compact() or load_state().
   ///
   /// Day-order contract (config().robustness):
   ///  * strict — days must be strictly increasing; throws
@@ -45,7 +47,7 @@ class StreamingIngestor {
   ///    and counts a `duplicate_days` fault; a day earlier than one already
   ///    seen is dropped the same way as a `clock_rollbacks` fault. Bad
   ///    values are repaired and counter resets re-based per the config.
-  std::vector<ProcessedRecord> ingest(const sim::DailyRecord& record);
+  std::span<const ProcessedRecord> ingest(const sim::DailyRecord& record);
 
   /// Records of the *current* segment, oldest first.
   const std::vector<ProcessedRecord>& segment() const noexcept {
@@ -94,8 +96,6 @@ class StreamingIngestor {
   /// checks the segment and firmware lengths before allocating.
   void save_state(std::string& out) const;
   void load_state(wire::ByteReader& in);
-  /// Reads the text image of checkpoints written before the binary format.
-  void load_text_state(std::istream& is);
 
  private:
   std::uint64_t drive_id_;

@@ -149,24 +149,12 @@ void accumulate_scalar(const detail::ForestView& forest, const double* x,
   }
 }
 
-/// Resolves the kernel for one predict call: the active SIMD level, with
-/// the AVX2 kernel additionally gated on its 32-bit gather indices being
-/// able to address the matrix (rows * cols elements).
-detail::AccumulateFn select_kernel(std::size_t rows, std::size_t cols) {
-  switch (active_simd_level()) {
-    case SimdLevel::kAvx2:
-      if (auto* fn = detail::avx2_accumulate_kernel();
-          fn != nullptr &&
-          rows <= static_cast<std::size_t>(
-                      std::numeric_limits<std::int32_t>::max()) /
-                      (cols == 0 ? 1 : cols)) {
-        return fn;
-      }
-      break;
-    case SimdLevel::kScalar:
-      break;
-  }
-  return &accumulate_scalar;
+/// The AVX2 kernel when the active SIMD level selects it and it was built
+/// in; nullptr otherwise.
+detail::AccumulateFn avx2_kernel() {
+  return active_simd_level() == SimdLevel::kAvx2
+             ? detail::avx2_accumulate_kernel()
+             : nullptr;
 }
 
 }  // namespace
@@ -245,8 +233,23 @@ void FlatForest::accumulate_range(const data::Matrix& X, std::size_t row_lo,
                                   std::size_t row_hi, double* acc) const {
   const detail::ForestView view{feat_.data(), thr_.data(), left_.data(),
                                 fl_.data(),  roots_.data(), per_tree_scale_};
-  select_kernel(X.rows(), X.cols())(view, X.data().data(), X.cols(), row_lo,
-                                    row_hi, 0, roots_.size(), acc);
+  const double* x = X.data().data();
+  const std::size_t cols = X.cols();
+  // Whole 24-row groups go to the vector kernel, the rest to the scalar
+  // one. Each row is summed by exactly one kernel in tree order, so the
+  // split never changes a probability.
+  std::size_t split = row_lo;
+  if (const auto avx2 = avx2_kernel()) {
+    split += (row_hi - row_lo) / detail::kAvx2GroupRows *
+             detail::kAvx2GroupRows;
+    if (split > row_lo) {
+      avx2(view, x, cols, row_lo, split, 0, roots_.size(), acc);
+    }
+  }
+  if (split < row_hi) {
+    accumulate_scalar(view, x, cols, split, row_hi, 0, roots_.size(),
+                      acc + (split - row_lo));
+  }
 }
 
 void FlatForest::finish_range(const double* acc, std::span<double> out,

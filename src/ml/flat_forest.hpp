@@ -104,7 +104,9 @@ class FlatForest {
   double inv_trees_ = 0.0;  ///< 1 / tree_count (kMeanClamp finisher)
 
   /// Adds every tree's contribution for rows [row_lo, row_hi) into acc
-  /// (indexed from row_lo; caller seeds it). The blocked lockstep kernel.
+  /// (indexed from row_lo; caller seeds it): the AVX2 kernel over the
+  /// range's whole 24-row groups when it is active, the scalar kernel over
+  /// the rest.
   void accumulate_range(const data::Matrix& X, std::size_t row_lo,
                         std::size_t row_hi, double* acc) const;
 

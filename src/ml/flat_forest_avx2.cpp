@@ -27,10 +27,12 @@
 //
 // Six groups (24 rows) run interleaved so six independent gather chains
 // are in flight per level — a single chain is latency-bound on its
-// dependent gather sequence. Groups retire individually: with deep trees,
-// adjacent 4-row groups finish at very different levels, and a finished
-// group stepping along to the slowest one would burn its gathers on
-// self-looping lanes.
+// dependent gather sequence, and loses to the scalar kernel's 8-row
+// lockstep. So the kernel takes whole 24-row groups only, and the caller
+// hands the rest of a block to the scalar kernel. Groups retire
+// individually: with deep trees, adjacent 4-row groups finish at very
+// different levels, and a finished group stepping along to the slowest one
+// would burn its gathers on self-looping lanes.
 #include "ml/flat_forest_kernels.hpp"
 
 #if defined(__AVX2__) && !defined(MFPA_FORCE_SCALAR)
@@ -116,24 +118,18 @@ inline void deposit(const LaneGroup& g, const double* thr, double scale,
 void accumulate_avx2(const ForestView& forest, const double* x,
                      std::size_t cols, std::size_t row_lo, std::size_t row_hi,
                      std::size_t tree_lo, std::size_t tree_hi, double* acc) {
-  const std::int32_t* feat = forest.feat;
   const double* thr = forest.thr;
-  const std::int32_t* left = forest.left;
   const std::uint64_t* fl = forest.fl;
   const double scale = forest.scale;
   const std::int64_t icols = static_cast<std::int64_t>(cols);
   for (std::size_t t = tree_lo; t < tree_hi; ++t) {
     const std::int32_t root = forest.roots[t];
     const std::uint64_t root_pair = fl[root];
-    std::size_t r = row_lo;
-    if (feat[root] < 0) {
-      // Single-node tree: zero descends, every row takes the root leaf.
-      for (; r < row_hi; ++r) acc[r - row_lo] += scale * thr[root];
-      continue;
-    }
     // Six interleaved 4-lane groups (24 rows); see the file comment for
-    // why this interleave depth and the individual retirement.
-    for (; r + 24 <= row_hi; r += 24) {
+    // why this interleave depth and the individual retirement. A root leaf
+    // needs no special case: its first step is a self-loop.
+    for (std::size_t r = row_lo; r + kAvx2GroupRows <= row_hi;
+         r += kAvx2GroupRows) {
       const std::int64_t base = static_cast<std::int64_t>(r) * icols;
       LaneGroup g0 = make_group(root, root_pair, base, icols);
       LaneGroup g1 = make_group(root, root_pair, base + 4 * icols, icols);
@@ -174,22 +170,6 @@ void accumulate_avx2(const ForestView& forest, const double* x,
       deposit(g3, thr, scale, acc + (r - row_lo) + 12);
       deposit(g4, thr, scale, acc + (r - row_lo) + 16);
       deposit(g5, thr, scale, acc + (r - row_lo) + 20);
-    }
-    for (; r + 4 <= row_hi; r += 4) {
-      const std::int64_t base = static_cast<std::int64_t>(r) * icols;
-      LaneGroup g = make_group(root, root_pair, base, icols);
-      while (!all_leaves(g)) step(g, x, fl, thr);
-      deposit(g, thr, scale, acc + (r - row_lo));
-    }
-    for (; r < row_hi; ++r) {
-      const double* row = x + r * cols;
-      std::int32_t n = root;
-      std::int32_t f = feat[root];
-      while (f >= 0) {
-        n = left[n] + static_cast<std::int32_t>(!(row[f] <= thr[n]));
-        f = feat[n];
-      }
-      acc[r - row_lo] += scale * thr[n];
     }
   }
 }

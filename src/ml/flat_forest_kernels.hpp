@@ -13,7 +13,9 @@
 // (flat_forest_avx2.cpp, built with -mavx2) and is only reachable through
 // its registration function, which returns nullptr when the kernel was not
 // built in. Dispatch — the runtime cpuid probe plus set_simd_override() —
-// happens in flat_forest.cpp via ml/simd.hpp.
+// happens in flat_forest.cpp via ml/simd.hpp. The vector kernel takes whole
+// groups of kAvx2GroupRows rows only; FlatForest::accumulate_range gives
+// it the largest such multiple of a block and the scalar kernel the rest.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +36,12 @@ struct ForestView {
   double scale = 1.0;
 };
 
+/// Rows the AVX2 kernel descends together: six interleaved 4-row lane
+/// groups. A multiple of the scalar kernel's 8-row lockstep, so handing a
+/// block's remainder to the scalar kernel leaves it the same one-row tail
+/// it would have had over the whole block.
+inline constexpr std::size_t kAvx2GroupRows = 24;
+
 using AccumulateFn = void (*)(const ForestView& forest, const double* x,
                               std::size_t cols, std::size_t row_lo,
                               std::size_t row_hi, std::size_t tree_lo,
@@ -41,8 +49,8 @@ using AccumulateFn = void (*)(const ForestView& forest, const double* x,
 
 /// AVX2 gather/blend build of the blocked lockstep kernel; nullptr when the
 /// TU was compiled without AVX2 support (non-x86, or -DMFPA_FORCE_SCALAR).
-/// Caller must ensure the CPU supports AVX2 *and* rows * cols fits int32
-/// (the gather indices are 32-bit) before invoking the returned kernel.
+/// Caller must ensure the CPU supports AVX2 and that row_hi - row_lo is a
+/// multiple of kAvx2GroupRows; rows past the last whole group are skipped.
 AccumulateFn avx2_accumulate_kernel() noexcept;
 
 }  // namespace mfpa::ml::detail

@@ -12,9 +12,9 @@
 //
 // The two header lines are text; the store image is binary (`store 3`,
 // fixed-width little-endian, O(1) per drive). The digest is verified
-// before any of the payload is parsed. Checkpoints written before the
-// binary image hold the text images `store 1` / `store 2`, which
-// DriveStateStore::load_state still reads.
+// before any of the payload is parsed. A digest-valid checkpoint holding
+// any other image (the text `store 1` / `store 2` of older builds) fails
+// recovery loudly: DriveStateStore::load_state names its tag.
 //
 // Files live under `<dir>/ckpt/ckpt-<lsn>.mfc`, written dot-temp + fsync +
 // rename (serve::publish_file, shared with the model registry; recovery

@@ -12,8 +12,7 @@
 namespace mfpa::serve {
 namespace {
 
-/// Leading tag of the binary image. The text images of older checkpoints
-/// start "store 1 " or "store 2 ".
+/// Leading tag of the image.
 constexpr std::string_view kImageTag = "store 3\n";
 constexpr std::size_t kMaxDrives = 1u << 26;
 
@@ -134,20 +133,7 @@ void DriveStateStore::load_state(std::istream& is) {
   const std::string image = std::move(buffer).str();
   Totals totals;
   DriveMap drives;
-  if (image.starts_with(kImageTag)) {
-    read_image(image, totals, drives);
-  } else {
-    read_text_image(image, totals, drives);
-  }
-  for (auto& [id, state] : drives) {
-    if (state.emitted > state.ingestor.segment().size()) {
-      throw std::runtime_error("DriveStateStore: drive " + std::to_string(id) +
-                               " emission cursor past its segment");
-    }
-    // Text images hold up to 16 emitted records per drive; re-saved they
-    // take the same shape as a store fed from scratch.
-    retain(state);
-  }
+  read_image(image, totals, drives);
   std::lock_guard<std::mutex> lock(mu_);
   if (!drives_.empty()) {
     throw std::logic_error("DriveStateStore: load_state into non-empty store");
@@ -159,6 +145,14 @@ void DriveStateStore::load_state(std::istream& is) {
 
 void DriveStateStore::read_image(const std::string& bytes, Totals& totals,
                                  DriveMap& drives) const {
+  if (!bytes.starts_with(kImageTag)) {
+    // Name what the image starts with, up to the tag's width: an image
+    // older than `store 3` (the text `store 1` / `store 2`) no longer loads.
+    const std::string tag =
+        bytes.substr(0, std::min(bytes.find('\n'), kImageTag.size() - 1));
+    throw std::runtime_error("store image: unsupported tag '" + tag +
+                             "', expected 'store 3'");
+  }
   wire::ByteReader in(bytes, "store image");
   in.bytes(kImageTag.size());
   totals.records_ingested = in.u64();
@@ -182,59 +176,12 @@ void DriveStateStore::read_image(const std::string& bytes, Totals& totals,
     state.gate.consecutive = in.i32();
     state.gate.last_alert = in.i32();
     state.ingestor.load_state(in);
+    if (state.emitted > state.ingestor.segment().size()) {
+      throw std::runtime_error("DriveStateStore: drive " + std::to_string(id) +
+                               " emission cursor past its segment");
+    }
   }
   in.expect_done();
-}
-
-void DriveStateStore::read_text_image(const std::string& bytes, Totals& totals,
-                                      DriveMap& drives) const {
-  std::istringstream is(bytes);
-  std::string tag;
-  int version = 0;
-  if (!(is >> tag >> version >> totals.records_ingested >>
-        totals.rows_emitted >> totals.segments_restarted) ||
-      tag != "store" || version < 1 || version > 2) {
-    throw std::runtime_error("DriveStateStore: malformed state header");
-  }
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "drives" || n > kMaxDrives) {
-    throw std::runtime_error("DriveStateStore: malformed drive count");
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t id = 0;
-    int vendor = 0;
-    std::size_t emitted = 0;
-    int segments_seen = 0;
-    int quarantine_counted = 0;
-    int consecutive = 0;
-    DayIndex last_alert = 0;
-    if (!(is >> tag >> id >> vendor >> emitted >> segments_seen >>
-          quarantine_counted >> consecutive >> last_alert) ||
-        tag != "drive") {
-      throw std::runtime_error("DriveStateStore: malformed drive record");
-    }
-    // v2 adds the segment generation the hysteresis state belongs to; v1
-    // checkpoints (taken when the reset was applied eagerly at ingest) are
-    // equivalent to state already caught up with the ingest cursor.
-    int alert_segment = segments_seen;
-    if (version >= 2 && !(is >> alert_segment)) {
-      throw std::runtime_error("DriveStateStore: malformed drive record");
-    }
-    const auto [it, inserted] =
-        drives.try_emplace(id, id, vendor, config_.preprocess);
-    if (!inserted) {
-      throw std::runtime_error("DriveStateStore: duplicate drive " +
-                               std::to_string(id) + " in checkpoint");
-    }
-    DriveState& state = it->second;
-    state.emitted = emitted;
-    state.segments_seen = segments_seen;
-    state.quarantine_counted = quarantine_counted != 0;
-    state.gate.consecutive = consecutive;
-    state.gate.last_alert = last_alert;
-    state.alert_segment = alert_segment;
-    state.ingestor.load_text_state(is);
-  }
 }
 
 StoreStats DriveStateStore::stats() const {

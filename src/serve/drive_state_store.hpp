@@ -100,12 +100,10 @@ class DriveStateStore {
   /// counters, the drive count, and per drive, in id order, its emission
   /// cursor, alert gate and ingestor. The image depends only on the records
   /// applied, never on hash-map order. The string overload appends.
-  /// load_state() rebuilds an image into an empty store; it dispatches on
-  /// the version tag, reading `store 3` as binary (every count checked
-  /// against a limit before allocating, trailing bytes refused) and the
-  /// text images `store 1` / `store 2` of older checkpoints with the text
-  /// readers. It throws std::runtime_error on a malformed image. Call from
-  /// the single drain thread or before start.
+  /// load_state() rebuilds an image into an empty store, checking every
+  /// count against a limit before allocating and refusing trailing bytes.
+  /// It throws std::runtime_error on a malformed image and on any other
+  /// tag, naming it. Call from the single drain thread or before start.
   void save_state(std::ostream& os) const;
   void save_state(std::string& out) const;
   void load_state(std::istream& is);
@@ -142,8 +140,6 @@ class DriveStateStore {
   std::vector<std::pair<std::uint64_t, const DriveState*>> by_id() const;
   void read_image(const std::string& bytes, Totals& totals,
                   DriveMap& drives) const;
-  void read_text_image(const std::string& bytes, Totals& totals,
-                       DriveMap& drives) const;
 
   StoreConfig config_;
   mutable std::mutex mu_;

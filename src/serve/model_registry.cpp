@@ -50,8 +50,8 @@ core::SampleBuilder ServedModel::make_builder() const {
   return core::SampleBuilder(sc, &encoder);
 }
 
-ModelRegistry::ModelRegistry(std::string directory, std::size_t score_threads)
-    : dir_(std::move(directory)), score_threads_(score_threads) {
+ModelRegistry::ModelRegistry(std::string directory, std::size_t)
+    : dir_(std::move(directory)) {
   auto& reg = obs::registry();
   metrics_.publishes = &reg.counter("mfpa_registry_publishes_total");
   metrics_.activations = &reg.counter("mfpa_registry_activations_total");
@@ -236,9 +236,9 @@ std::shared_ptr<const ServedModel> ModelRegistry::load_version(
         "ModelRegistry: manifest checksum does not match payload in " + path);
   }
   f.seekg(payload_start);
-  ml::Hyperparams overrides;
-  overrides["threads"] = static_cast<double>(score_threads_);
-  served->classifier = ml::load_classifier(f, overrides);
+  // Serving predicts inline on each engine's drain thread; its parallelism
+  // comes from shards (net::ShardRouter), never from a pool per batch.
+  served->classifier = ml::load_classifier(f, {{"threads", 1.0}});
   // Compile tree ensembles into the flat inference format here, at
   // activation time, so every model the engine hot-swaps to serves from
   // the compiled representation (probabilities stay bit-identical).

@@ -71,11 +71,13 @@ class ModelRegistry {
  public:
   /// Opens (creating if needed) a registry directory and loads the CURRENT
   /// version when one is recorded. Every loaded classifier gets its
-  /// "threads" hyperparameter set to `score_threads` (0 = all cores), so
-  /// batch predict_proba uses the serving tier's pool regardless of how the
-  /// trainer was configured, and tree ensembles are compiled into the flat
-  /// inference format (bit-identical probabilities; ml/flat_forest.hpp).
-  explicit ModelRegistry(std::string directory, std::size_t score_threads = 0);
+  /// "threads" hyperparameter set to 1, so predict_proba runs inline on the
+  /// calling drain thread whatever the trainer was configured with, and
+  /// tree ensembles are compiled into the flat inference format
+  /// (bit-identical probabilities; ml/flat_forest.hpp). The second
+  /// parameter has no effect: it is kept so callers that still pass a
+  /// scoring thread count (perfbench/) compile unchanged.
+  explicit ModelRegistry(std::string directory, std::size_t = 1);
 
   const std::string& directory() const noexcept { return dir_; }
 
@@ -117,7 +119,6 @@ class ModelRegistry {
 
  private:
   std::string dir_;
-  std::size_t score_threads_;
   mutable std::mutex current_mu_;  ///< guards only the current_ pointer copy
   std::shared_ptr<const ServedModel> current_;
   mutable std::mutex publish_mu_;  ///< serializes publishers, never readers

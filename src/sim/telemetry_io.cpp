@@ -40,7 +40,6 @@ bool parse_number(const std::string& text, T& out) {
 /// Shared row-fault funnel: strict throws a located std::runtime_error,
 /// lenient records the diagnostic and counts the drop/repair.
 struct RowContext {
-  const RobustnessConfig& robustness;
   IngestStats& stats;
   std::size_t line = 0;
 
@@ -54,8 +53,7 @@ struct RowContext {
                              ", column '" + column + "': " + what);
   }
   void diagnose(const std::string& what) {
-    stats.note("line " + std::to_string(line) + ": " + what,
-               robustness.max_diagnostics);
+    stats.note("line " + std::to_string(line) + ": " + what);
   }
 };
 
@@ -100,7 +98,7 @@ std::vector<DriveTimeSeries> read_telemetry_csv(
   constexpr std::size_t kFixed = 7;
 
   IngestStats local;
-  RowContext ctx{robustness, local};
+  RowContext ctx{local};
   const bool lenient = robustness.lenient();
 
   std::string line;
@@ -246,7 +244,7 @@ std::vector<DriveTimeSeries> read_telemetry_csv(
     }
     out.push_back(std::move(series));
   }
-  if (stats != nullptr) stats->merge(local, robustness.max_diagnostics);
+  if (stats != nullptr) stats->merge(local);
   return out;
 }
 
@@ -269,7 +267,7 @@ std::vector<TroubleTicket> read_tickets_csv(std::istream& is,
   static const std::vector<std::string> kHeader = {"sn", "vendor", "imt",
                                                    "category"};
   IngestStats local;
-  RowContext ctx{robustness, local};
+  RowContext ctx{local};
   const bool lenient = robustness.lenient();
 
   std::string line;
@@ -335,7 +333,7 @@ std::vector<TroubleTicket> read_tickets_csv(std::istream& is,
     }
     out.push_back(t);
   }
-  if (stats != nullptr) stats->merge(local, robustness.max_diagnostics);
+  if (stats != nullptr) stats->merge(local);
   return out;
 }
 

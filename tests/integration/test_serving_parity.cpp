@@ -2,7 +2,7 @@
 // exactly the alerts that the batch MfpaPipeline + OnlinePredictor replay
 // raises, for every drive whose batch-kept segment is its final segment
 // (the streaming service, having no hindsight, always scores the final
-// segment) — and identically across scoring thread counts.
+// segment).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,16 +99,14 @@ class ServingParityTest : public ::testing::Test {
     return p;
   }
 
-  std::vector<core::Alert> serve_alerts(std::size_t threads) {
-    // Keyed by test name as well as thread count: ctest runs discovered
-    // tests as parallel processes, and both tests publish at threads=1.
+  std::vector<core::Alert> serve_alerts() {
+    // Keyed by test name: ctest runs discovered tests as parallel processes.
     const fs::path dir =
         fs::path(::testing::TempDir()) /
         (std::string("mfpa_parity_registry_") +
-         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-         "_t" + std::to_string(threads));
+         ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir);
-    serve::ModelRegistry registry(dir.string(), threads);
+    serve::ModelRegistry registry(dir.string());
     registry.publish_pipeline(*pipeline_, 0, 100);
     serve::EngineConfig config;
     config.alert_policy = policy();
@@ -140,7 +138,7 @@ TEST_F(ServingParityTest, EngineAlertsMatchBatchReplay) {
   const auto reference = sorted_keys(*reference_);
   ASSERT_GT(reference.size(), 0u)
       << "degenerate scenario: reference raised no alerts";
-  const auto served = sorted_keys(comparable(serve_alerts(1)));
+  const auto served = sorted_keys(comparable(serve_alerts()));
   ASSERT_EQ(served.size(), reference.size());
   for (std::size_t i = 0; i < served.size(); ++i) {
     EXPECT_EQ(served[i].drive_id, reference[i].drive_id) << i;
@@ -148,17 +146,6 @@ TEST_F(ServingParityTest, EngineAlertsMatchBatchReplay) {
     EXPECT_TRUE(served[i].score == reference[i].score)
         << i << ": " << served[i].score << " vs " << reference[i].score;
   }
-}
-
-// The registry compiles models into the flat-forest format by default, so
-// this invariance run exercises compiled inference at every thread count.
-TEST_F(ServingParityTest, AlertsIdenticalAcrossThreadCounts) {
-  const auto t1 = sorted_keys(serve_alerts(1));
-  const auto t4 = sorted_keys(serve_alerts(4));
-  const auto t_hw = sorted_keys(serve_alerts(0));  // hardware concurrency
-  ASSERT_GT(t1.size(), 0u);
-  EXPECT_TRUE(t1 == t4);
-  EXPECT_TRUE(t1 == t_hw);
 }
 
 }  // namespace

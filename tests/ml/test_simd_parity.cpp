@@ -168,16 +168,18 @@ TEST(SimdParity, DeepUnbalancedTreesBitIdentical) {
 }
 
 TEST(SimdParity, RaggedRowCountsBitIdentical) {
-  // Row counts straddling the vector kernels' 16-row groups, 8-row tail,
-  // and scalar tail (1..17 plus block-boundary cases around 96).
+  // Every row count up to 120, plus 191..193: every split between the AVX2
+  // kernel's 24-row groups and the scalar kernel's 8-row lockstep and
+  // one-row tail, across the 96-row block boundary and into a partial
+  // third block.
   const auto [Xfull, y] = blob_data(200, 9, 37);
   RandomForestClassifier rf({{"n_trees", 12}, {"seed", 4}});
   rf.fit(Xfull, y);
   ASSERT_TRUE(rf.compile());
-  for (const std::size_t rows :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{8},
-        std::size_t{9}, std::size_t{15}, std::size_t{16}, std::size_t{17},
-        std::size_t{95}, std::size_t{96}, std::size_t{97}}) {
+  std::vector<std::size_t> counts;
+  for (std::size_t rows = 1; rows <= 120; ++rows) counts.push_back(rows);
+  for (std::size_t rows = 191; rows <= 193; ++rows) counts.push_back(rows);
+  for (const std::size_t rows : counts) {
     SCOPED_TRACE("rows=" + std::to_string(rows));
     data::Matrix X(rows, Xfull.cols());
     for (std::size_t r = 0; r < rows; ++r) {

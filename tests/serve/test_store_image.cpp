@@ -1,12 +1,10 @@
 // The binary store image (`store 3`) inside every checkpoint: golden bytes,
-// the reader's refusal of truncated, overlong and over-limit images, state
-// that stays O(1) per drive, the upgrade from the text images of older
-// checkpoints, and ingest accounting that survives a save/load round trip.
+// the reader's refusal of truncated, overlong and over-limit images and of
+// any other tag, state that stays O(1) per drive, and ingest accounting
+// that survives a save/load round trip.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -260,100 +258,11 @@ TEST(StoreImage, RestoredStoreReportsTheSameIngestStats) {
   EXPECT_EQ(stats.diagnostics.front(), "day 1: duplicate upload");
 }
 
-// --- upgrade from the text images of older checkpoints ----------------------
-
-sim::DailyRecord fixture_record(DayIndex day) {
-  sim::DailyRecord r;
-  r.day = day;
-  for (std::size_t i = 0; i < r.smart.size(); ++i) {
-    r.smart[i] = 0.25f * static_cast<float>(i) + static_cast<float>(day);
-  }
-  r.firmware_index = 1;
-  r.w[1] = static_cast<std::uint16_t>(day % 3);
-  r.b[2] = 1;
-  return r;
-}
-
-const core::AlertPolicy kFixturePolicy{2, 3};
-
-/// Steps the alert gate for every row, with crossings on all days but those
-/// that are 1 mod 4; returns the alerted rows.
-std::vector<bool> score(DriveStateStore& store,
-                        const std::vector<PendingRow>& rows) {
-  std::vector<bool> alerted;
-  for (const auto& row : rows) {
-    alerted.push_back(store.should_alert(row.drive_id, row.record.day,
-                                         row.segment, row.record.day % 4 != 1,
-                                         kFixturePolicy));
-  }
-  return alerted;
-}
-
-/// The history behind fixtures/store2_two_drives.txt, the `store 2` text
-/// image that a build from before the binary image wrote for this store:
-/// drive 3 past min_records (a duplicate upload, a two-day gap fill, the
-/// alert gate mid-streak) and drive 8 held back around a gap fill.
-void feed_fixture_history(DriveStateStore& store) {
-  std::vector<PendingRow> rows;
-  for (const DayIndex day : {10, 11, 11, 14, 15}) {
-    store.ingest(3, 1, fixture_record(day), rows);
-  }
-  for (const DayIndex day : {20, 22}) {
-    store.ingest(8, 2, fixture_record(day), rows);
-  }
-  score(store, rows);
-}
-
-/// What follows the fixture: drive 8 becomes usable, drive 3 fills a gap
-/// and then starts a new segment after a long gap.
-std::vector<PendingRow> continue_history(DriveStateStore& store,
-                                         std::vector<bool>& alerted) {
-  std::vector<PendingRow> rows;
-  for (const DayIndex day : {16, 18, 30, 31, 32, 33}) {
-    store.ingest(3, 1, fixture_record(day), rows);
-  }
-  for (const DayIndex day : {23, 24, 25}) {
-    store.ingest(8, 2, fixture_record(day), rows);
-  }
-  alerted = score(store, rows);
-  return rows;
-}
-
-TEST(StoreImage, Store2TextImageUpgradesToTheSameState) {
-  std::ifstream file(std::string(MFPA_SERVE_FIXTURES) +
-                         "/store2_two_drives.txt",
-                     std::ios::binary);
-  const std::string text((std::istreambuf_iterator<char>(file)),
-                         std::istreambuf_iterator<char>());
-  ASSERT_TRUE(text.starts_with("store 2 ")) << "fixture missing";
-
-  DriveStateStore upgraded(lenient_config());
-  load(upgraded, text);
-  DriveStateStore scratch(lenient_config());
-  feed_fixture_history(scratch);
-  const std::string image = image_of(upgraded);
-  EXPECT_TRUE(image.starts_with("store 3\n"));
-  EXPECT_EQ(hex_of(image), hex_of(image_of(scratch)));
-  EXPECT_EQ(upgraded.stats().ingest, scratch.stats().ingest);
-
-  std::vector<bool> alerted_upgraded, alerted_scratch;
-  const auto rows = continue_history(upgraded, alerted_upgraded);
-  const auto expected = continue_history(scratch, alerted_scratch);
-  ASSERT_EQ(rows.size(), expected.size());
-  // Drive 3: 16; 17 (fill), 18; the new segment's burst 30-32; 33. Drive
-  // 8: the burst 20, 21 (fill), 22, 23; 24; 25.
-  EXPECT_EQ(rows.size(), 13u);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].drive_id, expected[i].drive_id) << i;
-    EXPECT_EQ(rows[i].segment, expected[i].segment) << i;
-    EXPECT_EQ(rows[i].record.day, expected[i].record.day) << i;
-    EXPECT_EQ(rows[i].record.synthetic, expected[i].record.synthetic) << i;
-    EXPECT_EQ(rows[i].record.firmware, expected[i].record.firmware) << i;
-    EXPECT_EQ(rows[i].record.smart, expected[i].record.smart) << i;
-    EXPECT_EQ(rows[i].record.w_cum, expected[i].record.w_cum) << i;
-    EXPECT_EQ(rows[i].record.b_cum, expected[i].record.b_cum) << i;
-  }
-  EXPECT_EQ(alerted_upgraded, alerted_scratch);
+TEST(StoreImage, OtherTagsAreRefusedNamingTheTag) {
+  // Checkpoints written before the binary image hold the text images
+  // `store 1` / `store 2`; they no longer load.
+  expect_refused("store 2 7 6 0\ndrives 2\n", "unsupported tag 'store 2'");
+  expect_refused("store 1 7 6 0\ndrives 2\n", "unsupported tag 'store 1'");
 }
 
 }  // namespace
