@@ -162,15 +162,17 @@ ServingFlags serving_flags_from(const CommandLine& cmd) {
   return flags;
 }
 
-/// The --registry directory (default `fallback` under the temp dir), wiped
-/// first: a stale registry from a previous run would serve yesterday's
-/// model — unless the caller asked for exactly that (--reuse-registry pairs
-/// with --durable-dir: a recovering process must score under the same
-/// model the checkpoint was taken with).
+/// The --registry directory (default `fallback` under the temp dir),
+/// cleared first: a stale registry from a previous run would serve
+/// yesterday's model — unless the caller asked for exactly that
+/// (--reuse-registry pairs with --durable-dir: a recovering process must
+/// score under the same model the checkpoint was taken with). Clearing
+/// deletes registry files only; a directory holding anything else exits 1
+/// with nothing deleted.
 std::string registry_dir_from(const CommandLine& cmd, const char* fallback) {
   const auto dir = cmd.get(
       "registry", (std::filesystem::temp_directory_path() / fallback).string());
-  if (!cmd.has("reuse-registry")) std::filesystem::remove_all(dir);
+  if (!cmd.has("reuse-registry")) serve::ModelRegistry::clear(dir);
   return dir;
 }
 

@@ -101,60 +101,45 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi) || bins == 0) {
-    throw std::invalid_argument("Histogram: need lo < hi and bins > 0");
-  }
-}
+Histogram::Histogram() : counts_(kBuckets, 0) {}
 
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  std::ptrdiff_t i = static_cast<std::ptrdiff_t>(
-      t * static_cast<double>(counts_.size()));
-  i = std::clamp<std::ptrdiff_t>(i, 0,
-                                 static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  ++total_;
-}
-
-void Histogram::add_count(double x, std::size_t n) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  std::ptrdiff_t i = static_cast<std::ptrdiff_t>(
-      t * static_cast<double>(counts_.size()));
-  i = std::clamp<std::ptrdiff_t>(i, 0,
-                                 static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(i)] += n;
+void Histogram::add_bucket(std::size_t i, std::uint64_t n) {
+  counts_.at(i) += n;
   total_ += n;
+}
+
+void Histogram::merge(const Histogram& other) noexcept {
+  for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
+  total_ += other.total_;
 }
 
 double Histogram::quantile(double q) const {
   if (q < 0.0 || q > 1.0) {
     throw std::invalid_argument("Histogram::quantile: q outside [0,1]");
   }
-  if (total_ == 0) return lo_;
+  if (total_ == 0) return 0.0;
   const double target = q * static_cast<double>(total_);
   double seen = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = 0; i < kBuckets; ++i) {
     const double c = static_cast<double>(counts_[i]);
     if (c == 0.0) continue;
     if (seen + c >= target) {
-      const double frac = c == 0.0 ? 0.0 : std::max(0.0, target - seen) / c;
-      return bin_lo(i) + frac * (bin_hi(i) - bin_lo(i));
+      const double frac = std::max(0.0, target - seen) / c;
+      return bucket_lo(i) + frac * (bucket_hi(i) - bucket_lo(i));
     }
     seen += c;
   }
-  return hi_;
+  return kMaxValue;  // not reached: the buckets sum to total_ >= target
 }
 
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
+double Histogram::bucket_lo(std::size_t i) noexcept {
+  if (i == 0) return 0.0;
+  if (i >= kBuckets - 1) return kMaxValue;
+  return std::bit_cast<double>((i - 1 + kFirstKey) << kKeyShift);
 }
 
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) /
-                   static_cast<double>(counts_.size());
+double Histogram::bucket_hi(std::size_t i) noexcept {
+  return i == 0 || i >= kBuckets - 1 ? bucket_lo(i) : bucket_lo(i + 1);
 }
 
 }  // namespace mfpa::stats

@@ -8,28 +8,9 @@
 #include "ml/decision_tree.hpp"
 #include "ml/flat_forest_kernels.hpp"
 #include "ml/simd.hpp"
-#include "obs/metrics.hpp"
 
 namespace mfpa::ml {
 namespace {
-
-/// The predict-call timer (mfpa_flat_batch_seconds), cached per thread:
-/// predict_into runs on every serving micro-batch, so the handle must not
-/// take the registry mutex on the hot path. The cache key is the (registry
-/// address, generation) pair, which invalidates it whenever a test swaps in
-/// an isolated registry — even one reusing a just-freed address.
-obs::HistogramMetric& batch_seconds() {
-  thread_local obs::MetricsRegistry* cached_registry = nullptr;
-  thread_local std::uint64_t cached_generation = 0;
-  thread_local obs::HistogramMetric* hist = nullptr;
-  auto& reg = obs::registry();
-  if (&reg != cached_registry || reg.generation() != cached_generation) {
-    hist = &reg.histogram("mfpa_flat_batch_seconds", 0.0, 1.0, 512);
-    cached_registry = &reg;
-    cached_generation = reg.generation();
-  }
-  return *hist;
-}
 
 /// Rows per cache block: one tree's node arrays are fetched once per block,
 /// so larger blocks amortize deep-tree traffic better as long as the
@@ -273,7 +254,6 @@ void FlatForest::predict_into(const data::Matrix& X, std::span<double> out,
   if (out.size() != X.rows()) {
     throw std::invalid_argument("FlatForest::predict_into: size mismatch");
   }
-  obs::ScopedTimer timer(batch_seconds());
   parallel_for_blocks(X.rows(), threads, [&](std::size_t lo, std::size_t hi) {
     double acc[kRowBlock];
     for (std::size_t block = lo; block < hi; block += kRowBlock) {

@@ -105,13 +105,13 @@ std::unique_ptr<Classifier> load_classifier(std::istream& is,
                                             const Hyperparams& overrides) {
   io::expect_token(is, "mfpa_model");
   int version = 0;
-  if (!(is >> version) || version < 1 || version > 2) {
-    throw std::runtime_error("load_classifier: unsupported format version");
+  if (!(is >> version)) {
+    throw std::runtime_error("load_classifier: malformed format version");
   }
-  if (version == 1) {
-    // Legacy un-checksummed framing (still readable so artifacts written by
-    // older builds keep deploying).
-    return load_body(is, overrides);
+  if (version != 2) {
+    throw std::runtime_error("load_classifier: unsupported format version " +
+                             std::to_string(version) +
+                             " (only checksummed version 2 loads)");
   }
   std::size_t body_size = 0;
   std::string hex;

@@ -12,8 +12,8 @@
 //
 // The header's byte count and FNV-1a digest cover everything after the
 // header line, so a truncated or bit-flipped artifact is rejected at load
-// time with a clear error instead of silently mis-scoring. Version 1
-// (the pre-checksum framing, no count/digest) is still readable.
+// time with a clear error instead of silently mis-scoring. Every other
+// version, the pre-checksum version 1 included, is refused.
 //
 // load_classifier() rebuilds the model through the factory and restores its
 // state, so a deserialized model predicts bit-identically to the original.

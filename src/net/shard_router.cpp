@@ -15,16 +15,6 @@ std::string shard_dir(const std::string& root, std::size_t index) {
   return root + "/shard-" + suffix;
 }
 
-/// Merges `src` into `dst` bin-by-bin. Every shard engine is built from one
-/// EngineConfig template, so the histograms share (lo, hi, bins) and the
-/// merge is exact to one bin width (midpoints re-land in the same bin).
-void merge_histogram(stats::Histogram& dst, const stats::Histogram& src) {
-  for (std::size_t i = 0; i < src.bins(); ++i) {
-    const std::size_t n = src.bin_count(i);
-    if (n > 0) dst.add_count(0.5 * (src.bin_lo(i) + src.bin_hi(i)), n);
-  }
-}
-
 }  // namespace
 
 ShardRouter::ShardRouter(const serve::ModelRegistry& registry,
@@ -143,8 +133,8 @@ serve::EngineStats ShardRouter::stats() const {
     merged.model_swaps += s.model_swaps;
     merged.max_queue_depth = std::max(merged.max_queue_depth,
                                       s.max_queue_depth);
-    merge_histogram(merged.batch_size, s.batch_size);
-    merge_histogram(merged.latency_us, s.latency_us);
+    merged.batch_size.merge(s.batch_size);
+    merged.latency_us.merge(s.latency_us);
   }
   return merged;
 }

@@ -115,9 +115,9 @@ class ShardRouter final : public serve::RecordSink {
   std::vector<core::Alert> alerts() const;
 
   /// Every shard's EngineStats merged into one: counters add, histograms
-  /// add bin by bin (every shard shares the template's geometry), and
-  /// `max_queue_depth` is the largest shard's. Per-shard figures come from
-  /// shard(i).stats().
+  /// add bucket by bucket (exactly: every histogram shares one geometry),
+  /// and `max_queue_depth` is the largest shard's. Per-shard figures come
+  /// from shard(i).stats().
   serve::EngineStats stats() const;
 
  private:

@@ -9,8 +9,8 @@
 //
 // Prometheus text: the human/scrape surface (`mfpa metrics`,
 // `--metrics-dump`). Histograms are rendered as summaries (count / sum /
-// p50 / p90 / p99) since the registry tracks fixed-bin tallies, not
-// cumulative buckets.
+// p50 / p90 / p99), the same figures the JSON carries; neither format
+// exports the buckets yet.
 #pragma once
 
 #include <string>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 
 namespace mfpa::obs {
@@ -22,7 +21,6 @@ std::string entry_key(const std::string& name, const Labels& labels) {
   return key;
 }
 
-std::atomic<std::uint64_t> g_generation{0};
 std::atomic<MetricsRegistry*> g_override{nullptr};
 
 }  // namespace
@@ -36,22 +34,11 @@ std::int64_t monotonic_now_ns() noexcept {
 // ---------------------------------------------------------------------------
 // HistogramMetric
 
-HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(std::max<std::size_t>(1, bins)) {
-  if (!(hi > lo)) {
-    throw std::invalid_argument("HistogramMetric: hi must exceed lo");
-  }
-}
+HistogramMetric::HistogramMetric() : counts_(stats::Histogram::kBuckets) {}
 
 void HistogramMetric::observe(double x) noexcept {
-  // Same edge-bin clamping as stats::Histogram::add, with atomic tallies.
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  std::ptrdiff_t i =
-      static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width));
-  i = std::clamp<std::ptrdiff_t>(
-      i, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(i)].fetch_add(1,
-                                                 std::memory_order_relaxed);
+  counts_[stats::Histogram::bucket_of(x)].fetch_add(1,
+                                                    std::memory_order_relaxed);
   sum_.fetch_add(x, std::memory_order_relaxed);
 }
 
@@ -62,19 +49,11 @@ std::uint64_t HistogramMetric::count() const noexcept {
 }
 
 stats::Histogram HistogramMetric::snapshot() const {
-  stats::Histogram out(lo_, hi_, counts_.size());
+  stats::Histogram out;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::uint64_t n = counts_[i].load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    out.add_count((out.bin_lo(i) + out.bin_hi(i)) / 2.0,
-                  static_cast<std::size_t>(n));
+    out.add_bucket(i, counts_[i].load(std::memory_order_relaxed));
   }
   return out;
-}
-
-void HistogramMetric::reset() noexcept {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -89,9 +68,6 @@ ScopedTimer::~ScopedTimer() {
 
 // ---------------------------------------------------------------------------
 // MetricsRegistry
-
-MetricsRegistry::MetricsRegistry()
-    : generation_(g_generation.fetch_add(1, std::memory_order_relaxed) + 1) {}
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry* instance = new MetricsRegistry();  // never freed
@@ -142,20 +118,18 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
   return *entry.gauge;
 }
 
-HistogramMetric& MetricsRegistry::histogram(const std::string& name, double lo,
-                                            double hi, std::size_t bins,
+HistogramMetric& MetricsRegistry::histogram(const std::string& name,
                                             const Labels& labels) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = find_or_create(name, labels, MetricKind::kHistogram);
-  if (!entry.hist) {
-    entry.hist = std::make_unique<HistogramMetric>(lo, hi, bins);
-  } else if (entry.hist->lo() != lo || entry.hist->hi() != hi ||
-             entry.hist->bins() != std::max<std::size_t>(1, bins)) {
-    throw std::invalid_argument(
-        "MetricsRegistry: histogram '" + name +
-        "' already registered with a different geometry");
-  }
+  if (!entry.hist) entry.hist = std::make_unique<HistogramMetric>();
   return *entry.hist;
+}
+
+HistogramMetric& MetricsRegistry::histogram(const std::string& name, double,
+                                            double, std::size_t,
+                                            const Labels& labels) {
+  return histogram(name, labels);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -183,16 +157,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     out.metrics.push_back(std::move(value));
   }
   return out;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, entry] : entries_) {
-    (void)key;
-    if (entry.counter) entry.counter->reset();
-    if (entry.gauge) entry.gauge->reset();
-    if (entry.hist) entry.hist->reset();
-  }
 }
 
 std::size_t MetricsRegistry::size() const {

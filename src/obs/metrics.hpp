@@ -2,7 +2,7 @@
 //
 // Hot-path instruments are lock-free: Counter and Gauge are single
 // std::atomic words updated with relaxed operations, and HistogramMetric
-// keeps one atomic count per bin, so ingestion, training, and serving
+// keeps one atomic count per bucket, so ingestion, training, and serving
 // threads record without ever contending on a mutex. The registry itself is
 // only locked on the cold paths: registering a metric (first lookup of a
 // (name, labels) pair) and taking a snapshot.
@@ -11,8 +11,9 @@
 // a component resolves its handles at construction and increments raw
 // pointers afterwards. Metric families are identified by name + sorted
 // label set; re-requesting the same family member returns the same
-// instrument (process-wide totals merge for free), and kind or histogram
-// geometry mismatches throw rather than silently fork the family.
+// instrument (process-wide totals merge for free), and a kind mismatch
+// throws rather than silently forking the family. Every histogram shares
+// stats::Histogram's one log-linear geometry, so none takes a range.
 //
 // Tests get isolation instead of cross-test interference:
 // `MetricsRegistry::create_isolated()` builds a private registry and
@@ -46,7 +47,6 @@ class Counter {
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -69,40 +69,29 @@ class Gauge {
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bin histogram with one atomic count per bin — the concurrent
-/// counterpart of stats::Histogram (same [lo, hi) geometry, same edge-bin
-/// clamping), plus a running sum for means. snapshot() materializes a
-/// stats::Histogram so callers reuse its quantile estimator.
+/// The concurrent counterpart of stats::Histogram: one atomic count per
+/// bucket of the same log-linear geometry, indexed by the same
+/// stats::Histogram::bucket_of, plus a running sum for means.
 class HistogramMetric {
  public:
-  HistogramMetric(double lo, double hi, std::size_t bins);
+  HistogramMetric();
 
   void observe(double x) noexcept;
 
-  double lo() const noexcept { return lo_; }
-  double hi() const noexcept { return hi_; }
-  std::size_t bins() const noexcept { return counts_.size(); }
   std::uint64_t count() const noexcept;
   double sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
   }
 
-  /// Copies the atomic bin counts into a stats::Histogram with identical
-  /// geometry (each bin's tally re-added at the bin midpoint, which lands in
-  /// the same bin — counts and quantiles are exact to one bin width).
+  /// Copies the bucket counts into a stats::Histogram, bucket for bucket.
   stats::Histogram snapshot() const;
 
-  void reset() noexcept;
-
  private:
-  double lo_;
-  double hi_;
   std::vector<std::atomic<std::uint64_t>> counts_;
   std::atomic<double> sum_{0.0};
 };
@@ -130,7 +119,7 @@ struct MetricValue {
   MetricKind kind = MetricKind::kCounter;
   std::uint64_t counter = 0;             ///< kind == kCounter
   double gauge = 0.0;                    ///< kind == kGauge
-  stats::Histogram hist{0.0, 1.0, 1};    ///< kind == kHistogram
+  stats::Histogram hist;                 ///< kind == kHistogram
   double hist_sum = 0.0;                 ///< kind == kHistogram
 };
 
@@ -141,7 +130,7 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -152,29 +141,22 @@ class MetricsRegistry {
   /// code under test resolves its instruments against it.
   static std::unique_ptr<MetricsRegistry> create_isolated();
 
-  /// Distinguishes registry instances even across address reuse (pointer +
-  /// generation pairs are unique for the process lifetime); lets hot paths
-  /// cache resolved handles safely (see ml/flat_forest.cpp).
-  std::uint64_t generation() const noexcept { return generation_; }
-
   /// Finds or registers the (name, labels) member of a counter family.
   /// Throws std::invalid_argument when the name is empty or already
   /// registered with a different kind. The reference stays valid for the
   /// registry's lifetime.
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
-  /// Histograms additionally fix their [lo, hi) × bins geometry on first
-  /// registration; a later request with different geometry throws.
+  HistogramMetric& histogram(const std::string& name,
+                             const Labels& labels = {});
+  /// No effect: `lo`, `hi` and `bins` are ignored. Kept so callers that
+  /// still pass a geometry (perfbench/) compile unchanged.
   HistogramMetric& histogram(const std::string& name, double lo, double hi,
                              std::size_t bins, const Labels& labels = {});
 
   /// Point-in-time copy of every registered metric, sorted by
   /// (name, labels) — the exporters' input.
   MetricsSnapshot snapshot() const;
-
-  /// Zeroes every registered instrument (tests; instruments stay
-  /// registered and previously resolved handles stay valid).
-  void reset();
 
   /// Number of registered instruments.
   std::size_t size() const;
@@ -192,7 +174,6 @@ class MetricsRegistry {
   Entry& find_or_create(const std::string& name, const Labels& labels,
                         MetricKind kind);
 
-  std::uint64_t generation_;
   mutable std::mutex mu_;
   /// Keyed by name + '\x1f' + serialized sorted labels; std::map iteration
   /// order == export order, so snapshots are deterministic by construction.

@@ -34,6 +34,19 @@ int parse_version_name(const std::string& name) {
   return v;
 }
 
+/// Parses "v000123.model" -> 123; returns 0 for anything else.
+int parse_artifact_name(const std::string& name) {
+  if (name.size() != 13 || !name.ends_with(".model")) return 0;
+  return parse_version_name(name.substr(0, 7));
+}
+
+/// Whether a registry writes `name`: an artifact, CURRENT, or a publish
+/// temp file (the ones its constructor sweeps).
+bool is_registry_file(const std::string& name) {
+  return name == "CURRENT" || parse_artifact_name(name) > 0 ||
+         is_publish_temp_name(name);
+}
+
 void expect_line_token(std::istream& is, const std::string& expected) {
   std::string token;
   if (!(is >> token) || token != expected) {
@@ -55,8 +68,7 @@ ModelRegistry::ModelRegistry(std::string directory, std::size_t)
   auto& reg = obs::registry();
   metrics_.publishes = &reg.counter("mfpa_registry_publishes_total");
   metrics_.activations = &reg.counter("mfpa_registry_activations_total");
-  metrics_.swap_seconds =
-      &reg.histogram("mfpa_registry_swap_seconds", 0.0, 10.0, 256);
+  metrics_.swap_seconds = &reg.histogram("mfpa_registry_swap_seconds");
   metrics_.current_version = &reg.gauge("mfpa_registry_current_version");
   fs::create_directories(dir_);
   // An orphan was never referenced by CURRENT, so sweeping it is always
@@ -89,14 +101,30 @@ int ModelRegistry::current_version() const {
 std::vector<int> ModelRegistry::versions() const {
   std::vector<int> out;
   for (const auto& entry : fs::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() == 13 && name.ends_with(".model")) {
-      const int v = parse_version_name(name.substr(0, 7));
-      if (v > 0) out.push_back(v);
-    }
+    const int v = parse_artifact_name(entry.path().filename().string());
+    if (v > 0) out.push_back(v);
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void ModelRegistry::clear(const std::string& directory) {
+  if (!fs::exists(directory)) return;
+  if (!fs::is_directory(directory)) {
+    throw std::invalid_argument("ModelRegistry: " + directory +
+                                " is not a directory");
+  }
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(directory)) {
+    const std::string name = entry.path().filename().string();
+    if (!entry.is_regular_file() || !is_registry_file(name)) {
+      throw std::invalid_argument(
+          "ModelRegistry: " + directory + " holds '" + name +
+          "', which a model registry never writes; refusing to clear it");
+    }
+    files.push_back(entry.path());
+  }
+  for (const auto& file : files) fs::remove(file);
 }
 
 int ModelRegistry::publish(const ml::Classifier& model,

@@ -117,6 +117,13 @@ class ModelRegistry {
   /// Sorted list of version numbers present on disk.
   std::vector<int> versions() const;
 
+  /// Deletes what a registry writes in `directory` (vNNNNNN.model
+  /// artifacts, CURRENT, and dot-temp publish files), so a registry opened
+  /// there next starts empty. When `directory` holds anything else,
+  /// or is not a directory, throws std::invalid_argument naming it and
+  /// deletes nothing. A missing directory stays missing.
+  static void clear(const std::string& directory);
+
  private:
   std::string dir_;
   mutable std::mutex current_mu_;  ///< guards only the current_ pointer copy

@@ -16,9 +16,6 @@ namespace {
 /// many engines per process; production runs one).
 std::atomic<std::uint64_t> g_engine_seq{0};
 
-/// Upper edge of the per-record latency histogram, microseconds.
-constexpr double kLatencyHiUs = 50000.0;
-
 }  // namespace
 
 ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config)
@@ -48,11 +45,12 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config)
   metrics_.batches = &reg.counter("mfpa_serve_batches_total", labels);
   metrics_.alerts = &reg.counter("mfpa_serve_alerts_total", labels);
   metrics_.model_swaps = &reg.counter("mfpa_serve_model_swaps_total", labels);
-  metrics_.batch_size = &reg.histogram(
-      "mfpa_serve_batch_size", 0.0, static_cast<double>(config_.max_batch) + 1.0,
-      std::min<std::size_t>(config_.max_batch + 1, 512), labels);
-  metrics_.latency_us = &reg.histogram("mfpa_serve_latency_us", 0.0,
-                                       kLatencyHiUs, 512, labels);
+  metrics_.batch_size = &reg.histogram("mfpa_serve_batch_size", labels);
+  metrics_.latency_us = &reg.histogram("mfpa_serve_latency_us", labels);
+  obs::Labels predict_labels = labels;
+  predict_labels.emplace_back("stage", "predict");
+  metrics_.predict_seconds =
+      &reg.histogram("mfpa_serve_stage_seconds", predict_labels);
   metrics_.max_queue_depth = &reg.gauge("mfpa_serve_max_queue_depth", labels);
   if (config_.durability.enabled()) {
     recover_durable_state();
@@ -217,6 +215,7 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
     for (const auto& row : rows) {
       X.add_row(cached_builder_->features_of(row.record));
     }
+    obs::ScopedTimer timer(*metrics_.predict_seconds);
     scores = model->classifier->predict_proba(X);
   }
 

@@ -4,11 +4,10 @@
 // records into a bounded ingress queue; a drain loop pulls up to
 // `max_batch` records at a time, runs them through the DriveStateStore
 // (incremental cleaning), extracts feature rows with the active model's
-// builder, scores the whole batch in one predict_proba call on the
-// common/parallel.hpp pool, and applies the AlertPolicy per drive. Scores are
-// per-row and the drain is single-threaded, so results are independent of
-// batch boundaries, queue timing, and the scoring thread count — the
-// batch/online parity tests rely on this.
+// builder, scores the whole batch in one predict_proba call on the drain
+// thread, and applies the AlertPolicy per drive. Scores are per-row and the
+// drain is single-threaded, so results are independent of batch boundaries
+// and queue timing — the batch/online parity tests rely on this.
 //
 // Backpressure: when the queue is full, submit() either blocks (default;
 // producers slow to the service's sustainable rate) or sheds the record with
@@ -20,14 +19,13 @@
 // next batch scores on the new one, and `model_swaps` counts the
 // transitions observed.
 //
-// Observability: every throughput counter and the batch-size and latency
-// histograms live in the process-wide obs::MetricsRegistry
-// (mfpa_serve_* families, one label set per engine instance), so the same
-// numbers a fleet operator graphs are exported by `serve-replay
-// --metrics-out`, `mfpa metrics`, and read by perfbench/. EngineStats is a
-// point-in-time snapshot of this engine's instruments — the legacy ad-hoc
-// counters were migrated onto the registry without changing the snapshot
-// contract (see docs/OBSERVABILITY.md).
+// Observability: every throughput counter, the batch-size and latency
+// histograms and the predict-stage timer live in the process-wide
+// obs::MetricsRegistry (mfpa_serve_* families, one label set per engine
+// instance), so the same numbers a fleet operator graphs are exported by
+// `serve-replay --metrics-out`, `mfpa metrics`, and read by perfbench/.
+// EngineStats is a point-in-time snapshot of this engine's instruments (see
+// docs/OBSERVABILITY.md).
 #pragma once
 
 #include <chrono>
@@ -98,8 +96,8 @@ struct EngineStats {
   std::uint64_t batches = 0;
   std::uint64_t alerts = 0;
   std::uint64_t model_swaps = 0;      ///< version changes observed by the drain
-  stats::Histogram batch_size{0.0, 1.0, 1};     ///< replaced in snapshot
-  stats::Histogram latency_us{0.0, 1.0, 1};
+  stats::Histogram batch_size;
+  stats::Histogram latency_us;
   std::size_t max_queue_depth = 0;
 };
 
@@ -214,6 +212,8 @@ class ScoringEngine final : public RecordSink {
     obs::Counter* model_swaps = nullptr;
     obs::HistogramMetric* batch_size = nullptr;
     obs::HistogramMetric* latency_us = nullptr;
+    /// mfpa_serve_stage_seconds{stage=predict}: one predict_proba call.
+    obs::HistogramMetric* predict_seconds = nullptr;
     obs::Gauge* max_queue_depth = nullptr;
   };
   Metrics metrics_;

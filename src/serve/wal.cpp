@@ -70,10 +70,6 @@ fs::path publish_temp_path(const fs::path& path) {
   return path.parent_path() / ("." + path.filename().string() + ".tmp");
 }
 
-bool is_publish_temp_name(const std::string& name) {
-  return name.size() > 5 && name.front() == '.' && name.ends_with(".tmp");
-}
-
 std::string segment_name(std::uint64_t base_lsn) {
   return "c" + std::to_string(base_lsn) + ".wal";
 }
@@ -115,6 +111,10 @@ void publish_file(const std::string& path, std::string_view contents,
                              ec.message());
   }
   if (fsync) fsync_dir(dir.string());
+}
+
+bool is_publish_temp_name(const std::string& name) {
+  return name.size() > 5 && name.front() == '.' && name.ends_with(".tmp");
 }
 
 void remove_publish_orphans(const std::string& dir) {

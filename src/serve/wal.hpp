@@ -204,6 +204,9 @@ core::Alert decode_alert_payload(const std::string& payload);
 void publish_file(const std::string& path, std::string_view contents,
                   bool fsync);
 
+/// Whether `name` is a dot-temp file publish_file writes (".<name>.tmp").
+bool is_publish_temp_name(const std::string& name);
+
 /// Removes the dot-temp orphans a crashed publish_file left in `dir`. None
 /// was ever renamed into place, so none is durable state.
 void remove_publish_orphans(const std::string& dir);

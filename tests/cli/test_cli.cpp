@@ -270,14 +270,16 @@ TEST(RunCommand, MetricsOutWritesSchemaStableJson) {
   std::remove(metrics.c_str());
 }
 
-/// One exported family member as "name{k=v,...} type[ value]". The
-/// `engine` label is masked (in-process it is a process-wide sequence
-/// number), and so is every value that follows where drain batches fall:
-/// histograms, batch counts, queue depth, fsyncs and checkpoint bytes.
+/// One exported family member as "name{k=v,...} type[ value]", where a
+/// histogram's value is its count. The `engine` label is masked (in-process
+/// it is a process-wide sequence number), and so is every value that
+/// follows where drain batches fall: batch counts and sizes, predict calls,
+/// queue depth, fsyncs and checkpoint bytes.
 std::string vocabulary_line(const obs::MetricValue& m) {
   static const std::set<std::string> kBatchDependent = {
-      "mfpa_serve_batches_total", "mfpa_serve_max_queue_depth",
-      "mfpa_wal_fsyncs_total", "mfpa_ckpt_bytes_total"};
+      "mfpa_serve_batch_size", "mfpa_serve_batches_total",
+      "mfpa_wal_fsyncs_total", "mfpa_serve_stage_seconds",
+      "mfpa_ckpt_bytes_total", "mfpa_serve_max_queue_depth"};
   std::ostringstream line;
   line << m.name << "{";
   for (const auto& [key, value] : m.labels) {
@@ -295,6 +297,7 @@ std::string vocabulary_line(const obs::MetricValue& m) {
       break;
     case obs::MetricKind::kHistogram:
       line << "histogram";
+      if (!kBatchDependent.count(m.name)) line << " " << m.hist.total();
       break;
   }
   return line.str();
@@ -333,7 +336,6 @@ TEST(ServeReplayCommand, DurableRunExportsThePinnedVocabulary) {
       "mfpa_ckpt_fallbacks_total{} counter 0",
       "mfpa_ckpt_last_lsn{} gauge 14233",
       "mfpa_ckpt_writes_total{} counter 5",
-      "mfpa_flat_batch_seconds{} histogram",
       "mfpa_ingest_faults_total{cause=clock_rollback,} counter 0",
       "mfpa_ingest_faults_total{cause=counter_reset_rebased,} counter 0",
       "mfpa_ingest_faults_total{cause=duplicate_day,} counter 0",
@@ -341,18 +343,19 @@ TEST(ServeReplayCommand, DurableRunExportsThePinnedVocabulary) {
       "mfpa_registry_activations_total{} counter 0",
       "mfpa_registry_current_version{} gauge 1",
       "mfpa_registry_publishes_total{} counter 1",
-      "mfpa_registry_swap_seconds{} histogram",
+      "mfpa_registry_swap_seconds{} histogram 1",
       "mfpa_serve_accepted_total{engine=*,} counter 14233",
       "mfpa_serve_alerts_total{engine=*,} counter 473",
       "mfpa_serve_batch_size{engine=*,} histogram",
       "mfpa_serve_batches_total{engine=*,} counter",
-      "mfpa_serve_latency_us{engine=*,} histogram",
+      "mfpa_serve_latency_us{engine=*,} histogram 14233",
       "mfpa_serve_max_queue_depth{engine=*,} gauge",
       "mfpa_serve_model_swaps_total{engine=*,} counter 0",
       "mfpa_serve_records_processed_total{engine=*,} counter 14233",
       "mfpa_serve_rejected_total{engine=*,} counter 0",
       "mfpa_serve_rows_scored_total{engine=*,} counter 18304",
       "mfpa_serve_shed_total{engine=*,} counter 0",
+      "mfpa_serve_stage_seconds{engine=*,stage=predict,} histogram",
       "mfpa_serve_submitted_total{engine=*,} counter 14233",
       "mfpa_serve_synthetic_rows_total{engine=*,} counter 4080",
       "mfpa_serve_unscored_no_model_total{engine=*,} counter 0",
@@ -380,6 +383,27 @@ TEST(ServeReplayCommand, DurableRunExportsThePinnedVocabulary) {
     exported.insert(line.substr(begin, line.find('"', begin) - begin));
   }
   EXPECT_EQ(exported, families);
+  std::filesystem::remove_all(dir);
+}
+
+// --registry names a directory the run clears of a previous registry. A
+// file no registry writes is refused with exit 1, and nothing is deleted.
+TEST(ServeReplayCommand, RegistryDirKeepsUnrelatedFiles) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "mfpa_cli_registry_notes";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "notes.txt") << "keep me\n";
+  std::ofstream(dir / "CURRENT") << "v000001\n";
+  std::ostringstream out, err;
+  EXPECT_EQ(run_command(parse_command_line(
+                            {"serve-replay", "--scenario=tiny", "--seed=7",
+                             "--registry=" + dir.string()}),
+                        out, err),
+            1);
+  EXPECT_NE(err.str().find("notes.txt"), std::string::npos) << err.str();
+  EXPECT_TRUE(std::filesystem::exists(dir / "notes.txt"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "CURRENT"));
   std::filesystem::remove_all(dir);
 }
 

@@ -95,7 +95,10 @@ TEST(Serialize, RejectsWrongVersion) {
 }
 
 TEST(Serialize, RejectsUnknownAlgorithm) {
-  std::stringstream ss("mfpa_model 1\nQuantumNet\nparams 0\n");
+  // Valid v2 framing around an unknown name, so the factory is what refuses.
+  const std::string body = "QuantumNet\nparams 0 \n";
+  std::stringstream ss("mfpa_model 2 " + std::to_string(body.size()) + " " +
+                       checksum_hex(fnv1a(body)) + "\n" + body);
   EXPECT_ANY_THROW(load_classifier(ss));
 }
 
@@ -200,7 +203,9 @@ TEST(SerializeChecksum, GarbageHeaderIsRejected) {
   EXPECT_THROW(load_classifier(is), std::runtime_error);
 }
 
-TEST(SerializeChecksum, LegacyV1StillLoads) {
+// The pre-checksum v1 framing carries no digest, so a corrupted body would
+// load and score; it is refused like any version but 2, by name.
+TEST(SerializeChecksum, RefusesLegacyV1) {
   const auto [X, y] = testing::make_blobs(60, 3, 3.0, 117);
   auto model = make_classifier("RF", {{"n_trees", 5.0}, {"seed", 1.0}});
   model->fit(X, y);
@@ -210,8 +215,13 @@ TEST(SerializeChecksum, LegacyV1StillLoads) {
   // Re-frame the body the way pre-checksum builds wrote it.
   std::istringstream legacy("mfpa_model 1\n" +
                             artifact.substr(artifact.find('\n') + 1));
-  const auto restored = load_classifier(legacy);
-  EXPECT_EQ(restored->predict_proba(X), model->predict_proba(X));
+  try {
+    load_classifier(legacy);
+    FAIL() << "a v1 artifact was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SerializeChecksum, LoadAppliesOverrides) {

@@ -127,17 +127,29 @@ TEST(ShardRouter, StatsAggregateAcrossShards) {
   std::uint64_t per_shard = 0;
   std::uint64_t batches = 0;
   std::size_t max_depth = 0;
+  std::vector<serve::EngineStats> shards;
   for (std::size_t i = 0; i < router.shard_count(); ++i) {
-    const serve::EngineStats s = router.shard(i).stats();
+    shards.push_back(router.shard(i).stats());
+    const serve::EngineStats& s = shards.back();
     per_shard += s.records_processed;
     batches += s.batches;
     max_depth = std::max(max_depth, s.max_queue_depth);
   }
   EXPECT_EQ(per_shard, 100u);
-  // Counters add; histograms add bin by bin.
+  // Counters add; histograms add bucket by bucket, exactly.
   EXPECT_EQ(stats.batches, batches);
   EXPECT_EQ(stats.batch_size.total(), batches);
   EXPECT_EQ(stats.latency_us.total(), 100u);
+  for (std::size_t b = 0; b < mfpa::stats::Histogram::kBuckets; ++b) {
+    std::uint64_t batch_size = 0;
+    std::uint64_t latency = 0;
+    for (const auto& s : shards) {
+      batch_size += s.batch_size.count(b);
+      latency += s.latency_us.count(b);
+    }
+    ASSERT_EQ(stats.batch_size.count(b), batch_size) << b;
+    ASSERT_EQ(stats.latency_us.count(b), latency) << b;
+  }
   // The queue high-water mark surfaces both per shard and at router level.
   EXPECT_EQ(stats.max_queue_depth, max_depth);
   EXPECT_GT(stats.max_queue_depth, 0u);

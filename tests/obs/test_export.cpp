@@ -20,12 +20,14 @@ namespace mfpa::obs {
 namespace {
 
 /// One registry covering all three kinds, with values whose rendered forms
-/// (quantiles included) are exact by construction.
+/// (quantiles included) are exact by construction: 2.5 and 7.5 open the
+/// log-linear buckets [2.5, 2.625) and [7.5, 7.75), so p50 is the first
+/// bucket's upper edge and p90/p99 interpolate 80%/98% into the second.
 std::unique_ptr<MetricsRegistry> golden_registry() {
   auto reg = MetricsRegistry::create_isolated();
   reg->counter("alerts_total", {{"engine", "0"}}).inc(3);
   reg->gauge("queue_depth").set(7.5);
-  HistogramMetric& h = reg->histogram("latency_us", 0.0, 10.0, 10);
+  HistogramMetric& h = reg->histogram("latency_us");
   h.observe(2.5);
   h.observe(2.5);
   h.observe(7.5);
@@ -39,8 +41,8 @@ constexpr const char* kGoldenJson =
     "    {\"labels\": {\"engine\": \"0\"}, \"name\": \"alerts_total\", "
     "\"type\": \"counter\", \"value\": 3},\n"
     "    {\"count\": 4, \"labels\": {}, \"mean\": 5, \"name\": "
-    "\"latency_us\", \"p50\": 3, \"p90\": 7.8, \"p99\": 7.98, \"sum\": 20, "
-    "\"type\": \"histogram\"},\n"
+    "\"latency_us\", \"p50\": 2.625, \"p90\": 7.7, \"p99\": 7.745, "
+    "\"sum\": 20, \"type\": \"histogram\"},\n"
     "    {\"labels\": {}, \"name\": \"queue_depth\", \"type\": \"gauge\", "
     "\"value\": 7.5}\n"
     "  ],\n"
@@ -71,9 +73,9 @@ TEST(MetricsExportTest, PrometheusTextMatchesGolden) {
             "# TYPE latency_us summary\n"
             "latency_us_count 4\n"
             "latency_us_sum 20\n"
-            "latency_us{quantile=\"0.5\"} 3\n"
-            "latency_us{quantile=\"0.9\"} 7.8\n"
-            "latency_us{quantile=\"0.99\"} 7.98\n"
+            "latency_us{quantile=\"0.5\"} 2.625\n"
+            "latency_us{quantile=\"0.9\"} 7.7\n"
+            "latency_us{quantile=\"0.99\"} 7.745\n"
             "# TYPE queue_depth gauge\n"
             "queue_depth 7.5\n");
 }

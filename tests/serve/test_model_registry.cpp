@@ -230,6 +230,29 @@ TEST_F(ModelRegistryTest, SweepsStrayTempFilesFromACrashedPublish) {
   EXPECT_EQ(registry.publish_pipeline(*pipeline_, 0, 130), 2);
 }
 
+// clear() deletes exactly what a registry writes, and refuses a directory
+// holding anything else before deleting any of it.
+TEST_F(ModelRegistryTest, ClearDeletesOnlyRegistryFiles) {
+  {
+    ModelRegistry registry(dir_.string());
+    registry.publish_pipeline(*pipeline_, 0, 100);
+  }
+  std::ofstream(dir_ / ".v000002.model.tmp") << "partial";
+  std::ofstream(dir_ / "v1.model") << "not a registry name";
+  EXPECT_THROW(ModelRegistry::clear(dir_.string()), std::invalid_argument);
+  EXPECT_TRUE(fs::exists(dir_ / "v000001.model"));
+  EXPECT_TRUE(fs::exists(dir_ / "CURRENT"));
+
+  fs::remove(dir_ / "v1.model");
+  ModelRegistry::clear(dir_.string());
+  EXPECT_TRUE(fs::is_empty(dir_));
+  EXPECT_EQ(ModelRegistry(dir_.string()).current(), nullptr);
+
+  fs::remove_all(dir_);
+  ModelRegistry::clear(dir_.string());  // a missing directory stays missing
+  EXPECT_FALSE(fs::exists(dir_));
+}
+
 // Serving scores flat rows of the manifest's group built from one record
 // per drive. A delta pipeline trains on 2F columns, so publishing it must
 // fail before anything reaches the directory.

@@ -137,6 +137,39 @@ TEST_F(ScoringEngineTest, BlockingBackpressureLosesNothing) {
   EXPECT_EQ(stats.latency_us.total(), updates_->size());
 }
 
+// Latency has no ceiling: records that wait 60 ms before their batch read at
+// least 60 ms, to within the histogram's stated relative error. Each batch
+// that scores rows also times its predict call.
+TEST_F(ScoringEngineTest, LatencyAboveFiftyMillisecondsIsNotClamped) {
+  auto metrics = obs::MetricsRegistry::create_isolated();
+  obs::ScopedMetricsOverride scope(*metrics);
+  ModelRegistry registry(dir_.string());
+  registry.publish_pipeline(*pipeline_a_, 0, 100);
+  EngineConfig config;
+  config.manual_drain = true;
+  config.queue_capacity = updates_->size() + 1;
+  config.instance_label = "late";
+  ScoringEngine engine(registry, config);
+  for (std::size_t i = 0; i < 8; ++i) engine.submit((*updates_)[i]);
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  ASSERT_EQ(engine.drain_once(), 8u);
+  const mfpa::stats::Histogram latency = engine.stats().latency_us;
+  ASSERT_EQ(latency.total(), 8u);
+  EXPECT_GE(latency.quantile(0.5),
+            60000.0 * (1.0 - mfpa::stats::Histogram::kRelativeError));
+
+  for (std::size_t i = 8; i < updates_->size(); ++i) {
+    engine.submit((*updates_)[i]);
+  }
+  engine.flush();
+  const obs::Labels labels = {{"engine", "late"}, {"stage", "predict"}};
+  const obs::HistogramMetric& predict =
+      metrics->histogram("mfpa_serve_stage_seconds", labels);
+  EXPECT_GT(predict.count(), 0u);
+  EXPECT_LE(predict.count(), engine.stats().batches);
+  EXPECT_GT(predict.sum(), 0.0);
+}
+
 TEST_F(ScoringEngineTest, ResultsIndependentOfBatchSize) {
   auto run_with_batch = [&](std::size_t max_batch) {
     const fs::path dir = dir_ / ("b" + std::to_string(max_batch));
