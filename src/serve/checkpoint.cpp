@@ -37,20 +37,34 @@ std::optional<std::uint64_t> parse_ckpt_name(const std::string& name) {
   }
 }
 
+/// The payload: the checkpoint line, then the store image.
+void append_checkpoint_payload(std::string& payload,
+                               const DriveStateStore& store, std::uint64_t lsn,
+                               std::uint64_t alert_count, int model_version) {
+  payload += "checkpoint 1 " + std::to_string(lsn) + ' ' +
+             std::to_string(alert_count) + ' ' +
+             std::to_string(model_version) + '\n';
+  store.save_state(payload);
+}
+
+/// The framing line. The digest is always 16 hex digits, so a file's size
+/// is known before its digest.
+std::string checkpoint_header(std::size_t payload_bytes, std::uint64_t digest) {
+  return "mfpa_ckpt 1 " + std::to_string(payload_bytes) + ' ' +
+         ml::checksum_hex(digest) + '\n';
+}
+
 }  // namespace
 
 void write_checkpoint_file(const std::string& path,
                            const DriveStateStore& store, std::uint64_t lsn,
                            std::uint64_t alert_count, int model_version,
                            bool fsync) {
-  std::string body = "checkpoint 1 " + std::to_string(lsn) + ' ' +
-                     std::to_string(alert_count) + ' ' +
-                     std::to_string(model_version) + '\n';
-  store.save_state(body);
-  std::string file = "mfpa_ckpt 1 " + std::to_string(body.size()) + ' ' +
-                     ml::checksum_hex(ml::fnv1a(body)) + '\n';
-  file += body;
-  publish_file(path, file, fsync);
+  std::string payload;
+  append_checkpoint_payload(payload, store, lsn, alert_count, model_version);
+  publish_file(path,
+               checkpoint_header(payload.size(), ml::fnv1a(payload)) + payload,
+               fsync);
 }
 
 CheckpointImage load_checkpoint_file(const std::string& path) {
@@ -128,15 +142,23 @@ DurabilityConfig validated(DurabilityConfig config) {
 
 DurabilityManager::DurabilityManager(DurabilityConfig config)
     : config_(validated(std::move(config))),
+      alerts_(config_.dir, config_.fsync),
       wal_(WalWriterConfig{config_.dir, config_.group_commit_records,
-                           config_.fsync}),
-      alerts_(config_.dir, config_.fsync) {
+                           config_.fsync}) {
   fs::create_directories(ckpt_dir(config_.dir));
   auto& reg = obs::registry();
   metrics_.writes = &reg.counter("mfpa_ckpt_writes_total");
   metrics_.bytes = &reg.counter("mfpa_ckpt_bytes_total");
   metrics_.fallbacks = &reg.counter("mfpa_ckpt_fallbacks_total");
   metrics_.last_lsn = &reg.gauge("mfpa_ckpt_last_lsn");
+}
+
+DurabilityManager::~DurabilityManager() {
+  try {
+    settle();
+  } catch (...) {
+    // Destructor: the WAL stays authoritative; recovery replays it.
+  }
 }
 
 RecoveryResult DurabilityManager::recover(DriveStateStore& store,
@@ -167,6 +189,7 @@ RecoveryResult DurabilityManager::recover(DriveStateStore& store,
         " candidates; refusing to rebuild state over a hole (first error: " +
         failure + ")");
   }
+  for (const auto& [lsn, path] : candidates) checkpoints_.push_back(lsn);
 
   std::uint64_t after_lsn = 0;
   std::uint64_t durable_alerts = 0;
@@ -189,7 +212,7 @@ RecoveryResult DurabilityManager::recover(DriveStateStore& store,
   }
 
   result.alerts = recover_alert_log(config_.dir, durable_alerts);
-  alerts_.open(durable_alerts);
+  alert_count_ = durable_alerts;
   result.tail = recover_wal(config_.dir, after_lsn, &result.wal);
   result.durable_records = after_lsn + result.tail.size();
   wal_.set_next_lsn(result.durable_records + 1);
@@ -200,7 +223,11 @@ RecoveryResult DurabilityManager::recover(DriveStateStore& store,
 
 void DurabilityManager::finish_recovery(const DriveStateStore& store,
                                         int model_version) {
-  seal(store, model_version, /*after_recovery=*/true);
+  stage(store, model_version, /*rotate=*/false);
+  publish_staged(/*wait=*/true);
+  // The replayed segments are fully covered by the snapshot: restart the
+  // WAL from a clean generation.
+  wal_.reset(wal_.last_lsn());
   recovered_ = true;
 }
 
@@ -210,66 +237,121 @@ std::uint64_t DurabilityManager::append(std::uint64_t drive_id, int vendor,
     throw std::logic_error("DurabilityManager: append before finish_recovery");
   }
   ++records_since_checkpoint_;
-  return wal_.append(drive_id, vendor, record);
+  const WalWriter::Ticket before = wal_.handed_off();
+  const std::uint64_t lsn = wal_.append(drive_id, vendor, record);
+  // Without a checkpoint cadence nothing else bounds the I/O queue: keep
+  // one group in flight.
+  if (config_.checkpoint_interval_records == 0 &&
+      wal_.handed_off() != before) {
+    wal_.wait(before);
+  }
+  return lsn;
 }
 
 void DurabilityManager::append_alert(const core::Alert& alert) {
-  alerts_.append(alert);
+  pending_alerts_.push_back(alert);
+  ++alert_count_;
 }
 
 void DurabilityManager::on_batch_end(const DriveStateStore& store,
                                      int model_version) {
   if (config_.checkpoint_interval_records > 0 &&
       records_since_checkpoint_ >= config_.checkpoint_interval_records) {
-    checkpoint_now(store, model_version);
+    stage(store, model_version, /*rotate=*/true);
+  } else {
+    publish_staged(/*wait=*/false);
   }
 }
 
 void DurabilityManager::checkpoint_now(const DriveStateStore& store,
                                        int model_version) {
-  seal(store, model_version, /*after_recovery=*/false);
+  stage(store, model_version, /*rotate=*/true);
+  publish_staged(/*wait=*/true);
 }
 
-void DurabilityManager::seal(const DriveStateStore& store, int model_version,
-                             bool after_recovery) {
-  // Everything appended so far must be durable before the snapshot claims
-  // to cover it (WAL-then-checkpoint ordering): flush() waits for the
-  // commit that covers `lsn`.
-  flush();
+void DurabilityManager::flush() {
+  hand_off("");
+  publish_staged(/*wait=*/true);
+  wal_.wait_committed();
+}
+
+void DurabilityManager::settle() { publish_staged(/*wait=*/true); }
+
+void DurabilityManager::stage(const DriveStateStore& store, int model_version,
+                              bool rotate) {
+  publish_staged(/*wait=*/true);  // one image in memory at a time
   const std::uint64_t lsn = wal_.last_lsn();
-  const std::string path = (ckpt_dir(config_.dir) / ckpt_name(lsn)).string();
-  write_checkpoint_file(path, store, lsn, alerts_.count(), model_version,
-                        config_.fsync);
+  image_.clear();
+  append_checkpoint_payload(image_, store, lsn, alert_count_, model_version);
   metrics_.writes->inc();
-  metrics_.bytes->inc(fs::file_size(path));
+  metrics_.bytes->inc(checkpoint_header(image_.size(), 0).size() +
+                      image_.size());
   metrics_.last_lsn->set(static_cast<double>(lsn));
+  // WAL-then-checkpoint: the group holding `lsn` is queued before the
+  // image, so the I/O thread has fsynced it when the image is written.
+  staged_ = Staged{
+      lsn, hand_off((ckpt_dir(config_.dir) / ckpt_name(lsn)).string())};
+  if (rotate) wal_.rotate(lsn);
   if (lsn != last_checkpoint_lsn_) {
     prev_checkpoint_lsn_ = last_checkpoint_lsn_;
     last_checkpoint_lsn_ = lsn;
   }
-  if (after_recovery) {
-    // The replayed segments are fully covered by the snapshot: restart the
-    // WAL from a clean generation.
-    wal_.reset(lsn);
-  } else {
-    // Keep WAL generations back to the fallback checkpoint, no further.
-    wal_.rotate(lsn, prev_checkpoint_lsn_);
-  }
-  prune_checkpoints();
   records_since_checkpoint_ = 0;
 }
 
-void DurabilityManager::flush() {
-  wal_.flush();
-  alerts_.flush();
+WalWriter::Ticket DurabilityManager::hand_off(std::string image_path) {
+  wal_.hand_off();
+  if (pending_alerts_.empty() && image_path.empty()) {
+    return wal_.handed_off();
+  }
+  const std::uint64_t before = alert_count_ - pending_alerts_.size();
+  return wal_.hand_off([this, before, path = std::move(image_path),
+                        alerts = std::exchange(pending_alerts_, {})] {
+    if (!alerts.empty()) {
+      if (!alerts_open_) {
+        alerts_.open(before);
+        alerts_open_ = true;
+      }
+      for (const core::Alert& alert : alerts) alerts_.append(alert);
+      alerts_.flush();
+    }
+    if (!path.empty()) {
+      write_publish_temp(
+          path, {checkpoint_header(image_.size(), ml::fnv1a(image_)), image_},
+          config_.fsync);
+    }
+  });
 }
 
-void DurabilityManager::prune_checkpoints() {
-  auto checkpoints = list_checkpoints(config_.dir);
-  if (checkpoints.size() <= 2) return;
-  for (std::size_t i = 0; i + 2 < checkpoints.size(); ++i) {
-    fs::remove(checkpoints[i].second);
+void DurabilityManager::publish_staged(bool wait) {
+  if (!staged_) return;
+  Staged& staged = *staged_;
+  if (staged.synced == 0) {
+    if (!wait && !wal_.done(staged.written)) return;
+    wal_.wait(staged.written);
+    const fs::path dir = ckpt_dir(config_.dir);
+    rename_publish_temp((dir / ckpt_name(staged.lsn)).string());
+    staged.synced =
+        config_.fsync
+            ? wal_.hand_off([dir = dir.string()] { sync_dir(dir); })
+            : staged.written;
   }
+  if (!wait && !wal_.done(staged.synced)) return;
+  wal_.wait(staged.synced);
+  // The rename is durable: drop what the two newest checkpoints supersede.
+  const auto at =
+      std::lower_bound(checkpoints_.begin(), checkpoints_.end(), staged.lsn);
+  if (at == checkpoints_.end() || *at != staged.lsn) {
+    checkpoints_.insert(at, staged.lsn);
+  }
+  const std::size_t drop = checkpoints_.size() > 2 ? checkpoints_.size() - 2 : 0;
+  for (std::size_t i = 0; i < drop; ++i) {
+    fs::remove(ckpt_dir(config_.dir) / ckpt_name(checkpoints_[i]));
+  }
+  checkpoints_.erase(checkpoints_.begin(), checkpoints_.begin() + drop);
+  // Keep WAL generations back to the fallback checkpoint, no further.
+  wal_.drop_generations_before(prev_checkpoint_lsn_);
+  staged_.reset();
 }
 
 }  // namespace mfpa::serve

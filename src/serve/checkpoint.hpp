@@ -17,9 +17,9 @@
 // recovery loudly: DriveStateStore::load_state names its tag.
 //
 // Files live under `<dir>/ckpt/ckpt-<lsn>.mfc`, written dot-temp + fsync +
-// rename (serve::publish_file, shared with the model registry; recovery
-// sweeps a crashed publish's orphan with remove_publish_orphans). The
-// startup seal and every later checkpoint take one write path, and the
+// rename (the steps of serve::publish_file, shared with the model registry;
+// recovery sweeps a crashed publish's orphan with remove_publish_orphans).
+// The startup seal and every later checkpoint take one write path, and the
 // two newest are retained so a corrupt newest checkpoint falls back one
 // generation — the WAL keeps its one segment file per generation back to
 // the retained checkpoint (wal.hpp), so the fallback replays a longer tail
@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,14 +102,36 @@ std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
 /// Owns the WAL writer, the alert log, and the checkpoint cadence for one
 /// engine. Single-threaded by contract: every method but wait_committed()
 /// is called from the engine's drain thread (or before it starts / after
-/// it stops). The WAL's writes and fsyncs run on the writer's commit thread
-/// (wal.hpp). A checkpoint is published only after the commit that covers
-/// its LSN: seal() starts with flush(), which commits the open group and
-/// waits for it. Publishing, WAL rotation and pruning stay on the drain
-/// thread, and so do the alert log's writes and fsyncs.
+/// it stops).
+///
+/// The WAL writer's commit thread is the directory's one I/O thread
+/// (wal.hpp). In hand-off order it writes and fsyncs the WAL groups, then
+/// for a checkpoint the alert frames it counts, its image (digest, dot-temp
+/// write, fsync) and the next WAL generation's segment, and the directory
+/// fsyncs asked for after a rename. The calling thread serializes the store
+/// image, and it renames and unlinks, each only after the I/O thread has
+/// made durable what the step depends on: the dot-temp file is renamed once
+/// it, the alerts it counts and the WAL it covers are fsynced; the
+/// checkpoint and WAL generations it supersedes are unlinked once the
+/// rename's directory fsync is done. Names change only inside these calls,
+/// so a directory copied between two calls is never mid-rename. At most one
+/// checkpoint is staged (handed off, not yet published): the next one waits
+/// for it, which bounds the records handed off but not yet durable to about
+/// two checkpoint intervals plus one group. Without a cadence
+/// (`checkpoint_interval_records = 0`) a group hand-off waits for the group
+/// before it. checkpoint_now(), finish_recovery(), flush() and settle()
+/// return with everything handed off durable and published. A failure on
+/// the I/O thread is rethrown by the next call that hands off or waits,
+/// and nothing is renamed or unlinked after it.
 class DurabilityManager {
  public:
   explicit DurabilityManager(DurabilityConfig config);
+  /// Publishes a staged checkpoint (a failure is swallowed; the WAL stays
+  /// authoritative), then the WAL writer commits and stops.
+  ~DurabilityManager();
+
+  DurabilityManager(const DurabilityManager&) = delete;
+  DurabilityManager& operator=(const DurabilityManager&) = delete;
 
   const DurabilityConfig& config() const noexcept { return config_; }
 
@@ -130,32 +153,58 @@ class DurabilityManager {
   std::uint64_t append(std::uint64_t drive_id, int vendor,
                        const sim::DailyRecord& record);
 
-  /// Appends one raised alert to the durable alert log.
+  /// Adds one raised alert to the frames the next checkpoint or flush writes
+  /// to the durable alert log.
   void append_alert(const core::Alert& alert);
 
-  /// Checkpoint-cadence hook, called after every processed batch; takes a
+  /// Checkpoint-cadence hook, called after every processed batch: stages a
   /// checkpoint when checkpoint_interval_records have been appended since
-  /// the last one.
+  /// the last one, and otherwise moves a staged one toward published
+  /// without waiting.
   void on_batch_end(const DriveStateStore& store, int model_version);
 
-  /// Flushes WAL + alert log, snapshots `store`, writes the checkpoint,
-  /// rotates the WAL, and prunes old checkpoints (two retained).
+  /// Snapshots `store` into a checkpoint, rotates the WAL, and waits until
+  /// the checkpoint is published and the files it supersedes are pruned
+  /// (two checkpoints retained).
   void checkpoint_now(const DriveStateStore& store, int model_version);
 
-  /// Makes everything appended so far durable (no checkpoint).
+  /// Makes everything appended so far durable and publishes a staged
+  /// checkpoint (no new checkpoint).
   void flush();
 
-  /// Waits until the WAL group in flight, if any, is written and fsynced;
-  /// rethrows a failed commit. Any thread may call it.
+  /// Publishes a staged checkpoint, waiting for its I/O; returns at once
+  /// when none is staged. The idle drain loop calls it.
+  void settle();
+
+  /// Waits until every job handed to the I/O thread is done; rethrows a
+  /// failed one. Any thread may call it.
   void wait_committed() const { wal_.wait_committed(); }
 
+  /// Observes the seconds of every I/O-thread job in `seconds` (the
+  /// engine's stage=commit). Call before recover().
+  void time_commits(obs::HistogramMetric& seconds) noexcept {
+    wal_.time_jobs(&seconds);
+  }
+
   std::uint64_t last_lsn() const noexcept { return wal_.last_lsn(); }
-  std::uint64_t alert_count() const noexcept { return alerts_.count(); }
+  std::uint64_t alert_count() const noexcept { return alert_count_; }
 
  private:
+  /// The checkpoint handed off and not yet published.
+  struct Staged {
+    std::uint64_t lsn = 0;
+    WalWriter::Ticket written = 0;  ///< job that fsyncs its dot-temp file
+    WalWriter::Ticket synced = 0;   ///< ckpt/ fsync after the rename; 0 before
+  };
+
   DurabilityConfig config_;
-  WalWriter wal_;
-  AlertLog alerts_;
+  AlertLog alerts_;           ///< I/O thread only; opened by its first write
+  bool alerts_open_ = false;  ///< I/O thread only
+  std::vector<core::Alert> pending_alerts_;  ///< not yet handed off
+  std::uint64_t alert_count_ = 0;
+  std::string image_;  ///< the staged checkpoint's payload, buffer reused
+  std::optional<Staged> staged_;
+  std::vector<std::uint64_t> checkpoints_;  ///< LSNs on disk, ascending
   std::uint64_t last_checkpoint_lsn_ = 0;
   std::uint64_t prev_checkpoint_lsn_ = 0;  ///< retained fallback generation
   std::size_t records_since_checkpoint_ = 0;
@@ -169,11 +218,22 @@ class DurabilityManager {
   };
   Metrics metrics_;
 
-  /// The one checkpoint write path: flush, write, count, advance the LSN
-  /// bookkeeping, then reset (after recovery) or rotate the WAL, and prune.
-  void seal(const DriveStateStore& store, int model_version,
-            bool after_recovery);
-  void prune_checkpoints();
+  /// Declared last, so it is destroyed first: its commit thread finishes
+  /// the jobs that use the members above before they go.
+  WalWriter wal_;
+
+  /// The one checkpoint write path: waits for the staged checkpoint, then
+  /// serializes `store`, counts the checkpoint, and hands off the open
+  /// group, the alerts and the image, then (with `rotate`) the switch to
+  /// the next WAL generation.
+  void stage(const DriveStateStore& store, int model_version, bool rotate);
+  /// Hands off the open group, the pending alerts and, when `image_path` is
+  /// set, image_ as that checkpoint's dot-temp file; returns the newest
+  /// ticket.
+  WalWriter::Ticket hand_off(std::string image_path);
+  /// Renames the staged checkpoint once its job is done, then prunes once
+  /// the rename is durable; with `wait`, blocks until both are done.
+  void publish_staged(bool wait);
 };
 
 }  // namespace mfpa::serve

@@ -47,10 +47,17 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config)
   metrics_.model_swaps = &reg.counter("mfpa_serve_model_swaps_total", labels);
   metrics_.batch_size = &reg.histogram("mfpa_serve_batch_size", labels);
   metrics_.latency_us = &reg.histogram("mfpa_serve_latency_us", labels);
-  obs::Labels predict_labels = labels;
-  predict_labels.emplace_back("stage", "predict");
-  metrics_.predict_seconds =
-      &reg.histogram("mfpa_serve_stage_seconds", predict_labels);
+  const auto stage = [&](const char* name) {
+    obs::Labels stage_labels = labels;
+    stage_labels.emplace_back("stage", name);
+    return &reg.histogram("mfpa_serve_stage_seconds", stage_labels);
+  };
+  metrics_.predict_seconds = stage("predict");
+  if (config_.durability.enabled()) {
+    metrics_.wal_append_seconds = stage("wal_append");
+    metrics_.checkpoint_seconds = stage("checkpoint");
+    metrics_.commit_seconds = stage("commit");
+  }
   metrics_.max_queue_depth = &reg.gauge("mfpa_serve_max_queue_depth", labels);
   if (config_.durability.enabled()) {
     recover_durable_state();
@@ -62,6 +69,7 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config)
 
 void ScoringEngine::recover_durable_state() {
   durability_ = std::make_unique<DurabilityManager>(config_.durability);
+  durability_->time_commits(*metrics_.commit_seconds);
   const auto model = registry_->current();
   const int version = model ? model->manifest.version : -1;
   RecoveryResult recovered = durability_->recover(store_, version);
@@ -137,6 +145,16 @@ void ScoringEngine::drain_loop() {
     }
     queue_not_full_.notify_all();
     process_batch(batch);
+    if (durability_) {
+      // An idle drain loop publishes the staged checkpoint, so flush() and
+      // a copy of the durable directory find none half published.
+      bool idle = false;
+      {
+        std::lock_guard<std::mutex> lock(queue_mu_);
+        idle = queue_.empty();
+      }
+      if (idle) durability_->settle();
+    }
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       processing_ = false;
@@ -184,9 +202,10 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
 
   if (durability_ && !recovering_) {
     // WAL-before-apply: every record enters the WAL's open group before it
-    // touches the store, and a checkpoint waits for the commit covering its
-    // LSN. Rejected records are logged too — rejection is deterministic, so
-    // replay re-rejects.
+    // touches the store, and a checkpoint is handed off behind the group
+    // covering its LSN. Rejected records are logged too — rejection is
+    // deterministic, so replay re-rejects.
+    obs::ScopedTimer timer(*metrics_.wal_append_seconds);
     for (const auto& queued : batch) {
       durability_->append(queued.update.drive_id, queued.update.vendor,
                           queued.update.record);
@@ -232,6 +251,7 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
   if (!model) {
     metrics_.unscored_no_model->inc(rows.size());
     if (durability_ && !recovering_) {
+      obs::ScopedTimer timer(*metrics_.checkpoint_seconds);
       durability_->on_batch_end(store_, -1);
     }
     return batch.size();
@@ -262,6 +282,7 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
   metrics_.rows_scored->inc(rows.size());
   metrics_.synthetic_rows->inc(synthetic);
   if (durability_ && !recovering_) {
+    obs::ScopedTimer timer(*metrics_.checkpoint_seconds);
     durability_->on_batch_end(store_, model->manifest.version);
   }
   return batch.size();
@@ -271,12 +292,14 @@ void ScoringEngine::flush() {
   if (config_.manual_drain) {
     while (drain_once() > 0) {
     }
+    if (durability_) durability_->settle();  // as the idle drain loop does
   } else {
     std::unique_lock<std::mutex> lock(queue_mu_);
     drained_.wait(lock, [this] { return queue_.empty() && !processing_; });
   }
-  // Every full WAL group is handed off by now; wait for the one in flight,
-  // so the durable directory holds what a synchronous commit left there.
+  // Every full WAL group is handed off and the staged checkpoint published
+  // by now; wait for the I/O thread, so the durable directory holds what a
+  // synchronous commit left there.
   if (durability_) durability_->wait_committed();
 }
 

@@ -20,7 +20,7 @@
 // transitions observed.
 //
 // Observability: every throughput counter, the batch-size and latency
-// histograms and the predict-stage timer live in the process-wide
+// histograms and the stage timers live in the process-wide
 // obs::MetricsRegistry (mfpa_serve_* families, one label set per engine
 // instance), so the same numbers a fleet operator graphs are exported by
 // `serve-replay --metrics-out`, `mfpa metrics`, and read by perfbench/.
@@ -123,9 +123,11 @@ class ScoringEngine final : public RecordSink {
   bool submit(const TelemetryUpdate& update) override;
 
   /// Blocks until everything submitted so far has been drained and scored
-  /// and, with durability on, the WAL group in flight is written and
-  /// fsynced; rethrows a failed WAL commit. (Manual-drain mode: drains
-  /// inline on the calling thread.)
+  /// and, with durability on, the I/O thread has written and fsynced every
+  /// WAL group handed off and a staged checkpoint is published: the durable
+  /// directory holds whole groups, the open group is still buffered, and
+  /// nothing is being written. Rethrows a failed durable write. (Manual-drain
+  /// mode: drains inline on the calling thread.)
   void flush();
 
   /// flush(), then this engine's processed/alert/shed totals.
@@ -214,6 +216,11 @@ class ScoringEngine final : public RecordSink {
     obs::HistogramMetric* latency_us = nullptr;
     /// mfpa_serve_stage_seconds{stage=predict}: one predict_proba call.
     obs::HistogramMetric* predict_seconds = nullptr;
+    /// Durable engines only: a batch's WAL appends, its on_batch_end, and
+    /// (on the WAL commit thread) one I/O job.
+    obs::HistogramMetric* wal_append_seconds = nullptr;
+    obs::HistogramMetric* checkpoint_seconds = nullptr;
+    obs::HistogramMetric* commit_seconds = nullptr;
     obs::Gauge* max_queue_depth = nullptr;
   };
   Metrics metrics_;

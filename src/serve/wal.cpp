@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -58,13 +59,6 @@ void fsync_fd(int fd, const std::string& path) {
   }
 }
 
-void fsync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best effort; the data fsync is the real barrier
-  ::fsync(fd);
-  ::close(fd);
-}
-
 /// publish_file's temp name for `path`: ".<name>.tmp" beside it.
 fs::path publish_temp_path(const fs::path& path) {
   return path.parent_path() / ("." + path.filename().string() + ".tmp");
@@ -87,30 +81,48 @@ std::optional<std::uint64_t> parse_segment_name(const std::string& name) {
 
 }  // namespace
 
-void publish_file(const std::string& path, std::string_view contents,
-                  bool fsync) {
-  const fs::path final_path(path);
-  const fs::path dir = final_path.parent_path();
-  const std::string tmp = publish_temp_path(final_path).string();
+void sync_dir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    throw std::runtime_error("wal: cannot open directory " + dir);
+  }
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) {
+    throw std::runtime_error("wal: fsync failed for directory " + dir);
+  }
+}
+
+void write_publish_temp(const std::string& path,
+                        std::initializer_list<std::string_view> parts,
+                        bool fsync) {
+  const std::string tmp = publish_temp_path(path).string();
   const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
   if (fd < 0) {
     throw std::runtime_error("publish: cannot create " + tmp);
   }
-  {
-    struct Closer {
-      int fd;
-      ~Closer() { ::close(fd); }
-    } closer{fd};
-    write_all(fd, contents, tmp);
-    if (fsync) fsync_fd(fd, tmp);
-  }
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  for (const std::string_view part : parts) write_all(fd, part, tmp);
+  if (fsync) fsync_fd(fd, tmp);
+}
+
+void rename_publish_temp(const std::string& path) {
   std::error_code ec;
-  fs::rename(tmp, final_path, ec);  // atomic within a filesystem
+  fs::rename(publish_temp_path(path), path, ec);  // atomic within a filesystem
   if (ec) {
     throw std::runtime_error("publish: cannot rename onto " + path + ": " +
                              ec.message());
   }
-  if (fsync) fsync_dir(dir.string());
+}
+
+void publish_file(const std::string& path, std::string_view contents,
+                  bool fsync) {
+  write_publish_temp(path, {contents}, fsync);
+  rename_publish_temp(path);
+  if (fsync) sync_dir(fs::path(path).parent_path().string());
 }
 
 bool is_publish_temp_name(const std::string& name) {
@@ -320,11 +332,7 @@ WalWriter::~WalWriter() {
 }
 
 void WalWriter::open_generation(std::uint64_t base_lsn) {
-  flush();
-  const fs::path wal_dir = fs::path(config_.dir) / "wal";
-  segment_.open((wal_dir / segment_name(base_lsn)).string(),
-                /*truncate=*/true);
-  fsync_dir(wal_dir.string());
+  wait(rotate(base_lsn));
 }
 
 std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
@@ -339,20 +347,71 @@ std::uint64_t WalWriter::append(std::uint64_t drive_id, int vendor,
   return lsn;
 }
 
-void WalWriter::hand_off() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return !in_flight_; });
-  if (failure_) std::rethrow_exception(failure_);
-  if (open_group_.empty()) return;
-  open_group_.swap(committing_);  // committing_ was left empty, capacity kept
-  in_flight_ = true;
-  lock.unlock();
+WalWriter::Ticket WalWriter::push(Job job) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (failure_) std::rethrow_exception(failure_);
+    if (!job.group.empty() && !spare_groups_.empty()) {
+      open_group_.swap(spare_groups_.back());  // emptied, capacity kept
+      spare_groups_.pop_back();
+    }
+    queue_.push_back(std::move(job));
+    ++handed_off_;
+  }
   work_.notify_one();
+  return handed_off_;
+}
+
+WalWriter::Ticket WalWriter::hand_off() {
+  if (open_group_.empty()) return handed_off_;
+  Job job;
+  job.group.swap(open_group_);
+  return push(std::move(job));
+}
+
+WalWriter::Ticket WalWriter::hand_off(std::function<void()> task) {
+  Job job;
+  job.task = std::move(task);
+  return push(std::move(job));
+}
+
+WalWriter::Ticket WalWriter::rotate(std::uint64_t ckpt_lsn) {
+  hand_off();
+  if (generations_.empty() || generations_.back() != ckpt_lsn) {
+    generations_.push_back(ckpt_lsn);
+  }
+  return hand_off([this, ckpt_lsn] {
+    const fs::path wal_dir = fs::path(config_.dir) / "wal";
+    segment_.open((wal_dir / segment_name(ckpt_lsn)).string(),
+                  /*truncate=*/true);
+    if (config_.fsync) sync_dir(wal_dir.string());
+  });
+}
+
+void WalWriter::drop_generations_before(std::uint64_t lsn) {
+  const fs::path wal_dir = fs::path(config_.dir) / "wal";
+  auto keep = generations_.begin();
+  for (; keep != generations_.end() && *keep < lsn; ++keep) {
+    fs::remove(wal_dir / segment_name(*keep));
+  }
+  generations_.erase(generations_.begin(), keep);
+}
+
+bool WalWriter::done(Ticket ticket) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (failure_) std::rethrow_exception(failure_);
+  return done_ >= ticket;
+}
+
+void WalWriter::wait(Ticket ticket) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  progress_.wait(lock, [this, ticket] { return done_ >= ticket; });
+  if (failure_) std::rethrow_exception(failure_);
 }
 
 void WalWriter::wait_committed() const {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return !in_flight_; });
+  progress_.wait(lock, [this] { return done_ >= handed_off_; });
   if (failure_) std::rethrow_exception(failure_);
 }
 
@@ -364,53 +423,56 @@ void WalWriter::flush() {
 void WalWriter::commit_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_.wait(lock, [this] { return in_flight_ || stopping_; });
-    if (!in_flight_) return;  // stopping, nothing left to commit
+    work_.wait(lock, [this] { return !queue_.empty() || stopping_; });
+    if (queue_.empty()) return;  // stopping, nothing left to commit
+    Job job = std::move(queue_.front());
+    queue_.pop_front();
+    const bool skip = failure_ != nullptr;  // fail-stop: nothing after it
     lock.unlock();
     std::exception_ptr failure;
-    try {
-      commit_group();
-    } catch (...) {
-      failure = std::current_exception();
+    if (!skip) {
+      const auto start = std::chrono::steady_clock::now();
+      try {
+        if (job.task) {
+          job.task();
+        } else {
+          commit_group(job.group);
+        }
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      if (job_seconds_ != nullptr) {
+        job_seconds_->observe(std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count());
+      }
     }
+    job.task = nullptr;
+    job.group.clear();
     lock.lock();
     if (failure) failure_ = failure;
-    in_flight_ = false;
-    idle_.notify_all();
+    if (job.group.capacity() > 0) spare_groups_.push_back(std::move(job.group));
+    ++done_;
+    progress_.notify_all();
   }
 }
 
-void WalWriter::commit_group() {
-  for (const WalEntry& entry : committing_) {
+void WalWriter::commit_group(const std::vector<WalEntry>& group) {
+  for (const WalEntry& entry : group) {
     payload_.clear();
     append_wal_payload(payload_, entry.drive_id, entry.vendor, entry.record);
     segment_.append(entry.lsn, payload_);
   }
-  committing_.clear();
   if (segment_.flush()) metrics_.fsyncs->inc();
-}
-
-void WalWriter::rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn) {
-  open_generation(ckpt_lsn);
-  const fs::path wal_dir = fs::path(config_.dir) / "wal";
-  for (const auto& entry : fs::directory_iterator(wal_dir)) {
-    const auto base = parse_segment_name(entry.path().filename().string());
-    if (base.has_value() && *base < keep_from_lsn) {
-      fs::remove(entry.path());
-    }
-  }
-  fsync_dir(wal_dir.string());
 }
 
 void WalWriter::reset(std::uint64_t base_lsn) {
   flush();
-  segment_.close();
   const fs::path wal_dir = fs::path(config_.dir) / "wal";
-  if (fs::exists(wal_dir)) {
-    for (const auto& entry : fs::directory_iterator(wal_dir)) {
-      if (entry.path().extension() == ".wal") fs::remove(entry.path());
-    }
+  for (const auto& entry : fs::directory_iterator(wal_dir)) {
+    if (entry.path().extension() == ".wal") fs::remove(entry.path());
   }
+  generations_.clear();
   next_lsn_ = base_lsn + 1;
   open_generation(base_lsn);
 }

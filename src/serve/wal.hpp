@@ -29,25 +29,28 @@
 //
 // Segments: one file per generation, named for the checkpoint LSN it
 // follows ("c42.wal"). At every checkpoint the writer rotates to a fresh
-// segment; segments older than the previous retained checkpoint are
-// deleted, so a corrupt newest checkpoint can still fall back one
-// generation without a WAL gap. Appends come from the engine's single
-// drain thread, and sharding happens above it (net::ShardRouter gives
-// every shard its own durable directory), so one file per generation is
-// all the log needs.
+// segment; once that checkpoint is published, segments older than the
+// previous retained checkpoint are deleted, so a corrupt newest checkpoint
+// can still fall back one generation without a WAL gap. Appends come from
+// the engine's single drain thread, and sharding happens above it
+// (net::ShardRouter gives every shard its own durable directory), so one
+// file per generation is all the log needs.
 //
 // Group commit: appends are copied into an open group; every
 // `group_commit_records` records (and always at checkpoint/shutdown) the
-// group goes to the writer's commit thread, which frames it, writes it
-// with one write and fsyncs once while the drain thread goes on scoring.
-// At most one group is in flight, so a crash loses fewer than
-// 2 x `group_commit_records` never-durable records, which the feed
-// re-delivers.
+// group is queued for the writer's commit thread, which frames it, writes
+// it with one write and fsyncs once while the drain thread goes on
+// scoring. Group hand-offs queue behind the jobs before them instead of
+// waiting; the writer's owner bounds the queue (DurabilityManager: by its
+// checkpoint cadence, see checkpoint.hpp), and so bounds the replay window.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <exception>
+#include <functional>
+#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -138,8 +141,8 @@ FrameScan scan_frames(const std::string& path);
 /// Append side of one framed file (a WAL segment, alerts.log): frames are
 /// buffered in memory, then flush() writes them with one write and fsyncs
 /// the file if anything was written since its last fsync. One thread at a
-/// time (a WalWriter hands its segment between its commit thread and the
-/// appending thread).
+/// time (a durable directory's segment and alerts.log are written by its
+/// WalWriter's commit thread).
 class FramedLogWriter {
  public:
   /// `fsync = false` skips every fsync (throwaway tests and benchmarks).
@@ -196,13 +199,29 @@ core::Alert decode_alert_payload(const std::string& payload);
 
 // --- durable file publish (checkpoints, model registry) -------------------
 
-/// Replaces `path` with `contents` crash-safely: writes a dot-temp file
-/// (".<name>.tmp") beside it, fsyncs it, renames it over `path`, and fsyncs
-/// the directory. A crash leaves either the old file or the complete new
-/// one, plus at most a dot-temp orphan. `fsync = false` skips both fsyncs
-/// (throwaway tests and benchmarks). Throws std::runtime_error on failure.
+/// Replaces `path` with `contents` crash-safely: writes and fsyncs the
+/// dot-temp file beside it (write_publish_temp), renames it over `path`
+/// (rename_publish_temp), and fsyncs the directory (sync_dir). A crash
+/// leaves either the old file or the complete new one, plus at most a
+/// dot-temp orphan. `fsync = false` skips both fsyncs (throwaway tests and
+/// benchmarks). Throws std::runtime_error on failure.
 void publish_file(const std::string& path, std::string_view contents,
                   bool fsync);
+
+/// publish_file's first step: writes `parts`, in order, to the dot-temp
+/// file (".<name>.tmp") beside `path`, then fsyncs it unless `fsync` is
+/// false. Throws std::runtime_error naming the dot-temp file.
+void write_publish_temp(const std::string& path,
+                        std::initializer_list<std::string_view> parts,
+                        bool fsync);
+
+/// publish_file's second step: renames the dot-temp file beside `path` onto
+/// `path`. The rename is durable once the directory is fsynced.
+void rename_publish_temp(const std::string& path);
+
+/// fsyncs directory `dir`, making the names created, renamed or removed in
+/// it durable. Throws std::runtime_error naming `dir` on failure.
+void sync_dir(const std::string& dir);
 
 /// Whether `name` is a dot-temp file publish_file writes (".<name>.tmp").
 bool is_publish_temp_name(const std::string& name);
@@ -219,72 +238,116 @@ struct WalWriterConfig {
   bool fsync = true;                      ///< false only in throwaway tests
 };
 
-/// Append side of the log. Single-writer by contract: append(), flush(),
-/// rotate(), reset() and open_generation() come from one thread (the
-/// engine's drain loop). The writer's own commit thread does every write
-/// and fsync of the segment: append() copies the record into the open
-/// group, and a full group is handed to the commit thread, which frames,
-/// writes and fsyncs it while the appending thread goes on. A hand-off
-/// first waits for the previous group, so at most one group is in flight.
-/// A failed write or fsync is stored and rethrown on the appending thread
-/// at the next hand-off, flush, rotate or reset, and from wait_committed().
+/// Append side of the log, and the one I/O thread of its durable directory.
+/// Single-writer by contract: every method but wait_committed() comes from
+/// one thread (the engine's drain loop).
+///
+/// The writer's commit thread runs a FIFO of jobs in hand-off order, and
+/// every job gets a ticket: 1, 2, ... A WAL group is framed, written with
+/// one write and fsynced once; a generation switch (rotate) creates the next
+/// segment and fsyncs wal/; a task is whatever the owner hands off
+/// (DurabilityManager: alert frames, checkpoint images, directory fsyncs).
+/// append() copies the record into the open group, and a full group is
+/// queued without waiting for the jobs before it; the owner bounds the
+/// queue. The commit thread never renames or unlinks. A failed job is
+/// stored, every later job is skipped, and the failure is rethrown on the
+/// calling thread by every later hand-off, done(), wait(), flush(), rotate()
+/// and wait_committed().
 class WalWriter {
  public:
+  using Ticket = std::uint64_t;
+
   explicit WalWriter(WalWriterConfig config);
-  /// Commits the open group (a failure leaves a torn tail recovery
-  /// discards), then stops the commit thread.
+  /// Commits the open group and waits for every job (a failure leaves a torn
+  /// tail recovery discards), then stops the commit thread.
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Commits the open group, then opens the segment file for the
-  /// generation starting after checkpoint `base_lsn` (created empty; an
-  /// existing identical generation is truncated — it can only be a remnant
-  /// of a crashed rotate).
+  /// rotate(base_lsn), then waits for it.
   void open_generation(std::uint64_t base_lsn);
 
   /// Copies one record into the open group under the next LSN; returns it.
-  /// Hands the group off when it holds `group_commit_records` records.
+  /// Queues the group when it holds `group_commit_records` records.
   std::uint64_t append(std::uint64_t drive_id, int vendor,
                        const sim::DailyRecord& record);
 
-  /// Hands off the open group and waits until it is written and fsynced.
+  /// Queues the open group, if it holds any record; returns the newest
+  /// ticket.
+  Ticket hand_off();
+
+  /// Queues `task` for the commit thread; the open group stays open.
+  /// Returns the task's ticket.
+  Ticket hand_off(std::function<void()> task);
+
+  /// Queues the open group, then the switch to the segment of the
+  /// generation after checkpoint `ckpt_lsn` (created empty; an existing
+  /// identical generation is truncated — it can only be a remnant of a
+  /// crashed rotate). Later groups go to that segment. Returns the switch's
+  /// ticket.
+  Ticket rotate(std::uint64_t ckpt_lsn);
+
+  /// Deletes the segment files of the generations before `lsn`. The caller
+  /// makes sure no job still writes them.
+  void drop_generations_before(std::uint64_t lsn);
+
+  /// Tickets handed off so far.
+  Ticket handed_off() const noexcept { return handed_off_; }
+
+  /// Whether the job with `ticket`, and every job before it, is done.
+  bool done(Ticket ticket) const;
+
+  /// Waits until the job with `ticket`, and every job before it, is done.
+  void wait(Ticket ticket) const;
+
+  /// Queues the open group and waits until every job is done.
   void flush();
 
-  /// Waits until the group in flight, if any, is written and fsynced; hands
-  /// nothing off. Reads only the hand-off state, so any thread may call it.
+  /// Waits until every job handed off so far is done; hands nothing off.
+  /// Reads only the hand-off state, so any thread may call it.
   void wait_committed() const;
 
-  /// Commits the open group, then rotates to a fresh generation after
-  /// checkpoint `ckpt_lsn`, deleting segment generations older than
-  /// `keep_from_lsn`.
-  void rotate(std::uint64_t ckpt_lsn, std::uint64_t keep_from_lsn);
-
-  /// Commits the open group, deletes every `*.wal` file on disk (recovery
-  /// finished; fresh start) and opens generation `base_lsn`.
+  /// Flushes, deletes every `*.wal` file on disk (recovery finished; fresh
+  /// start) and opens generation `base_lsn`.
   void reset(std::uint64_t base_lsn);
+
+  /// Observes every job's seconds in `seconds`, on the commit thread. Call
+  /// before the first hand-off.
+  void time_jobs(obs::HistogramMetric* seconds) noexcept {
+    job_seconds_ = seconds;
+  }
 
   std::uint64_t last_lsn() const noexcept { return next_lsn_ - 1; }
   void set_next_lsn(std::uint64_t lsn) noexcept { next_lsn_ = lsn; }
 
  private:
+  /// One queued job: a WAL group, or a task.
+  struct Job {
+    std::vector<WalEntry> group;
+    std::function<void()> task;
+  };
+
   WalWriterConfig config_;
-  /// The open generation's file: the commit thread's while a group is in
-  /// flight, the appending thread's otherwise.
-  FramedLogWriter segment_;
+  FramedLogWriter segment_;  ///< the open generation's file (commit thread)
   std::uint64_t next_lsn_ = 1;
   std::vector<WalEntry> open_group_;  ///< appended, not yet handed off
-  std::vector<WalEntry> committing_;  ///< the group in flight
-  std::string payload_;               ///< commit thread's reused buffer
+  /// Generations whose segment files exist, ascending (appending thread).
+  std::vector<std::uint64_t> generations_;
+  std::string payload_;  ///< commit thread's reused buffer
+  obs::HistogramMetric* job_seconds_ = nullptr;
 
-  // Hand-off state, under mu_.
+  // Hand-off state, under mu_. handed_off_ is written only by the appending
+  // thread, which also reads it without the lock.
   mutable std::mutex mu_;
-  std::condition_variable work_;          ///< wakes the commit thread
-  mutable std::condition_variable idle_;  ///< no group in flight
-  bool in_flight_ = false;
+  std::condition_variable work_;              ///< wakes the commit thread
+  mutable std::condition_variable progress_;  ///< a job is done
+  std::deque<Job> queue_;
+  std::vector<std::vector<WalEntry>> spare_groups_;  ///< committed, emptied
+  Ticket handed_off_ = 0;
+  Ticket done_ = 0;
   bool stopping_ = false;
-  std::exception_ptr failure_;  ///< first failed commit, rethrown forever
+  std::exception_ptr failure_;  ///< first failed job, rethrown forever
 
   struct Metrics {
     obs::Counter* bytes = nullptr;
@@ -294,12 +357,12 @@ class WalWriter {
 
   std::thread commit_thread_;  ///< started last, once every member exists
 
-  /// Waits for the group in flight, rethrows a stored failure, then hands
-  /// the open group (if any) to the commit thread.
-  void hand_off();
+  /// Queues `job`, or rethrows a stored failure; returns the job's ticket.
+  /// For a group, the emptied open_group_ takes a spare group's capacity.
+  Ticket push(Job job);
   void commit_loop();
-  /// Frames `committing_` into the segment, writes it, fsyncs once.
-  void commit_group();
+  /// Frames `group` into the segment, writes it, fsyncs once.
+  void commit_group(const std::vector<WalEntry>& group);
 };
 
 // --- recovery --------------------------------------------------------------

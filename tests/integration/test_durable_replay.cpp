@@ -30,12 +30,19 @@ namespace {
 namespace fs = std::filesystem;
 
 // The tiny scenario at seed 7 replays 14233 records; killing at 9000 leaves
-// checkpoints at LSN 4096 and 8192 on disk plus a flushed WAL tail, so every
-// recovery shape (checkpoint + tail, checkpoint fallback) is reachable.
+// the startup checkpoint, the one at LSN 4096 (published, or still being
+// written) and a WAL tail on disk, so every recovery shape (checkpoint +
+// tail, checkpoint fallback, a dot-temp orphan) is reachable.
 constexpr const char* kCommonArgs =
     "serve-replay --scenario=tiny --seed=7 --threads=2 "
     "--checkpoint-interval=4096";
 constexpr std::size_t kKillAfter = 9000;
+// A checkpoint is published some time after the drain loop hands it to the
+// I/O thread, and the next one waits for it. The drain loop trails the
+// feed by at most the 4096-record queue plus one batch, so at 14000
+// submissions it has handed off the second periodic checkpoint, and the
+// two checkpoints published before that one are on disk.
+constexpr std::size_t kKillAfterTwoPublished = 14000;
 
 std::string read_bytes(const fs::path& path) {
   std::ifstream is(path, std::ios::binary);
@@ -77,7 +84,7 @@ class DurableReplayTest : public ::testing::Test {
 
   /// Baseline (trains + publishes the shared model) and the SIGKILLed
   /// durable run every recovery test starts from.
-  void baseline_then_kill() {
+  void baseline_then_kill(std::size_t kill_after = kKillAfter) {
     ASSERT_EQ(run_cli("--alerts-out=" + (root_ / "base.alerts").string(),
                       "baseline"),
               0)
@@ -85,7 +92,7 @@ class DurableReplayTest : public ::testing::Test {
     baseline_alerts_ = read_bytes(root_ / "base.alerts");
     ASSERT_FALSE(baseline_alerts_.empty());
     ASSERT_EQ(run_cli("--reuse-registry --durable-dir=" + durable_.string() +
-                          " --kill-after=" + std::to_string(kKillAfter),
+                          " --kill-after=" + std::to_string(kill_after),
                       "crash"),
               137)
         << log_of("crash");
@@ -171,7 +178,7 @@ TEST_F(DurableReplayTest, BitFlipRecoversOrFailsLoudlyNeverSilentlyWrong) {
 }
 
 TEST_F(DurableReplayTest, EveryCheckpointCorruptRefusesLoudly) {
-  baseline_then_kill();
+  baseline_then_kill(kKillAfterTwoPublished);
   sim::FaultInjector injector({{{sim::FaultMode::kBitFlip, 1.0}}, 73});
   std::uint64_t salt = 100;
   for (const auto& entry : fs::directory_iterator(durable_ / "ckpt")) {

@@ -67,6 +67,35 @@ class CheckpointTest : public ::testing::Test {
     }
   }
 
+  /// Feeds 4-record batches with the engine's per-batch cadence, raising an
+  /// alert per batch, until a call throws. The failure must name `file` and
+  /// stay: every later flush, checkpoint_now and group hand-off throws too.
+  static void expect_rethrown(DurabilityManager& manager,
+                              DriveStateStore& store, const std::string& file) {
+    std::vector<PendingRow> rows;
+    try {
+      for (int day = 0; day < 64; ++day) {
+        for (int d = 1; d <= 4; ++d) {
+          const sim::DailyRecord rec = make_record(day, 1.5f + d);
+          manager.append(static_cast<std::uint64_t>(d), 0, rec);
+          store.ingest(static_cast<std::uint64_t>(d), 0, rec, rows);
+        }
+        manager.append_alert({1, day, 0.9});
+        manager.on_batch_end(store, 1);
+      }
+      manager.flush();
+      ADD_FAILURE() << "a failed write was swallowed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(file), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(manager.flush(), std::runtime_error);
+    EXPECT_THROW(manager.checkpoint_now(store, 1), std::runtime_error);
+    EXPECT_THROW(
+        for (int i = 0; i < 8; ++i) manager.append(9, 0, make_record(99, 1.0f)),
+        std::runtime_error);
+  }
+
   fs::path dir_;
 };
 
@@ -357,6 +386,47 @@ TEST_F(CheckpointTest, StartupSealCountsItsBytes) {
   EXPECT_EQ(isolated->counter("mfpa_ckpt_writes_total").value(), 1u);
   EXPECT_EQ(isolated->counter("mfpa_ckpt_bytes_total").value(),
             fs::file_size(ckpts.front().second));
+}
+
+// A failed write on the I/O thread reaches the drain thread, and nothing
+// is published after it. Here the first periodic checkpoint's image write
+// fails (ENOSPC).
+TEST_F(CheckpointTest, FailedImageWriteIsRethrownAndNothingIsPublished) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "needs /dev/full";
+  DurabilityConfig config = durability_config();
+  config.group_commit_records = 4;
+  config.checkpoint_interval_records = 16;
+  {
+    DriveStateStore store(StoreConfig{});
+    DurabilityManager manager(config);
+    manager.recover(store, 1);
+    manager.finish_recovery(store, 1);  // ckpt-0.mfc
+    fs::create_symlink("/dev/full", dir_ / "ckpt" / ".ckpt-16.mfc.tmp");
+    expect_rethrown(manager, store, ".ckpt-16.mfc.tmp");
+  }  // the destructor neither hangs nor throws
+  const auto ckpts = list_checkpoints(dir_.string());
+  ASSERT_EQ(ckpts.size(), 1u);
+  EXPECT_EQ(ckpts.front().first, 0u);
+}
+
+// The same for the alert frames a checkpoint counts: alerts.log is opened
+// by its first write, on the I/O thread, and that write fails (ENOSPC).
+TEST_F(CheckpointTest, FailedAlertWriteIsRethrownAndNothingIsPublished) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "needs /dev/full";
+  DurabilityConfig config = durability_config();
+  config.group_commit_records = 4;
+  config.checkpoint_interval_records = 16;
+  {
+    DriveStateStore store(StoreConfig{});
+    DurabilityManager manager(config);
+    manager.recover(store, 1);
+    manager.finish_recovery(store, 1);  // ckpt-0.mfc, no alert yet
+    fs::create_symlink("/dev/full", dir_ / "alerts.log");
+    expect_rethrown(manager, store, "alerts.log");
+  }  // the destructor neither hangs nor throws
+  const auto ckpts = list_checkpoints(dir_.string());
+  ASSERT_EQ(ckpts.size(), 1u);
+  EXPECT_EQ(ckpts.front().first, 0u);
 }
 
 TEST_F(CheckpointTest, AppendBeforeFinishRecoveryIsAContractViolation) {

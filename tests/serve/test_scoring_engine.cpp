@@ -430,5 +430,62 @@ TEST_F(ScoringEngineTest, FlushLeavesOnlyWholeWalGroupsOnDisk) {
   EXPECT_EQ(resumed.durable_resume_records(), 20u);
 }
 
+// The copy rule a crash image relies on: names in a durable directory change
+// only inside the drain thread's own calls (the I/O thread writes files but
+// never renames or unlinks one), so a copy taken between two drain_once()
+// calls never throws, even while checkpoint jobs, queued groups and deferred
+// renames interleave. Each copy recovers to the alert stream of a run that
+// never stopped.
+TEST_F(ScoringEngineTest, DirectoryCopiedBetweenDrainsRecoversTheSameAlerts) {
+  constexpr std::size_t kCheckEvery = 5;  // recover every 5th copy
+  ModelRegistry registry((dir_ / "registry").string());
+  registry.publish_pipeline(*pipeline_a_, 0, 100);
+  const std::size_t n = std::min<std::size_t>(updates_->size(), 4000);
+  EngineConfig config;
+  config.manual_drain = true;
+  config.queue_capacity = n;
+  config.max_batch = 32;
+  config.durability.dir = (dir_ / "live").string();
+  config.durability.group_commit_records = 8;
+  config.durability.checkpoint_interval_records = 64;
+  config.durability.fsync = true;
+  std::vector<fs::path> copies;
+  std::vector<core::Alert> expected;
+  {
+    ScoringEngine live(registry, config);
+    for (std::size_t i = 0; i < n; ++i) live.submit((*updates_)[i]);
+    for (std::size_t drains = 0; live.drain_once() > 0; ++drains) {
+      const fs::path copy = dir_ / ("copy-" + std::to_string(drains));
+      fs::copy(config.durability.dir, copy, fs::copy_options::recursive);
+      if (drains % kCheckEvery == 0) {
+        copies.push_back(copy);
+      } else {
+        fs::remove_all(copy);
+      }
+    }
+    live.flush();
+    expected = live.alerts();
+  }
+  ASSERT_GT(expected.size(), 0u);
+  ASSERT_GT(copies.size(), 10u);
+  for (const fs::path& copy : copies) {
+    EngineConfig resume_config = config;
+    resume_config.durability.dir = copy.string();
+    resume_config.durability.fsync = false;  // a throwaway copy
+    ScoringEngine resumed(registry, resume_config);
+    for (std::size_t i = resumed.durable_resume_records(); i < n; ++i) {
+      resumed.submit((*updates_)[i]);
+    }
+    resumed.flush();
+    const std::vector<core::Alert> got = resumed.alerts();
+    ASSERT_EQ(got.size(), expected.size()) << copy;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].drive_id, expected[i].drive_id) << copy << " #" << i;
+      EXPECT_EQ(got[i].day, expected[i].day) << copy << " #" << i;
+      EXPECT_EQ(got[i].score, expected[i].score) << copy << " #" << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mfpa::serve

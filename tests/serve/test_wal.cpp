@@ -342,11 +342,12 @@ TEST_F(WalTest, RotateRetainsFallbackGenerationAndDropsOlder) {
   WalWriter writer(writer_config());
   writer.open_generation(0);
   writer.append(1, 0, make_record(1, 1.0f));
-  writer.rotate(/*ckpt_lsn=*/1, /*keep_from_lsn=*/0);   // gen c0 retained
+  writer.rotate(/*ckpt_lsn=*/1);  // gen c0 retained
   writer.append(2, 0, make_record(2, 1.0f));
-  writer.rotate(/*ckpt_lsn=*/2, /*keep_from_lsn=*/1);   // c0 dropped, c1 kept
+  writer.rotate(/*ckpt_lsn=*/2);
   writer.append(3, 0, make_record(3, 1.0f));
   writer.flush();
+  writer.drop_generations_before(1);  // c0 dropped, c1 kept
 
   // Generation c0 is gone; c1 (the fallback) and c2 remain.
   EXPECT_EQ(wal_file_names(), (std::vector<std::string>{"c1.wal", "c2.wal"}));
