@@ -66,27 +66,32 @@ const std::vector<std::string>& bsod_feature_names() {
   return kNames;
 }
 
+FeatureGroupParts feature_parts_of(FeatureGroup g) {
+  switch (g) {
+    case FeatureGroup::kSFWB: return {true, true, true, true};
+    case FeatureGroup::kSFW: return {true, true, true, false};
+    case FeatureGroup::kSFB: return {true, true, false, true};
+    case FeatureGroup::kSF: return {true, true, false, false};
+    case FeatureGroup::kS: return {true, false, false, false};
+    case FeatureGroup::kW: return {false, false, true, false};
+    case FeatureGroup::kB: return {false, false, false, true};
+  }
+  return {};
+}
+
 std::vector<std::string> feature_names_of(FeatureGroup g) {
+  const FeatureGroupParts parts = feature_parts_of(g);
   std::vector<std::string> names;
-  const bool has_s = g == FeatureGroup::kSFWB || g == FeatureGroup::kSFW ||
-                     g == FeatureGroup::kSFB || g == FeatureGroup::kSF ||
-                     g == FeatureGroup::kS;
-  const bool has_f = g == FeatureGroup::kSFWB || g == FeatureGroup::kSFW ||
-                     g == FeatureGroup::kSFB || g == FeatureGroup::kSF;
-  const bool has_w = g == FeatureGroup::kSFWB || g == FeatureGroup::kSFW ||
-                     g == FeatureGroup::kW;
-  const bool has_b = g == FeatureGroup::kSFWB || g == FeatureGroup::kSFB ||
-                     g == FeatureGroup::kB;
-  if (has_s) {
+  if (parts.smart) {
     const auto& s = smart_feature_names();
     names.insert(names.end(), s.begin(), s.end());
   }
-  if (has_f) names.push_back(firmware_feature_name());
-  if (has_w) {
+  if (parts.firmware) names.push_back(firmware_feature_name());
+  if (parts.windows) {
     const auto& w = windows_feature_names();
     names.insert(names.end(), w.begin(), w.end());
   }
-  if (has_b) {
+  if (parts.bsod) {
     const auto& b = bsod_feature_names();
     names.insert(names.end(), b.begin(), b.end());
   }
@@ -94,7 +99,11 @@ std::vector<std::string> feature_names_of(FeatureGroup g) {
 }
 
 std::size_t feature_count_of(FeatureGroup g) {
-  return feature_names_of(g).size();
+  const FeatureGroupParts parts = feature_parts_of(g);
+  return (parts.smart ? smart_feature_names().size() : 0) +
+         (parts.firmware ? 1 : 0) +
+         (parts.windows ? windows_feature_names().size() : 0) +
+         (parts.bsod ? bsod_feature_names().size() : 0);
 }
 
 }  // namespace mfpa::core

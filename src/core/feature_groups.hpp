@@ -44,10 +44,21 @@ const std::vector<std::string>& windows_feature_names();
 /// Names of the 23 BSOD cumulative features ("B_23".."B_C00").
 const std::vector<std::string>& bsod_feature_names();
 
+/// Which attribute families a group uses; its features come in this
+/// order: SMART, firmware, WindowsEvent, BSOD.
+struct FeatureGroupParts {
+  bool smart = false;
+  bool firmware = false;
+  bool windows = false;
+  bool bsod = false;
+};
+FeatureGroupParts feature_parts_of(FeatureGroup g);
+
 /// Full ordered feature-name list of a group.
 std::vector<std::string> feature_names_of(FeatureGroup g);
 
-/// Number of features in a group (Table V row sums).
+/// Number of features in a group (Table V row sums), counted from the
+/// static name lists without copying them.
 std::size_t feature_count_of(FeatureGroup g);
 
 }  // namespace mfpa::core

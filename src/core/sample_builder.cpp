@@ -1,6 +1,7 @@
 #include "core/sample_builder.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -19,24 +20,19 @@ std::size_t w_index_of(const std::string& name) {
 SampleBuilder::SampleBuilder(SampleConfig config,
                              const data::LabelEncoder* fw_encoder)
     : config_(config), fw_encoder_(fw_encoder) {
-  const FeatureGroup g = config_.group;
-  use_smart_ = g == FeatureGroup::kSFWB || g == FeatureGroup::kSFW ||
-               g == FeatureGroup::kSFB || g == FeatureGroup::kSF ||
-               g == FeatureGroup::kS;
-  use_firmware_ = g == FeatureGroup::kSFWB || g == FeatureGroup::kSFW ||
-                  g == FeatureGroup::kSFB || g == FeatureGroup::kSF;
+  const FeatureGroupParts parts = feature_parts_of(config_.group);
+  use_smart_ = parts.smart;
+  use_firmware_ = parts.firmware;
   if (use_firmware_ && fw_encoder_ == nullptr) {
     throw std::invalid_argument(
         "SampleBuilder: firmware encoder required for groups containing F");
   }
-  if (g == FeatureGroup::kSFWB || g == FeatureGroup::kSFW ||
-      g == FeatureGroup::kW) {
+  if (parts.windows) {
     for (const auto& name : windows_feature_names()) {
       w_indices_.push_back(w_index_of(name));
     }
   }
-  if (g == FeatureGroup::kSFWB || g == FeatureGroup::kSFB ||
-      g == FeatureGroup::kB) {
+  if (parts.bsod) {
     for (std::size_t i = 0; i < sim::kNumBsodCodes; ++i) b_indices_.push_back(i);
   }
   if (config_.positive_window < 1) {
@@ -54,18 +50,20 @@ SampleBuilder::SampleBuilder(SampleConfig config,
   }
 }
 
+void SampleBuilder::features_into(const ProcessedRecord& record,
+                                  std::span<double> out) const {
+  assert(out.size() == feature_count_of(config_.group));
+  auto it = out.begin();
+  if (use_smart_) it = std::copy(record.smart.begin(), record.smart.end(), it);
+  if (use_firmware_) *it++ = fw_encoder_->transform_one(record.firmware);
+  for (std::size_t w : w_indices_) *it++ = record.w_cum[w];
+  for (std::size_t b : b_indices_) *it++ = record.b_cum[b];
+}
+
 std::vector<double> SampleBuilder::features_of(
     const ProcessedRecord& record) const {
-  std::vector<double> out;
-  out.reserve(feature_count_of(config_.group));
-  if (use_smart_) {
-    out.insert(out.end(), record.smart.begin(), record.smart.end());
-  }
-  if (use_firmware_) {
-    out.push_back(fw_encoder_->transform_one(record.firmware));
-  }
-  for (std::size_t w : w_indices_) out.push_back(record.w_cum[w]);
-  for (std::size_t b : b_indices_) out.push_back(record.b_cum[b]);
+  std::vector<double> out(feature_count_of(config_.group));
+  features_into(record, out);
   return out;
 }
 
@@ -119,16 +117,17 @@ std::vector<double> SampleBuilder::row(const ProcessedDrive& drive,
   }
   // Sequence row: the seq_len records ending at record_index, earliest
   // first, padded by repeating the oldest available record.
-  std::vector<double> out;
   const int T = config_.seq_len;
-  out.reserve(feature_count_of(config_.group) * static_cast<std::size_t>(T));
+  const std::size_t width = feature_count_of(config_.group);
+  std::vector<double> out(width * static_cast<std::size_t>(T));
+  std::span<double> step(out);
   for (int t = T - 1; t >= 0; --t) {
     const std::ptrdiff_t idx =
         static_cast<std::ptrdiff_t>(record_index) - t;
     const std::size_t clamped =
         idx < 0 ? 0 : static_cast<std::size_t>(idx);
-    const auto step = features_of(drive.records[clamped]);
-    out.insert(out.end(), step.begin(), step.end());
+    features_into(drive.records[clamped], step.first(width));
+    step = step.subspan(width);
   }
   return out;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -44,7 +45,14 @@ class SampleBuilder {
 
   const SampleConfig& config() const noexcept { return config_; }
 
-  /// Feature vector of one record under the configured group.
+  /// Writes one record's features under the configured group into `out`,
+  /// which must hold exactly feature_count_of(group) doubles. The one row
+  /// writer: serving fills its batch matrix in place with it.
+  void features_into(const ProcessedRecord& record,
+                     std::span<double> out) const;
+
+  /// Feature vector of one record under the configured group (the
+  /// allocating form of features_into).
   std::vector<double> features_of(const ProcessedRecord& record) const;
 
   /// The model row of `drive.records[record_index]`: flat, flat plus deltas

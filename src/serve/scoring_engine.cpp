@@ -52,7 +52,10 @@ ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config)
     stage_labels.emplace_back("stage", name);
     return &reg.histogram("mfpa_serve_stage_seconds", stage_labels);
   };
+  metrics_.store_ingest_seconds = stage("store_ingest");
+  metrics_.features_seconds = stage("features");
   metrics_.predict_seconds = stage("predict");
+  metrics_.alerts_seconds = stage("alerts");
   if (config_.durability.enabled()) {
     metrics_.wal_append_seconds = stage("wal_append");
     metrics_.checkpoint_seconds = stage("checkpoint");
@@ -216,23 +219,31 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
   rows.reserve(batch.size());
   std::uint64_t processed = 0;
   std::uint64_t rejected = 0;
-  for (const auto& queued : batch) {
-    try {
-      store_.ingest(queued.update.drive_id, queued.update.vendor,
-                    queued.update.record, rows);
-      ++processed;
-    } catch (const std::invalid_argument&) {
-      // Strict-mode day-order violation: the record is unusable but must
-      // never stall the queue; account and move on.
-      ++rejected;
+  {
+    obs::ScopedTimer timer(*metrics_.store_ingest_seconds);
+    for (const auto& queued : batch) {
+      try {
+        store_.ingest(queued.update.drive_id, queued.update.vendor,
+                      queued.update.record, rows);
+        ++processed;
+      } catch (const std::invalid_argument&) {
+        // Strict-mode day-order violation: the record is unusable but must
+        // never stall the queue; account and move on.
+        ++rejected;
+      }
     }
   }
 
   std::vector<double> scores;
   if (!rows.empty() && model) {
-    data::Matrix X(0, 0);
-    for (const auto& row : rows) {
-      X.add_row(cached_builder_->features_of(row.record));
+    data::Matrix X;
+    {
+      obs::ScopedTimer timer(*metrics_.features_seconds);
+      X = data::Matrix(rows.size(),
+                       core::feature_count_of(cached_builder_->config().group));
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        cached_builder_->features_into(rows[i].record, X.row(i));
+      }
     }
     obs::ScopedTimer timer(*metrics_.predict_seconds);
     scores = model->classifier->predict_proba(X);
@@ -258,6 +269,7 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
   }
   std::uint64_t synthetic = 0;
   {
+    obs::ScopedTimer timer(*metrics_.alerts_seconds);
     std::lock_guard<std::mutex> rlock(results_mu_);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const PendingRow& row = rows[i];

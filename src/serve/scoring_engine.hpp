@@ -3,11 +3,12 @@
 // Producers (telemetry receivers, the replay driver) push per-drive daily
 // records into a bounded ingress queue; a drain loop pulls up to
 // `max_batch` records at a time, runs them through the DriveStateStore
-// (incremental cleaning), extracts feature rows with the active model's
-// builder, scores the whole batch in one predict_proba call on the drain
-// thread, and applies the AlertPolicy per drive. Scores are per-row and the
-// drain is single-threaded, so results are independent of batch boundaries
-// and queue timing — the batch/online parity tests rely on this.
+// (incremental cleaning), writes each feature row in place into the batch's
+// one matrix with the active model's builder, scores the whole batch in one
+// predict_proba call on the drain thread, and applies the AlertPolicy per
+// drive. Scores are per-row and the drain is single-threaded, so results
+// are independent of batch boundaries and queue timing — the batch/online
+// parity tests rely on this.
 //
 // Backpressure: when the queue is full, submit() either blocks (default;
 // producers slow to the service's sustainable rate) or sheds the record with
@@ -214,8 +215,13 @@ class ScoringEngine final : public RecordSink {
     obs::Counter* model_swaps = nullptr;
     obs::HistogramMetric* batch_size = nullptr;
     obs::HistogramMetric* latency_us = nullptr;
-    /// mfpa_serve_stage_seconds{stage=predict}: one predict_proba call.
+    /// mfpa_serve_stage_seconds, once per batch on every engine: the store
+    /// ingest loop, the row build and one predict_proba call (both only
+    /// when rows are scored), and the alert-policy loop (with a model).
+    obs::HistogramMetric* store_ingest_seconds = nullptr;
+    obs::HistogramMetric* features_seconds = nullptr;
     obs::HistogramMetric* predict_seconds = nullptr;
+    obs::HistogramMetric* alerts_seconds = nullptr;
     /// Durable engines only: a batch's WAL appends, its on_batch_end, and
     /// (on the WAL commit thread) one I/O job.
     obs::HistogramMetric* wal_append_seconds = nullptr;

@@ -355,9 +355,12 @@ TEST(ServeReplayCommand, DurableRunExportsThePinnedVocabulary) {
       "mfpa_serve_rejected_total{engine=*,} counter 0",
       "mfpa_serve_rows_scored_total{engine=*,} counter 18304",
       "mfpa_serve_shed_total{engine=*,} counter 0",
+      "mfpa_serve_stage_seconds{engine=*,stage=alerts,} histogram",
       "mfpa_serve_stage_seconds{engine=*,stage=checkpoint,} histogram",
       "mfpa_serve_stage_seconds{engine=*,stage=commit,} histogram",
+      "mfpa_serve_stage_seconds{engine=*,stage=features,} histogram",
       "mfpa_serve_stage_seconds{engine=*,stage=predict,} histogram",
+      "mfpa_serve_stage_seconds{engine=*,stage=store_ingest,} histogram",
       "mfpa_serve_stage_seconds{engine=*,stage=wal_append,} histogram",
       "mfpa_serve_submitted_total{engine=*,} counter 14233",
       "mfpa_serve_synthetic_rows_total{engine=*,} counter 4080",

@@ -16,6 +16,12 @@ TEST(FeatureGroups, TableVCounts) {
   EXPECT_EQ(feature_count_of(FeatureGroup::kS), 16u);
   EXPECT_EQ(feature_count_of(FeatureGroup::kW), 5u);
   EXPECT_EQ(feature_count_of(FeatureGroup::kB), 23u);
+  // The count reads the static name lists without copying them; it must
+  // agree with the built list.
+  for (FeatureGroup g : all_feature_groups()) {
+    EXPECT_EQ(feature_count_of(g), feature_names_of(g).size())
+        << feature_group_name(g);
+  }
 }
 
 TEST(FeatureGroups, AllGroupsListed) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+
 namespace mfpa::core {
 namespace {
 
@@ -55,16 +58,34 @@ TEST(SampleBuilder, RejectsBadWindows) {
   EXPECT_THROW(SampleBuilder(cfg, nullptr), std::invalid_argument);
 }
 
+// For every group a row is feature_count_of(g) wide, as wide as
+// feature_names(), and features_into writes exactly features_of's doubles,
+// bit for bit, an unseen firmware's unknown code included.
 TEST(SampleBuilder, FeatureVectorMatchesGroupArity) {
   const auto enc = encoder();
+  auto drive = make_drive(1, {5, 6});
+  drive.records[1].firmware = "UNSEEN";
   for (FeatureGroup g : all_feature_groups()) {
     SampleConfig cfg;
     cfg.group = g;
     const SampleBuilder builder(cfg, &enc);
-    const auto drive = make_drive(1, {5});
-    EXPECT_EQ(builder.features_of(drive.records[0]).size(),
-              feature_count_of(g));
-    EXPECT_EQ(builder.feature_names().size(), feature_count_of(g));
+    const std::size_t width = feature_count_of(g);
+    EXPECT_EQ(builder.feature_names().size(), width);
+    for (const ProcessedRecord& record : drive.records) {
+      const std::vector<double> row = builder.features_of(record);
+      ASSERT_EQ(row.size(), width) << feature_group_name(g);
+      // One slot wider and poisoned, so a short or long write shows.
+      std::vector<double> out(width + 1, -1.0);
+      builder.features_into(record, std::span<double>(out).first(width));
+      EXPECT_EQ(std::memcmp(out.data(), row.data(), width * sizeof(double)),
+                0)
+          << feature_group_name(g) << " day " << record.day;
+      EXPECT_EQ(out[width], -1.0) << feature_group_name(g);
+    }
+    if (feature_parts_of(g).firmware) {
+      EXPECT_EQ(builder.features_of(drive.records[1])[16], enc.unknown_code())
+          << feature_group_name(g);
+    }
   }
 }
 

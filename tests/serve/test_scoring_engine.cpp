@@ -170,6 +170,35 @@ TEST_F(ScoringEngineTest, LatencyAboveFiftyMillisecondsIsNotClamped) {
   EXPECT_GT(predict.sum(), 0.0);
 }
 
+// A non-durable engine times its drain stages once per batch: the store
+// ingest on every batch, the row build beside every predict call, and the
+// alert policy on every batch scored under a model.
+TEST_F(ScoringEngineTest, DrainStagesAreTimedOncePerBatch) {
+  auto metrics = obs::MetricsRegistry::create_isolated();
+  obs::ScopedMetricsOverride scope(*metrics);
+  ModelRegistry registry(dir_.string());
+  registry.publish_pipeline(*pipeline_a_, 0, 100);
+  EngineConfig config;
+  config.manual_drain = true;
+  config.max_batch = 64;
+  config.queue_capacity = updates_->size() + 1;
+  config.instance_label = "stages";
+  ScoringEngine engine(registry, config);
+  for (const auto& update : *updates_) engine.submit(update);
+  engine.flush();
+  const auto stage = [&](const char* name) -> const obs::HistogramMetric& {
+    return metrics->histogram("mfpa_serve_stage_seconds",
+                              {{"engine", "stages"}, {"stage", name}});
+  };
+  const std::uint64_t batches = engine.stats().batches;
+  ASSERT_GT(batches, 0u);
+  EXPECT_EQ(stage("store_ingest").count(), batches);
+  EXPECT_GT(stage("predict").count(), 0u);
+  EXPECT_EQ(stage("features").count(), stage("predict").count());
+  EXPECT_EQ(stage("alerts").count(), batches);
+  EXPECT_GT(stage("features").sum(), 0.0);
+}
+
 TEST_F(ScoringEngineTest, ResultsIndependentOfBatchSize) {
   auto run_with_batch = [&](std::size_t max_batch) {
     const fs::path dir = dir_ / ("b" + std::to_string(max_batch));
