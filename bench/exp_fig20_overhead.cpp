@@ -32,19 +32,19 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // Client-side inference latency: score one observation at a time.
+  // Client-side inference latency: score one observation at a time. The
+  // probe takes the first 1,000 cleaned vendor-0 records, cleaning one drive
+  // at a time until it has them (a drive too short to keep comes back
+  // empty, as Preprocessor::process would drop it).
   print_section(std::cout, "Client-side inference latency");
-  std::vector<sim::DriveTimeSeries> vendor0;
-  for (const auto& s : world.telemetry) {
-    if (s.vendor == 0) vendor0.push_back(s);
-  }
   const core::Preprocessor pre;
-  const auto drives = pre.process(vendor0);
   const auto builder = pipeline.make_builder();
   data::Dataset probe;
   probe.feature_names = builder.feature_names();
-  for (const auto& d : drives) {
+  for (const auto& series : world.telemetry) {
     if (probe.size() >= 1000) break;
+    if (series.vendor != 0) continue;
+    const auto d = pre.process_drive(series);
     for (const auto& r : d.records) {
       if (probe.size() >= 1000) break;
       probe.add(builder.features_of(r), 0, {d.drive_id, r.day, d.vendor});

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "common/rng.hpp"
 #include "ml/cross_validation.hpp"
@@ -39,27 +40,34 @@ SampleConfig MfpaPipeline::make_sample_config() const {
   return sc;
 }
 
-MfpaReport MfpaPipeline::run(const std::vector<sim::DriveTimeSeries>& telemetry,
-                             const std::vector<sim::TroubleTicket>& tickets) {
-  MfpaReport report;
-  StageTimer timer;
-
-  // Stage 1: vendor filter + preprocessing.
+data::Dataset MfpaPipeline::build_samples(
+    const std::vector<sim::DriveTimeSeries>& telemetry,
+    const std::vector<sim::TroubleTicket>& tickets, MfpaReport& report,
+    StageTimer& timer) {
+  // Stage 1: vendor filter + preprocessing. Every drive is planned from its
+  // raw days; nothing is converted yet. The pipeline converts only the
+  // drives its samples come from: the ticketed drives (stage 2) and the
+  // drives a negative draw lands in (stage 4), one at a time.
   timer.begin("preprocess");
-  std::vector<sim::DriveTimeSeries> filtered;
-  const std::vector<sim::DriveTimeSeries>* input = &telemetry;
-  if (config_.vendor >= 0) {
-    filtered.reserve(telemetry.size());
-    for (const auto& s : telemetry) {
-      if (s.vendor == config_.vendor) filtered.push_back(s);
-    }
-    input = &filtered;
+  std::vector<const sim::DriveTimeSeries*> input;
+  std::size_t raw_records = 0;
+  for (const auto& s : telemetry) {
+    if (config_.vendor >= 0 && s.vendor != config_.vendor) continue;
+    input.push_back(&s);
+    raw_records += s.records.size();
   }
   const Preprocessor preprocessor(config_.preprocess);
-  auto drives = preprocessor.process(*input, &report.preprocess_stats,
-                                     &report.ingest_stats);
-  std::size_t raw_records = 0;
-  for (const auto& s : *input) raw_records += s.records.size();
+  struct Planned {
+    const sim::DriveTimeSeries* series;
+    DrivePlan plan;
+  };
+  std::vector<Planned> drives;
+  preprocessor.plan_batch(
+      input,
+      [&](std::size_t i, const sim::DriveTimeSeries&, DrivePlan plan) {
+        drives.push_back({input[i], std::move(plan)});
+      },
+      &report.preprocess_stats, &report.ingest_stats);
   timer.end(raw_records, raw_records * sizeof(sim::DailyRecord));
   if (drives.empty()) {
     throw std::runtime_error("MfpaPipeline: no usable drives after preprocessing");
@@ -70,9 +78,9 @@ MfpaReport MfpaPipeline::run(const std::vector<sim::DriveTimeSeries>& telemetry,
   DayIndex day_lo = std::numeric_limits<DayIndex>::max();
   DayIndex day_hi = std::numeric_limits<DayIndex>::min();
   for (const auto& d : drives) {
-    if (d.records.empty()) continue;
-    day_lo = std::min(day_lo, d.records.front().day);
-    day_hi = std::max(day_hi, d.records.back().day);
+    if (d.plan.records() == 0) continue;
+    day_lo = std::min(day_lo, d.plan.first_day);
+    day_hi = std::max(day_hi, d.plan.last_day);
   }
 
   // Stage 2: failure-time identification from tickets. Lenient mode drops
@@ -98,8 +106,19 @@ MfpaReport MfpaPipeline::run(const std::vector<sim::DriveTimeSeries>& telemetry,
     }
     ticket_input = &kept_tickets;
   }
+  // The ticketed drives are converted once, in drive order, so that
+  // identify_all labels each drive id from its first drive as it would
+  // over the whole batch.
+  std::unordered_set<std::uint64_t> ticketed_ids;
+  for (const auto& t : *ticket_input) ticketed_ids.insert(t.drive_id);
+  std::vector<ProcessedDrive> ticketed;
+  for (const auto& d : drives) {
+    if (ticketed_ids.contains(d.series->drive_id)) {
+      ticketed.push_back(preprocessor.convert(*d.series, d.plan));
+    }
+  }
   const FailureTimeIdentifier identifier(config_.theta);
-  const auto failures = identifier.identify_all(*ticket_input, drives);
+  const auto failures = identifier.identify_all(*ticket_input, ticketed);
   timer.end(ticket_input->size(),
             ticket_input->size() * sizeof(sim::TroubleTicket));
 
@@ -109,29 +128,56 @@ MfpaReport MfpaPipeline::run(const std::vector<sim::DriveTimeSeries>& telemetry,
   report.split_day = split_day;
 
   // Stage 3: firmware label encoding — fit on the training period only so a
-  // deployed model meets genuinely unseen versions in later months.
+  // deployed model meets genuinely unseen versions in later months. A
+  // version first appears where a firmware run starts, so the runs up to
+  // the split day give the encoder the classes, and their order, that every
+  // cleaned record up to it would.
   timer.begin("feature_engineering");
   {
     std::vector<std::string> train_versions;
     for (const auto& d : drives) {
-      for (const auto& r : d.records) {
-        if (r.day <= split_day) train_versions.push_back(r.firmware);
+      for (const FirmwareChange& change : d.plan.firmware_changes) {
+        if (change.day > split_day) break;
+        train_versions.push_back(
+            firmware_version_string(d.series->vendor, change.firmware_index));
       }
     }
     fw_encoder_.fit(train_versions);
   }
 
-  // Stage 4: sample construction. Nothing reads the cleaned records (424
-  // bytes each) past this point; releasing them before training instead of
-  // at return lowers the run's peak memory and what the allocator retains.
+  // Stage 4: sample construction. A drive no draw lands in is never
+  // converted.
+  std::vector<SampleSource> sources;
+  sources.reserve(drives.size());
+  auto next_ticketed = ticketed.cbegin();
+  for (const auto& d : drives) {
+    if (ticketed_ids.contains(d.series->drive_id)) {
+      const ProcessedDrive& drive = *next_ticketed++;
+      const auto it = failures.find(drive.drive_id);
+      sources.push_back({&drive, drive.records.size(),
+                         it == failures.end() ? nullptr : &it->second});
+    } else {
+      sources.push_back({nullptr, d.plan.records(), nullptr});
+    }
+  }
   const SampleBuilder builder(make_sample_config(), &fw_encoder_);
-  data::Dataset all = builder.build(drives, failures);
-  drives.clear();
-  std::size_t feature_values = all.size() * all.num_features();
-  timer.end(all.size(), feature_values * sizeof(double));
-  if (all.positives() == 0) {
+  if (builder.positive_count(sources) == 0) {
     throw std::runtime_error("MfpaPipeline: no positive samples built");
   }
+  data::Dataset all = builder.select(sources, [&](std::size_t d) {
+    return preprocessor.convert(*drives[d].series, drives[d].plan);
+  });
+  std::size_t feature_values = all.size() * all.num_features();
+  timer.end(all.size(), feature_values * sizeof(double));
+  return all;
+}
+
+MfpaReport MfpaPipeline::run(const std::vector<sim::DriveTimeSeries>& telemetry,
+                             const std::vector<sim::TroubleTicket>& tickets) {
+  MfpaReport report;
+  StageTimer timer;
+  data::Dataset all = build_samples(telemetry, tickets, report, timer);
+  const DayIndex split_day = report.split_day;
 
   // Stage 5: segmentation (timepoint-based by default; optional random
   // split to reproduce the paper's Fig. 8 comparison).

@@ -106,6 +106,13 @@ class MfpaPipeline {
     return config_.algorithm == "CNN_LSTM";
   }
   SampleConfig make_sample_config() const;
+
+  /// Stages 1-4 (preprocess, failure labeling, firmware encoding, sample
+  /// construction): fits the firmware encoder and returns the labeled
+  /// samples. Their working state is released when it returns.
+  data::Dataset build_samples(const std::vector<sim::DriveTimeSeries>& telemetry,
+                              const std::vector<sim::TroubleTicket>& tickets,
+                              MfpaReport& report, StageTimer& timer);
 };
 
 }  // namespace mfpa::core

@@ -1,6 +1,7 @@
 #include "core/preprocess.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "core/robust_ingest.hpp"
@@ -61,28 +62,37 @@ void append_processed(std::vector<ProcessedRecord>& segment,
   segment.push_back(std::move(rec));
 }
 
-ProcessedDrive Preprocessor::process_drive(const sim::DriveTimeSeries& series,
-                                           IngestStats* ingest) const {
-  if (!config_.robustness.lenient()) return process_well_formed(series);
+namespace {
 
-  // Lenient path: sanitize in delivery order (duplicate/rollback drops,
-  // value repair, counter-reset re-basing), then run the unchanged gap
-  // policy over the now well-formed sequence.
-  RecordSanitizer sanitizer(config_.robustness);
-  sim::DriveTimeSeries repaired;
+/// Sanitizes `series` in delivery order (duplicate/rollback drops, value
+/// repair, counter-reset re-basing) into `repaired`, whose storage is reused
+/// from drive to drive.
+void sanitize_into(const sim::DriveTimeSeries& series,
+                   RecordSanitizer& sanitizer,
+                   sim::DriveTimeSeries& repaired) {
+  sanitizer.reset();
   repaired.drive_id = series.drive_id;
   repaired.vendor = series.vendor;
   repaired.model = series.model;
   repaired.failed = series.failed;
   repaired.failure_day = series.failure_day;
+  repaired.records.clear();
   repaired.records.reserve(series.records.size());
   for (const auto& raw : series.records) {
-    if (auto rec = sanitizer.sanitize(raw)) {
-      repaired.records.push_back(*rec);
-    }
+    if (auto rec = sanitizer.sanitize(raw)) repaired.records.push_back(*rec);
   }
-  const bool quarantined =
-      sanitizer.quarantined(static_cast<std::size_t>(config_.min_records));
+}
+
+/// The lenient plan: sanitize into `repaired`, merge the accounting into
+/// `ingest`, then run the unchanged gap policy over the now well-formed
+/// sequence. A quarantined drive keeps nothing and drops every record.
+DrivePlan plan_sanitized(const Preprocessor& pre,
+                         const sim::DriveTimeSeries& series,
+                         RecordSanitizer& sanitizer,
+                         sim::DriveTimeSeries& repaired, IngestStats* ingest) {
+  sanitize_into(series, sanitizer, repaired);
+  const bool quarantined = sanitizer.quarantined(
+      static_cast<std::size_t>(pre.config().min_records));
   if (ingest != nullptr) {
     ingest->merge(sanitizer.stats());
     if (quarantined) {
@@ -94,83 +104,125 @@ ProcessedDrive Preprocessor::process_drive(const sim::DriveTimeSeries& series,
                        " records dropped)");
     }
   }
+  DrivePlan plan;
   if (quarantined) {
-    ProcessedDrive out;
-    out.drive_id = series.drive_id;
-    out.vendor = series.vendor;
-    out.model = series.model;
-    out.failed = series.failed;
-    out.failure_day = series.failure_day;
-    out.dropped_records = series.records.size();
+    plan.dropped = series.records.size();
+    return plan;
+  }
+  plan = pre.plan(repaired);
+  plan.dropped += series.records.size() - repaired.records.size();
+  return plan;
+}
+
+/// Where the faults of a series sanitized a second time are counted, so
+/// that the process-wide mfpa_ingest_faults_total counts each fault of a
+/// batch once.
+obs::MetricsRegistry& recount_sink() {
+  static const auto sink = obs::MetricsRegistry::create_isolated();
+  return *sink;
+}
+
+}  // namespace
+
+DrivePlan Preprocessor::plan(const sim::DriveTimeSeries& series) const {
+  DrivePlan out;
+  const auto& records = series.records;
+
+  // 1. Segments end where the gap to the next record reaches drop_gap.
+  // 2. Keep only the most recent segment that is long enough to be usable
+  // ("remove the data with a long interval", §III-C(1)); everything before
+  // it is dropped. Walk the segments from the newest.
+  std::size_t hi = records.size();
+  for (std::size_t i = records.size(); i-- > 0;) {
+    if (i > 0 && records[i].day - records[i - 1].day < config_.drop_gap) {
+      continue;  // not a segment start
+    }
+    if (hi - i >= static_cast<std::size_t>(config_.min_records)) {
+      out.lo = i;
+      out.hi = hi;
+      break;
+    }
+    hi = i;
+  }
+  if (out.real_records() == 0) {  // a kept segment is never empty
+    out.dropped = records.size();
     return out;
   }
-  ProcessedDrive out = process_well_formed(repaired);
-  out.dropped_records += series.records.size() - repaired.records.size();
+  out.dropped = out.lo + (records.size() - out.hi);
+  out.first_day = records[out.lo].day;
+  out.last_day = records[out.hi - 1].day;
+
+  // 3. What converting the segment yields: a fill for each missing day of a
+  // gap <= fill_gap (append_processed's rule), and the firmware runs.
+  for (std::size_t i = out.lo; i < out.hi; ++i) {
+    if (i > out.lo) {
+      const int gap = records[i].day - records[i - 1].day;
+      if (gap >= 2 && gap <= config_.fill_gap) {
+        out.filled += static_cast<std::size_t>(gap - 1);
+      }
+    }
+    if (i == out.lo ||
+        records[i].firmware_index != records[i - 1].firmware_index) {
+      out.firmware_changes.push_back({records[i].day, records[i].firmware_index});
+    }
+  }
   return out;
 }
 
-ProcessedDrive Preprocessor::process_well_formed(
-    const sim::DriveTimeSeries& series) const {
+ProcessedDrive Preprocessor::convert_planned(
+    const sim::DriveTimeSeries& planned, const DrivePlan& plan) const {
   ProcessedDrive out;
-  out.drive_id = series.drive_id;
-  out.vendor = series.vendor;
-  out.model = series.model;
-  out.failed = series.failed;
-  out.failure_day = series.failure_day;
-  if (series.records.empty()) return out;
-
-  // 1. Split into segments at long gaps.
-  std::vector<std::pair<std::size_t, std::size_t>> segments;  // [lo, hi)
-  std::size_t lo = 0;
-  for (std::size_t i = 1; i < series.records.size(); ++i) {
-    const int gap = series.records[i].day - series.records[i - 1].day;
-    if (gap >= config_.drop_gap) {
-      segments.emplace_back(lo, i);
-      lo = i;
-    }
-  }
-  segments.emplace_back(lo, series.records.size());
-
-  // 2. Keep only the most recent segment that is long enough to be usable
-  // ("remove the data with a long interval", §III-C(1)); everything before
-  // it is dropped. Pick the last segment meeting the minimum length.
-  std::size_t chosen = segments.size();
-  for (std::size_t s = segments.size(); s-- > 0;) {
-    if (segments[s].second - segments[s].first >=
-        static_cast<std::size_t>(config_.min_records)) {
-      chosen = s;
-      break;
-    }
-  }
-  if (chosen == segments.size()) {
-    out.dropped_records = series.records.size();
-    return out;
-  }
-  out.dropped_records = segments[chosen].first +
-                        (series.records.size() - segments[chosen].second);
-
-  // 3. Convert the kept segment (cumulative W/B counters run across it)
-  // and repair its short gaps.
+  out.drive_id = planned.drive_id;
+  out.vendor = planned.vendor;
+  out.model = planned.model;
+  out.failed = planned.failed;
+  out.failure_day = planned.failure_day;
+  out.dropped_records = plan.dropped;
+  // Convert the kept segment (cumulative W/B counters run across it) and
+  // repair its short gaps.
+  out.records.reserve(plan.records());
   std::array<double, sim::kNumWindowsEvents> w_cum{};
   std::array<double, sim::kNumBsodCodes> b_cum{};
-  const auto [seg_lo, seg_hi] = segments[chosen];
-  for (std::size_t i = seg_lo; i < seg_hi; ++i) {
-    append_processed(out.records, series.records[i], series.vendor,
+  for (std::size_t i = plan.lo; i < plan.hi; ++i) {
+    append_processed(out.records, planned.records[i], planned.vendor,
                      config_.fill_gap, w_cum, b_cum);
   }
   return out;
 }
 
-std::vector<ProcessedDrive> Preprocessor::process(
-    const std::vector<sim::DriveTimeSeries>& batch,
-    PreprocessStats* stats, IngestStats* ingest) const {
+ProcessedDrive Preprocessor::process_drive(const sim::DriveTimeSeries& series,
+                                           IngestStats* ingest) const {
+  if (!config_.robustness.lenient()) {
+    return convert_planned(series, plan(series));
+  }
+  RecordSanitizer sanitizer(config_.robustness);
+  sim::DriveTimeSeries repaired;
+  const DrivePlan p =
+      plan_sanitized(*this, series, sanitizer, repaired, ingest);
+  return convert_planned(repaired, p);
+}
+
+ProcessedDrive Preprocessor::convert(const sim::DriveTimeSeries& series,
+                                     const DrivePlan& plan) const {
+  if (!config_.robustness.lenient()) return convert_planned(series, plan);
+  RecordSanitizer sanitizer(config_.robustness, recount_sink());
+  sim::DriveTimeSeries repaired;
+  sanitize_into(series, sanitizer, repaired);
+  return convert_planned(repaired, plan);
+}
+
+void Preprocessor::plan_batch(std::span<const sim::DriveTimeSeries* const> batch,
+                              const KeepDrive& keep, PreprocessStats* stats,
+                              IngestStats* ingest) const {
   PreprocessStats local;
   IngestStats local_ingest;
   const bool lenient = config_.robustness.lenient();
   std::unordered_set<std::uint64_t> seen_ids;
-  std::vector<ProcessedDrive> out;
-  out.reserve(batch.size());
-  for (const auto& series : batch) {
+  std::optional<RecordSanitizer> sanitizer;
+  if (lenient) sanitizer.emplace(config_.robustness);
+  sim::DriveTimeSeries repaired;
+  for (std::size_t index = 0; index < batch.size(); ++index) {
+    const sim::DriveTimeSeries& series = *batch[index];
     ++local.drives_in;
     local.records_in += series.records.size();
     if (lenient && !seen_ids.insert(series.drive_id).second) {
@@ -191,23 +243,38 @@ std::vector<ProcessedDrive> Preprocessor::process(
         ++local.long_gaps;
       }
     }
-    ProcessedDrive drive = process_drive(series, &local_ingest);
-    local.records_dropped += drive.dropped_records;
-    std::size_t real_records = 0;
-    for (const auto& r : drive.records) {
-      r.synthetic ? ++local.records_filled : ++real_records;
-    }
-    if (real_records < static_cast<std::size_t>(config_.min_records)) {
+    DrivePlan p = lenient ? plan_sanitized(*this, series, *sanitizer,
+                                           repaired, &local_ingest)
+                          : plan(series);
+    local.records_dropped += p.dropped;
+    local.records_filled += p.filled;
+    if (p.real_records() < static_cast<std::size_t>(config_.min_records)) {
       continue;  // unusable drive (like F3 in the paper's Fig. 6)
     }
-    local.records_out += drive.records.size();
+    local.records_out += p.records();
     ++local.drives_out;
-    out.push_back(std::move(drive));
+    keep(index, lenient ? repaired : series, std::move(p));
   }
   if (stats != nullptr) *stats = local;
   if (ingest != nullptr) {
     ingest->merge(local_ingest);
   }
+}
+
+std::vector<ProcessedDrive> Preprocessor::process(
+    const std::vector<sim::DriveTimeSeries>& batch,
+    PreprocessStats* stats, IngestStats* ingest) const {
+  std::vector<const sim::DriveTimeSeries*> series;
+  series.reserve(batch.size());
+  for (const auto& s : batch) series.push_back(&s);
+  std::vector<ProcessedDrive> out;
+  out.reserve(batch.size());
+  plan_batch(
+      series,
+      [&](std::size_t, const sim::DriveTimeSeries& planned, DrivePlan plan) {
+        out.push_back(convert_planned(planned, plan));
+      },
+      stats, ingest);
   return out;
 }
 

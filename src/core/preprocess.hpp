@@ -14,6 +14,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +72,35 @@ struct PreprocessStats {
   std::size_t records_filled = 0;
   std::size_t records_dropped = 0;
   std::size_t long_gaps = 0;   ///< gaps >= drop_gap encountered
+
+  bool operator==(const PreprocessStats&) const = default;
+};
+
+/// The first record of a firmware run inside a kept segment: the segment's
+/// first record, then every record whose version differs from the previous
+/// one. Gap fills copy the previous record's firmware, so these are the only
+/// cleaned records on which a version can first appear.
+struct FirmwareChange {
+  DayIndex day = 0;
+  unsigned firmware_index = 0;
+};
+
+/// The gap policy's decision for one drive, made from its days alone: which
+/// segment is kept and what converting it yields. `lo` / `hi` index the
+/// series the plan was made on (in lenient mode, its sanitized copy); the
+/// counts are what process_drive reports for the drive.
+struct DrivePlan {
+  std::size_t lo = 0;         ///< kept segment [lo, hi); empty when none is
+  std::size_t hi = 0;
+  std::size_t filled = 0;     ///< gap-fill records the segment gets
+  std::size_t dropped = 0;    ///< = ProcessedDrive::dropped_records
+  DayIndex first_day = 0;     ///< days of the segment's first and last
+  DayIndex last_day = 0;      ///< records (valid when it is not empty)
+  std::vector<FirmwareChange> firmware_changes;
+
+  std::size_t real_records() const noexcept { return hi - lo; }
+  /// Cleaned records: the segment's own plus its gap fills.
+  std::size_t records() const noexcept { return hi - lo + filled; }
 };
 
 /// Converts the firmware index of a raw record into the vendor's version
@@ -95,6 +126,11 @@ class Preprocessor {
 
   const PreprocessConfig& config() const noexcept { return config_; }
 
+  /// The gap policy over a well-formed series: cut at gaps >= drop_gap,
+  /// keep the most recent segment with at least min_records records, and
+  /// count the fills its gaps <= fill_gap get. Converts nothing.
+  DrivePlan plan(const sim::DriveTimeSeries& series) const;
+
   /// Cleans one drive's raw series (gap policy + cumulative counters). In
   /// lenient mode the series is sanitized first (records in delivery order);
   /// a quarantined drive comes back with no records and `dropped_records`
@@ -110,6 +146,25 @@ class Preprocessor {
       const std::vector<sim::DriveTimeSeries>& batch,
       PreprocessStats* stats = nullptr, IngestStats* ingest = nullptr) const;
 
+  /// Called with the batch index of a drive process() keeps, the series its
+  /// plan indexes (the raw series, or in lenient mode a sanitized copy valid
+  /// only during the call) and the plan.
+  using KeepDrive = std::function<void(
+      std::size_t index, const sim::DriveTimeSeries& planned, DrivePlan plan)>;
+
+  /// process() without the conversion: the same batch policy and the same
+  /// `stats` / `ingest` accounting, with each kept drive handed to `keep`
+  /// in batch order.
+  void plan_batch(std::span<const sim::DriveTimeSeries* const> batch,
+                  const KeepDrive& keep, PreprocessStats* stats = nullptr,
+                  IngestStats* ingest = nullptr) const;
+
+  /// Converts a drive plan_batch kept, from its raw series and that plan.
+  /// Lenient mode sanitizes the series again; plan_batch already counted
+  /// its faults, so they are not counted a second time.
+  ProcessedDrive convert(const sim::DriveTimeSeries& series,
+                         const DrivePlan& plan) const;
+
   /// Fits a firmware label encoder over every record of `drives`.
   static data::LabelEncoder fit_firmware_encoder(
       const std::vector<ProcessedDrive>& drives);
@@ -117,8 +172,9 @@ class Preprocessor {
  private:
   PreprocessConfig config_;
 
-  /// The historical gap-policy algorithm, assuming a well-formed series.
-  ProcessedDrive process_well_formed(const sim::DriveTimeSeries& series) const;
+  /// Converts the planned segment of the series the plan was made on.
+  ProcessedDrive convert_planned(const sim::DriveTimeSeries& planned,
+                                 const DrivePlan& plan) const;
 };
 
 }  // namespace mfpa::core

@@ -33,8 +33,12 @@ const std::array<sim::SmartAttr, 6>& monotone_smart_attrs() noexcept {
   return kAttrs;
 }
 
-RecordSanitizer::RecordSanitizer(RobustnessConfig config) : config_(config) {
-  auto& reg = obs::registry();
+RecordSanitizer::RecordSanitizer(RobustnessConfig config)
+    : RecordSanitizer(config, obs::registry()) {}
+
+RecordSanitizer::RecordSanitizer(RobustnessConfig config,
+                                 obs::MetricsRegistry& reg)
+    : config_(config) {
   metrics_.duplicate_days =
       &reg.counter("mfpa_ingest_faults_total", {{"cause", "duplicate_day"}});
   metrics_.clock_rollbacks =

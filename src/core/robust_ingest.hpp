@@ -36,6 +36,8 @@ const std::array<sim::SmartAttr, 6>& monotone_smart_attrs() noexcept;
 class RecordSanitizer {
  public:
   explicit RecordSanitizer(RobustnessConfig config = {});
+  /// Counts the faults it sees into `metrics` instead of obs::registry().
+  RecordSanitizer(RobustnessConfig config, obs::MetricsRegistry& metrics);
 
   const RobustnessConfig& config() const noexcept { return config_; }
 

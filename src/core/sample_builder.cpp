@@ -132,56 +132,109 @@ std::vector<double> SampleBuilder::row(const ProcessedDrive& drive,
   return out;
 }
 
+bool SampleBuilder::in_positive_window(
+    DayIndex day, const IdentifiedFailure& failure) const noexcept {
+  const DayIndex hi = failure.labeled_failure_day - config_.lookahead;
+  const DayIndex lo = hi - config_.positive_window + 1;
+  return day >= lo && day <= hi;
+}
+
 data::Dataset SampleBuilder::build(
     const std::vector<ProcessedDrive>& drives,
     const std::unordered_map<std::uint64_t, IdentifiedFailure>& failures)
     const {
-  data::Dataset ds;
-  ds.feature_names = feature_names();
-
-  // Positives + collect negative candidates.
-  std::vector<std::pair<std::size_t, std::size_t>> negative_candidates;
-  std::size_t n_pos = 0;
-  for (std::size_t d = 0; d < drives.size(); ++d) {
-    const ProcessedDrive& drive = drives[d];
+  std::vector<SampleSource> sources;
+  sources.reserve(drives.size());
+  for (const ProcessedDrive& drive : drives) {
     const auto it = failures.find(drive.drive_id);
-    if (it == failures.end()) {
-      for (std::size_t r = 0; r < drive.records.size(); ++r) {
-        negative_candidates.emplace_back(d, r);
-      }
-      continue;
+    sources.push_back({&drive, drive.records.size(),
+                       it == failures.end() ? nullptr : &it->second});
+  }
+  return select(sources, {});
+}
+
+std::size_t SampleBuilder::positive_count(
+    std::span<const SampleSource> drives) const {
+  std::size_t n = 0;
+  for (const SampleSource& src : drives) {
+    if (src.failure == nullptr) continue;
+    if (src.drive == nullptr) {
+      throw std::invalid_argument(
+          "SampleBuilder: a failed drive must come converted");
     }
-    const DayIndex fail = it->second.labeled_failure_day;
-    const DayIndex hi = fail - config_.lookahead;
-    const DayIndex lo = hi - config_.positive_window + 1;
-    for (std::size_t r = 0; r < drive.records.size(); ++r) {
-      const DayIndex day = drive.records[r].day;
-      if (day < lo || day > hi) continue;
-      ds.add(row(drive, r), 1, {drive.drive_id, day, drive.vendor});
-      ++n_pos;
+    for (const ProcessedRecord& rec : src.drive->records) {
+      if (in_positive_window(rec.day, *src.failure)) ++n;
     }
   }
+  return n;
+}
 
-  // Sampled negatives.
+data::Dataset SampleBuilder::select(
+    std::span<const SampleSource> drives,
+    const std::function<ProcessedDrive(std::size_t)>& convert) const {
+  const std::size_t n_pos = positive_count(drives);
+  std::size_t n_candidates = 0;
+  for (const SampleSource& src : drives) {
+    if (src.failure == nullptr) n_candidates += src.records;
+  }
+
+  // Negative draws: candidate c is record c - offset of the healthy drive
+  // whose records start at running offset `offset`.
   std::vector<std::size_t> chosen;
   if (config_.neg_per_pos > 0.0 && n_pos > 0) {
     const auto want = std::min<std::size_t>(
-        negative_candidates.size(),
+        n_candidates,
         static_cast<std::size_t>(static_cast<double>(n_pos) *
                                      config_.neg_per_pos +
                                  0.5));
     Rng rng(config_.seed);
-    chosen = rng.sample_without_replacement(negative_candidates.size(), want);
+    chosen = rng.sample_without_replacement(n_candidates, want);
     std::sort(chosen.begin(), chosen.end());
   } else {
-    chosen.resize(negative_candidates.size());
+    chosen.resize(n_candidates);
     for (std::size_t i = 0; i < chosen.size(); ++i) chosen[i] = i;
   }
-  for (std::size_t c : chosen) {
-    const auto [d, r] = negative_candidates[c];
-    const ProcessedDrive& drive = drives[d];
-    ds.add(row(drive, r), 0,
-           {drive.drive_id, drive.records[r].day, drive.vendor});
+
+  data::Dataset ds;
+  ds.feature_names = feature_names();
+  const std::size_t rows = n_pos + chosen.size();
+  ds.X = data::Matrix(rows, ds.feature_names.size());
+  ds.y.assign(rows, 0);
+  std::fill_n(ds.y.begin(), n_pos, 1);
+  ds.meta.resize(rows);
+  std::size_t next_row = 0;
+  const auto write = [&](const ProcessedDrive& drive, std::size_t r) {
+    const std::vector<double> values = row(drive, r);
+    std::copy(values.begin(), values.end(), ds.X.row(next_row).begin());
+    ds.meta[next_row++] = {drive.drive_id, drive.records[r].day, drive.vendor};
+  };
+
+  for (const SampleSource& src : drives) {
+    if (src.failure == nullptr) continue;
+    for (std::size_t r = 0; r < src.drive->records.size(); ++r) {
+      if (in_positive_window(src.drive->records[r].day, *src.failure)) {
+        write(*src.drive, r);
+      }
+    }
+  }
+  auto next = chosen.begin();
+  std::size_t offset = 0;
+  for (std::size_t d = 0; d < drives.size() && next != chosen.end(); ++d) {
+    const SampleSource& src = drives[d];
+    if (src.failure != nullptr) continue;
+    const std::size_t end = offset + src.records;
+    if (*next < end) {
+      ProcessedDrive converted;
+      const ProcessedDrive* drive = src.drive;
+      if (drive == nullptr) {
+        converted = convert(d);
+        drive = &converted;
+      }
+      for (; next != chosen.end() && *next < end; ++next) {
+        write(*drive, *next - offset);
+      }
+    }
+    offset = end;
   }
   ds.check_invariants();
   return ds;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -35,6 +36,16 @@ struct SampleConfig {
   bool include_deltas = false;
   int delta_days = 7;
   std::uint64_t seed = 7;
+};
+
+/// One drive as sample selection sees it. A failed drive (`failure` set)
+/// yields the positives of its window and must come converted. A healthy
+/// drive yields `records` negative candidates and, unless `drive` already
+/// holds it, is converted only when a draw lands in it.
+struct SampleSource {
+  const ProcessedDrive* drive = nullptr;        ///< cleaned history, if held
+  std::size_t records = 0;                      ///< its cleaned-record count
+  const IdentifiedFailure* failure = nullptr;   ///< null: a healthy drive
 };
 
 class SampleBuilder {
@@ -72,6 +83,21 @@ class SampleBuilder {
       const std::unordered_map<std::uint64_t, IdentifiedFailure>& failures)
       const;
 
+  /// Positives the failed drives of `drives` yield.
+  std::size_t positive_count(std::span<const SampleSource> drives) const;
+
+  /// The sample selection behind build(). Rows are written in place into a
+  /// dataset sized up front: first every failed drive's positives in drive
+  /// order, then the negatives. Those are `neg_per_pos` per positive, drawn
+  /// without replacement over the healthy drives' records enumerated in
+  /// drive order (all of them when neg_per_pos <= 0 or there is no
+  /// positive), in that order. `convert(d)` supplies the cleaned history of
+  /// a drive without one when a draw lands in it; drives are converted one
+  /// at a time.
+  data::Dataset select(
+      std::span<const SampleSource> drives,
+      const std::function<ProcessedDrive(std::size_t)>& convert) const;
+
   /// Builds *positive-only* samples whose distance to the drive's true
   /// failure day is exactly in [distance_lo, distance_hi] — used by the
   /// lookahead experiment (Fig. 19), which probes a fixed model at varying
@@ -81,6 +107,10 @@ class SampleBuilder {
       int distance_hi) const;
 
  private:
+  /// Whether `day` lies in the positive window of a drive labeled `failure`.
+  bool in_positive_window(DayIndex day,
+                          const IdentifiedFailure& failure) const noexcept;
+
   SampleConfig config_;
   const data::LabelEncoder* fw_encoder_;
   // Resolved column selectors.

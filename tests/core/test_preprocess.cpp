@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+
 namespace mfpa::core {
 namespace {
 
@@ -170,6 +172,101 @@ TEST(Preprocess, FirmwareEncoderCoversAllVersions) {
   EXPECT_EQ(encoder.num_classes(), 2u);  // I_F_1 and II_F_1
   EXPECT_TRUE(encoder.contains("I_F_1"));
   EXPECT_TRUE(encoder.contains("II_F_1"));
+}
+
+TEST(Preprocess, PlanMatchesConversion) {
+  // Seeded random series: gaps of 1 to drop_gap + 2 days (so segments of
+  // every length around min_records), empty and one-record series, and
+  // firmware updates. plan() must predict exactly what process_drive
+  // converts, in both modes.
+  Rng rng(20231);
+  std::size_t kept = 0, filled = 0, empty = 0;
+  for (const IngestMode mode : {IngestMode::kStrict, IngestMode::kLenient}) {
+    for (const int min_records : {1, 3, 5}) {
+      PreprocessConfig cfg;
+      cfg.min_records = min_records;
+      cfg.robustness.mode = mode;
+      const Preprocessor pre(cfg);
+      for (int trial = 0; trial < 300; ++trial) {
+        const auto n = static_cast<std::size_t>(
+            trial % 5 == 0 ? rng.uniform_int(0, 1) : rng.uniform_int(2, 30));
+        sim::DriveTimeSeries series;
+        series.drive_id = static_cast<std::uint64_t>(trial);
+        DayIndex day = static_cast<DayIndex>(rng.uniform_int(0, 50));
+        unsigned firmware = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          sim::DailyRecord rec;
+          rec.day = day;
+          if (rng.bernoulli(0.1) && firmware < 4) ++firmware;
+          rec.firmware_index = static_cast<std::uint8_t>(firmware);
+          rec.w[0] = 1;
+          series.records.push_back(rec);
+          day += static_cast<DayIndex>(rng.uniform_int(1, cfg.drop_gap + 2));
+        }
+        const DrivePlan plan = pre.plan(series);
+        const ProcessedDrive drive = pre.process_drive(series);
+        std::size_t synthetic = 0;
+        std::vector<std::pair<DayIndex, std::string>> runs;
+        for (std::size_t r = 0; r < drive.records.size(); ++r) {
+          const ProcessedRecord& rec = drive.records[r];
+          if (rec.synthetic) ++synthetic;
+          if (r == 0 || rec.firmware != drive.records[r - 1].firmware) {
+            runs.emplace_back(rec.day, rec.firmware);
+          }
+        }
+        std::vector<std::pair<DayIndex, std::string>> planned_runs;
+        for (const FirmwareChange& c : plan.firmware_changes) {
+          planned_runs.emplace_back(
+              c.day, firmware_version_string(series.vendor, c.firmware_index));
+        }
+        ASSERT_EQ(plan.records(), drive.records.size()) << "trial " << trial;
+        ASSERT_EQ(plan.filled, synthetic) << "trial " << trial;
+        ASSERT_EQ(plan.real_records(), drive.records.size() - synthetic);
+        ASSERT_EQ(plan.dropped, drive.dropped_records) << "trial " << trial;
+        ASSERT_EQ(planned_runs, runs) << "trial " << trial;
+        if (drive.records.empty()) {
+          ++empty;
+          continue;
+        }
+        ++kept;
+        filled += synthetic;
+        EXPECT_EQ(series.records[plan.lo].day, drive.records.front().day);
+        EXPECT_EQ(series.records[plan.hi - 1].day, drive.records.back().day);
+        EXPECT_EQ(plan.first_day, drive.records.front().day);
+        EXPECT_EQ(plan.last_day, drive.records.back().day);
+      }
+    }
+  }
+  // The draw covers both outcomes and real gap fills.
+  EXPECT_GT(kept, 100u);
+  EXPECT_GT(empty, 100u);
+  EXPECT_GT(filled, 100u);
+}
+
+TEST(Preprocess, PlanBatchKeepsWhatProcessKeeps) {
+  std::vector<sim::DriveTimeSeries> batch;
+  batch.push_back(series_on_days({1, 2, 3, 30, 31, 32}));
+  batch.push_back(series_on_days({5}));
+  batch.push_back(series_on_days({37, 39, 40, 41}));
+  batch.back().drive_id = 43;
+  const Preprocessor pre;
+  PreprocessStats processed, planned;
+  const auto drives = pre.process(batch, &processed);
+  std::vector<const sim::DriveTimeSeries*> input;
+  for (const auto& s : batch) input.push_back(&s);
+  std::vector<std::size_t> kept;
+  pre.plan_batch(
+      input,
+      [&](std::size_t i, const sim::DriveTimeSeries&, DrivePlan plan) {
+        kept.push_back(i);
+        const ProcessedDrive drive = pre.convert(batch[i], plan);
+        EXPECT_EQ(drive.records.size(), plan.records());
+        EXPECT_EQ(drive.dropped_records, plan.dropped);
+      },
+      &planned);
+  EXPECT_EQ(kept, (std::vector<std::size_t>{0, 2}));
+  ASSERT_EQ(drives.size(), 2u);
+  EXPECT_EQ(planned, processed);
 }
 
 }  // namespace

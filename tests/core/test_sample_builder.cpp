@@ -201,6 +201,55 @@ TEST(SampleBuilder, DeterministicNegativeSampling) {
   EXPECT_EQ(a.build(drives, failures).meta, b.build(drives, failures).meta);
 }
 
+TEST(SampleBuilder, SelectConvertsOnlyDrawnDrives) {
+  // select() over drives that are not converted yet must build what build()
+  // builds over the converted batch, converting only the healthy drives a
+  // negative draw lands in, each once.
+  const auto enc = encoder();
+  SampleConfig cfg;
+  cfg.group = FeatureGroup::kSFWB;
+  cfg.neg_per_pos = 2.0;
+  cfg.seed = 9;
+  const SampleBuilder builder(cfg, &enc);
+  std::vector<ProcessedDrive> drives;
+  drives.push_back(make_drive(1, {96, 97, 98, 99, 100}, true, 100));
+  for (std::uint64_t id = 2; id < 40; ++id) {
+    drives.push_back(make_drive(id, {1, 2, 3, static_cast<DayIndex>(id)}));
+  }
+  drives.push_back(make_drive(40, {95, 100}, true, 100));
+  std::unordered_map<std::uint64_t, IdentifiedFailure> failures{
+      {1, failure_at(1, 100)}, {40, failure_at(40, 100)}};
+  std::vector<SampleSource> sources;
+  for (const auto& d : drives) {
+    const auto it = failures.find(d.drive_id);
+    if (it == failures.end()) {
+      sources.push_back({nullptr, d.records.size(), nullptr});
+    } else {
+      sources.push_back({&d, d.records.size(), &it->second});
+    }
+  }
+  std::vector<std::size_t> converted;
+  const auto ds = builder.select(sources, [&](std::size_t d) {
+    converted.push_back(d);
+    return drives[d];
+  });
+  const auto expected = builder.build(drives, failures);
+  EXPECT_EQ(ds.X, expected.X);
+  EXPECT_EQ(ds.y, expected.y);
+  EXPECT_EQ(ds.meta, expected.meta);
+  EXPECT_EQ(ds.positives(), 7u);
+  EXPECT_EQ(ds.negatives(), 14u);
+  std::vector<std::size_t> sampled;
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    if (ds.y[i] == 1) continue;
+    const auto d = static_cast<std::size_t>(ds.meta[i].drive_id - 1);
+    if (sampled.empty() || sampled.back() != d) sampled.push_back(d);
+  }
+  EXPECT_EQ(converted, sampled);
+  EXPECT_LT(converted.size(), 38u);
+  EXPECT_EQ(builder.positive_count(sources), 7u);
+}
+
 TEST(SampleBuilder, SequenceRowsFlattenHistory) {
   const auto enc = encoder();
   SampleConfig cfg;
