@@ -1,10 +1,11 @@
 // Shared scaffolding for the experiment harnesses (bench/exp_*.cpp): CLI
-// parsing, fleet construction, and one-line metric rows. Every harness
-// accepts:
+// parsing, fleet construction, per-vendor datasets, and one-line metric
+// rows. Every harness accepts:
 //   --scenario=tiny|small|default|large   (default: default)
 //   --seed=N                              (default: 42)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -12,7 +13,9 @@
 
 #include "common/string_util.hpp"
 #include "common/table_printer.hpp"
+#include "core/failure_time.hpp"
 #include "core/mfpa.hpp"
+#include "core/preprocess.hpp"
 #include "sim/fleet.hpp"
 
 namespace mfpa::bench {
@@ -50,6 +53,35 @@ struct World {
         telemetry(fleet.generate_telemetry(/*threads=*/0)),  // deterministic
         tickets(fleet.tickets()) {}
 };
+
+/// The labelled dataset of a vendor set, as the per-vendor harnesses build
+/// it: clean those vendors' drives, fit the firmware encoder over them,
+/// identify failure times (theta = 7) and build `group` samples. Drives are
+/// planned where they lie in `world`, not copied out per vendor.
+inline data::Dataset vendor_dataset(const World& world,
+                                    const std::vector<int>& vendors,
+                                    core::FeatureGroup group,
+                                    std::uint64_t seed) {
+  std::vector<const sim::DriveTimeSeries*> series;
+  for (const auto& s : world.telemetry) {
+    if (std::find(vendors.begin(), vendors.end(), s.vendor) != vendors.end()) {
+      series.push_back(&s);
+    }
+  }
+  const core::Preprocessor pre;
+  std::vector<core::ProcessedDrive> drives;
+  pre.plan_batch(series, [&](std::size_t i, const sim::DriveTimeSeries&,
+                             core::DrivePlan plan) {
+    drives.push_back(pre.convert(*series[i], plan));
+  });
+  const auto encoder = core::Preprocessor::fit_firmware_encoder(drives);
+  const auto failures =
+      core::FailureTimeIdentifier(7).identify_all(world.tickets, drives);
+  core::SampleConfig sc;
+  sc.group = group;
+  sc.seed = seed;
+  return core::SampleBuilder(sc, &encoder).build(drives, failures);
+}
 
 /// Row cells for one evaluated model (TPR/FPR/ACC/PDR/AUC as percents).
 inline std::vector<std::string> metric_cells(const core::MfpaReport& r) {

@@ -8,8 +8,6 @@
 #include <numeric>
 
 #include "bench_common.hpp"
-#include "core/failure_time.hpp"
-#include "core/preprocess.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/sampler.hpp"
 #include "sim/catalog.hpp"
@@ -21,21 +19,9 @@ int main(int argc, char** argv) {
   bench::print_world_banner(world, args,
                             "=== RF feature importance over SFWB ===");
 
-  const core::Preprocessor pre;
-  const core::FailureTimeIdentifier identifier(7);
   for (int vendor : {0, 1}) {
-    std::vector<sim::DriveTimeSeries> series;
-    for (const auto& s : world.telemetry) {
-      if (s.vendor == vendor) series.push_back(s);
-    }
-    const auto drives = pre.process(series);
-    const auto encoder = core::Preprocessor::fit_firmware_encoder(drives);
-    const auto failures = identifier.identify_all(world.tickets, drives);
-    core::SampleConfig sc;
-    sc.group = core::FeatureGroup::kSFWB;
-    sc.seed = args.seed;
-    const core::SampleBuilder builder(sc, &encoder);
-    data::Dataset ds = builder.build(drives, failures);
+    data::Dataset ds = bench::vendor_dataset(
+        world, {vendor}, core::FeatureGroup::kSFWB, args.seed);
     const ml::RandomUnderSampler sampler(3.0, args.seed);
     ds = sampler.resample(ds);
 

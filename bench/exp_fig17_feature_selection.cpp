@@ -6,8 +6,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/failure_time.hpp"
-#include "core/preprocess.hpp"
 #include "ml/factory.hpp"
 #include "ml/feature_selection.hpp"
 #include "ml/metrics.hpp"
@@ -20,20 +18,8 @@ int main(int argc, char** argv) {
                             "=== Fig. 17: sequential forward selection ===");
 
   // Build the SFWB dataset once (vendor I).
-  std::vector<sim::DriveTimeSeries> vendor0;
-  for (const auto& s : world.telemetry) {
-    if (s.vendor == 0) vendor0.push_back(s);
-  }
-  const core::Preprocessor pre;
-  const auto drives = pre.process(vendor0);
-  const auto encoder = core::Preprocessor::fit_firmware_encoder(drives);
-  const core::FailureTimeIdentifier identifier(7);
-  const auto failures = identifier.identify_all(world.tickets, drives);
-  core::SampleConfig sc;
-  sc.group = core::FeatureGroup::kSFWB;
-  sc.seed = args.seed;
-  const core::SampleBuilder builder(sc, &encoder);
-  const auto ds = builder.build(drives, failures);
+  const auto ds =
+      bench::vendor_dataset(world, {0}, core::FeatureGroup::kSFWB, args.seed);
   std::cout << "samples=" << ds.size() << " positives=" << ds.positives()
             << " features=" << ds.num_features() << "\n\n";
 

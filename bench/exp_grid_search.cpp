@@ -5,8 +5,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/failure_time.hpp"
-#include "core/preprocess.hpp"
 #include "ml/grid_search.hpp"
 
 int main(int argc, char** argv) {
@@ -17,20 +15,9 @@ int main(int argc, char** argv) {
       world, args, "=== Grid search + time-series CV (paper III-C(4)) ===");
 
   // Build the SFWB training matrix once (vendor I, chronologically sorted).
-  std::vector<sim::DriveTimeSeries> vendor0;
-  for (const auto& s : world.telemetry) {
-    if (s.vendor == 0) vendor0.push_back(s);
-  }
-  const core::Preprocessor pre;
-  const auto drives = pre.process(vendor0);
-  const auto encoder = core::Preprocessor::fit_firmware_encoder(drives);
-  const core::FailureTimeIdentifier identifier(7);
-  const auto failures = identifier.identify_all(world.tickets, drives);
-  core::SampleConfig sc;
-  sc.group = core::FeatureGroup::kSFWB;
-  sc.seed = args.seed;
-  const core::SampleBuilder builder(sc, &encoder);
-  const auto ds = builder.build(drives, failures).sorted_by_time();
+  const auto ds =
+      bench::vendor_dataset(world, {0}, core::FeatureGroup::kSFWB, args.seed)
+          .sorted_by_time();
   const auto splits = ml::time_series_splits(ds.size(), 3);
   std::cout << "samples=" << ds.size() << " positives=" << ds.positives()
             << " folds=3 (chronological)\n\n";

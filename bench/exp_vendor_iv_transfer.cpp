@@ -10,50 +10,23 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/failure_time.hpp"
-#include "core/preprocess.hpp"
 #include "ml/factory.hpp"
 #include "ml/metrics.hpp"
 #include "ml/sampler.hpp"
 
-namespace {
-
-using namespace mfpa;
-
-/// Builds the canonical S-group dataset of one vendor set.
-data::Dataset build_vendor_dataset(const bench::World& world,
-                                   const std::vector<int>& vendors,
-                                   std::uint64_t seed) {
-  std::vector<sim::DriveTimeSeries> series;
-  for (const auto& s : world.telemetry) {
-    for (int v : vendors) {
-      if (s.vendor == v) {
-        series.push_back(s);
-        break;
-      }
-    }
-  }
-  const core::Preprocessor pre;
-  const auto drives = pre.process(series);
-  const core::FailureTimeIdentifier identifier(7);
-  const auto failures = identifier.identify_all(world.tickets, drives);
-  core::SampleConfig sc;
-  sc.group = core::FeatureGroup::kS;
-  sc.seed = seed;
-  const core::SampleBuilder builder(sc, nullptr);
-  return builder.build(drives, failures).sorted_by_time();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace mfpa;
   const auto args = bench::parse_args(argc, argv);
   bench::World world(args);
   bench::print_world_banner(world, args,
                             "=== Vendor IV: per-vendor vs transfer ===");
 
-  const auto iv = build_vendor_dataset(world, {3}, args.seed);
-  const auto pool = build_vendor_dataset(world, {0, 1, 2}, args.seed);
+  const auto iv =
+      bench::vendor_dataset(world, {3}, core::FeatureGroup::kS, args.seed)
+          .sorted_by_time();
+  const auto pool = bench::vendor_dataset(world, {0, 1, 2},
+                                          core::FeatureGroup::kS, args.seed)
+                        .sorted_by_time();
   std::cout << "vendor IV: " << iv.size() << " samples (" << iv.positives()
             << " positive); donor pool I-III: " << pool.size() << " samples ("
             << pool.positives() << " positive)\n\n";

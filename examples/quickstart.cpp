@@ -4,13 +4,15 @@
 //   ./quickstart [scenario] [seed]
 //     scenario: tiny | small | default | large   (default: small)
 //     seed:     any integer                      (default: 42)
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 
 #include "common/string_util.hpp"
 #include "common/table_printer.hpp"
 #include "core/mfpa.hpp"
-#include "ml/serialize.hpp"
+#include "serve/model_registry.hpp"
+#include "serve/wal.hpp"
 #include "sim/fleet.hpp"
 
 int main(int argc, char** argv) {
@@ -71,21 +73,40 @@ int main(int argc, char** argv) {
               << stage.items << " items)\n";
   }
 
-  // 4. Ship the model: serialize, reload, and verify the round trip predicts
-  // identically (this is how refreshed models reach client machines).
-  const std::string model_path = "mfpa_model.txt";
-  ml::save_classifier_file(model_path, pipeline.model());
-  const auto restored = ml::load_classifier_file(model_path);
+  // 4. Ship the model: write the deployable artifact (classifier, feature
+  // group, firmware vocabulary and threshold under one digest), reload it,
+  // and verify the round trip predicts identically (this is how refreshed
+  // models reach client machines).
+  serve::ModelManifest manifest;
+  manifest.group = config.group;
+  manifest.threshold = pipeline.threshold();
+  manifest.train_lo = manifest.train_hi = report.split_day;
+  for (const auto& series : telemetry) {
+    if (!series.records.empty()) {
+      manifest.train_lo =
+          std::min(manifest.train_lo, series.records.front().day);
+    }
+  }
+  const std::string model_path = "mfpa_model.model";
+  serve::publish_file(model_path,
+                      serve::render_artifact(manifest,
+                                             pipeline.firmware_encoder(),
+                                             pipeline.model()),
+                      /*fsync=*/false);
+  const auto restored = serve::load_artifact(model_path);
   const std::size_t n_features =
-      pipeline.make_builder().feature_names().size();
+      restored->make_builder().feature_names().size();
   data::Matrix probe(8, n_features, 0.0);
   for (std::size_t r = 0; r < probe.rows(); ++r) {
     probe(r, r % n_features) = static_cast<double>(r) * 10.0;
   }
   const bool identical = pipeline.model().predict_proba(probe) ==
-                         restored->predict_proba(probe);
-  std::cout << "\nModel serialized to " << model_path << " ("
-            << restored->name() << "); reload predicts identically: "
+                         restored->classifier->predict_proba(probe);
+  std::cout << "\nModel artifact written to " << model_path << " ("
+            << restored->manifest.algorithm << ", group "
+            << core::feature_group_name(restored->manifest.group)
+            << ", threshold " << format_double(restored->manifest.threshold, 3)
+            << "); reload predicts identically: "
             << (identical ? "yes" : "NO — bug!") << "\n";
   return 0;
 }

@@ -23,9 +23,11 @@
 #include "obs/export.hpp"
 #include "core/mfpa.hpp"
 #include "core/online_predictor.hpp"
+#include "ml/checksum.hpp"
 #include "ml/serialize.hpp"
 #include "ml/simd.hpp"
 #include "serve/replay.hpp"
+#include "serve/wal.hpp"
 #include "sim/fleet.hpp"
 #include "sim/telemetry_io.hpp"
 #include "sim/validate.hpp"
@@ -276,14 +278,10 @@ void print_resume(const std::vector<std::size_t>& resume, const char* what,
 /// a partial write because the content lands under a dot-temp name first.
 void write_port_file(const std::string& path, std::uint16_t port,
                      std::size_t resume_records, int model_version) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    f << port << ' ' << resume_records << ' ' << model_version << '\n';
-    f.flush();
-    if (!f) throw std::runtime_error("cannot write port file " + tmp);
-  }
-  std::filesystem::rename(tmp, path);
+  const std::string line = std::to_string(port) + ' ' +
+                           std::to_string(resume_records) + ' ' +
+                           std::to_string(model_version) + '\n';
+  serve::publish_file(path, line, /*fsync=*/false);
 }
 
 /// Parses --shard-ports=P1,P2,... into per-shard ports (global shard
@@ -390,7 +388,22 @@ int cmd_train(const CommandLine& cmd, std::ostream& out) {
       sim::read_tickets_file(cmd.require("tickets"), robustness, &read_stats);
   auto report = pipeline.run(telemetry, tickets);
   report.ingest_stats.merge(read_stats);
-  ml::save_classifier_file(cmd.require("model"), pipeline.model());
+  // The deployable artifact, as a registry publishes it; version 0 means
+  // not in a registry. The training window runs from the first telemetry
+  // day to the split day, as serve::train_and_publish records it.
+  serve::ModelManifest manifest;
+  manifest.group = pipeline.config().group;
+  manifest.threshold = pipeline.threshold();
+  manifest.train_lo = manifest.train_hi = report.split_day;
+  for (const auto& series : telemetry) {
+    if (!series.records.empty()) {
+      manifest.train_lo =
+          std::min(manifest.train_lo, series.records.front().day);
+    }
+  }
+  const std::string artifact = serve::render_artifact(
+      manifest, pipeline.firmware_encoder(), pipeline.model());
+  serve::publish_file(cmd.require("model"), artifact, /*fsync=*/false);
   out << "trained " << pipeline.model().name() << " on "
       << report.train_size << " samples; model written to "
       << cmd.require("model") << "\n";
@@ -425,28 +438,23 @@ int cmd_evaluate(const CommandLine& cmd, std::ostream& out) {
 
 int cmd_predict(const CommandLine& cmd, std::ostream& out) {
   const auto robustness = robustness_from(cmd);
-  const double threshold = cmd.get_number("threshold", 0.5);
   const auto top = get_int<std::size_t>(cmd, "top", 20, 0);
+  // Group, firmware vocabulary and threshold come from the artifact, so
+  // rows are built exactly as for training.
+  const auto served = serve::load_artifact(cmd.require("model"));
+  const double threshold =
+      cmd.get_number("threshold", served->manifest.threshold);
   IngestStats ingest;
   const auto telemetry =
       sim::read_telemetry_file(cmd.require("telemetry"), robustness, &ingest);
-  const auto model = ml::load_classifier_file(cmd.require("model"));
 
-  // Score the latest observation of every drive; the feature layout must
-  // match the group the model was trained on.
-  const auto group = core::feature_group_from_name(cmd.get("group", "SFWB"));
+  // Score the latest observation of every drive.
   core::PreprocessConfig pre_config;
   pre_config.robustness = robustness;
   const core::Preprocessor pre(pre_config);
   const auto drives = pre.process(telemetry, nullptr, &ingest);
   report_ingest(ingest, robustness, out);
-  // Firmware vocabulary from the scored data itself (deployment would ship
-  // the training-time encoder; the CLI keeps the file format model-only and
-  // accepts the small code drift).
-  const auto encoder = core::Preprocessor::fit_firmware_encoder(drives);
-  core::SampleConfig sc;
-  sc.group = group;
-  const core::SampleBuilder builder(sc, &encoder);
+  const core::SampleBuilder builder = served->make_builder();
 
   struct Scored {
     std::uint64_t drive_id;
@@ -465,7 +473,7 @@ int cmd_predict(const CommandLine& cmd, std::ostream& out) {
     out << "no scorable drives\n";
     return 0;
   }
-  const auto scores = model->predict_proba(batch.X);
+  const auto scores = served->classifier->predict_proba(batch.X);
   for (std::size_t i = 0; i < scores.size(); ++i) {
     scored.push_back({batch.meta[i].drive_id, batch.meta[i].day, scores[i]});
   }
@@ -1030,9 +1038,18 @@ int cmd_validate(const CommandLine& cmd, std::ostream& out) {
 }
 
 int cmd_info(const CommandLine& cmd, std::ostream& out) {
-  const auto model = ml::load_classifier_file(cmd.require("model"));
-  out << "algorithm: " << model->name() << "\nhyperparameters:\n";
-  for (const auto& [key, value] : model->hyperparams()) {
+  const auto served = serve::load_artifact(cmd.require("model"));
+  const serve::ModelManifest& m = served->manifest;
+  out << "algorithm: " << served->classifier->name() << "\n";
+  out << "version: " << m.version << "\n";
+  out << "group: " << core::feature_group_name(m.group) << "\n";
+  out << "threshold: " << format_double(m.threshold, 6) << "\n";
+  out << "training window: " << format_date(m.train_lo) << " .. "
+      << format_date(m.train_hi) << "\n";
+  out << "firmware versions: " << served->encoder.classes().size() << "\n";
+  out << "checksum: " << ml::checksum_hex(m.checksum) << "\n";
+  out << "hyperparameters:\n";
+  for (const auto& [key, value] : served->classifier->hyperparams()) {
     out << "  " << key << " = " << format_double(value, 6) << "\n";
   }
   return 0;
@@ -1119,9 +1136,13 @@ std::string usage() {
       "  train     --telemetry=FILE --tickets=FILE --model=FILE\n"
       "            [--vendor=N] [--group=SFWB|SFW|SFB|SF|S|W|B] [--algorithm=RF]\n"
       "            [--theta=7] [--threshold=0.5] [--seed=N] [--report]\n"
+      "            writes the deployable model artifact, as a registry\n"
+      "            publishes it (docs/SERVING.md)\n"
       "  evaluate  --telemetry=FILE --tickets=FILE [--vendor=N] [--group=G] ...\n"
-      "  predict   --telemetry=FILE --model=FILE [--group=G] [--threshold=T]\n"
-      "            [--top=N] [--explain]\n"
+      "  predict   --telemetry=FILE --model=FILE [--threshold=T] [--top=N]\n"
+      "            [--explain]\n"
+      "            scores with the artifact's group, firmware vocabulary and\n"
+      "            threshold (--threshold overrides the last)\n"
       "  serve-replay  [--telemetry=FILE --tickets=FILE | --scenario=NAME\n"
       "            --seed=N --scale=X] [--algorithm=RF] [--group=G]\n"
       "            [--threads=N] [--batch=256] [--queue-capacity=4096]\n"
@@ -1192,7 +1213,8 @@ std::string usage() {
       "            by the shared drive hash (one extra hop; shard-aware\n"
       "            clients connect to the shards directly instead).\n"
       "  validate  --telemetry=FILE\n"
-      "  info      --model=FILE\n"
+      "  info      --model=FILE  print a model artifact's manifest and\n"
+      "            hyperparameters\n"
       "  metrics   print the process metrics registry (Prometheus text)\n"
       "  help\n"
       "\n"

@@ -1,8 +1,6 @@
 #include "common/csv.hpp"
 
-#include <fstream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace mfpa::csv {
@@ -63,47 +61,6 @@ std::vector<std::string> parse_line(std::string_view line) {
   }
   fields.push_back(std::move(current));
   return fields;
-}
-
-std::size_t Document::column_index(std::string_view name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  throw std::out_of_range("csv: no column named '" + std::string(name) + "'");
-}
-
-Document read(std::istream& is) {
-  Document doc;
-  std::string line;
-  bool first = true;
-  while (std::getline(is, line)) {
-    if (line.empty() && is.peek() == std::char_traits<char>::eof()) break;
-    auto fields = parse_line(line);
-    if (first) {
-      doc.header = std::move(fields);
-      first = false;
-    } else {
-      doc.rows.push_back(std::move(fields));
-    }
-  }
-  return doc;
-}
-
-Document read_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("csv: cannot open '" + path + "' for reading");
-  return read(f);
-}
-
-void write(std::ostream& os, const Document& doc) {
-  write_row(os, doc.header);
-  for (const auto& row : doc.rows) write_row(os, row);
-}
-
-void write_file(const std::string& path, const Document& doc) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("csv: cannot open '" + path + "' for writing");
-  write(f, doc);
 }
 
 }  // namespace mfpa::csv

@@ -1,5 +1,5 @@
-// Minimal CSV reading/writing (RFC 4180 quoting) used to export simulated
-// telemetry and experiment results.
+// Minimal CSV line reading/writing (RFC 4180 quoting) used by the telemetry
+// and ticket readers and writers.
 #pragma once
 
 #include <iosfwd>
@@ -18,26 +18,5 @@ void write_row(std::ostream& os, const std::vector<std::string>& fields);
 /// Parses one CSV line into fields, honoring double-quote escaping.
 /// Throws std::invalid_argument on an unterminated quoted field.
 std::vector<std::string> parse_line(std::string_view line);
-
-/// A fully materialized CSV document.
-struct Document {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-
-  /// Index of a header column; throws std::out_of_range if absent.
-  std::size_t column_index(std::string_view name) const;
-};
-
-/// Reads a whole document from a stream; the first row is the header.
-Document read(std::istream& is);
-
-/// Reads a document from a file path; throws std::runtime_error if unreadable.
-Document read_file(const std::string& path);
-
-/// Writes a document (header + rows) to a stream.
-void write(std::ostream& os, const Document& doc);
-
-/// Writes a document to a file path; throws std::runtime_error on failure.
-void write_file(const std::string& path, const Document& doc);
 
 }  // namespace mfpa::csv

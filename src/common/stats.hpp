@@ -16,41 +16,11 @@ double mean(std::span<const double> xs) noexcept;
 /// Unbiased sample variance (n-1 denominator); 0 for fewer than 2 values.
 double variance(std::span<const double> xs) noexcept;
 
-/// Sample standard deviation.
-double stddev(std::span<const double> xs) noexcept;
-
-/// Population variance (n denominator); 0 for an empty span.
-double population_variance(std::span<const double> xs) noexcept;
-
 /// Linear-interpolated quantile, q in [0, 1]. Copies and sorts internally.
 double quantile(std::span<const double> xs, double q);
 
 /// Median (quantile 0.5).
 double median(std::span<const double> xs);
-
-/// Pearson correlation coefficient; 0 if either side is constant.
-double pearson(std::span<const double> xs, std::span<const double> ys) noexcept;
-
-/// Streaming mean/variance accumulator (Welford).
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Unbiased sample variance.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Log-linear histogram: the one bucket geometry behind every latency,
 /// duration and size histogram in the project (obs::HistogramMetric keeps

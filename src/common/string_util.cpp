@@ -1,6 +1,5 @@
 #include "common/string_util.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -20,14 +19,6 @@ std::vector<std::string> split(std::string_view text, char delim) {
   }
 }
 
-std::string_view trim(std::string_view text) noexcept {
-  std::size_t b = 0;
-  std::size_t e = text.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
-  return text.substr(b, e - b);
-}
-
 std::string join(const std::vector<std::string>& items, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -39,12 +30,6 @@ std::string join(const std::vector<std::string>& items, std::string_view sep) {
 
 bool starts_with(std::string_view text, std::string_view prefix) noexcept {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
 }
 
 std::string format_double(double value, int precision) {

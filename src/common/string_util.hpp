@@ -10,17 +10,11 @@ namespace mfpa {
 /// Splits on a single-character delimiter; preserves empty fields.
 std::vector<std::string> split(std::string_view text, char delim);
 
-/// Removes leading/trailing ASCII whitespace.
-std::string_view trim(std::string_view text) noexcept;
-
 /// Joins items with a separator.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
 
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix) noexcept;
-
-/// Lower-cases ASCII letters.
-std::string to_lower(std::string_view text);
 
 /// printf-style double formatting with fixed precision.
 std::string format_double(double value, int precision = 4);

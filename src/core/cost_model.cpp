@@ -34,11 +34,4 @@ double cost_optimal_threshold(std::span<const int> y_true,
   return best_threshold;
 }
 
-double min_cost_per_sample(std::span<const int> y_true,
-                           std::span<const double> scores,
-                           const MisclassificationCosts& costs) {
-  const double t = cost_optimal_threshold(y_true, scores, costs);
-  return costs.per_sample(ml::confusion_at(y_true, scores, t));
-}
-
 }  // namespace mfpa::core

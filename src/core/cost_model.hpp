@@ -34,9 +34,4 @@ double cost_optimal_threshold(std::span<const int> y_true,
                               std::span<const double> scores,
                               const MisclassificationCosts& costs);
 
-/// Cost at the best threshold (convenience for benches).
-double min_cost_per_sample(std::span<const int> y_true,
-                           std::span<const double> scores,
-                           const MisclassificationCosts& costs);
-
 }  // namespace mfpa::core

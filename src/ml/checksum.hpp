@@ -1,10 +1,19 @@
-// Content checksums for model artifacts. Serialized models travel from the
-// training fleet to the serving tier (and onward to client agents) through
-// object stores and flaky links; a truncated or bit-flipped artifact must be
-// rejected at load time, not discovered as silently wrong scores. FNV-1a is
-// enough: the threat model is corruption, not an adversary.
+// Content checksums and the sealed-file codec. Serialized models travel
+// from the training fleet to the serving tier (and onward to client agents)
+// through object stores and flaky links, and checkpoints sit on disks that
+// crash mid-write; a truncated or bit-flipped file must be rejected at load
+// time, not discovered as silently wrong scores. FNV-1a is enough: the
+// threat model is corruption, not an adversary.
+//
+// Every sealed file (classifier blocks, model artifacts, checkpoints) is one
+// header line followed by the payload it covers:
+//
+//   <tag> <version> <payload bytes> <16 lowercase hex FNV-1a of payload>\n
+//
+// seal() writes it; unseal() is its only reader.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -30,5 +39,26 @@ std::string checksum_hex(std::uint64_t digest);
 
 /// Parses checksum_hex output; throws std::runtime_error on malformed input.
 std::uint64_t parse_checksum_hex(const std::string& hex);
+
+/// The header line of a sealed file, for writers that emit header and
+/// payload as two parts. The digest is always 16 digits, so the header's
+/// length is known before the payload is hashed.
+std::string seal_header(std::string_view tag, int version,
+                        std::size_t payload_bytes, std::uint64_t digest);
+
+/// A sealed file: the header over `payload`'s size and digest, then
+/// `payload`.
+std::string seal(std::string_view tag, int version, std::string_view payload);
+
+/// The payload of a sealed file (a view into `bytes`). Throws
+/// std::runtime_error naming `what` when, checked in this order, there is
+/// no header line, the tag is not `tag`, the version is not `version`, the
+/// header is not byte for byte what seal_header writes for the values in
+/// it, the payload is truncated or followed by trailing bytes, or it fails
+/// its digest ("checksum mismatch"). `digest`, when given, receives the
+/// payload's digest.
+std::string_view unseal(std::string_view bytes, std::string_view tag,
+                        int version, std::string_view what,
+                        std::uint64_t* digest = nullptr);
 
 }  // namespace mfpa::ml

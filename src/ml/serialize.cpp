@@ -1,7 +1,7 @@
 #include "ml/serialize.hpp"
 
 #include <cstdio>
-#include <fstream>
+#include <iterator>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -80,9 +80,8 @@ std::unique_ptr<Classifier> load_body(std::istream& is,
 }  // namespace
 
 std::uint64_t save_classifier(std::ostream& os, const Classifier& model) {
-  // The body (everything the checksum covers) is rendered first so the
-  // header can carry its exact byte length and FNV-1a digest; the loader can
-  // then reject truncation and corruption before touching the payload.
+  // The body is rendered first so the header can carry its exact byte
+  // length and digest.
   std::ostringstream body_stream;
   body_stream << model.name() << '\n';
   const Hyperparams& params = model.hyperparams();
@@ -95,61 +94,18 @@ std::uint64_t save_classifier(std::ostream& os, const Classifier& model) {
   model.save_state(body_stream);
   const std::string body = body_stream.str();
   const std::uint64_t digest = fnv1a(body);
-  os << "mfpa_model 2 " << body.size() << ' ' << checksum_hex(digest) << '\n'
-     << body;
+  os << seal_header("mfpa_model", 2, body.size(), digest) << body;
   if (!os) throw std::runtime_error("save_classifier: stream failure");
   return digest;
 }
 
 std::unique_ptr<Classifier> load_classifier(std::istream& is,
                                             const Hyperparams& overrides) {
-  io::expect_token(is, "mfpa_model");
-  int version = 0;
-  if (!(is >> version)) {
-    throw std::runtime_error("load_classifier: malformed format version");
-  }
-  if (version != 2) {
-    throw std::runtime_error("load_classifier: unsupported format version " +
-                             std::to_string(version) +
-                             " (only checksummed version 2 loads)");
-  }
-  std::size_t body_size = 0;
-  std::string hex;
-  if (!(is >> body_size >> hex) || body_size > (1u << 30)) {
-    throw std::runtime_error("load_classifier: malformed checksum header");
-  }
-  const std::uint64_t expected = parse_checksum_hex(hex);
-  if (is.get() != '\n') {
-    throw std::runtime_error("load_classifier: malformed checksum header");
-  }
-  std::string body(body_size, '\0');
-  is.read(body.data(), static_cast<std::streamsize>(body_size));
-  if (static_cast<std::size_t>(is.gcount()) != body_size) {
-    throw std::runtime_error(
-        "load_classifier: truncated artifact (expected " +
-        std::to_string(body_size) + " payload bytes, got " +
-        std::to_string(is.gcount()) + ")");
-  }
-  const std::uint64_t actual = fnv1a(body);
-  if (actual != expected) {
-    throw std::runtime_error(
-        "load_classifier: checksum mismatch (artifact corrupt): expected " +
-        checksum_hex(expected) + ", payload hashes to " + checksum_hex(actual));
-  }
-  std::istringstream body_is(body);
-  return load_body(body_is, overrides);
-}
-
-void save_classifier_file(const std::string& path, const Classifier& model) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("save_classifier_file: cannot open " + path);
-  save_classifier(f, model);
-}
-
-std::unique_ptr<Classifier> load_classifier_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("load_classifier_file: cannot open " + path);
-  return load_classifier(f);
+  const std::string bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  std::istringstream body(
+      std::string(unseal(bytes, "mfpa_model", 2, "load_classifier")));
+  return load_body(body, overrides);
 }
 
 }  // namespace mfpa::ml

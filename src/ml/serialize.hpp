@@ -10,10 +10,12 @@
 //   params <n> (<key> <value>)*
 //   <algorithm-specific state written by Classifier::save_state>
 //
-// The header's byte count and FNV-1a digest cover everything after the
-// header line, so a truncated or bit-flipped artifact is rejected at load
-// time with a clear error instead of silently mis-scoring. Every other
-// version, the pre-checksum version 1 included, is refused.
+// The header is ml::seal's (ml/checksum.hpp): its byte count and FNV-1a
+// digest cover everything after it, so a truncated or bit-flipped block is
+// rejected at load time with a clear error instead of silently mis-scoring.
+// Every other version, the pre-checksum version 1 included, is refused. A
+// deployable model file wraps this block in a registry artifact
+// (serve/model_registry.hpp), which adds the deployment manifest.
 //
 // load_classifier() rebuilds the model through the factory and restores its
 // state, so a deserialized model predicts bit-identically to the original.
@@ -30,23 +32,20 @@
 
 namespace mfpa::ml {
 
-/// Writes a trained classifier (version-2 checksummed framing) and returns
-/// the payload's FNV-1a digest (recorded in registry manifests). Throws
+/// Writes a trained classifier (version-2 sealed framing) and returns the
+/// payload's FNV-1a digest. Throws
 /// std::logic_error if unfitted (models validate their own state) and
 /// std::runtime_error on stream failure.
 std::uint64_t save_classifier(std::ostream& os, const Classifier& model);
 
-/// Reads a classifier saved by save_classifier, verifying the payload
-/// checksum (version 2). `overrides` replaces stored hyperparameters before
-/// the model is rebuilt — the serving tier uses this to set deployment-side
-/// knobs like "threads" that are not properties of the learned state.
+/// Reads a classifier saved by save_classifier from the rest of `is`,
+/// verifying the seal (version 2). `overrides` replaces stored
+/// hyperparameters before the model is rebuilt — the serving tier uses this
+/// to set deployment-side knobs like "threads" that are not properties of
+/// the learned state.
 /// Throws std::runtime_error on malformed, truncated, or corrupt input.
 std::unique_ptr<Classifier> load_classifier(std::istream& is,
                                             const Hyperparams& overrides = {});
-
-/// File-path conveniences.
-void save_classifier_file(const std::string& path, const Classifier& model);
-std::unique_ptr<Classifier> load_classifier_file(const std::string& path);
 
 namespace io {
 

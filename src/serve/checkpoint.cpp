@@ -47,11 +47,9 @@ void append_checkpoint_payload(std::string& payload,
   store.save_state(payload);
 }
 
-/// The framing line. The digest is always 16 hex digits, so a file's size
-/// is known before its digest.
+/// The sealed file's header line (ml::seal_header).
 std::string checkpoint_header(std::size_t payload_bytes, std::uint64_t digest) {
-  return "mfpa_ckpt 1 " + std::to_string(payload_bytes) + ' ' +
-         ml::checksum_hex(digest) + '\n';
+  return ml::seal_header("mfpa_ckpt", 1, payload_bytes, digest);
 }
 
 }  // namespace
@@ -62,9 +60,7 @@ void write_checkpoint_file(const std::string& path,
                            bool fsync) {
   std::string payload;
   append_checkpoint_payload(payload, store, lsn, alert_count, model_version);
-  publish_file(path,
-               checkpoint_header(payload.size(), ml::fnv1a(payload)) + payload,
-               fsync);
+  publish_file(path, ml::seal("mfpa_ckpt", 1, payload), fsync);
 }
 
 CheckpointImage load_checkpoint_file(const std::string& path) {
@@ -74,41 +70,22 @@ CheckpointImage load_checkpoint_file(const std::string& path) {
   }
   std::string bytes((std::istreambuf_iterator<char>(f)),
                     std::istreambuf_iterator<char>());
-  const std::size_t nl = bytes.find('\n');
-  if (nl == std::string::npos) {
-    throw std::runtime_error("checkpoint: missing header in " + path);
-  }
-  std::istringstream header(bytes.substr(0, nl));
-  std::string tag, hex;
-  int version = 0;
-  std::size_t payload_bytes = 0;
-  if (!(header >> tag >> version >> payload_bytes >> hex) ||
-      tag != "mfpa_ckpt" || version != 1) {
-    throw std::runtime_error("checkpoint: malformed header in " + path);
-  }
-  const std::string payload = bytes.substr(nl + 1);
-  if (payload.size() != payload_bytes) {
-    throw std::runtime_error(
-        "checkpoint: " + path + " holds " + std::to_string(payload.size()) +
-        " payload bytes, header declares " + std::to_string(payload_bytes) +
-        " (truncated or trailing garbage)");
-  }
-  if (ml::fnv1a(payload) != ml::parse_checksum_hex(hex)) {
-    throw std::runtime_error("checkpoint: payload checksum mismatch in " +
-                             path);
-  }
+  const std::string_view payload =
+      ml::unseal(bytes, "mfpa_ckpt", 1, "checkpoint " + path);
   const std::size_t body_nl = payload.find('\n');
   if (body_nl == std::string::npos) {
     throw std::runtime_error("checkpoint: missing payload header in " + path);
   }
-  std::istringstream body_header(payload.substr(0, body_nl));
+  std::istringstream body_header(std::string(payload.substr(0, body_nl)));
   CheckpointImage image;
+  std::string tag;
+  int version = 0;
   if (!(body_header >> tag >> version >> image.lsn >> image.alert_count >>
         image.model_version) ||
       tag != "checkpoint" || version != 1) {
     throw std::runtime_error("checkpoint: malformed payload header in " + path);
   }
-  image.store_state = payload.substr(body_nl + 1);
+  image.store_state = std::string(payload.substr(body_nl + 1));
   return image;
 }
 

@@ -4,7 +4,7 @@
 // A checkpoint is a point-in-time snapshot of the DriveStateStore (every
 // drive's ingestor state and retained records, emission cursor, and alert
 // gate) plus the WAL position and durable-alert count it corresponds to,
-// written with the same checksummed framing as model artifacts:
+// sealed by ml::seal like model artifacts (ml/checksum.hpp):
 //
 //   mfpa_ckpt 1 <payload bytes> <fnv1a-64 hex of payload>
 //   checkpoint 1 <lsn> <durable alert count> <model version>

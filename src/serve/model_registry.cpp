@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -47,15 +48,77 @@ bool is_registry_file(const std::string& name) {
          is_publish_temp_name(name);
 }
 
-void expect_line_token(std::istream& is, const std::string& expected) {
+/// Reads the manifest line `key`'s first value.
+template <typename T>
+T read_field(std::istream& is, const std::string& key) {
   std::string token;
-  if (!(is >> token) || token != expected) {
-    throw std::runtime_error("ModelRegistry: artifact missing '" + expected +
-                             "' (got '" + token + "')");
+  T value{};
+  if (!(is >> token) || token != key || !(is >> value)) {
+    throw std::runtime_error("malformed manifest line '" + key + "'");
   }
+  return value;
 }
 
 }  // namespace
+
+std::string render_artifact(const ModelManifest& manifest,
+                            const data::LabelEncoder& encoder,
+                            const ml::Classifier& model) {
+  std::ostringstream payload;
+  payload << "version " << manifest.version << '\n'
+          << "algorithm " << model.name() << '\n'
+          << "group " << core::feature_group_name(manifest.group) << '\n'
+          << "threshold ";
+  ml::io::write_double(payload, manifest.threshold);
+  payload << '\n'
+          << "train_window " << manifest.train_lo << ' ' << manifest.train_hi
+          << '\n'
+          << "firmware " << encoder.classes().size();
+  for (const auto& cls : encoder.classes()) payload << ' ' << cls;
+  payload << '\n';
+  ml::save_classifier(payload, model);
+  return ml::seal("mfpa_artifact", 2, payload.str());
+}
+
+std::shared_ptr<ServedModel> load_artifact(const std::string& path,
+                                           const ml::Hyperparams& overrides) {
+  const std::string what = "model artifact " + path;
+  std::ifstream f(path, std::ios::binary);
+  if (!f) throw std::runtime_error("cannot open " + what);
+  const std::string bytes((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+  auto served = std::make_shared<ServedModel>();
+  ModelManifest& m = served->manifest;
+  // Nothing is parsed before the seal checks out.
+  std::istringstream is(
+      std::string(ml::unseal(bytes, "mfpa_artifact", 2, what, &m.checksum)));
+  try {
+    m.version = read_field<int>(is, "version");
+    m.algorithm = read_field<std::string>(is, "algorithm");
+    m.group =
+        core::feature_group_from_name(read_field<std::string>(is, "group"));
+    m.threshold = read_field<double>(is, "threshold");
+    m.train_lo = read_field<DayIndex>(is, "train_window");
+    if (!(is >> m.train_hi)) {
+      throw std::runtime_error("malformed manifest line 'train_window'");
+    }
+    std::vector<std::string> vocabulary(
+        read_field<std::size_t>(is, "firmware"));
+    for (auto& name : vocabulary) {
+      if (!(is >> name)) {
+        throw std::runtime_error("malformed manifest line 'firmware'");
+      }
+    }
+    served->encoder.fit(vocabulary);
+    if (is.get() != '\n') {
+      throw std::runtime_error("malformed manifest line 'firmware'");
+    }
+    served->classifier = ml::load_classifier(is, overrides);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(what + ": " + e.what());
+  }
+  return served;
+}
 
 core::SampleBuilder ServedModel::make_builder() const {
   core::SampleConfig sc;
@@ -135,27 +198,14 @@ int ModelRegistry::publish(const ml::Classifier& model,
   const auto existing = versions();
   const int version = existing.empty() ? 1 : existing.back() + 1;
 
-  // Render the model payload once; its digest goes into the manifest so the
-  // manifest itself cross-checks the framing.
-  std::ostringstream payload;
-  const std::uint64_t digest = ml::save_classifier(payload, model);
-
-  std::ostringstream artifact;
-  artifact << "mfpa_artifact 1\n"
-           << "version " << version << '\n'
-           << "algorithm " << model.name() << '\n'
-           << "group " << core::feature_group_name(group) << '\n'
-           << "threshold ";
-  ml::io::write_double(artifact, threshold);
-  artifact << '\n'
-           << "train_window " << train_lo << ' ' << train_hi << '\n'
-           << "firmware " << encoder.classes().size();
-  for (const auto& cls : encoder.classes()) artifact << ' ' << cls;
-  artifact << '\n'
-           << "checksum " << ml::checksum_hex(digest) << '\n'
-           << payload.str();
-
-  publish_file(artifact_path(version), artifact.str(), /*fsync=*/true);
+  ModelManifest manifest;
+  manifest.version = version;
+  manifest.group = group;
+  manifest.threshold = threshold;
+  manifest.train_lo = train_lo;
+  manifest.train_hi = train_hi;
+  publish_file(artifact_path(version),
+               render_artifact(manifest, encoder, model), /*fsync=*/true);
   write_current_marker(version);
   {
     obs::ScopedTimer timer(*metrics_.swap_seconds);
@@ -187,86 +237,13 @@ int ModelRegistry::publish_pipeline(const core::MfpaPipeline& pipeline,
 std::shared_ptr<const ServedModel> ModelRegistry::load_version(
     int version) const {
   const std::string path = artifact_path(version);
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    throw std::runtime_error("ModelRegistry: missing artifact " + path);
-  }
-  expect_line_token(f, "mfpa_artifact");
-  int format = 0;
-  if (!(f >> format) || format != 1) {
-    throw std::runtime_error("ModelRegistry: unsupported artifact format in " +
-                             path);
-  }
-  auto served = std::make_shared<ServedModel>();
-  ModelManifest& m = served->manifest;
-  expect_line_token(f, "version");
-  if (!(f >> m.version) || m.version != version) {
-    throw std::runtime_error("ModelRegistry: version mismatch inside " + path);
-  }
-  expect_line_token(f, "algorithm");
-  if (!(f >> m.algorithm)) {
-    throw std::runtime_error("ModelRegistry: missing algorithm in " + path);
-  }
-  expect_line_token(f, "group");
-  std::string group_name;
-  if (!(f >> group_name)) {
-    throw std::runtime_error("ModelRegistry: missing group in " + path);
-  }
-  m.group = core::feature_group_from_name(group_name);
-  expect_line_token(f, "threshold");
-  m.threshold = ml::io::read_double(f);
-  expect_line_token(f, "train_window");
-  if (!(f >> m.train_lo >> m.train_hi)) {
-    throw std::runtime_error("ModelRegistry: malformed train_window in " +
-                             path);
-  }
-  expect_line_token(f, "firmware");
-  std::size_t vocab = 0;
-  if (!(f >> vocab) || vocab > (1u << 20)) {
-    throw std::runtime_error("ModelRegistry: malformed firmware vocabulary in " +
-                             path);
-  }
-  std::vector<std::string> versions_list(vocab);
-  for (auto& v : versions_list) {
-    if (!(f >> v)) {
-      throw std::runtime_error("ModelRegistry: truncated firmware vocabulary in " +
-                               path);
-    }
-  }
-  served->encoder.fit(versions_list);
-  expect_line_token(f, "checksum");
-  std::string hex;
-  if (!(f >> hex)) {
-    throw std::runtime_error("ModelRegistry: missing checksum in " + path);
-  }
-  m.checksum = ml::parse_checksum_hex(hex);
-
-  // The framing header that follows carries the digest the payload must
-  // hash to; requiring it to equal the manifest's digest ties the two halves
-  // of the artifact together, and load_classifier then verifies the payload
-  // bytes actually hash to it.
-  if (f.get() != '\n') {
-    throw std::runtime_error("ModelRegistry: malformed checksum line in " +
-                             path);
-  }
-  const std::streampos payload_start = f.tellg();
-  std::string magic;
-  int model_format = 0;
-  std::size_t body_size = 0;
-  std::string framing_hex;
-  if (!(f >> magic >> model_format >> body_size >> framing_hex) ||
-      magic != "mfpa_model" || model_format != 2) {
-    throw std::runtime_error("ModelRegistry: malformed model framing in " +
-                             path);
-  }
-  if (ml::parse_checksum_hex(framing_hex) != m.checksum) {
-    throw std::runtime_error(
-        "ModelRegistry: manifest checksum does not match payload in " + path);
-  }
-  f.seekg(payload_start);
   // Serving predicts inline on each engine's drain thread; its parallelism
   // comes from shards (net::ShardRouter), never from a pool per batch.
-  served->classifier = ml::load_classifier(f, {{"threads", 1.0}});
+  auto served = load_artifact(path, {{"threads", 1.0}});
+  if (served->manifest.version != version) {
+    throw std::runtime_error("ModelRegistry: " + path + " holds version " +
+                             std::to_string(served->manifest.version));
+  }
   // Compile tree ensembles into the flat inference format here, at
   // activation time, so every model the engine hot-swaps to serves from
   // the compiled representation (probabilities stay bit-identical).

@@ -12,9 +12,11 @@
 // fsynced, and renamed into place, and CURRENT is updated the same way
 // (serve::publish_file), so a concurrent reader, a crash mid-publish, or a
 // power loss after it only ever observes complete artifacts. An artifact
-// carries a manifest (model type, feature group, decision threshold,
-// training window, firmware vocabulary, payload checksum) followed by the
-// checksummed ml::save_classifier framing.
+// (`mfpa_artifact 2`) is one ml::seal over a manifest (model type, feature
+// group, decision threshold, training window, firmware vocabulary) and the
+// classifier's `mfpa_model 2` block, so the digest covers every byte of the
+// model. render_artifact / load_artifact are its one codec: the registry
+// and the CLI's train / predict / info share them.
 //
 // In memory, the active version is a std::shared_ptr<const ServedModel>
 // guarded by a tiny pointer mutex: readers (the ScoringEngine's batch loop)
@@ -52,7 +54,7 @@ struct ModelManifest {
   double threshold = 0.5;                        ///< decision threshold
   DayIndex train_lo = 0;                         ///< training window start
   DayIndex train_hi = 0;                         ///< training window end
-  std::uint64_t checksum = 0;                    ///< FNV-1a of model payload
+  std::uint64_t checksum = 0;                    ///< the artifact's digest
 };
 
 /// One immutable deployed model version. Instances are shared read-only
@@ -66,6 +68,21 @@ struct ServedModel {
   /// borrows `encoder`; keep the ServedModel (shared_ptr) alive beside it.
   core::SampleBuilder make_builder() const;
 };
+
+/// The `mfpa_artifact 2` bytes of a model. The algorithm line is
+/// `model.name()` and the digest is the seal's, so `manifest.algorithm` and
+/// `manifest.checksum` are not read.
+std::string render_artifact(const ModelManifest& manifest,
+                            const data::LabelEncoder& encoder,
+                            const ml::Classifier& model);
+
+/// Loads the artifact at `path`, parsing nothing before its seal checks out;
+/// `overrides` replace stored hyperparameters (ml::load_classifier). Throws
+/// std::runtime_error naming `path` when the file is missing, corrupt,
+/// malformed, or of another format (the unsealed-manifest format 1 of older
+/// builds, or a bare `mfpa_model` block).
+std::shared_ptr<ServedModel> load_artifact(
+    const std::string& path, const ml::Hyperparams& overrides = {});
 
 class ModelRegistry {
  public:
@@ -106,8 +123,9 @@ class ModelRegistry {
   /// Version number of the active model (0 = none).
   int current_version() const;
 
-  /// Loads one on-disk version (verifying manifest and payload checksums).
-  /// Throws std::runtime_error on missing or corrupt artifacts.
+  /// Loads one on-disk version through load_artifact and requires its
+  /// manifest to name that version. Throws std::runtime_error on missing or
+  /// corrupt artifacts.
   std::shared_ptr<const ServedModel> load_version(int version) const;
 
   /// Re-points CURRENT (and the in-memory active model) at an already

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -10,7 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.hpp"
+#include "core/preprocess.hpp"
+#include "ml/factory.hpp"
+#include "ml/serialize.hpp"
 #include "obs/metrics.hpp"
+#include "serve/model_registry.hpp"
+#include "sim/telemetry_io.hpp"
 
 namespace mfpa::cli {
 namespace {
@@ -119,10 +126,108 @@ TEST(RunCommand, FullWorkflowSimulateTrainPredictInfo) {
                         err),
             0);
   EXPECT_NE(out.str().find("algorithm: DT"), std::string::npos);
+  EXPECT_NE(out.str().find("group: SFWB"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("threshold: "), std::string::npos) << out.str();
 
   std::remove(telemetry.c_str());
   std::remove(tickets.c_str());
   std::remove(model.c_str());
+}
+
+// `predict` builds rows with the artifact's own builder: the group and the
+// firmware vocabulary training used, not a refit over the scored telemetry.
+TEST(RunCommand, PredictScoresWithTheArtifactsBuilder) {
+  const std::string dir = ::testing::TempDir();
+  const std::string telemetry = dir + "/mfpa_cli_pt.csv";
+  const std::string tickets = dir + "/mfpa_cli_pk.csv";
+  const std::string model = dir + "/mfpa_cli_pm.model";
+  std::ostringstream out, err;
+  ASSERT_EQ(run_command(parse_command_line({"simulate",
+                                            "--telemetry=" + telemetry,
+                                            "--tickets=" + tickets,
+                                            "--scenario=tiny", "--seed=7"}),
+                        out, err),
+            0)
+      << err.str();
+  ASSERT_EQ(run_command(parse_command_line(
+                            {"train", "--telemetry=" + telemetry,
+                             "--tickets=" + tickets, "--model=" + model,
+                             "--group=SFB", "--threshold=0.3"}),
+                        out, err),
+            0)
+      << err.str();
+  out.str("");
+  ASSERT_EQ(run_command(parse_command_line({"predict",
+                                            "--telemetry=" + telemetry,
+                                            "--model=" + model, "--top=1000"}),
+                        out, err),
+            0)
+      << err.str();
+
+  // The same rows scored through the artifact's builder.
+  const auto served = serve::load_artifact(model);
+  EXPECT_EQ(served->manifest.group, core::FeatureGroup::kSFB);
+  const auto builder = served->make_builder();
+  std::map<std::string, std::string> expected;
+  std::size_t flagged = 0;
+  for (const auto& d :
+       core::Preprocessor().process(sim::read_telemetry_file(telemetry))) {
+    if (d.records.empty()) continue;
+    data::Matrix row(0, 0);
+    row.add_row(builder.features_of(d.records.back()));
+    const double score = served->classifier->predict_proba(row)[0];
+    expected[std::to_string(d.drive_id)] = format_double(score, 4);
+    flagged += score >= 0.3;
+  }
+  ASSERT_FALSE(expected.empty());
+  const std::string summary = "scored " + std::to_string(expected.size()) +
+                              " drives; " + std::to_string(flagged) +
+                              " at/above threshold 0.30";
+  EXPECT_NE(out.str().find(summary), std::string::npos) << out.str();
+  std::map<std::string, std::string> printed;
+  std::istringstream table(out.str());
+  std::string line;
+  while (std::getline(table, line)) {
+    std::istringstream fields(line);
+    std::string rank, drive, day, score;
+    if (fields >> rank >> drive >> day >> score &&
+        rank.find_first_not_of("0123456789") == std::string::npos) {
+      printed[drive] = score;
+    }
+  }
+  EXPECT_EQ(printed, expected);
+
+  std::remove(telemetry.c_str());
+  std::remove(tickets.c_str());
+  std::remove(model.c_str());
+}
+
+// Only the artifact is a model file: a bare classifier block (what `train`
+// wrote before) and the unsealed-manifest format 1 exit 2, naming what was
+// found.
+TEST(RunCommand, OtherModelFormatsAreRuntimeFailures) {
+  const std::string path = ::testing::TempDir() + "/mfpa_cli_old.model";
+  auto model = ml::make_classifier("DT", {{"max_depth", 1.0}});
+  data::Matrix X(4, 1, 0.0);
+  X(2, 0) = X(3, 0) = 1.0;
+  model->fit(X, {0, 0, 1, 1});
+  std::ostringstream block;
+  ml::save_classifier(block, *model);
+  const auto expect_refused = [&](const std::string& bytes,
+                                  const std::string& named) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    for (const std::string command : {"info", "predict"}) {
+      const auto cmd = parse_command_line(
+          {command, "--model=" + path, "--telemetry=" + path});
+      std::ostringstream out, err;
+      EXPECT_EQ(run_command(cmd, out, err), 2) << command;
+      EXPECT_NE(err.str().find(named), std::string::npos) << err.str();
+      EXPECT_NE(err.str().find(path), std::string::npos) << err.str();
+    }
+  };
+  expect_refused(block.str(), "'mfpa_model'");
+  expect_refused("mfpa_artifact 1\nversion 1\n" + block.str(), "version 1");
+  std::remove(path.c_str());
 }
 
 TEST(RunCommand, EvaluateReportsDriveLevelMetrics) {

@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
-
-#include <unistd.h>
 
 namespace mfpa::csv {
 namespace {
@@ -79,42 +75,6 @@ TEST(Csv, RowRoundTrip) {
       EXPECT_EQ(fields[i], row[i]);
     }
   }
-}
-
-TEST(Csv, DocumentRoundTripViaStream) {
-  Document doc;
-  doc.header = {"name", "value"};
-  doc.rows = {{"alpha", "1"}, {"beta,comma", "2"}};
-  std::stringstream ss;
-  write(ss, doc);
-  const Document back = read(ss);
-  EXPECT_EQ(back.header, doc.header);
-  ASSERT_EQ(back.rows.size(), 2u);
-  EXPECT_EQ(back.rows[1][0], "beta,comma");
-}
-
-TEST(Csv, ColumnIndexLookup) {
-  Document doc;
-  doc.header = {"a", "b", "c"};
-  EXPECT_EQ(doc.column_index("b"), 1u);
-  EXPECT_THROW(doc.column_index("zzz"), std::out_of_range);
-}
-
-TEST(Csv, FileRoundTrip) {
-  // pid-unique so parallel test processes never race on the same file.
-  const std::string path = ::testing::TempDir() + "/mfpa_csv_test_" +
-                           std::to_string(::getpid()) + ".csv";
-  Document doc;
-  doc.header = {"x"};
-  doc.rows = {{"1"}, {"2"}};
-  write_file(path, doc);
-  const Document back = read_file(path);
-  EXPECT_EQ(back.rows.size(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(Csv, ReadMissingFileThrows) {
-  EXPECT_THROW(read_file("/nonexistent/path/file.csv"), std::runtime_error);
 }
 
 }  // namespace

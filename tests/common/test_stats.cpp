@@ -22,18 +22,12 @@ TEST(Stats, MeanEmptyIsZero) {
 
 TEST(Stats, VarianceBasic) {
   const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(variance(xs), 4.571428571, 1e-8);          // n-1
-  EXPECT_NEAR(population_variance(xs), 4.0, 1e-12);      // n
+  EXPECT_NEAR(variance(xs), 4.571428571, 1e-8);  // n-1
 }
 
 TEST(Stats, VarianceDegenerate) {
   EXPECT_DOUBLE_EQ(variance(std::vector<double>{5.0}), 0.0);
   EXPECT_DOUBLE_EQ(variance(std::vector<double>{}), 0.0);
-}
-
-TEST(Stats, StddevIsSqrtVariance) {
-  const std::vector<double> xs{1.0, 3.0, 5.0};
-  EXPECT_DOUBLE_EQ(stddev(xs), std::sqrt(variance(xs)));
 }
 
 TEST(Stats, QuantileEndpoints) {
@@ -56,60 +50,6 @@ TEST(Stats, QuantileErrors) {
 TEST(Stats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median(std::vector<double>{5.0, 1.0, 3.0}), 3.0);
   EXPECT_DOUBLE_EQ(median(std::vector<double>{1.0, 2.0, 3.0, 4.0}), 2.5);
-}
-
-TEST(Stats, PearsonPerfectCorrelation) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> ys{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-  std::vector<double> neg = ys;
-  for (auto& v : neg) v = -v;
-  EXPECT_NEAR(pearson(xs, neg), -1.0, 1e-12);
-}
-
-TEST(Stats, PearsonConstantIsZero) {
-  const std::vector<double> xs{1.0, 1.0, 1.0};
-  const std::vector<double> ys{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(pearson(xs, ys), 0.0);
-}
-
-TEST(RunningStats, MatchesBatch) {
-  const std::vector<double> xs{1.5, -2.0, 7.0, 3.0, 3.0, 0.5};
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  EXPECT_EQ(rs.count(), xs.size());
-  EXPECT_NEAR(rs.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(rs.variance(), variance(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), -2.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 7.0);
-}
-
-TEST(RunningStats, MergeEqualsCombined) {
-  const std::vector<double> a{1.0, 2.0, 3.0};
-  const std::vector<double> b{10.0, 20.0};
-  RunningStats ra, rb, rall;
-  for (double x : a) {
-    ra.add(x);
-    rall.add(x);
-  }
-  for (double x : b) {
-    rb.add(x);
-    rall.add(x);
-  }
-  ra.merge(rb);
-  EXPECT_EQ(ra.count(), rall.count());
-  EXPECT_NEAR(ra.mean(), rall.mean(), 1e-12);
-  EXPECT_NEAR(ra.variance(), rall.variance(), 1e-12);
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.merge(b);  // no-op
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);  // copies
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
 }
 
 TEST(Histogram, BinAssignment) {

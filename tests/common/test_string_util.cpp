@@ -25,13 +25,6 @@ TEST(StringUtil, SplitNoDelimiter) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(StringUtil, TrimWhitespace) {
-  EXPECT_EQ(trim("  hello \t\n"), "hello");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim("x"), "x");
-}
-
 TEST(StringUtil, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
@@ -42,11 +35,6 @@ TEST(StringUtil, StartsWith) {
   EXPECT_TRUE(starts_with("hello world", "hello"));
   EXPECT_FALSE(starts_with("hello", "hello world"));
   EXPECT_TRUE(starts_with("abc", ""));
-}
-
-TEST(StringUtil, ToLower) {
-  EXPECT_EQ(to_lower("MiXeD"), "mixed");
-  EXPECT_EQ(to_lower("123-XY"), "123-xy");
 }
 
 TEST(StringUtil, FormatDouble) {

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cctype>
 #include <sstream>
-
-#include <unistd.h>
 
 #include "baselines/statistical.hpp"
 #include "ml/checksum.hpp"
@@ -64,25 +62,6 @@ TEST_P(SerializeSweep, HyperparamsSurviveRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SerializeSweep,
                          ::testing::Values("Bayes", "SVM", "RF", "GBDT",
                                            "CNN_LSTM", "LR", "DT"));
-
-TEST(Serialize, FileRoundTrip) {
-  const auto [X, y] = testing::make_blobs(60, 3, 3.0, 113);
-  auto model = make_classifier("RF", {{"n_trees", 5.0}, {"seed", 1.0}});
-  model->fit(X, y);
-  // pid-unique so parallel test processes (ctest -j, sanitizer jobs) never
-  // race on the same file.
-  const std::string path = ::testing::TempDir() + "/mfpa_model_test_" +
-                           std::to_string(::getpid()) + ".txt";
-  save_classifier_file(path, *model);
-  const auto restored = load_classifier_file(path);
-  EXPECT_EQ(restored->predict_proba(X), model->predict_proba(X));
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(load_classifier_file("/nonexistent/mfpa.model"),
-               std::runtime_error);
-}
 
 TEST(Serialize, RejectsGarbage) {
   std::stringstream ss("this is not a model");
@@ -233,6 +212,98 @@ TEST(SerializeChecksum, LoadAppliesOverrides) {
   const auto restored = load_classifier(ss, {{"threads", 3.0}});
   EXPECT_EQ(restored->hyperparams().at("threads"), 3.0);
   EXPECT_EQ(restored->predict_proba(X), model->predict_proba(X));
+}
+
+// --- The sealed-file codec (ml::seal / ml::unseal) --------------------------
+
+namespace {
+
+/// The runtime_error unseal throws for `bytes` (empty when it loads).
+std::string unseal_error(const std::string& bytes) {
+  try {
+    unseal(bytes, "mfpa_test", 3, "probe.bin");
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool mentions(const std::string& text, const std::string& word) {
+  return text.find(word) != std::string::npos;
+}
+
+}  // namespace
+
+TEST(Seal, WritesTheCanonicalHeaderAndRoundTrips) {
+  const std::string payload = std::string("line one\n") + '\0' + "binary\xff";
+  const std::string sealed = seal("mfpa_test", 3, payload);
+  const std::string header = "mfpa_test 3 " + std::to_string(payload.size()) +
+                             " " + checksum_hex(fnv1a(payload)) + "\n";
+  EXPECT_EQ(sealed, header + payload);
+  EXPECT_EQ(seal_header("mfpa_test", 3, payload.size(), fnv1a(payload)),
+            header);
+  std::uint64_t digest = 0;
+  EXPECT_EQ(unseal(sealed, "mfpa_test", 3, "probe.bin", &digest), payload);
+  EXPECT_EQ(digest, fnv1a(payload));
+  EXPECT_EQ(unseal(seal("mfpa_test", 3, ""), "mfpa_test", 3, "probe.bin"), "");
+}
+
+TEST(Seal, NamesEachRefusalAndWhatWasRefused) {
+  const std::string sealed = seal("mfpa_test", 3, "payload bytes");
+  const std::string body = sealed.substr(sealed.find('\n') + 1);
+  const std::string no_header = unseal_error("mfpa_test 3 13");
+  EXPECT_TRUE(mentions(no_header, "no header line")) << no_header;
+  const std::string tag = unseal_error("mfpa_model 3 13 x\n" + body);
+  EXPECT_TRUE(mentions(tag, "'mfpa_model'")) << tag;
+  const std::string truncated =
+      unseal_error(sealed.substr(0, sealed.size() - 1));
+  EXPECT_TRUE(mentions(truncated, "truncated")) << truncated;
+  const std::string trailing = unseal_error(sealed + "\n");
+  EXPECT_TRUE(mentions(trailing, "1 trailing bytes")) << trailing;
+  std::string flipped = sealed;
+  flipped.back() ^= 0x01;
+  const std::string digest = unseal_error(flipped);
+  EXPECT_TRUE(mentions(digest, "checksum mismatch")) << digest;
+  for (const std::string& e : {no_header, tag, truncated, trailing, digest}) {
+    EXPECT_TRUE(e.starts_with("probe.bin: ")) << e;
+  }
+}
+
+// Older formats carry no size or digest, so the version is checked first
+// and names what was found.
+TEST(Seal, RefusesAnotherVersionBeforeSizeAndDigest) {
+  const std::string bare = unseal_error("mfpa_test 1\nold body\n");
+  EXPECT_TRUE(mentions(bare, "version 1")) << bare;
+  const std::string sealed_v4 = unseal_error(seal("mfpa_test", 4, "body"));
+  EXPECT_TRUE(mentions(sealed_v4, "version 4")) << sealed_v4;
+}
+
+// A header that parses to the right values but is not what seal_header
+// writes for them is refused, so no flip inside the header can load.
+TEST(Seal, HeaderMustBeByteExact) {
+  const std::string payload = "payload";
+  const std::string hex = checksum_hex(fnv1a(payload));
+  std::string upper = hex;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  const std::vector<std::string> headers = {
+      "mfpa_test 3 07 " + hex,
+      "mfpa_test 3 +7 " + hex,
+      "mfpa_test 3  7 " + hex,
+      "mfpa_test 3 7  " + hex,
+      "mfpa_test 3 7 " + hex + " ",
+      "mfpa_test 3 7 " + hex + "\r",
+      "mfpa_test 3 7 " + hex.substr(1),
+      "mfpa_test 3 7 0" + hex,
+      "mfpa_test 3 7 " + hex.substr(0, 15) + "g",
+      "mfpa_test 3 7 " + upper.substr(0, 15) + "A",
+      "mfpa_test 03 7 " + hex,
+      "mfpa_test  3 7 " + hex,
+      " mfpa_test 3 7 " + hex,
+  };
+  for (const std::string& header : headers) {
+    EXPECT_FALSE(unseal_error(header + "\n" + payload).empty()) << header;
+  }
+  EXPECT_TRUE(unseal_error("mfpa_test 3 7 " + hex + "\n" + payload).empty());
 }
 
 TEST(SerializeChecksum, HexHelpersRoundTrip) {

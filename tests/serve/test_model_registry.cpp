@@ -8,7 +8,10 @@
 
 #include "core/mfpa.hpp"
 #include "core/preprocess.hpp"
+#include "ml/checksum.hpp"
+#include "ml/factory.hpp"
 #include "ml/flat_forest.hpp"
+#include "ml/serialize.hpp"
 #include "sim/fleet.hpp"
 
 namespace mfpa::serve {
@@ -61,6 +64,18 @@ class ModelRegistryTest : public ::testing::Test {
   fs::path dir_;
 };
 
+std::string read_bytes(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+void write_bytes(const fs::path& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << bytes;
+}
+
 std::vector<sim::DriveTimeSeries>* ModelRegistryTest::telemetry_ = nullptr;
 core::MfpaPipeline* ModelRegistryTest::pipeline_ = nullptr;
 
@@ -90,7 +105,10 @@ TEST_F(ModelRegistryTest, ManifestCarriesDeploymentMetadata) {
   EXPECT_DOUBLE_EQ(model->manifest.threshold, pipeline_->threshold());
   EXPECT_EQ(model->manifest.train_lo, 17);
   EXPECT_EQ(model->manifest.train_hi, 212);
-  EXPECT_NE(model->manifest.checksum, 0u);
+  // The checksum is the artifact's digest: it covers the manifest too.
+  const std::string bytes = read_bytes(dir_ / "v000001.model");
+  EXPECT_EQ(model->manifest.checksum,
+            ml::fnv1a(std::string_view(bytes).substr(bytes.find('\n') + 1)));
   EXPECT_EQ(model->encoder.classes(),
             pipeline_->firmware_encoder().classes());
 }
@@ -149,41 +167,65 @@ TEST_F(ModelRegistryTest, CorruptPayloadIsRejected) {
   ModelRegistry registry(dir_.string());
   registry.publish_pipeline(*pipeline_, 0, 100);
   const fs::path artifact = dir_ / "v000001.model";
-  std::string bytes;
-  {
-    std::ifstream f(artifact, std::ios::binary);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    bytes = ss.str();
-  }
+  std::string bytes = read_bytes(artifact);
   bytes[bytes.size() - bytes.size() / 4] ^= 0x01;  // deep inside the payload
-  {
-    std::ofstream f(artifact, std::ios::binary | std::ios::trunc);
-    f << bytes;
-  }
+  write_bytes(artifact, bytes);
   EXPECT_THROW(registry.load_version(1), std::runtime_error);
 }
 
-TEST_F(ModelRegistryTest, ManifestChecksumMismatchIsRejected) {
+// The seal covers the manifest as well as the classifier block: one bit
+// flipped at any offset (header, version, group, threshold, training
+// window, firmware vocabulary or model) is refused, never loaded.
+TEST_F(ModelRegistryTest, BitFlipAtEveryOffsetIsRejected) {
+  // A depth-2 tree keeps the artifact, and so the sweep, small.
+  const data::Matrix X = probe_rows(16);
+  std::vector<int> y(X.rows());
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 2);
+  auto model = ml::make_classifier("DT", {{"max_depth", 2.0}});
+  model->fit(X, y);
+  ModelRegistry registry(dir_.string());
+  registry.publish(*model, pipeline_->firmware_encoder(),
+                   pipeline_->config().group, 0.5, 17, 212);
+  const fs::path artifact = dir_ / "v000001.model";
+  const std::string pristine = read_bytes(artifact);
+  for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
+    std::string corrupt = pristine;
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 << (pos % 8)));
+    write_bytes(artifact, corrupt);
+    EXPECT_THROW(registry.load_version(1), std::runtime_error)
+        << "byte " << pos;
+  }
+  write_bytes(artifact, pristine);
+  EXPECT_NO_THROW(registry.load_version(1));
+}
+
+// Older files are refused by name: format 1 kept its manifest outside any
+// digest, and a bare classifier block carries no manifest at all.
+TEST_F(ModelRegistryTest, RefusesFormatOneAndBareClassifierBlocks) {
   ModelRegistry registry(dir_.string());
   registry.publish_pipeline(*pipeline_, 0, 100);
   const fs::path artifact = dir_ / "v000001.model";
-  std::string bytes;
-  {
-    std::ifstream f(artifact, std::ios::binary);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    bytes = ss.str();
-  }
-  // Tamper with the manifest's checksum line (the first hex occurrence);
-  // it no longer matches the payload framing.
-  const std::size_t pos = bytes.find("checksum ") + 9;
-  bytes[pos] = bytes[pos] == '0' ? '1' : '0';
-  {
-    std::ofstream f(artifact, std::ios::binary | std::ios::trunc);
-    f << bytes;
-  }
-  EXPECT_THROW(registry.load_version(1), std::runtime_error);
+  const auto load_error = [&] {
+    try {
+      registry.load_version(1);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string sealed = read_bytes(artifact);
+  write_bytes(artifact,
+              "mfpa_artifact 1\n" + sealed.substr(sealed.find('\n') + 1));
+  const std::string format_one = load_error();
+  EXPECT_NE(format_one.find("version 1"), std::string::npos) << format_one;
+  EXPECT_NE(format_one.find(artifact.string()), std::string::npos)
+      << format_one;
+
+  std::ostringstream bare;
+  ml::save_classifier(bare, pipeline_->model());
+  write_bytes(artifact, bare.str());
+  const std::string block = load_error();
+  EXPECT_NE(block.find("'mfpa_model'"), std::string::npos) << block;
 }
 
 TEST_F(ModelRegistryTest, TruncatedArtifactIsRejected) {
