@@ -164,6 +164,34 @@ ServingFlags serving_flags_from(const CommandLine& cmd) {
   return flags;
 }
 
+/// Refuses a durable resume under another topology. Routing is a pure
+/// function of drive id and shard count, and the feed order follows the
+/// telemetry chunking (0 for serve-replay, which replays one batch), so
+/// state written under other flags would be silently re-scored. The first
+/// serving run over a durable root publishes its line to `<root>/TOPOLOGY`;
+/// a later run whose line differs exits 2 before any engine starts.
+void check_topology(const std::string& durable_root, std::size_t shards,
+                    std::size_t chunk_drives) {
+  if (durable_root.empty()) return;
+  const std::string line = "shards=" + std::to_string(shards) +
+                           " chunk-drives=" + std::to_string(chunk_drives);
+  const auto path = std::filesystem::path(durable_root) / "TOPOLOGY";
+  if (!std::filesystem::exists(path)) {
+    std::filesystem::create_directories(durable_root);
+    serve::publish_file(path.string(), line + "\n", /*fsync=*/true);
+    return;
+  }
+  std::ifstream in(path);
+  std::string recorded;
+  std::getline(in, recorded);
+  if (recorded != line) {
+    throw std::runtime_error("durable dir " + durable_root +
+                             " was written under '" + recorded +
+                             "', this run is '" + line +
+                             "'; resume with the flags that wrote it");
+  }
+}
+
 /// The --registry directory (default `fallback` under the temp dir),
 /// cleared first: a stale registry from a previous run would serve
 /// yesterday's model — unless the caller asked for exactly that
@@ -523,6 +551,7 @@ int cmd_serve_replay(const CommandLine& cmd, std::ostream& out) {
   ServingFlags flags = serving_flags_from(cmd);
   const auto robustness = robustness_from(cmd);
   const auto train_config = config_from(cmd);
+  check_topology(flags.router.durable_root, shards, 0);
   // Input: either a saved telemetry/ticket pair or a generated scenario.
   std::vector<sim::DriveTimeSeries> telemetry;
   std::vector<sim::TroubleTicket> tickets;
@@ -935,6 +964,8 @@ int cmd_fleet_replay(const CommandLine& cmd, std::ostream& out) {
   const auto threads = get_int<std::size_t>(cmd, "threads", 0, 0);
   const MultiprocFlags mp = multiproc_flags_from(cmd);
   const auto train_config = config_from(cmd);
+  check_topology(flags.router.durable_root,
+                 mp.processes > 0 ? mp.processes : shards, chunk_drives);
 
   auto scenario =
       sim::scenario_by_name(cmd.get("scenario", "fleet"), train_config.seed);
@@ -1155,13 +1186,14 @@ std::string usage() {
       "            fleet through the micro-batched scoring service\n"
       "            (--shards=N routes drives by id hash across N engine\n"
       "            instances — the sharded serving path; with\n"
-      "            --durable-dir each shard logs to DIR/shard-NNN and a\n"
-      "            resume must reuse the same --shards; see\n"
+      "            --durable-dir each shard logs to DIR/shard-NNN; see\n"
       "            docs/SERVING.md)\n"
       "            --durable-dir enables the checksummed WAL + checkpoints\n"
       "            and auto-resumes from existing durable state; pair with\n"
       "            --reuse-registry so recovery scores under the same model\n"
-      "            (see docs/DURABILITY.md). SIGTERM/SIGINT drain the queue,\n"
+      "            (see docs/DURABILITY.md). The first durable run records\n"
+      "            its --shards in DIR/TOPOLOGY and a resume under another\n"
+      "            value exits 2. SIGTERM/SIGINT drain the queue,\n"
       "            seal the durable state, and exit 0. --kill-after raises\n"
       "            SIGKILL mid-stream (crash-recovery testing).\n"
       "            --threads=N sets the telemetry-generation workers (0 =\n"
@@ -1181,8 +1213,10 @@ std::string usage() {
       "            freed after feeding, so memory stays bounded at any\n"
       "            fleet scale; the model trains offline on a --train-scale\n"
       "            twin of the scenario. --in-process skips the TCP hop\n"
-      "            (router benchmarking). A durable resume must reuse the\n"
-      "            same --shards and --chunk-drives (see docs/SERVING.md).\n"
+      "            (router benchmarking). The first durable run records\n"
+      "            its --shards (or --processes) and --chunk-drives in\n"
+      "            DIR/TOPOLOGY; a resume under other values exits 2 (see\n"
+      "            docs/SERVING.md).\n"
       "            --processes=N runs the topology as N shard-serve OS\n"
       "            processes fed by a shard-aware client (--via-router adds\n"
       "            a shard-route forwarding process for shard-oblivious\n"

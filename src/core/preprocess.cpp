@@ -20,23 +20,23 @@ std::string firmware_version_string(int vendor, unsigned firmware_index) {
 }
 
 void append_processed(std::vector<ProcessedRecord>& segment,
-                      const sim::DailyRecord& raw, int vendor, int fill_gap,
-                      std::array<double, sim::kNumWindowsEvents>& w_cum,
-                      std::array<double, sim::kNumBsodCodes>& b_cum) {
+                      const sim::DailyRecord& raw, int vendor, int fill_gap) {
   ProcessedRecord rec;
   rec.day = raw.day;
   for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
     rec.smart[a] = static_cast<double>(raw.smart[a]);
   }
   rec.firmware = firmware_version_string(vendor, raw.firmware_index);
+  if (!segment.empty()) {
+    rec.w_cum = segment.back().w_cum;
+    rec.b_cum = segment.back().b_cum;
+  }
   for (std::size_t i = 0; i < sim::kNumWindowsEvents; ++i) {
-    w_cum[i] += static_cast<double>(raw.w[i]);
+    rec.w_cum[i] += static_cast<double>(raw.w[i]);
   }
   for (std::size_t i = 0; i < sim::kNumBsodCodes; ++i) {
-    b_cum[i] += static_cast<double>(raw.b[i]);
+    rec.b_cum[i] += static_cast<double>(raw.b[i]);
   }
-  rec.w_cum = w_cum;
-  rec.b_cum = b_cum;
 
   const int gap = segment.empty() ? 1 : raw.day - segment.back().day;
   if (gap >= 2 && gap <= fill_gap) {
@@ -181,11 +181,9 @@ ProcessedDrive Preprocessor::convert_planned(
   // Convert the kept segment (cumulative W/B counters run across it) and
   // repair its short gaps.
   out.records.reserve(plan.records());
-  std::array<double, sim::kNumWindowsEvents> w_cum{};
-  std::array<double, sim::kNumBsodCodes> b_cum{};
   for (std::size_t i = plan.lo; i < plan.hi; ++i) {
     append_processed(out.records, planned.records[i], planned.vendor,
-                     config_.fill_gap, w_cum, b_cum);
+                     config_.fill_gap);
   }
   return out;
 }

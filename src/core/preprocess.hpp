@@ -112,13 +112,13 @@ std::string firmware_version_string(int vendor, unsigned firmware_index);
 /// `segment`: first the short-gap fill — when `raw` follows segment.back()
 /// by 2..fill_gap days, one synthetic record per missing day, SMART and
 /// cumulative W/B interpolated linearly toward `raw` — then `raw` itself,
-/// after advancing the segment's running `w_cum` / `b_cum` by its daily
-/// counts. The one record conversion of the batch Preprocessor and
-/// StreamingIngestor, so both produce identical records.
+/// its cumulative W/B being segment.back()'s (zero for an empty segment)
+/// plus its daily counts. segment.back() is always the newest real record,
+/// so it carries the segment's running sums. The one record conversion of
+/// the batch Preprocessor and the serving tier's DriveStateStore, so both
+/// produce identical records.
 void append_processed(std::vector<ProcessedRecord>& segment,
-                      const sim::DailyRecord& raw, int vendor, int fill_gap,
-                      std::array<double, sim::kNumWindowsEvents>& w_cum,
-                      std::array<double, sim::kNumBsodCodes>& b_cum);
+                      const sim::DailyRecord& raw, int vendor, int fill_gap);
 
 class Preprocessor {
  public:

@@ -24,15 +24,6 @@ bool bad_smart_value(float v) noexcept {
 
 }  // namespace
 
-const std::array<sim::SmartAttr, 6>& monotone_smart_attrs() noexcept {
-  static const std::array<sim::SmartAttr, 6> kAttrs = {
-      sim::SmartAttr::kPowerOnHours,  sim::SmartAttr::kPowerCycles,
-      sim::SmartAttr::kDataUnitsRead, sim::SmartAttr::kDataUnitsWritten,
-      sim::SmartAttr::kMediaErrors,   sim::SmartAttr::kErrorLogEntries,
-  };
-  return kAttrs;
-}
-
 RecordSanitizer::RecordSanitizer(RobustnessConfig config)
     : RecordSanitizer(config, obs::registry()) {}
 
@@ -101,7 +92,7 @@ std::optional<sim::DailyRecord> RecordSanitizer::sanitize(
   // Monotone counters first: re-base resets on the raw scale, then repair
   // garbage on the effective scale so output stays monotone.
   std::array<bool, sim::kNumSmartAttrs> handled{};
-  const auto& monotone = monotone_smart_attrs();
+  const auto& monotone = sim::kMonotoneCounters;
   for (std::size_t m = 0; m < monotone.size(); ++m) {
     const auto a = static_cast<std::size_t>(monotone[m]);
     handled[a] = true;

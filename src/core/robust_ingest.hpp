@@ -1,8 +1,8 @@
 // Per-drive record sanitation — the graceful-degradation front half of both
 // ingestion paths. `RecordSanitizer` is a small state machine fed a drive's
 // raw records *in delivery order*; it decides, identically for the batch
-// `Preprocessor` and the `StreamingIngestor`, whether each record is kept
-// (possibly repaired) or dropped with a recorded reason:
+// `Preprocessor` and the serving tier's `DriveStateStore`, whether each
+// record is kept (possibly repaired) or dropped with a recorded reason:
 //
 //  * duplicate day (upload retry)            -> dropped, idempotent
 //  * clock rollback (day earlier than seen)  -> dropped
@@ -12,11 +12,11 @@
 //                                               accumulated pre-reset total)
 //
 // Because both consumers run the same sanitizer in front of their existing
-// (well-formed-input) logic, the batch-vs-streaming equivalence invariant of
-// streaming.hpp extends verbatim to corrupted input.
+// (well-formed-input) logic, the store's rows equal the batch path's
+// records on corrupted input too (tests/serve/test_store_ingest.cpp).
 //
-// Strict mode performs only the day-order check and throws
-// std::invalid_argument — the historical StreamingIngestor contract.
+// Only lenient ingestion builds a sanitizer. Its strict mode performs only
+// the day-order check and throws std::invalid_argument.
 #pragma once
 
 #include <array>
@@ -28,10 +28,6 @@
 #include "sim/telemetry.hpp"
 
 namespace mfpa::core {
-
-/// The SMART attributes that are cumulative counters (and therefore
-/// re-basable after a reset). Mirrors sim/validate.cpp's monotone set.
-const std::array<sim::SmartAttr, 6>& monotone_smart_attrs() noexcept;
 
 class RecordSanitizer {
  public:
@@ -83,9 +79,9 @@ class RecordSanitizer {
   };
   Metrics metrics_;
   std::optional<DayIndex> last_day_;
-  // Counter-reset re-basing state, indexed over monotone_smart_attrs().
-  std::array<float, 6> last_raw_{};
-  std::array<double, 6> rebase_offset_{};
+  // Counter-reset re-basing state, indexed over sim::kMonotoneCounters.
+  std::array<float, sim::kMonotoneCounters.size()> last_raw_{};
+  std::array<double, sim::kMonotoneCounters.size()> rebase_offset_{};
   // Last good (finite, non-negative, unsaturated) value per SMART attr.
   std::array<float, sim::kNumSmartAttrs> last_good_{};
 };

@@ -8,9 +8,10 @@
 // already durable" is a per-shard count (ShardRouter::resume_records()),
 // not a single stream offset, and the feed skips each shard's durable
 // prefix of its own substream. Routing is a pure function of drive id and
-// shard count, so a resume must use the same --shards value as the crashed
-// run (the CLI enforces this by reading the shard directories present
-// under the durable root).
+// shard count, and each substream's order follows the telemetry chunking,
+// so a resume must use the crashed run's shard count and chunking: the CLI
+// records both in `<durable root>/TOPOLOGY` on the first durable run and
+// refuses (exit 2) a resume whose values differ.
 #pragma once
 
 #include <cstdint>

@@ -1,19 +1,30 @@
 // Store of per-drive incremental state for one scoring engine.
 //
 // The batch Preprocessor recomputes a drive's cleaned history from scratch;
-// at fleet scale the scoring service instead keeps one StreamingIngestor per
-// drive (cumulative WindowsEvent/BSOD counters, short-gap fill, long-gap
-// cut, lenient-mode sanitation) so a newly arrived record costs O(1), not
-// O(history). The store is one map behind one mutex: its only writer is the
-// engine's single drain loop, whose queue order is the per-drive delivery
-// order the contract below needs. Parallelism comes from net::ShardRouter,
-// which gives every shard its own engine and store.
+// at fleet scale the scoring service instead keeps one slot per drive and
+// cleans each record as it arrives, so a newly arrived record costs O(1),
+// not O(history). Cleaning is the batch path's own: the record conversion
+// (core::append_processed: cumulative WindowsEvent/BSOD counters, short-gap
+// fill), the long-gap cut, and under --lenient the same RecordSanitizer in
+// front of them. So wherever the batch keeps a drive's final segment, the
+// rows the store emits for that segment are the batch's records byte for
+// byte (tests/serve/test_store_ingest.cpp). The store is one map behind one
+// mutex: its only writer is the engine's single drain loop, whose queue
+// order is the per-drive delivery order the contract below needs.
+// Parallelism comes from net::ShardRouter, which gives every shard its own
+// engine and store.
+//
+// Day order: strict mode throws std::invalid_argument on a day that does
+// not follow the drive's newest record (the engine counts it rejected);
+// lenient mode drops a re-delivered day (an agent retrying an upload after
+// a lost ACK) or a clock rollback idempotently and counts the fault.
 //
 // Retention rule (no knob): once a drive's rows are emitted, only its
 // newest cleaned record stays — the one the next gap fill interpolates
-// from; features read only the scored row. Records held back before the
-// segment is usable (fewer than min_records real records plus their gap
-// fills, or a quarantined drive's segment) stay until they are emitted.
+// from and the cumulative counters continue from; features read only the
+// scored row. Records held back before the segment is usable (fewer than
+// min_records real records plus their gap fills, or a quarantined drive's
+// segment) stay until they are emitted.
 //
 // Emission contract (what keeps the service's alerts equal to the batch
 // MfpaPipeline + OnlinePredictor replay): a drive's records are withheld
@@ -26,6 +37,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -34,7 +46,7 @@
 
 #include "core/online_predictor.hpp"
 #include "core/preprocess.hpp"
-#include "core/streaming.hpp"
+#include "core/robust_ingest.hpp"
 #include "obs/metrics.hpp"
 #include "sim/telemetry.hpp"
 
@@ -67,7 +79,7 @@ struct StoreStats {
   std::size_t records_ingested = 0;   ///< raw records fed in
   std::size_t rows_emitted = 0;       ///< cleaned rows handed to scoring
   std::size_t segments_restarted = 0; ///< long-gap cuts across the fleet
-  IngestStats ingest;                 ///< merged sanitizer accounting
+  IngestStats ingest;  ///< merged sanitizer accounting (lenient only)
 };
 
 class DriveStateStore {
@@ -77,9 +89,9 @@ class DriveStateStore {
   const StoreConfig& config() const noexcept { return config_; }
 
   /// Feeds one raw record, appending any rows that became ready for scoring
-  /// to `out` (in per-drive day order). Strict mode propagates the
-  /// sanitizer's std::invalid_argument on day-order violations; lenient mode
-  /// absorbs them into the drive's ingest accounting.
+  /// to `out` (in per-drive day order). Strict mode throws
+  /// std::invalid_argument on a day-order violation and leaves the drive
+  /// unchanged; lenient mode absorbs it into the drive's ingest accounting.
   void ingest(std::uint64_t drive_id, int vendor,
               const sim::DailyRecord& record, std::vector<PendingRow>& out);
 
@@ -95,36 +107,45 @@ class DriveStateStore {
   /// Accounting snapshot (takes the store lock briefly).
   StoreStats stats() const;
 
-  /// Writes the store image, `store 3`: the tag line "store 3\n", then
-  /// fixed-width little-endian fields (common/wire.hpp) — the aggregate
-  /// counters, the drive count, and per drive, in id order, its emission
-  /// cursor, alert gate and ingestor. The image depends only on the records
-  /// applied, never on hash-map order. The string overload appends.
-  /// load_state() rebuilds an image into an empty store, checking every
-  /// count against a limit before allocating and refusing trailing bytes.
-  /// It throws std::runtime_error on a malformed image and on any other
-  /// tag, naming it. Call from the single drain thread or before start.
+  /// Writes the store image, `store 4`: the tag line "store 4\n", then
+  /// fixed-width little-endian fields (common/wire.hpp) — the ingest mode,
+  /// the aggregate counters, the drive count, and each drive's slot in id
+  /// order (docs/DURABILITY.md lists the fields). The image depends only on
+  /// the records applied, never on hash-map order. The string overload
+  /// appends. load_state() rebuilds an image into an empty store, checking
+  /// every count against a limit before allocating and refusing trailing
+  /// bytes. It throws std::runtime_error on a malformed image, on any other
+  /// tag, naming it, and on an image written under the other ingest mode,
+  /// naming both. Call from the single drain thread or before start.
   void save_state(std::ostream& os) const;
   void save_state(std::string& out) const;
   void load_state(std::istream& is);
 
  private:
-  struct DriveState {
-    explicit DriveState(std::uint64_t id, int vendor,
-                        const core::PreprocessConfig& config)
-        : ingestor(id, vendor, config) {}
-    core::StreamingIngestor ingestor;
-    std::size_t emitted = 0;  ///< segment records already handed out
-    int segments_seen = 0;
+  /// One drive's serving state, each field kept once: the running W/B sums
+  /// and the day cursor are the newest record's, the emission cursor is
+  /// whether records.front() was handed out (after every ingest it is 0 or
+  /// 1, because emission leaves only the newest record).
+  struct DriveSlot {
+    int vendor = 0;
+    /// The current segment's newest emitted record (when front_emitted),
+    /// then its records not yet emitted; oldest first.
+    std::vector<core::ProcessedRecord> records;
+    std::size_t real_records = 0;  ///< non-synthetic records of the segment
+    int segment = 0;               ///< long-gap cuts seen
+    bool front_emitted = false;    ///< the emission cursor
     bool quarantine_counted = false;  ///< metrics: transition seen
     // `alert_segment` is the segment generation the gate belongs to — it
-    // trails `segments_seen` while already-emitted rows of the old segment
-    // are still being scored, which is why the reset cannot happen at
-    // ingest time (it would be batch-boundary dependent).
-    core::AlertGate gate;
+    // trails `segment` while already-emitted rows of the old segment are
+    // still being scored, which is why the reset cannot happen at ingest
+    // time (it would be batch-boundary dependent).
     int alert_segment = 0;
+    core::AlertGate gate;
+    /// Lenient mode only: the dirty-input state machine in front of the
+    /// conversion. Strict slots check day order against records.back().
+    std::unique_ptr<core::RecordSanitizer> sanitizer;
   };
-  using DriveMap = std::unordered_map<std::uint64_t, DriveState>;
+  using DriveMap = std::unordered_map<std::uint64_t, DriveSlot>;
 
   /// Aggregate counters (the image's leading fields).
   struct Totals {
@@ -133,11 +154,11 @@ class DriveStateStore {
     std::size_t segments_restarted = 0;
   };
 
-  /// The retention rule: once every record of the segment is emitted, only
-  /// the newest stays.
-  static void retain(DriveState& state);
+  /// Lenient mode: the drive's uploads are too corrupt to score (the batch
+  /// Preprocessor's per-drive quarantine decision on the same deliveries).
+  bool quarantined(const DriveSlot& slot) const noexcept;
   /// Tracked drives in id order (caller holds mu_).
-  std::vector<std::pair<std::uint64_t, const DriveState*>> by_id() const;
+  std::vector<std::pair<std::uint64_t, const DriveSlot*>> by_id() const;
   void read_image(const std::string& bytes, Totals& totals,
                   DriveMap& drives) const;
 

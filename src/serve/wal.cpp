@@ -122,7 +122,11 @@ void publish_file(const std::string& path, std::string_view contents,
                   bool fsync) {
   write_publish_temp(path, {contents}, fsync);
   rename_publish_temp(path);
-  if (fsync) sync_dir(fs::path(path).parent_path().string());
+  if (fsync) {
+    // A bare file name lives in the current directory.
+    const fs::path parent = fs::path(path).parent_path();
+    sync_dir(parent.empty() ? "." : parent.string());
+  }
 }
 
 bool is_publish_temp_name(const std::string& name) {

@@ -1,13 +1,13 @@
 // Checksummed write-ahead log for the scoring service's drive state.
 //
-// DriveStateStore state (StreamingIngestor windows, AlertPolicy hysteresis)
-// is a pure function of the raw record sequence fed to it, so durability
-// logs *inputs*, not state deltas: every record the engine is about to
-// apply is first framed into an append-only segment file under
-// `<dir>/wal/`, tagged with a monotonic LSN assigned in drain order. Crash
-// recovery loads the newest valid checkpoint (see checkpoint.hpp) and
-// re-applies the WAL tail through the normal scoring path, which
-// regenerates byte-identical state and alerts.
+// DriveStateStore state (each drive's slot: its newest cleaned records,
+// segment and alert hysteresis) is a pure function of the raw record
+// sequence fed to it, so durability logs *inputs*, not state deltas: every
+// record the engine is about to apply is first framed into an append-only
+// segment file under `<dir>/wal/`, tagged with a monotonic LSN assigned in
+// drain order. Crash recovery loads the newest valid checkpoint (see
+// checkpoint.hpp) and re-applies the WAL tail through the normal scoring
+// path, which regenerates byte-identical state and alerts.
 //
 // Frame layout (little-endian, fixed-width — the FNV-1a v2 idiom of
 // ml/serialize applied to binary framing). The framing section below owns

@@ -41,6 +41,15 @@ enum class SmartAttr : std::size_t {
 
 inline constexpr std::size_t kNumSmartAttrs = 16;
 
+/// The SMART attributes that are cumulative counters: validation flags one
+/// that decreases, the fault injector's counter reset restarts them, and
+/// lenient ingestion re-bases such a reset (core/robust_ingest.hpp).
+inline constexpr std::array<SmartAttr, 6> kMonotoneCounters = {
+    SmartAttr::kPowerOnHours,    SmartAttr::kPowerCycles,
+    SmartAttr::kDataUnitsRead,   SmartAttr::kDataUnitsWritten,
+    SmartAttr::kMediaErrors,     SmartAttr::kErrorLogEntries,
+};
+
 /// Canonical feature names ("S_1".."S_16" plus human-readable description).
 const std::array<std::string, kNumSmartAttrs>& smart_attr_names();
 const std::array<std::string, kNumSmartAttrs>& smart_attr_descriptions();

@@ -15,12 +15,6 @@
 namespace mfpa::sim {
 namespace {
 
-constexpr std::array<SmartAttr, 6> kMonotoneCounters = {
-    SmartAttr::kPowerOnHours,    SmartAttr::kPowerCycles,
-    SmartAttr::kDataUnitsRead,   SmartAttr::kDataUnitsWritten,
-    SmartAttr::kMediaErrors,     SmartAttr::kErrorLogEntries,
-};
-
 constexpr const char* kFaultNames[kNumFaultModes] = {
     "duplicate_day",      "out_of_order_upload", "clock_rollback",
     "counter_reset",      "nan_field",           "negative_field",

@@ -5,12 +5,6 @@
 namespace mfpa::sim {
 namespace {
 
-constexpr std::array<SmartAttr, 6> kMonotoneCounters = {
-    SmartAttr::kPowerOnHours,    SmartAttr::kPowerCycles,
-    SmartAttr::kDataUnitsRead,   SmartAttr::kDataUnitsWritten,
-    SmartAttr::kMediaErrors,     SmartAttr::kErrorLogEntries,
-};
-
 float attr(const DailyRecord& rec, SmartAttr a) {
   return rec.smart[static_cast<std::size_t>(a)];
 }

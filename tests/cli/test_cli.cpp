@@ -441,10 +441,6 @@ TEST(ServeReplayCommand, DurableRunExportsThePinnedVocabulary) {
       "mfpa_ckpt_fallbacks_total{} counter 0",
       "mfpa_ckpt_last_lsn{} gauge 14233",
       "mfpa_ckpt_writes_total{} counter 5",
-      "mfpa_ingest_faults_total{cause=clock_rollback,} counter 0",
-      "mfpa_ingest_faults_total{cause=counter_reset_rebased,} counter 0",
-      "mfpa_ingest_faults_total{cause=duplicate_day,} counter 0",
-      "mfpa_ingest_faults_total{cause=value_repaired,} counter 0",
       "mfpa_registry_activations_total{} counter 0",
       "mfpa_registry_current_version{} gauge 1",
       "mfpa_registry_publishes_total{} counter 1",
@@ -480,7 +476,7 @@ TEST(ServeReplayCommand, DurableRunExportsThePinnedVocabulary) {
       "mfpa_wal_recovery_torn_tails_total{} counter 0",
   };
   EXPECT_EQ(lines, expected);
-  EXPECT_EQ(families.size(), 32u);
+  EXPECT_EQ(families.size(), 31u);
 
   // --metrics-out exports exactly these families.
   std::ifstream in(metrics);
@@ -574,6 +570,57 @@ TEST(FleetReplayCommand, RejectsBadChunkAndSeed) {
                         out, err),
             1);
   EXPECT_NE(err.str().find("--seed"), std::string::npos);
+}
+
+/// A durable fleet-replay of the tiny scenario under `topology` flags into
+/// a fresh `<tmp>/<name>/durable`, then a resume under `resume` flags;
+/// returns the resume's exit code and its stderr in `err`.
+int resume_under_other_topology(const std::string& name,
+                                const std::vector<std::string>& topology,
+                                const std::vector<std::string>& resume,
+                                std::string& err) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::vector<std::string> args = {
+      "fleet-replay", "--scenario=tiny", "--seed=7", "--in-process",
+      "--threads=2", "--durable-dir=" + (dir / "durable").string(),
+      "--registry=" + (dir / "registry").string()};
+  std::vector<std::string> first = args;
+  first.insert(first.end(), topology.begin(), topology.end());
+  std::ostringstream out, first_err, resume_err;
+  EXPECT_EQ(run_command(parse_command_line(first), out, first_err), 0)
+      << first_err.str();
+  args.push_back("--reuse-registry");
+  args.insert(args.end(), resume.begin(), resume.end());
+  const int rc = run_command(parse_command_line(args), out, resume_err);
+  err = resume_err.str();
+  std::filesystem::remove_all(dir);
+  return rc;
+}
+
+// Routing is a pure function of drive id and shard count, so a durable
+// root written under one --shards is refused under another (exit 2), both
+// topologies named, before any engine starts.
+TEST(FleetReplayCommand, DurableResumeUnderOtherShardsIsRefused) {
+  std::string err;
+  EXPECT_EQ(resume_under_other_topology(
+                "mfpa_cli_topology_shards", {"--shards=4", "--chunk-drives=32"},
+                {"--shards=2", "--chunk-drives=32"}, err),
+            2);
+  EXPECT_NE(err.find("'shards=4 chunk-drives=32'"), std::string::npos) << err;
+  EXPECT_NE(err.find("'shards=2 chunk-drives=32'"), std::string::npos) << err;
+}
+
+// Each shard's feed order follows the telemetry chunking, so another
+// --chunk-drives is refused the same way.
+TEST(FleetReplayCommand, DurableResumeUnderOtherChunkingIsRefused) {
+  std::string err;
+  EXPECT_EQ(resume_under_other_topology(
+                "mfpa_cli_topology_chunks", {"--shards=4", "--chunk-drives=32"},
+                {"--shards=4", "--chunk-drives=64"}, err),
+            2);
+  EXPECT_NE(err.find("'shards=4 chunk-drives=32'"), std::string::npos) << err;
+  EXPECT_NE(err.find("'shards=4 chunk-drives=64'"), std::string::npos) << err;
 }
 
 void expect_usage_error(const std::vector<std::string>& args,

@@ -191,5 +191,18 @@ TEST_F(DurableReplayTest, EveryCheckpointCorruptRefusesLoudly) {
       << log_of("resume");
 }
 
+TEST_F(DurableReplayTest, ResumeUnderTheOtherIngestModeIsRefused) {
+  // A strict store image carries no sanitizer state, so a --lenient resume
+  // cannot continue it: recovery refuses loudly, naming both modes.
+  baseline_then_kill();
+  const int rc = run_cli("--reuse-registry --lenient --durable-dir=" +
+                             durable_.string(),
+                         "lenient");
+  EXPECT_EQ(rc, 2) << log_of("lenient");
+  const std::string log = log_of("lenient");
+  EXPECT_NE(log.find("written under --strict"), std::string::npos) << log;
+  EXPECT_NE(log.find("ingests --lenient"), std::string::npos) << log;
+}
+
 }  // namespace
 }  // namespace mfpa

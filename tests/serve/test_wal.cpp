@@ -492,5 +492,22 @@ TEST_F(WalTest, AlertLogShorterThanPinnedCountThrows) {
   EXPECT_THROW(recover_alert_log(dir_.string(), 5), std::runtime_error);
 }
 
+TEST_F(WalTest, PublishFileFsyncsTheCurrentDirectoryForABareName) {
+  // A bare file name has no parent path; the directory fsynced after the
+  // rename is the working directory it was published into.
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir_);
+  std::string error;
+  try {
+    publish_file("m.model", "contents", /*fsync=*/true);
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  fs::current_path(cwd);
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(read_bytes((dir_ / "m.model").string()), "contents");
+  EXPECT_FALSE(fs::exists(dir_ / ".m.model.tmp"));
+}
+
 }  // namespace
 }  // namespace mfpa::serve
