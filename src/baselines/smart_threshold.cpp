@@ -22,9 +22,4 @@ std::vector<int> SmartThresholdDetector::predict(const data::Dataset& ds) const 
   return out;
 }
 
-ml::ConfusionMatrix SmartThresholdDetector::evaluate(
-    const data::Dataset& ds) const {
-  return ml::confusion_matrix(ds.y, predict(ds));
-}
-
 }  // namespace mfpa::baselines

@@ -10,7 +10,6 @@
 #pragma once
 
 #include "data/dataset.hpp"
-#include "ml/metrics.hpp"
 
 #include <vector>
 
@@ -31,9 +30,6 @@ class SmartThresholdDetector {
   /// 0/1 alarm per row. `ds` must contain the SMART features (S_1..S_16) by
   /// name; other columns are ignored.
   std::vector<int> predict(const data::Dataset& ds) const;
-
-  /// Alarm evaluation against the dataset labels.
-  ml::ConfusionMatrix evaluate(const data::Dataset& ds) const;
 
  private:
   SmartThresholdRules rules_;

@@ -1,8 +1,8 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -68,24 +68,29 @@ void wait_for_shutdown() {
   }
 }
 
-/// Fail-fast parse of an integer flag, `fallback` when absent. The value
-/// must be a whole number no smaller than `min` and within T's range;
-/// anything else (a negative count, a fraction, an out-of-range port) is a
-/// usage error naming the flag. Commands parse every flag this way before
-/// any simulation or file IO runs.
+/// Fail-fast parse of one integer flag value: base-10 digits, with a
+/// leading minus only where T is signed, whose value lies in [min, T's
+/// maximum]. Anything else (a negative count, `1e3`, ` 80`, an
+/// out-of-range port) is a usage error naming the flag.
 template <typename T>
-T get_int(const CommandLine& cmd, const std::string& key, T fallback, T min) {
-  if (!cmd.has(key)) return fallback;
-  const double v = cmd.get_number(key, 0.0);
-  // 2^digits is one past T's maximum and exactly representable.
-  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (!(v == std::floor(v) && v >= static_cast<double>(min) && v < limit)) {
+T parse_int(const std::string& key, const std::string& text, T min) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || value < min) {
     throw std::invalid_argument(
         "option --" + key + " expects an integer in [" + std::to_string(min) +
         ", " + std::to_string(std::numeric_limits<T>::max()) + "], got '" +
-        cmd.get(key, "") + "'");
+        text + "'");
   }
-  return static_cast<T>(v);
+  return value;
+}
+
+/// An integer flag through parse_int, `fallback` when absent. Commands
+/// parse every flag this way before any simulation or file IO runs.
+template <typename T>
+T get_int(const CommandLine& cmd, const std::string& key, T fallback, T min) {
+  return cmd.has(key) ? parse_int(key, cmd.get(key), min) : fallback;
 }
 
 /// --seed when absent.
@@ -313,32 +318,16 @@ void write_port_file(const std::string& path, std::uint16_t port,
 }
 
 /// Parses --shard-ports=P1,P2,... into per-shard ports (global shard
-/// order).
+/// order), each in [1, 65535].
 std::vector<std::uint16_t> parse_port_list(const std::string& spec) {
   std::vector<std::uint16_t> ports;
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
+  for (std::size_t begin = 0;;) {
     const std::size_t comma = spec.find(',', begin);
-    const std::string item =
-        spec.substr(begin, comma == std::string::npos ? std::string::npos
-                                                      : comma - begin);
-    std::size_t consumed = 0;
-    unsigned long port = 0;
-    try {
-      port = std::stoul(item, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != item.size() || port == 0 || port > 0xFFFF) {
-      throw std::invalid_argument(
-          "option --shard-ports expects comma-separated ports, got '" + spec +
-          "'");
-    }
-    ports.push_back(static_cast<std::uint16_t>(port));
-    if (comma == std::string::npos) break;
+    ports.push_back(parse_int<std::uint16_t>(
+        "shard-ports", spec.substr(begin, comma - begin), 1));
+    if (comma == std::string::npos) return ports;
     begin = comma + 1;
   }
-  return ports;
 }
 
 /// This process's own executable — multiproc fleet-replay re-execs it as

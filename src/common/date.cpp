@@ -1,8 +1,6 @@
 #include "common/date.hpp"
 
-#include <array>
 #include <cstdio>
-#include <stdexcept>
 
 namespace mfpa {
 namespace {
@@ -36,17 +34,6 @@ void civil_from_days(std::int64_t z, int& y, int& m, int& d) noexcept {
 
 }  // namespace
 
-bool is_leap_year(int year) noexcept {
-  return (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
-}
-
-int days_in_month(int year, int month) noexcept {
-  static constexpr std::array<int, 13> kDays = {0, 31, 28, 31, 30, 31, 30,
-                                                31, 31, 30, 31, 30, 31};
-  if (month == 2 && is_leap_year(year)) return 29;
-  return kDays[static_cast<std::size_t>(month)];
-}
-
 CalendarDate to_calendar(DayIndex day) noexcept {
   CalendarDate out;
   civil_from_days(kEpochCivil + day, out.year, out.month, out.day);
@@ -63,15 +50,6 @@ std::string format_date(DayIndex day) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", c.year, c.month, c.day);
   return buf;
-}
-
-DayIndex parse_date(const std::string& text) {
-  int y = 0, m = 0, d = 0;
-  if (std::sscanf(text.c_str(), "%d-%d-%d", &y, &m, &d) != 3 || m < 1 ||
-      m > 12 || d < 1 || d > days_in_month(y, m)) {
-    throw std::invalid_argument("parse_date: malformed date '" + text + "'");
-  }
-  return to_day_index({y, m, d});
 }
 
 int month_of(DayIndex day) noexcept {

@@ -25,12 +25,6 @@ struct CalendarDate {
   friend bool operator==(const CalendarDate&, const CalendarDate&) = default;
 };
 
-/// True if `year` is a Gregorian leap year.
-bool is_leap_year(int year) noexcept;
-
-/// Number of days in the given month (1..12) of `year`.
-int days_in_month(int year, int month) noexcept;
-
 /// Converts a day index to the corresponding calendar date.
 CalendarDate to_calendar(DayIndex day) noexcept;
 
@@ -39,9 +33,6 @@ DayIndex to_day_index(const CalendarDate& date) noexcept;
 
 /// Formats as "YYYY-MM-DD".
 std::string format_date(DayIndex day);
-
-/// Parses "YYYY-MM-DD"; throws std::invalid_argument on malformed input.
-DayIndex parse_date(const std::string& text);
 
 /// Month bucket (0-based, relative to the epoch) containing `day`; used by
 /// the time-period portability experiment to group predictions by month.

@@ -17,10 +17,4 @@ void StageTimer::end(std::size_t items, std::size_t bytes) {
   open_ = false;
 }
 
-double StageTimer::total_seconds() const noexcept {
-  double total = 0.0;
-  for (const auto& r : records_) total += r.seconds;
-  return total;
-}
-
 }  // namespace mfpa

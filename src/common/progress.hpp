@@ -28,9 +28,6 @@ class StageTimer {
 
   const std::vector<StageRecord>& records() const noexcept { return records_; }
 
-  /// Sum of all recorded stage durations.
-  double total_seconds() const noexcept;
-
  private:
   using Clock = std::chrono::steady_clock;
   std::vector<StageRecord> records_;

@@ -7,35 +7,6 @@
 
 namespace mfpa::stats {
 
-double mean(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double variance(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size() - 1);
-}
-
-double quantile(std::span<const double> xs, double q) {
-  if (xs.empty()) throw std::invalid_argument("quantile: empty input");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
-}
-
-double median(std::span<const double> xs) { return quantile(xs, 0.5); }
-
 Histogram::Histogram() : counts_(kBuckets, 0) {}
 
 void Histogram::add_bucket(std::size_t i, std::uint64_t n) {

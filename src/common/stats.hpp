@@ -1,26 +1,13 @@
-// Small descriptive-statistics helpers shared by the simulator, the ML
-// library, and the experiment harnesses.
+// The log-linear histogram shared by the metrics registry and the scoring
+// engine.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace mfpa::stats {
-
-/// Arithmetic mean; 0 for an empty span.
-double mean(std::span<const double> xs) noexcept;
-
-/// Unbiased sample variance (n-1 denominator); 0 for fewer than 2 values.
-double variance(std::span<const double> xs) noexcept;
-
-/// Linear-interpolated quantile, q in [0, 1]. Copies and sorts internally.
-double quantile(std::span<const double> xs, double q);
-
-/// Median (quantile 0.5).
-double median(std::span<const double> xs);
 
 /// Log-linear histogram: the one bucket geometry behind every latency,
 /// duration and size histogram in the project (obs::HistogramMetric keeps

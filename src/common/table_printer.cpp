@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace mfpa {
@@ -45,12 +44,6 @@ void TablePrinter::print(std::ostream& os) const {
   }
   os << std::string(total, '-') << '\n';
   for (const auto& row : rows_) emit(row);
-}
-
-std::string TablePrinter::to_string() const {
-  std::ostringstream ss;
-  print(ss);
-  return ss.str();
 }
 
 void print_section(std::ostream& os, const std::string& title) {

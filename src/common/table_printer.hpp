@@ -26,9 +26,6 @@ class TablePrinter {
   /// Renders with a header separator and 2-space column gaps.
   void print(std::ostream& os) const;
 
-  /// Renders to a string (for tests).
-  std::string to_string() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -85,23 +85,4 @@ BinnedMatrix::BinnedMatrix(const Matrix& X, std::size_t max_bins) {
   }
 }
 
-BinnedMatrix BinnedMatrix::select_rows(std::span<const std::size_t> indices) const {
-  BinnedMatrix out;
-  out.rows_ = indices.size();
-  out.cols_ = cols_;
-  out.edges_ = edges_;
-  out.codes_.resize(out.rows_ * cols_);
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= rows_) {
-      throw std::out_of_range("BinnedMatrix::select_rows: index out of range");
-    }
-  }
-  for (std::size_t f = 0; f < cols_; ++f) {
-    const std::uint8_t* src = codes_.data() + f * rows_;
-    std::uint8_t* dst = out.codes_.data() + f * out.rows_;
-    for (std::size_t i = 0; i < indices.size(); ++i) dst[i] = src[indices[i]];
-  }
-  return out;
-}
-
 }  // namespace mfpa::data

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "data/matrix.hpp"
@@ -61,10 +60,6 @@ class BinnedMatrix {
   double cut(std::size_t f, std::size_t b) const noexcept {
     return edges_[f][b];
   }
-
-  /// Same bin edges, subset of rows in the given order — cheap (copies uint8
-  /// codes only; no re-sketching). Throws std::out_of_range on a bad index.
-  BinnedMatrix select_rows(std::span<const std::size_t> indices) const;
 
  private:
   std::size_t rows_ = 0;

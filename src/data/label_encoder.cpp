@@ -23,19 +23,4 @@ double LabelEncoder::transform_one(const std::string& value) const noexcept {
   return it == index_.end() ? unknown_code() : static_cast<double>(it->second);
 }
 
-std::vector<double> LabelEncoder::transform(
-    const std::vector<std::string>& values) const {
-  std::vector<double> out;
-  out.reserve(values.size());
-  for (const auto& v : values) out.push_back(transform_one(v));
-  return out;
-}
-
-const std::string& LabelEncoder::inverse_transform(std::size_t code) const {
-  if (code >= classes_.size()) {
-    throw std::out_of_range("LabelEncoder: invalid code");
-  }
-  return classes_[code];
-}
-
 }  // namespace mfpa::data

@@ -23,12 +23,6 @@ class LabelEncoder {
   /// Code of one category; unknown categories map to unknown_code().
   double transform_one(const std::string& value) const noexcept;
 
-  /// Codes for a batch of values.
-  std::vector<double> transform(const std::vector<std::string>& values) const;
-
-  /// Category for a code; throws std::out_of_range for an invalid code.
-  const std::string& inverse_transform(std::size_t code) const;
-
   std::size_t num_classes() const noexcept { return classes_.size(); }
   bool contains(const std::string& value) const noexcept {
     return index_.contains(value);

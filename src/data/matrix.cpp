@@ -13,12 +13,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
   }
 }
 
-std::vector<double> Matrix::column(std::size_t c) const {
-  std::vector<double> out;
-  column_into(c, out);
-  return out;
-}
-
 void Matrix::column_into(std::size_t c, std::vector<double>& out) const {
   if (c >= cols_) throw std::out_of_range("Matrix::column: index out of range");
   out.resize(rows_);

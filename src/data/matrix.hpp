@@ -45,11 +45,8 @@ class Matrix {
     return {values_.data() + r * cols_, cols_};
   }
 
-  /// Copies out column c.
-  std::vector<double> column(std::size_t c) const;
-
-  /// Copies column c into `out` (resized to rows()), reusing its capacity —
-  /// the allocation-free form of column() for per-feature loops (binning).
+  /// Copies column c into `out` (resized to rows()), reusing its capacity
+  /// across per-feature loops (binning). Throws std::out_of_range on a bad c.
   void column_into(std::size_t c, std::vector<double>& out) const;
 
   /// Appends a row (arity must match cols(), or the matrix must be empty in

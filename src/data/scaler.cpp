@@ -61,43 +61,4 @@ void StandardScaler::set_state(std::vector<double> means,
   stds_ = std::move(stds);
 }
 
-void MinMaxScaler::fit(const Matrix& X) {
-  const std::size_t d = X.cols();
-  mins_.assign(d, 0.0);
-  maxs_.assign(d, 1.0);
-  if (X.rows() == 0) return;
-  for (std::size_t c = 0; c < d; ++c) {
-    mins_[c] = maxs_[c] = X(0, c);
-  }
-  for (std::size_t r = 1; r < X.rows(); ++r) {
-    const auto row = X.row(r);
-    for (std::size_t c = 0; c < d; ++c) {
-      mins_[c] = std::min(mins_[c], row[c]);
-      maxs_[c] = std::max(maxs_[c], row[c]);
-    }
-  }
-}
-
-Matrix MinMaxScaler::transform(const Matrix& X) const {
-  if (!fitted()) throw std::logic_error("MinMaxScaler: transform before fit");
-  if (X.cols() != mins_.size()) {
-    throw std::logic_error("MinMaxScaler: column-count mismatch");
-  }
-  Matrix out(X.rows(), X.cols());
-  for (std::size_t r = 0; r < X.rows(); ++r) {
-    const auto src = X.row(r);
-    auto dst = out.row(r);
-    for (std::size_t c = 0; c < X.cols(); ++c) {
-      const double span = maxs_[c] - mins_[c];
-      dst[c] = span > 1e-12 ? (src[c] - mins_[c]) / span : 0.0;
-    }
-  }
-  return out;
-}
-
-Matrix MinMaxScaler::fit_transform(const Matrix& X) {
-  fit(X);
-  return transform(X);
-}
-
 }  // namespace mfpa::data

@@ -34,17 +34,4 @@ class StandardScaler {
   std::vector<double> stds_;
 };
 
-/// Per-column min-max scaling to [0, 1]; constant columns map to 0.
-class MinMaxScaler {
- public:
-  void fit(const Matrix& X);
-  Matrix transform(const Matrix& X) const;
-  Matrix fit_transform(const Matrix& X);
-  bool fitted() const noexcept { return !mins_.empty(); }
-
- private:
-  std::vector<double> mins_;
-  std::vector<double> maxs_;
-};
-
 }  // namespace mfpa::data

@@ -66,11 +66,6 @@ CnnLstmClassifier::CnnLstmClassifier(Hyperparams params)
   }
 }
 
-std::size_t CnnLstmClassifier::parameter_count() const noexcept {
-  return conv_w_.size() + conv_b_.size() + lstm_wx_.size() + lstm_wh_.size() +
-         lstm_b_.size() + dense_w_.size() + 1;
-}
-
 double CnnLstmClassifier::forward(std::span<const double> x,
                                   Cache* cache) const {
   const int T = T_, F = F_, C = C_, H = H_, K = K_;

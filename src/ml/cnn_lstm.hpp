@@ -31,8 +31,6 @@ class CnnLstmClassifier final : public Classifier {
   void save_state(std::ostream& os) const override;
   void load_state(std::istream& is) override;
 
-  std::size_t parameter_count() const noexcept;
-
  private:
   Hyperparams params_;
   int T_ = 0;       ///< timesteps

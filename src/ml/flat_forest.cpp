@@ -203,13 +203,6 @@ FlatForest FlatForest::compile(std::span<const RegressionTree> trees,
   return out;
 }
 
-std::size_t FlatForest::bytes() const noexcept {
-  return feat_.size() * sizeof(std::int32_t) + thr_.size() * sizeof(double) +
-         left_.size() * sizeof(std::int32_t) +
-         fl_.size() * sizeof(std::uint64_t) +
-         roots_.size() * sizeof(std::int32_t);
-}
-
 void FlatForest::accumulate_range(const data::Matrix& X, std::size_t row_lo,
                                   std::size_t row_hi, double* acc) const {
   const detail::ForestView view{feat_.data(), thr_.data(), left_.data(),
@@ -263,13 +256,6 @@ void FlatForest::predict_into(const data::Matrix& X, std::span<double> out,
       finish_range(acc, out, block, block_hi);
     }
   });
-}
-
-std::vector<double> FlatForest::predict(const data::Matrix& X,
-                                        std::size_t threads) const {
-  std::vector<double> out(X.rows());
-  predict_into(X, out, threads);
-  return out;
 }
 
 }  // namespace mfpa::ml

@@ -78,8 +78,6 @@ class FlatForest {
   bool empty() const noexcept { return roots_.empty(); }
   std::size_t tree_count() const noexcept { return roots_.size(); }
   std::size_t node_count() const noexcept { return feat_.size(); }
-  /// Heap footprint of the node arrays (the compiled model's working set).
-  std::size_t bytes() const noexcept;
 
   /// Scores every row of X into out (out.size() == X.rows()).
   /// `threads` follows the library convention (0 = hardware, <=1 serial);
@@ -87,10 +85,6 @@ class FlatForest {
   /// bit-identical for every thread count (and to the pointer path).
   void predict_into(const data::Matrix& X, std::span<double> out,
                     std::size_t threads = 1) const;
-
-  /// Convenience allocation form of predict_into.
-  std::vector<double> predict(const data::Matrix& X,
-                              std::size_t threads = 1) const;
 
  private:
   std::vector<std::int32_t> feat_;

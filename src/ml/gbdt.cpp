@@ -164,14 +164,4 @@ bool GbdtClassifier::compile() {
   return true;
 }
 
-std::vector<double> GbdtClassifier::feature_importance() const {
-  std::vector<double> out(n_features_, 0.0);
-  for (const auto& tree : trees_) tree.accumulate_importance(out);
-  const double total = std::accumulate(out.begin(), out.end(), 0.0);
-  if (total > 0.0) {
-    for (auto& v : out) v /= total;
-  }
-  return out;
-}
-
 }  // namespace mfpa::ml

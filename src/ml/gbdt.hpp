@@ -36,9 +36,6 @@ class GbdtClassifier final : public Classifier,
 
   std::size_t round_count() const noexcept { return trees_.size(); }
 
-  /// Gain-weighted feature importance, normalized to sum 1.
-  std::vector<double> feature_importance() const;
-
   /// BinnedFitSupport: reuse a precomputed binning of the next fit matrix.
   void set_shared_bins(
       std::shared_ptr<const data::BinnedMatrix> bins) override {

@@ -5,10 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
-
-#include "common/string_util.hpp"
 
 namespace mfpa::ml {
 
@@ -27,37 +24,9 @@ double ConfusionMatrix::fpr() const noexcept {
   return n == 0 ? 0.0 : static_cast<double>(fp) / static_cast<double>(n);
 }
 
-double ConfusionMatrix::precision() const noexcept {
-  const std::size_t flagged = tp + fp;
-  return flagged == 0 ? 0.0
-                      : static_cast<double>(tp) / static_cast<double>(flagged);
-}
-
-double ConfusionMatrix::f1() const noexcept {
-  const double p = precision();
-  const double r = tpr();
-  return (p + r) <= 0.0 ? 0.0 : 2.0 * p * r / (p + r);
-}
-
 double ConfusionMatrix::pdr() const noexcept {
   const std::size_t n = total();
   return n == 0 ? 0.0 : static_cast<double>(tp + fp) / static_cast<double>(n);
-}
-
-ConfusionMatrix confusion_matrix(std::span<const int> y_true,
-                                 std::span<const int> y_pred) {
-  if (y_true.size() != y_pred.size()) {
-    throw std::invalid_argument("confusion_matrix: size mismatch");
-  }
-  ConfusionMatrix cm;
-  for (std::size_t i = 0; i < y_true.size(); ++i) {
-    if (y_true[i] == 1) {
-      y_pred[i] == 1 ? ++cm.tp : ++cm.fn;
-    } else {
-      y_pred[i] == 1 ? ++cm.fp : ++cm.tn;
-    }
-  }
-  return cm;
 }
 
 ConfusionMatrix confusion_at(std::span<const int> y_true,
@@ -144,11 +113,6 @@ double auc(std::span<const int> y_true, std::span<const double> scores) {
   return u / (static_cast<double>(pos) * static_cast<double>(neg));
 }
 
-double best_youden_threshold(std::span<const int> y_true,
-                             std::span<const double> scores) {
-  return best_weighted_youden_threshold(y_true, scores, 1.0);
-}
-
 double best_weighted_youden_threshold(std::span<const int> y_true,
                                       std::span<const double> scores,
                                       double fpr_weight) {
@@ -183,49 +147,6 @@ double threshold_for_fpr(std::span<const int> y_true,
   return found ? best : 0.5;
 }
 
-std::vector<PrPoint> pr_curve(std::span<const int> y_true,
-                              std::span<const double> scores) {
-  if (y_true.size() != scores.size()) {
-    throw std::invalid_argument("pr_curve: size mismatch");
-  }
-  std::vector<std::size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&scores](std::size_t a, std::size_t b) {
-    return scores[a] > scores[b];
-  });
-  std::size_t pos = 0;
-  for (int label : y_true) pos += label == 1;
-
-  std::vector<PrPoint> curve;
-  std::size_t tp = 0, fp = 0;
-  std::size_t i = 0;
-  while (i < order.size()) {
-    const double threshold = scores[order[i]];
-    while (i < order.size() && scores[order[i]] == threshold) {
-      y_true[order[i]] == 1 ? ++tp : ++fp;
-      ++i;
-    }
-    const double recall =
-        pos ? static_cast<double>(tp) / static_cast<double>(pos) : 0.0;
-    const double precision =
-        (tp + fp) ? static_cast<double>(tp) / static_cast<double>(tp + fp) : 1.0;
-    curve.push_back({recall, precision, threshold});
-  }
-  return curve;
-}
-
-double average_precision(std::span<const int> y_true,
-                         std::span<const double> scores) {
-  const auto curve = pr_curve(y_true, scores);
-  double ap = 0.0;
-  double prev_recall = 0.0;
-  for (const auto& p : curve) {
-    ap += (p.recall - prev_recall) * p.precision;
-    prev_recall = p.recall;
-  }
-  return ap;
-}
-
 double brier_score(std::span<const int> y_true,
                    std::span<const double> scores) {
   if (y_true.size() != scores.size()) {
@@ -238,15 +159,6 @@ double brier_score(std::span<const int> y_true,
     total += err * err;
   }
   return total / static_cast<double>(y_true.size());
-}
-
-std::string summarize(const ConfusionMatrix& cm) {
-  std::ostringstream ss;
-  ss << "TPR=" << format_percent(cm.tpr()) << " FPR=" << format_percent(cm.fpr())
-     << " ACC=" << format_percent(cm.accuracy())
-     << " PDR=" << format_percent(cm.pdr()) << " (TP=" << cm.tp
-     << " FP=" << cm.fp << " TN=" << cm.tn << " FN=" << cm.fn << ")";
-  return ss.str();
 }
 
 }  // namespace mfpa::ml

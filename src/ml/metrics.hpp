@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace mfpa::ml {
@@ -28,18 +27,10 @@ struct ConfusionMatrix {
   double fpr() const noexcept;
   /// TNR = TN/(TN+FP).
   double tnr() const noexcept { return 1.0 - fpr(); }
-  /// Precision = TP/(TP+FP); 0 if nothing predicted positive.
-  double precision() const noexcept;
-  /// F1 = harmonic mean of precision and recall.
-  double f1() const noexcept;
   /// PDR = (TP+FP)/all — the paper's "positive detection rate": the
   /// fraction of the population flagged positive (migration overhead proxy).
   double pdr() const noexcept;
 };
-
-/// Builds a confusion matrix from hard predictions.
-ConfusionMatrix confusion_matrix(std::span<const int> y_true,
-                                 std::span<const int> y_pred);
 
 /// Builds a confusion matrix by thresholding scores at `threshold`.
 ConfusionMatrix confusion_at(std::span<const int> y_true,
@@ -61,10 +52,6 @@ std::vector<RocPoint> roc_curve(std::span<const int> y_true,
 /// returns 0.5 when either class is absent.
 double auc(std::span<const int> y_true, std::span<const double> scores);
 
-/// Threshold maximizing Youden's J (TPR - FPR) on the given scores.
-double best_youden_threshold(std::span<const int> y_true,
-                             std::span<const double> scores);
-
 /// Threshold maximizing TPR - fpr_weight * FPR: a false-positive-averse
 /// operating point (proactive migration is costly, so deployments weight
 /// false alarms more than misses).
@@ -78,30 +65,9 @@ double best_weighted_youden_threshold(std::span<const int> y_true,
 double threshold_for_fpr(std::span<const int> y_true,
                          std::span<const double> scores, double max_fpr);
 
-/// One precision-recall operating point.
-struct PrPoint {
-  double recall = 0.0;
-  double precision = 1.0;
-  double threshold = 0.0;
-};
-
-/// Precision-recall curve (descending thresholds, recall non-decreasing).
-/// Useful for the heavily imbalanced failure-prediction regime where ROC
-/// can look deceptively good.
-std::vector<PrPoint> pr_curve(std::span<const int> y_true,
-                              std::span<const double> scores);
-
-/// Average precision (area under the PR curve via the step interpolation
-/// sklearn uses); 0 when no positives are present.
-double average_precision(std::span<const int> y_true,
-                         std::span<const double> scores);
-
 /// Brier score: mean squared error of the probability forecasts (lower is
 /// better; 0.25 = uninformative 0.5 forecast on balanced data). A proper
 /// scoring rule — measures calibration as well as discrimination.
 double brier_score(std::span<const int> y_true, std::span<const double> scores);
-
-/// Compact "TPR=..., FPR=..., ACC=..., PDR=..." string for logs.
-std::string summarize(const ConfusionMatrix& cm);
 
 }  // namespace mfpa::ml

@@ -10,15 +10,6 @@ double param_or(const Hyperparams& params, const std::string& key,
   return it == params.end() ? fallback : it->second;
 }
 
-std::vector<int> Classifier::predict(const Matrix& X, double threshold) const {
-  const auto probs = predict_proba(X);
-  std::vector<int> out(probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    out[i] = probs[i] >= threshold ? 1 : 0;
-  }
-  return out;
-}
-
 void Classifier::validate_fit_args(const Matrix& X, const std::vector<int>& y) {
   if (X.rows() != y.size()) {
     throw std::invalid_argument("Classifier::fit: X/y size mismatch");

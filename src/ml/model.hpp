@@ -37,9 +37,6 @@ class Classifier {
   /// P(y=1) per row; requires a prior successful fit().
   virtual std::vector<double> predict_proba(const Matrix& X) const = 0;
 
-  /// Hard labels at a probability threshold.
-  std::vector<int> predict(const Matrix& X, double threshold = 0.5) const;
-
   /// Algorithm name ("RF", "GBDT", ...).
   virtual std::string name() const = 0;
 

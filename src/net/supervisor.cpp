@@ -129,12 +129,6 @@ void ShardProcessSupervisor::poll_exits() {
   }
 }
 
-bool ShardProcessSupervisor::alive(std::size_t i) {
-  poll_exits();
-  const Child& child = children_.at(i);
-  return child.pid > 0 && !child.exited;
-}
-
 int ShardProcessSupervisor::exit_status(std::size_t i) const {
   const Child& child = children_.at(i);
   return child.exited ? decode_status(child.raw_status) : -1;

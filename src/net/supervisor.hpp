@@ -67,13 +67,6 @@ class ShardProcessSupervisor {
   /// Convenience: readiness ports in shard order.
   std::vector<std::uint16_t> ports() const;
 
-  /// Reaps any children that have exited (non-blocking). Safe to call
-  /// repeatedly.
-  void poll_exits();
-
-  /// Whether shard i is still running (after a poll_exits sweep).
-  bool alive(std::size_t i);
-
   /// SIGKILL shard i (crash injection). The exit shows up as status 137.
   void kill_shard(std::size_t i);
 
@@ -99,6 +92,9 @@ class ShardProcessSupervisor {
 
   void spawn(Child& child);
   void reap(Child& child, int raw_status);
+  /// Reaps any children that have exited (non-blocking). Safe to call
+  /// repeatedly.
+  void poll_exits();
 };
 
 }  // namespace mfpa::net

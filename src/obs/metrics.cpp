@@ -159,11 +159,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 // ---------------------------------------------------------------------------
 // Process-wide accessor + override
 

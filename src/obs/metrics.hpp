@@ -158,9 +158,6 @@ class MetricsRegistry {
   /// (name, labels) — the exporters' input.
   MetricsSnapshot snapshot() const;
 
-  /// Number of registered instruments.
-  std::size_t size() const;
-
  private:
   struct Entry {
     std::string name;

@@ -130,7 +130,6 @@ ModelRegistry::ModelRegistry(std::string directory, std::size_t)
     : dir_(std::move(directory)) {
   auto& reg = obs::registry();
   metrics_.publishes = &reg.counter("mfpa_registry_publishes_total");
-  metrics_.activations = &reg.counter("mfpa_registry_activations_total");
   metrics_.swap_seconds = &reg.histogram("mfpa_registry_swap_seconds");
   metrics_.current_version = &reg.gauge("mfpa_registry_current_version");
   fs::create_directories(dir_);
@@ -244,24 +243,14 @@ std::shared_ptr<const ServedModel> ModelRegistry::load_version(
     throw std::runtime_error("ModelRegistry: " + path + " holds version " +
                              std::to_string(served->manifest.version));
   }
-  // Compile tree ensembles into the flat inference format here, at
-  // activation time, so every model the engine hot-swaps to serves from
+  // Compile tree ensembles into the flat inference format here, at load
+  // time, so every model the engine hot-swaps to serves from
   // the compiled representation (probabilities stay bit-identical).
   if (auto* compiled =
           dynamic_cast<ml::CompiledInference*>(served->classifier.get())) {
     compiled->compile();
   }
   return served;
-}
-
-void ModelRegistry::activate(int version) {
-  std::lock_guard<std::mutex> lock(publish_mu_);
-  obs::ScopedTimer timer(*metrics_.swap_seconds);
-  auto served = load_version(version);
-  write_current_marker(version);
-  set_current(std::move(served));
-  metrics_.activations->inc();
-  metrics_.current_version->set(version);
 }
 
 void ModelRegistry::write_current_marker(int version) {

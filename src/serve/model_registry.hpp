@@ -11,7 +11,9 @@
 // Every artifact is written to a dot-temporary in the same directory,
 // fsynced, and renamed into place, and CURRENT is updated the same way
 // (serve::publish_file), so a concurrent reader, a crash mid-publish, or a
-// power loss after it only ever observes complete artifacts. An artifact
+// power loss after it only ever observes complete artifacts. Only publish
+// moves CURRENT, always to a new version: rolling back means publishing the
+// older model again under the next version number. An artifact
 // (`mfpa_artifact 2`) is one ml::seal over a manifest (model type, feature
 // group, decision threshold, training window, firmware vocabulary) and the
 // classifier's `mfpa_model 2` block, so the digest covers every byte of the
@@ -128,10 +130,6 @@ class ModelRegistry {
   /// corrupt artifacts.
   std::shared_ptr<const ServedModel> load_version(int version) const;
 
-  /// Re-points CURRENT (and the in-memory active model) at an already
-  /// published version — the rollback path.
-  void activate(int version);
-
   /// Sorted list of version numbers present on disk.
   std::vector<int> versions() const;
 
@@ -155,10 +153,9 @@ class ModelRegistry {
 
   // Registry instruments (mfpa_registry_*): deploy-side observability. The
   // swap histogram times artifact-load + pointer swap — the window in which a
-  // publish/activate is in flight (readers keep scoring throughout).
+  // publish is in flight (readers keep scoring throughout).
   struct Metrics {
     obs::Counter* publishes = nullptr;
-    obs::Counter* activations = nullptr;
     obs::HistogramMetric* swap_seconds = nullptr;
     obs::Gauge* current_version = nullptr;
   };

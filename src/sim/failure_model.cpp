@@ -22,16 +22,6 @@ constexpr double kDriveLevelByArchetype[kNumArchetypes] = {0.60, 0.45, 0.12,
 
 }  // namespace
 
-const char* archetype_name(FailureArchetype a) noexcept {
-  switch (a) {
-    case FailureArchetype::kWearout: return "wearout";
-    case FailureArchetype::kMedia: return "media";
-    case FailureArchetype::kController: return "controller";
-    case FailureArchetype::kSudden: return "sudden";
-  }
-  return "unknown";
-}
-
 double FailureModel::mean_firmware_multiplier(
     const VendorConfig& vendor) noexcept {
   double mean = 0.0;

@@ -25,9 +25,6 @@ enum class FailureArchetype {
 
 inline constexpr std::size_t kNumArchetypes = 4;
 
-/// Name for logs ("wearout", "media", "controller", "sudden").
-const char* archetype_name(FailureArchetype a) noexcept;
-
 /// Complete sampled destiny of one drive.
 struct DriveOutcome {
   bool fails = false;

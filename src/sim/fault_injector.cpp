@@ -6,7 +6,6 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -45,10 +44,6 @@ bool fault_mode_is_disk(FaultMode mode) noexcept {
          mode == FaultMode::kFileTruncation || mode == FaultMode::kBitFlip ||
          mode == FaultMode::kDuplicateSegment ||
          mode == FaultMode::kStaleCheckpoint;
-}
-
-std::size_t InjectionStats::total() const noexcept {
-  return std::accumulate(injected.begin(), injected.end(), std::size_t{0});
 }
 
 std::vector<DriveTimeSeries> FaultInjector::corrupt(

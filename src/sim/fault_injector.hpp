@@ -78,7 +78,6 @@ struct InjectionStats {
   std::size_t of(FaultMode mode) const noexcept {
     return injected[static_cast<std::size_t>(mode)];
   }
-  std::size_t total() const noexcept;
 };
 
 class FaultInjector {

@@ -337,10 +337,6 @@ std::vector<TroubleTicket> read_tickets_csv(std::istream& is,
   return out;
 }
 
-std::vector<TroubleTicket> read_tickets_csv(std::istream& is) {
-  return read_tickets_csv(is, RobustnessConfig{});
-}
-
 void write_telemetry_file(const std::string& path,
                           const std::vector<DriveTimeSeries>& batch) {
   std::ofstream f(path);

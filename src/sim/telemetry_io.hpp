@@ -48,7 +48,6 @@ void write_tickets_csv(std::ostream& os,
 std::vector<TroubleTicket> read_tickets_csv(std::istream& is,
                                             const RobustnessConfig& robustness,
                                             IngestStats* stats = nullptr);
-std::vector<TroubleTicket> read_tickets_csv(std::istream& is);
 
 /// File-path conveniences (throw std::runtime_error on IO failure).
 void write_telemetry_file(const std::string& path,

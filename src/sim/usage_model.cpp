@@ -21,15 +21,6 @@ bool is_weekend(DayIndex day) noexcept {
   return dow == 1 || dow == 2;
 }
 
-const char* user_profile_name(UserProfile p) noexcept {
-  switch (p) {
-    case UserProfile::kAlwaysOn: return "always_on";
-    case UserProfile::kRegular: return "regular";
-    case UserProfile::kSporadic: return "sporadic";
-  }
-  return "unknown";
-}
-
 UserProfile UsageModel::sample_profile(Rng& rng) {
   const std::size_t i = rng.categorical({0.20, 0.55, 0.25});
   return static_cast<UserProfile>(i);

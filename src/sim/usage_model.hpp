@@ -20,8 +20,6 @@ enum class UserProfile {
 
 inline constexpr std::size_t kNumUserProfiles = 3;
 
-const char* user_profile_name(UserProfile p) noexcept;
-
 /// Static parameters of a usage profile.
 struct UsageParams {
   double p_power_on;        ///< daily probability the machine is used

@@ -70,20 +70,6 @@ TEST(SmartThreshold, RulesConfigurable) {
   EXPECT_EQ(lax.predict(ds)[0], 0);
 }
 
-TEST(SmartThreshold, EvaluateBuildsConfusion) {
-  auto ds = make_smart_dataset(4);
-  ds.y[0] = 1;
-  ds.X(0, 0) = 1.0;  // caught positive
-  ds.y[1] = 1;       // missed positive
-  ds.X(2, 13) = 99.0;  // false alarm
-  const SmartThresholdDetector detector;
-  const auto cm = detector.evaluate(ds);
-  EXPECT_EQ(cm.tp, 1u);
-  EXPECT_EQ(cm.fn, 1u);
-  EXPECT_EQ(cm.fp, 1u);
-  EXPECT_EQ(cm.tn, 1u);
-}
-
 TEST(SmartThreshold, RequiresSmartColumns) {
   data::Dataset ds;
   ds.feature_names = {"W_7"};

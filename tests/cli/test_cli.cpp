@@ -441,7 +441,6 @@ TEST(ServeReplayCommand, DurableRunExportsThePinnedVocabulary) {
       "mfpa_ckpt_fallbacks_total{} counter 0",
       "mfpa_ckpt_last_lsn{} gauge 14233",
       "mfpa_ckpt_writes_total{} counter 5",
-      "mfpa_registry_activations_total{} counter 0",
       "mfpa_registry_current_version{} gauge 1",
       "mfpa_registry_publishes_total{} counter 1",
       "mfpa_registry_swap_seconds{} histogram 1",
@@ -476,7 +475,7 @@ TEST(ServeReplayCommand, DurableRunExportsThePinnedVocabulary) {
       "mfpa_wal_recovery_torn_tails_total{} counter 0",
   };
   EXPECT_EQ(lines, expected);
-  EXPECT_EQ(families.size(), 31u);
+  EXPECT_EQ(families.size(), 30u);
 
   // --metrics-out exports exactly these families.
   std::ifstream in(metrics);
@@ -631,9 +630,11 @@ void expect_usage_error(const std::vector<std::string>& args,
 }
 
 // Integer flags are range-checked before any work: a negative count, a
-// fraction or an out-of-range port is a usage error naming the flag.
+// fraction, an exponent, a blank or an out-of-range port is a usage error
+// naming the flag. shard-route parses its port list before it connects.
 TEST(RunCommand, RejectsOutOfRangeIntegerFlags) {
   expect_usage_error({"serve-replay", "--batch=-1"}, "--batch");
+  expect_usage_error({"serve-replay", "--batch=1e3"}, "--batch");
   expect_usage_error({"serve-replay", "--queue-capacity=2.5"},
                      "--queue-capacity");
   expect_usage_error({"fleet-replay", "--kill-after=-3"}, "--kill-after");
@@ -642,6 +643,35 @@ TEST(RunCommand, RejectsOutOfRangeIntegerFlags) {
   expect_usage_error({"shard-serve", "--shard-index=0", "--shard-count=1",
                       "--registry=" + registry, "--port=70000"},
                      "--port");
+  for (const std::string ports : {" 80", "80,,81", "70000", "0", "80,"}) {
+    expect_usage_error({"shard-route", "--shard-ports=" + ports},
+                       "--shard-ports");
+  }
+}
+
+// Integer flags parse exactly: seeds 2^53 and 2^53 + 1 simulate different
+// fleets, and the largest seed the range names is accepted.
+TEST(RunCommand, SeedsParseExactlyUpToTheLargest) {
+  const std::string dir = ::testing::TempDir();
+  const auto simulate = [&dir](const std::string& seed) {
+    const std::string telemetry = dir + "/mfpa_cli_seed.csv";
+    const std::string tickets = dir + "/mfpa_cli_seedk.csv";
+    std::ostringstream out, err;
+    EXPECT_EQ(run_command(parse_command_line(
+                              {"simulate", "--telemetry=" + telemetry,
+                               "--tickets=" + tickets, "--scenario=tiny",
+                               "--seed=" + seed, "--scale=0.002"}),
+                          out, err),
+              0)
+        << seed << ": " << err.str();
+    std::ostringstream bytes;
+    bytes << std::ifstream(telemetry).rdbuf();
+    std::remove(telemetry.c_str());
+    std::remove(tickets.c_str());
+    return bytes.str();
+  };
+  EXPECT_NE(simulate("9007199254740992"), simulate("9007199254740993"));
+  EXPECT_FALSE(simulate("18446744073709551615").empty());
 }
 
 TEST(RunCommand, SimulateScaleOverride) {

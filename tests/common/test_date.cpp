@@ -25,37 +25,31 @@ TEST(Date, KnownDates) {
   EXPECT_EQ(to_day_index({2020, 12, 31}), -1);
 }
 
+/// Length of a month: the day index of the next month's first day minus
+/// that of its own.
+int month_length(int year, int month) {
+  return to_day_index({year + month / 12, month % 12 + 1, 1}) -
+         to_day_index({year, month, 1});
+}
+
 TEST(Date, LeapYears) {
-  EXPECT_TRUE(is_leap_year(2024));
-  EXPECT_TRUE(is_leap_year(2000));
-  EXPECT_FALSE(is_leap_year(2021));
-  EXPECT_FALSE(is_leap_year(1900));
+  EXPECT_EQ(month_length(2024, 2), 29);
+  EXPECT_EQ(month_length(2000, 2), 29);
+  EXPECT_EQ(month_length(2021, 2), 28);
+  EXPECT_EQ(month_length(1900, 2), 28);
 }
 
 TEST(Date, DaysInMonth) {
-  EXPECT_EQ(days_in_month(2021, 2), 28);
-  EXPECT_EQ(days_in_month(2024, 2), 29);
-  EXPECT_EQ(days_in_month(2021, 4), 30);
-  EXPECT_EQ(days_in_month(2021, 12), 31);
+  EXPECT_EQ(month_length(2021, 2), 28);
+  EXPECT_EQ(month_length(2024, 2), 29);
+  EXPECT_EQ(month_length(2021, 4), 30);
+  EXPECT_EQ(month_length(2021, 12), 31);
 }
 
 TEST(Date, FormatBasic) {
   EXPECT_EQ(format_date(0), "2021-01-01");
   EXPECT_EQ(format_date(31), "2021-02-01");
   EXPECT_EQ(format_date(365 + 58), "2022-02-28");
-}
-
-TEST(Date, ParseRoundTrip) {
-  for (DayIndex d : {0, 1, 59, 365, 366, 730, 900}) {
-    EXPECT_EQ(parse_date(format_date(d)), d);
-  }
-}
-
-TEST(Date, ParseRejectsGarbage) {
-  EXPECT_THROW(parse_date("not a date"), std::invalid_argument);
-  EXPECT_THROW(parse_date("2021-13-01"), std::invalid_argument);
-  EXPECT_THROW(parse_date("2021-02-30"), std::invalid_argument);
-  EXPECT_THROW(parse_date(""), std::invalid_argument);
 }
 
 TEST(Date, MonthOfEpoch) {
@@ -80,8 +74,9 @@ class LeapSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(LeapSweep, FebruaryLength) {
   const int year = GetParam();
-  const int expect = is_leap_year(year) ? 29 : 28;
-  EXPECT_EQ(days_in_month(year, 2), expect);
+  const bool leap = (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
+  const int expect = leap ? 29 : 28;
+  EXPECT_EQ(month_length(year, 2), expect);
   // Round-trip the last day of February.
   const DayIndex d = to_day_index({year, 2, expect});
   EXPECT_EQ(to_calendar(d).day, expect);

@@ -48,17 +48,6 @@ TEST(StageTimer, MeasuresElapsedTime) {
   EXPECT_LT(timer.records()[0].seconds, 5.0);
 }
 
-TEST(StageTimer, TotalSumsStages) {
-  StageTimer timer;
-  timer.begin("a");
-  timer.end();
-  timer.begin("b");
-  timer.end();
-  double total = 0.0;
-  for (const auto& r : timer.records()) total += r.seconds;
-  EXPECT_DOUBLE_EQ(timer.total_seconds(), total);
-}
-
 TEST(StageTimer, DoubleEndRecordsOnce) {
   StageTimer timer;
   timer.begin("x");

@@ -11,47 +11,6 @@
 namespace mfpa::stats {
 namespace {
 
-TEST(Stats, MeanBasic) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-}
-
-TEST(Stats, MeanEmptyIsZero) {
-  EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
-}
-
-TEST(Stats, VarianceBasic) {
-  const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(variance(xs), 4.571428571, 1e-8);  // n-1
-}
-
-TEST(Stats, VarianceDegenerate) {
-  EXPECT_DOUBLE_EQ(variance(std::vector<double>{5.0}), 0.0);
-  EXPECT_DOUBLE_EQ(variance(std::vector<double>{}), 0.0);
-}
-
-TEST(Stats, QuantileEndpoints) {
-  const std::vector<double> xs{3.0, 1.0, 2.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 3.0);
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 2.0);
-}
-
-TEST(Stats, QuantileInterpolates) {
-  const std::vector<double> xs{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.25), 2.5);
-}
-
-TEST(Stats, QuantileErrors) {
-  EXPECT_THROW(quantile(std::vector<double>{}, 0.5), std::invalid_argument);
-  EXPECT_THROW(quantile(std::vector<double>{1.0}, 1.5), std::invalid_argument);
-}
-
-TEST(Stats, MedianOddEven) {
-  EXPECT_DOUBLE_EQ(median(std::vector<double>{5.0, 1.0, 3.0}), 3.0);
-  EXPECT_DOUBLE_EQ(median(std::vector<double>{1.0, 2.0, 3.0, 4.0}), 2.5);
-}
-
 TEST(Histogram, BinAssignment) {
   Histogram h;
   for (double x : {1.0, 1.0624, 1.0625, 3.0, 1e-6, 0.75e6, 86400e6}) {

@@ -20,7 +20,9 @@ TEST(TablePrinter, AlignsColumns) {
   TablePrinter t({"name", "v"});
   t.add_row({"x", "100"});
   t.add_row({"longer", "2"});
-  const std::string out = t.to_string();
+  std::ostringstream os;
+  t.print(os);
+  const std::string out = os.str();
   // Header, separator, two rows.
   std::istringstream is(out);
   std::string line;

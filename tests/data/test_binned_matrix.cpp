@@ -98,33 +98,6 @@ TEST(BinnedMatrix, QuantileBinsBalancedOnUniformData) {
   }
 }
 
-TEST(BinnedMatrix, SelectRowsPreservesEdgesAndCodes) {
-  Rng rng(11);
-  Matrix X(100, 2);
-  for (std::size_t r = 0; r < 100; ++r) {
-    X(r, 0) = rng.normal();
-    X(r, 1) = rng.uniform();
-  }
-  const BinnedMatrix bins(X, 16);
-  const std::vector<std::size_t> idx{5, 99, 0, 42, 42};
-  const BinnedMatrix sub = bins.select_rows(idx);
-  ASSERT_EQ(sub.rows(), 5u);
-  ASSERT_EQ(sub.cols(), 2u);
-  for (std::size_t f = 0; f < 2; ++f) {
-    EXPECT_EQ(sub.cuts(f), bins.cuts(f));
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      EXPECT_EQ(sub.code(i, f), bins.code(idx[i], f));
-    }
-  }
-}
-
-TEST(BinnedMatrix, SelectRowsOutOfRangeThrows) {
-  Matrix X{{1.0}, {2.0}};
-  const BinnedMatrix bins(X);
-  const std::vector<std::size_t> idx{2};
-  EXPECT_THROW(bins.select_rows(idx), std::out_of_range);
-}
-
 TEST(BinnedMatrix, RunAwareCutsOnConstantAndLowCardinalityColumns) {
   // The run-aware equal-frequency sketch must keep its invariants on the
   // edge cases histogram training leans on: a constant column encodes to

@@ -21,24 +21,6 @@ TEST(LabelEncoder, UnknownMapsToSentinel) {
   EXPECT_DOUBLE_EQ(enc.unknown_code(), 1.0);
 }
 
-TEST(LabelEncoder, TransformBatch) {
-  LabelEncoder enc;
-  enc.fit({"a", "b"});
-  const auto codes = enc.transform({"b", "a", "zz"});
-  ASSERT_EQ(codes.size(), 3u);
-  EXPECT_DOUBLE_EQ(codes[0], 1.0);
-  EXPECT_DOUBLE_EQ(codes[1], 0.0);
-  EXPECT_DOUBLE_EQ(codes[2], 2.0);
-}
-
-TEST(LabelEncoder, InverseTransform) {
-  LabelEncoder enc;
-  enc.fit({"one", "two"});
-  EXPECT_EQ(enc.inverse_transform(0), "one");
-  EXPECT_EQ(enc.inverse_transform(1), "two");
-  EXPECT_THROW(enc.inverse_transform(2), std::out_of_range);
-}
-
 TEST(LabelEncoder, PartialFitKeepsCodesStable) {
   LabelEncoder enc;
   enc.fit({"a"});

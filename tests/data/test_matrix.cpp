@@ -52,9 +52,10 @@ TEST(Matrix, RowSpanMutation) {
 
 TEST(Matrix, ColumnCopy) {
   Matrix m{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  const auto col = m.column(1);
+  std::vector<double> col{9.0};
+  m.column_into(1, col);
   EXPECT_EQ(col, (std::vector<double>{2.0, 4.0, 6.0}));
-  EXPECT_THROW(m.column(2), std::out_of_range);
+  EXPECT_THROW(m.column_into(2, col), std::out_of_range);
 }
 
 TEST(Matrix, AddRowDefinesArity) {

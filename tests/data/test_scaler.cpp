@@ -62,37 +62,5 @@ TEST(StandardScaler, AccessorsExposeStats) {
   EXPECT_NEAR(s.stddevs()[0], std::sqrt(2.0), 1e-12);
 }
 
-TEST(MinMaxScaler, MapsToUnitInterval) {
-  Matrix X{{0.0}, {5.0}, {10.0}};
-  MinMaxScaler s;
-  const Matrix Z = s.fit_transform(X);
-  EXPECT_DOUBLE_EQ(Z(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(Z(1, 0), 0.5);
-  EXPECT_DOUBLE_EQ(Z(2, 0), 1.0);
-}
-
-TEST(MinMaxScaler, ConstantColumnMapsToZero) {
-  Matrix X{{3.0}, {3.0}};
-  MinMaxScaler s;
-  const Matrix Z = s.fit_transform(X);
-  EXPECT_DOUBLE_EQ(Z(0, 0), 0.0);
-}
-
-TEST(MinMaxScaler, TransformBeforeFitThrows) {
-  MinMaxScaler s;
-  Matrix X{{1.0}};
-  EXPECT_THROW(s.transform(X), std::logic_error);
-}
-
-TEST(MinMaxScaler, OutOfRangeTestValues) {
-  Matrix train{{0.0}, {10.0}};
-  MinMaxScaler s;
-  s.fit(train);
-  Matrix test{{-10.0}, {20.0}};
-  const Matrix Z = s.transform(test);
-  EXPECT_DOUBLE_EQ(Z(0, 0), -1.0);  // not clamped: linear extension
-  EXPECT_DOUBLE_EQ(Z(1, 0), 2.0);
-}
-
 }  // namespace
 }  // namespace mfpa::data

@@ -55,7 +55,7 @@ TEST(Deployment, TelemetryCsvRoundTripTrainsIdentically) {
   sim::write_telemetry_csv(ts, telemetry);
   sim::write_tickets_csv(ks, tickets);
   const auto telemetry2 = sim::read_telemetry_csv(ts);
-  const auto tickets2 = sim::read_tickets_csv(ks);
+  const auto tickets2 = sim::read_tickets_csv(ks, RobustnessConfig{});
 
   core::MfpaConfig config;
   config.seed = 43;

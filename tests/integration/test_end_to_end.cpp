@@ -8,6 +8,7 @@
 #include "baselines/smart_threshold.hpp"
 #include "core/mfpa.hpp"
 #include "core/online_predictor.hpp"
+#include "ml/metrics.hpp"
 #include "sim/fleet.hpp"
 
 namespace mfpa {
@@ -89,8 +90,9 @@ TEST_F(EndToEndTest, PipelineBeatsSmartThresholdBaseline) {
   const core::SampleBuilder builder(sc, nullptr);
   const auto ds = builder.build(drives, failures);
 
-  const baselines::SmartThresholdDetector detector;
-  const auto cm = detector.evaluate(ds);
+  const auto alarms = baselines::SmartThresholdDetector().predict(ds);
+  const std::vector<double> scores(alarms.begin(), alarms.end());
+  const auto cm = ml::confusion_at(ds.y, scores, 0.5);
   // The vendor-style threshold detector catches only a sliver of failures
   // (paper: 3-10% TPR); MFPA must dominate it by a wide margin.
   EXPECT_LT(cm.tpr(), report.cm.tpr() - 0.3);

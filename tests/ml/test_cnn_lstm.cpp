@@ -88,21 +88,6 @@ TEST(CnnLstm, PredictBeforeFitThrows) {
   EXPECT_THROW(model.predict_proba(X), std::logic_error);
 }
 
-TEST(CnnLstm, ParameterCountMatchesArchitecture) {
-  const int T = 4, F = 2, C = 8, H = 12, K = 3;
-  const auto [X, y] = make_trend(40, T, F, 54);
-  CnnLstmClassifier model({{"timesteps", T},
-                           {"channels", C},
-                           {"hidden", H},
-                           {"kernel", K},
-                           {"epochs", 1}});
-  model.fit(X, y);
-  const std::size_t expected = static_cast<std::size_t>(C) * F * K + C  // conv
-                               + 4 * H * C + 4 * H * H + 4 * H          // lstm
-                               + H + 1;                                 // dense
-  EXPECT_EQ(model.parameter_count(), expected);
-}
-
 TEST(CnnLstm, CloneIsUnfittedWithSameName) {
   CnnLstmClassifier model({{"timesteps", 4}});
   auto clone = model.clone_unfitted();

@@ -149,16 +149,6 @@ TEST(Gbdt, MoreRoundsFitTighter) {
             accuracy_of(small.predict_proba(X), y));
 }
 
-TEST(Gbdt, ImportanceNormalized) {
-  const auto [X, y] = make_blobs(100, 4, 2.0, 47);
-  GbdtClassifier gbdt({{"n_rounds", 10}});
-  gbdt.fit(X, y);
-  const auto imp = gbdt.feature_importance();
-  double total = 0.0;
-  for (double v : imp) total += v;
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
 TEST(Gbdt, PredictBeforeFitThrows) {
   GbdtClassifier gbdt;
   data::Matrix X{{0.0}};

@@ -14,8 +14,6 @@ TEST(ConfusionMatrix, BasicRates) {
   EXPECT_DOUBLE_EQ(cm.fpr(), 3.0 / 90.0);
   EXPECT_DOUBLE_EQ(cm.accuracy(), 95.0 / 100.0);
   EXPECT_DOUBLE_EQ(cm.pdr(), 11.0 / 100.0);
-  EXPECT_DOUBLE_EQ(cm.precision(), 8.0 / 11.0);
-  EXPECT_NEAR(cm.f1(), 2.0 * (8.0 / 11.0) * 0.8 / ((8.0 / 11.0) + 0.8), 1e-12);
   EXPECT_DOUBLE_EQ(cm.tnr(), 1.0 - cm.fpr());
 }
 
@@ -24,14 +22,12 @@ TEST(ConfusionMatrix, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(cm.accuracy(), 0.0);
   EXPECT_DOUBLE_EQ(cm.tpr(), 0.0);
   EXPECT_DOUBLE_EQ(cm.fpr(), 0.0);
-  EXPECT_DOUBLE_EQ(cm.precision(), 0.0);
-  EXPECT_DOUBLE_EQ(cm.f1(), 0.0);
 }
 
 TEST(ConfusionMatrix, FromPredictions) {
   const std::vector<int> yt{1, 1, 0, 0, 1};
-  const std::vector<int> yp{1, 0, 0, 1, 1};
-  const auto cm = confusion_matrix(yt, yp);
+  const std::vector<double> scores{1.0, 0.0, 0.0, 1.0, 1.0};
+  const auto cm = confusion_at(yt, scores, 0.5);
   EXPECT_EQ(cm.tp, 2u);
   EXPECT_EQ(cm.fn, 1u);
   EXPECT_EQ(cm.fp, 1u);
@@ -39,9 +35,9 @@ TEST(ConfusionMatrix, FromPredictions) {
 }
 
 TEST(ConfusionMatrix, SizeMismatchThrows) {
-  const std::vector<int> a{1};
-  const std::vector<int> b{1, 0};
-  EXPECT_THROW(confusion_matrix(a, b), std::invalid_argument);
+  const std::vector<int> yt{1};
+  const std::vector<double> scores{1.0, 0.0};
+  EXPECT_THROW(confusion_at(yt, scores, 0.5), std::invalid_argument);
 }
 
 TEST(ConfusionAt, ThresholdBoundaryIsPositive) {
@@ -108,7 +104,7 @@ TEST(Roc, CurveMonotone) {
 TEST(Thresholds, YoudenPicksSeparator) {
   const std::vector<int> yt{0, 0, 1, 1};
   const std::vector<double> s{0.1, 0.2, 0.8, 0.9};
-  const double t = best_youden_threshold(yt, s);
+  const double t = best_weighted_youden_threshold(yt, s, 1.0);
   const auto cm = confusion_at(yt, s, t);
   EXPECT_DOUBLE_EQ(cm.tpr(), 1.0);
   EXPECT_DOUBLE_EQ(cm.fpr(), 0.0);
@@ -119,7 +115,7 @@ TEST(Thresholds, WeightedYoudenIsMoreConservative) {
   // above it even at the cost of a missed positive at 0.6.
   const std::vector<int> yt{0, 0, 0, 1, 1, 1};
   const std::vector<double> s{0.1, 0.2, 0.7, 0.6, 0.8, 0.9};
-  const double t_plain = best_youden_threshold(yt, s);
+  const double t_plain = best_weighted_youden_threshold(yt, s, 1.0);
   const double t_weighted = best_weighted_youden_threshold(yt, s, 10.0);
   EXPECT_LE(t_plain, 0.6);
   EXPECT_GT(t_weighted, 0.7);
@@ -137,46 +133,6 @@ TEST(Thresholds, ThresholdForFprRespectsBudget) {
   const auto cm25 = confusion_at(yt, s, t25);
   EXPECT_LE(cm25.fpr(), 0.25);
   EXPECT_DOUBLE_EQ(cm25.tpr(), 1.0);
-}
-
-TEST(PrCurve, PerfectRankingHasUnitPrecision) {
-  const std::vector<int> yt{0, 0, 1, 1};
-  const std::vector<double> s{0.1, 0.2, 0.8, 0.9};
-  for (const auto& p : pr_curve(yt, s)) {
-    if (p.threshold >= 0.8) {
-      EXPECT_DOUBLE_EQ(p.precision, 1.0);
-    }
-  }
-  EXPECT_DOUBLE_EQ(average_precision(yt, s), 1.0);
-}
-
-TEST(PrCurve, RecallNonDecreasing) {
-  const std::vector<int> yt{0, 1, 0, 1, 1, 0, 0, 1};
-  const std::vector<double> s{0.1, 0.9, 0.3, 0.6, 0.55, 0.52, 0.8, 0.2};
-  const auto curve = pr_curve(yt, s);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].recall, curve[i - 1].recall);
-  }
-  EXPECT_DOUBLE_EQ(curve.back().recall, 1.0);
-}
-
-TEST(PrCurve, HandComputedAp) {
-  // Descending scores: pos, neg, pos. AP = 1.0*0.5 + (2/3)*0.5 = 5/6.
-  const std::vector<int> yt{1, 0, 1};
-  const std::vector<double> s{0.9, 0.8, 0.7};
-  EXPECT_NEAR(average_precision(yt, s), 5.0 / 6.0, 1e-12);
-}
-
-TEST(PrCurve, NoPositivesGivesZeroAp) {
-  const std::vector<int> yt{0, 0};
-  const std::vector<double> s{0.4, 0.6};
-  EXPECT_DOUBLE_EQ(average_precision(yt, s), 0.0);
-}
-
-TEST(PrCurve, SizeMismatchThrows) {
-  const std::vector<int> yt{1};
-  const std::vector<double> s{0.5, 0.6};
-  EXPECT_THROW(pr_curve(yt, s), std::invalid_argument);
 }
 
 TEST(BrierScore, PerfectForecastIsZero) {
@@ -203,13 +159,6 @@ TEST(BrierScore, EmptyIsZeroAndMismatchThrows) {
   const std::vector<int> yt{1};
   const std::vector<double> s{0.5, 0.5};
   EXPECT_THROW(brier_score(yt, s), std::invalid_argument);
-}
-
-TEST(Summarize, ContainsKeyNumbers) {
-  ConfusionMatrix cm{8, 3, 87, 2};
-  const std::string s = summarize(cm);
-  EXPECT_NE(s.find("TPR=80.00%"), std::string::npos);
-  EXPECT_NE(s.find("TP=8"), std::string::npos);
 }
 
 }  // namespace

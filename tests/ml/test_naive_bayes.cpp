@@ -75,16 +75,6 @@ TEST(GaussianNB, ConstantFeatureHandledBySmoothing) {
   EXPECT_GT(p[3], 0.5);
 }
 
-TEST(GaussianNB, HardPredictThreshold) {
-  const auto [X, y] = make_blobs(100, 2, 5.0, 5);
-  GaussianNB nb;
-  nb.fit(X, y);
-  const auto labels = nb.predict(X);
-  std::size_t hit = 0;
-  for (std::size_t i = 0; i < y.size(); ++i) hit += labels[i] == y[i];
-  EXPECT_GT(static_cast<double>(hit) / y.size(), 0.98);
-}
-
 TEST(GaussianNB, CloneIsUnfitted) {
   const auto [X, y] = make_blobs(20, 2, 3.0, 6);
   GaussianNB nb;

@@ -5,7 +5,6 @@
 #include <cctype>
 #include <sstream>
 
-#include "baselines/statistical.hpp"
 #include "ml/checksum.hpp"
 #include "ml/factory.hpp"
 #include "test_helpers.hpp"
@@ -91,21 +90,6 @@ TEST(Serialize, RejectsTruncatedState) {
   text.resize(text.size() / 2);  // chop mid-state
   std::stringstream truncated(text);
   EXPECT_THROW(load_classifier(truncated), std::runtime_error);
-}
-
-TEST(Serialize, StatisticalDetectorsRoundTrip) {
-  const auto [X, y] = testing::make_blobs(80, 3, 2.0, 115);
-  for (auto* det : {static_cast<Classifier*>(new baselines::ParametricDetector()),
-                    static_cast<Classifier*>(new baselines::RankSumDetector())}) {
-    std::unique_ptr<Classifier> owned(det);
-    owned->fit(X, y);
-    std::stringstream ss;
-    owned->save_state(ss);
-    auto clone = owned->clone_unfitted();
-    clone->load_state(ss);
-    EXPECT_EQ(clone->predict_proba(X), owned->predict_proba(X))
-        << owned->name();
-  }
 }
 
 TEST(Serialize, VectorHelpersRoundTrip) {

@@ -56,15 +56,20 @@ void expect_bit_identical(const std::vector<double>& a,
 /// Predicts under every dispatchable tier and asserts all results equal the
 /// scalar reference bit-for-bit.
 void expect_all_tiers_identical(const FlatForest& flat, const data::Matrix& X) {
+  const auto scores = [&] {
+    std::vector<double> out(X.rows());
+    flat.predict_into(X, out);
+    return out;
+  };
   SimdOverrideGuard guard;
   set_simd_override(SimdLevel::kScalar);
-  const auto scalar = flat.predict(X);
+  const auto scalar = scores();
   set_simd_override(SimdLevel::kAvx2);
   SCOPED_TRACE(std::string("forced=avx2 active=") +
                std::string(to_string(active_simd_level())));
-  expect_bit_identical(scalar, flat.predict(X));
+  expect_bit_identical(scalar, scores());
   set_simd_override(std::nullopt);
-  expect_bit_identical(scalar, flat.predict(X));
+  expect_bit_identical(scalar, scores());
 }
 
 TEST(SimdDispatch, RoundTripNames) {

@@ -21,7 +21,7 @@ TEST(MetricsRegistryTest, SameNameAndLabelsReturnsSameInstrument) {
   EXPECT_EQ(&a, &b);
   Counter& other = reg->counter("requests_total", {{"path", "/b"}});
   EXPECT_NE(&a, &other);
-  EXPECT_EQ(reg->size(), 2u);
+  EXPECT_EQ(reg->snapshot().metrics.size(), 2u);
 }
 
 TEST(MetricsRegistryTest, LabelOrderDoesNotForkTheFamily) {
@@ -29,7 +29,7 @@ TEST(MetricsRegistryTest, LabelOrderDoesNotForkTheFamily) {
   Counter& a = reg->counter("c", {{"x", "1"}, {"y", "2"}});
   Counter& b = reg->counter("c", {{"y", "2"}, {"x", "1"}});
   EXPECT_EQ(&a, &b);
-  EXPECT_EQ(reg->size(), 1u);
+  EXPECT_EQ(reg->snapshot().metrics.size(), 1u);
 }
 
 TEST(MetricsRegistryTest, KindMismatchThrows) {

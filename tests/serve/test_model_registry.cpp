@@ -133,16 +133,6 @@ TEST_F(ModelRegistryTest, ReopenRestoresCurrentVersion) {
   EXPECT_EQ(reopened.current()->manifest.train_hi, 130);
 }
 
-TEST_F(ModelRegistryTest, ActivateRollsBackAndPersists) {
-  ModelRegistry registry(dir_.string());
-  registry.publish_pipeline(*pipeline_, 0, 100);
-  registry.publish_pipeline(*pipeline_, 0, 130);
-  registry.activate(1);
-  EXPECT_EQ(registry.current_version(), 1);
-  ModelRegistry reopened(dir_.string());
-  EXPECT_EQ(reopened.current_version(), 1);
-}
-
 TEST_F(ModelRegistryTest, PublishIsAnRcuSwap) {
   ModelRegistry registry(dir_.string());
   registry.publish_pipeline(*pipeline_, 0, 100);
@@ -160,7 +150,6 @@ TEST_F(ModelRegistryTest, PublishIsAnRcuSwap) {
 TEST_F(ModelRegistryTest, MissingVersionThrows) {
   ModelRegistry registry(dir_.string());
   EXPECT_THROW(registry.load_version(9), std::runtime_error);
-  EXPECT_THROW(registry.activate(9), std::runtime_error);
 }
 
 TEST_F(ModelRegistryTest, CorruptPayloadIsRejected) {

@@ -150,11 +150,6 @@ TEST(FailureModel, SuddenFailuresLookSystemLevel) {
   EXPECT_LT(static_cast<double>(drive_level) / n, 0.15);
 }
 
-TEST(FailureModel, ArchetypeNames) {
-  EXPECT_STREQ(archetype_name(FailureArchetype::kWearout), "wearout");
-  EXPECT_STREQ(archetype_name(FailureArchetype::kSudden), "sudden");
-}
-
 TEST(FailureModel, HealthyOutcomeHasNoFailureDay) {
   const VendorConfig& vendor = vendor_catalog()[1];  // low RR
   FailureModel model;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -18,6 +19,12 @@ namespace {
 std::vector<DriveTimeSeries> tiny_batch(std::uint64_t seed = 3) {
   FleetSimulator fleet(tiny_scenario(seed));
   return fleet.generate_telemetry();
+}
+
+/// Faults injected over every mode.
+std::size_t total_injected(const InjectionStats& stats) {
+  return std::accumulate(stats.injected.begin(), stats.injected.end(),
+                         std::size_t{0});
 }
 
 std::string tiny_csv(std::uint64_t seed = 3) {
@@ -89,7 +96,7 @@ TEST(FaultInjector, ZeroRateIsIdentity) {
   FaultInjector injector(plan);
   EXPECT_TRUE(batches_equal(injector.corrupt(clean), clean));
   EXPECT_EQ(injector.corrupt_csv(csv), csv);
-  EXPECT_EQ(injector.stats().total(), 0u);
+  EXPECT_EQ(total_injected(injector.stats()), 0u);
 }
 
 TEST(FaultInjector, DuplicateDayInsertsRepeatedDays) {
@@ -238,7 +245,7 @@ TEST(FaultInjector, ComposedPlanAppliesEveryRequestedMode) {
     EXPECT_GT(injector.stats().of(spec.mode), 0u)
         << fault_mode_name(spec.mode);
   }
-  EXPECT_EQ(injector.stats().total(),
+  EXPECT_EQ(total_injected(injector.stats()),
             injector.stats().of(FaultMode::kDuplicateDay) +
                 injector.stats().of(FaultMode::kClockRollback) +
                 injector.stats().of(FaultMode::kNanField));

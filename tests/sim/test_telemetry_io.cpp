@@ -60,7 +60,7 @@ TEST(TelemetryIo, TicketsRoundTrip) {
   ASSERT_FALSE(original.empty());
   std::stringstream ss;
   write_tickets_csv(ss, original);
-  const auto restored = read_tickets_csv(ss);
+  const auto restored = read_tickets_csv(ss, RobustnessConfig{});
   ASSERT_EQ(restored.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(restored[i].drive_id, original[i].drive_id);
@@ -74,7 +74,7 @@ TEST(TelemetryIo, RejectsWrongHeader) {
   std::stringstream ss("a,b,c\n1,2,3\n");
   EXPECT_THROW(read_telemetry_csv(ss), std::runtime_error);
   std::stringstream ts("x,y\n1,2\n");
-  EXPECT_THROW(read_tickets_csv(ts), std::runtime_error);
+  EXPECT_THROW(read_tickets_csv(ts, RobustnessConfig{}), std::runtime_error);
 }
 
 TEST(TelemetryIo, RejectsShortRow) {
@@ -88,7 +88,7 @@ TEST(TelemetryIo, RejectsShortRow) {
 
 TEST(TelemetryIo, RejectsUnknownTicketCategory) {
   std::stringstream ss("sn,vendor,imt,category\n1,0,5,Not A Category\n");
-  EXPECT_THROW(read_tickets_csv(ss), std::runtime_error);
+  EXPECT_THROW(read_tickets_csv(ss, RobustnessConfig{}), std::runtime_error);
 }
 
 TEST(TelemetryIo, FileRoundTrip) {

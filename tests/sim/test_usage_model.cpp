@@ -81,11 +81,6 @@ TEST(UsageModel, ParamsAccessible) {
   EXPECT_GT(p.mean_hours, 8.0);
 }
 
-TEST(UsageModel, ProfileNames) {
-  EXPECT_STREQ(user_profile_name(UserProfile::kAlwaysOn), "always_on");
-  EXPECT_STREQ(user_profile_name(UserProfile::kSporadic), "sporadic");
-}
-
 TEST(UsageModel, DeterministicGivenRngState) {
   Rng a(7), b(7);
   const auto da = UsageModel::observation_days(UserProfile::kRegular, 0, 100, a);
