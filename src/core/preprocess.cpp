@@ -1,6 +1,7 @@
 #include "core/preprocess.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <unordered_set>
 
@@ -19,47 +20,44 @@ std::string firmware_version_string(int vendor, unsigned firmware_index) {
   return cfg.name + "_F_" + std::to_string(firmware_index + 1);
 }
 
-void append_processed(std::vector<ProcessedRecord>& segment,
-                      const sim::DailyRecord& raw, int vendor, int fill_gap) {
-  ProcessedRecord rec;
+SourceRecord next_source_record(const SourceRecord* prev,
+                                const sim::DailyRecord& raw) {
+  SourceRecord rec;
   rec.day = raw.day;
-  for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
-    rec.smart[a] = static_cast<double>(raw.smart[a]);
+  rec.firmware_index = raw.firmware_index;
+  rec.smart = raw.smart;
+  if (prev != nullptr) {
+    rec.w_cum = prev->w_cum;
+    rec.b_cum = prev->b_cum;
   }
-  rec.firmware = firmware_version_string(vendor, raw.firmware_index);
-  if (!segment.empty()) {
-    rec.w_cum = segment.back().w_cum;
-    rec.b_cum = segment.back().b_cum;
-  }
+  const auto add = [](std::uint32_t& sum, std::uint16_t count) {
+    sum = count > UINT32_MAX - sum ? UINT32_MAX : sum + count;
+  };
   for (std::size_t i = 0; i < sim::kNumWindowsEvents; ++i) {
-    rec.w_cum[i] += static_cast<double>(raw.w[i]);
+    add(rec.w_cum[i], raw.w[i]);
   }
   for (std::size_t i = 0; i < sim::kNumBsodCodes; ++i) {
-    rec.b_cum[i] += static_cast<double>(raw.b[i]);
+    add(rec.b_cum[i], raw.b[i]);
   }
+  return rec;
+}
 
-  const int gap = segment.empty() ? 1 : raw.day - segment.back().day;
-  if (gap >= 2 && gap <= fill_gap) {
-    const ProcessedRecord prev = segment.back();  // copy: the loop reallocates
-    for (int d = 1; d < gap; ++d) {
-      const double t = static_cast<double>(d) / static_cast<double>(gap);
-      ProcessedRecord fill;
-      fill.day = prev.day + d;
-      fill.synthetic = true;
-      fill.firmware = prev.firmware;
-      for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
-        fill.smart[a] = prev.smart[a] + t * (rec.smart[a] - prev.smart[a]);
-      }
-      for (std::size_t w = 0; w < sim::kNumWindowsEvents; ++w) {
-        fill.w_cum[w] = prev.w_cum[w] + t * (rec.w_cum[w] - prev.w_cum[w]);
-      }
-      for (std::size_t b = 0; b < sim::kNumBsodCodes; ++b) {
-        fill.b_cum[b] = prev.b_cum[b] + t * (rec.b_cum[b] - prev.b_cum[b]);
-      }
-      segment.push_back(std::move(fill));
+void processed_into(const CleanedRecord& record, ProcessedRecord& out) {
+  out.day = record.day;
+  out.synthetic = record.synthetic;
+  out.firmware =
+      firmware_version_string(record.vendor, record.firmware_index());
+  record.with_values([&](const auto& values) {
+    for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
+      out.smart[a] = values.smart(a);
     }
-  }
-  segment.push_back(std::move(rec));
+    for (std::size_t i = 0; i < sim::kNumWindowsEvents; ++i) {
+      out.w_cum[i] = values.w_cum(i);
+    }
+    for (std::size_t i = 0; i < sim::kNumBsodCodes; ++i) {
+      out.b_cum[i] = values.b_cum(i);
+    }
+  });
 }
 
 namespace {
@@ -153,13 +151,11 @@ DrivePlan Preprocessor::plan(const sim::DriveTimeSeries& series) const {
   out.last_day = records[out.hi - 1].day;
 
   // 3. What converting the segment yields: a fill for each missing day of a
-  // gap <= fill_gap (append_processed's rule), and the firmware runs.
+  // gap <= fill_gap (gap_fills), and the firmware runs.
   for (std::size_t i = out.lo; i < out.hi; ++i) {
     if (i > out.lo) {
-      const int gap = records[i].day - records[i - 1].day;
-      if (gap >= 2 && gap <= config_.fill_gap) {
-        out.filled += static_cast<std::size_t>(gap - 1);
-      }
+      out.filled += static_cast<std::size_t>(
+          gap_fills(records[i - 1].day, records[i].day, config_.fill_gap));
     }
     if (i == out.lo ||
         records[i].firmware_index != records[i - 1].firmware_index) {
@@ -178,12 +174,24 @@ ProcessedDrive Preprocessor::convert_planned(
   out.failed = planned.failed;
   out.failure_day = planned.failure_day;
   out.dropped_records = plan.dropped;
-  // Convert the kept segment (cumulative W/B counters run across it) and
-  // repair its short gaps.
+  // Convert the kept segment (the running W/B sums run across it) and
+  // repair its short gaps: each real record's fills, then the record.
   out.records.reserve(plan.records());
+  SourceRecord prev;
+  CleanedRecord cleaned;
   for (std::size_t i = plan.lo; i < plan.hi; ++i) {
-    append_processed(out.records, planned.records[i], planned.vendor,
-                     config_.fill_gap);
+    const bool first = i == plan.lo;
+    const SourceRecord rec =
+        next_source_record(first ? nullptr : &prev, planned.records[i]);
+    const int fills =
+        first ? 0 : gap_fills(prev.day, rec.day, config_.fill_gap);
+    for (int d = 1; d <= fills; ++d) {
+      cleaned.set_fill(planned.vendor, prev, rec, d);
+      processed_into(cleaned, out.records.emplace_back());
+    }
+    cleaned.set_real(planned.vendor, rec);
+    processed_into(cleaned, out.records.emplace_back());
+    prev = rec;
   }
   return out;
 }

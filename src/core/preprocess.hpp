@@ -17,6 +17,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/date.hpp"
@@ -38,6 +39,119 @@ struct PreprocessConfig {
   /// quarantines drives whose bad-row fraction exceeds the configured limit.
   RobustnessConfig robustness;
 };
+
+/// One real record of a segment at the widths it was uploaded in (SMART
+/// values as float32, the firmware index), with the segment's running
+/// WindowsEvent/BSOD sums through it. Each sum adds uint16 daily counts,
+/// so a ProcessedRecord's cumulative doubles are these integers exactly;
+/// a sum stops at 2^32 - 1, which only 65,537 days of saturated daily
+/// counts reach. The serving store keeps these records.
+struct SourceRecord {
+  DayIndex day = 0;
+  std::uint8_t firmware_index = 0;
+  std::array<float, sim::kNumSmartAttrs> smart{};
+  std::array<std::uint32_t, sim::kNumWindowsEvents> w_cum{};
+  std::array<std::uint32_t, sim::kNumBsodCodes> b_cum{};
+};
+
+/// `raw` as the next real record of a segment whose newest real record is
+/// `prev` (null for the segment's first): its running sums are prev's plus
+/// raw's daily counts. The one definition of the running sums.
+SourceRecord next_source_record(const SourceRecord* prev,
+                                const sim::DailyRecord& raw);
+
+/// Gap fills between consecutive real records of a segment on `prev_day`
+/// and `next_day`: one per missing day when they are 2..fill_gap days
+/// apart, else none.
+inline int gap_fills(DayIndex prev_day, DayIndex next_day,
+                     int fill_gap) noexcept {
+  const int gap = next_day - prev_day;
+  return gap >= 2 && gap <= fill_gap ? gap - 1 : 0;
+}
+
+/// A real record's values: its own, widened to double. `Record` is a
+/// SourceRecord, or a ProcessedRecord, which holds the doubles already.
+template <typename Record>
+struct RealValues {
+  const Record& record;
+  double smart(std::size_t a) const noexcept { return record.smart[a]; }
+  double w_cum(std::size_t i) const noexcept { return record.w_cum[i]; }
+  double b_cum(std::size_t i) const noexcept { return record.b_cum[i]; }
+};
+
+/// A gap fill's values: the interpolation p + t·(c − p) between the
+/// previous real record `from` and the next one `to`, t = d / gap for the
+/// fill d days into a gap of `gap` days.
+struct FillValues {
+  const SourceRecord& from;
+  const SourceRecord& to;
+  double t;
+  double smart(std::size_t a) const noexcept {
+    return at(from.smart[a], to.smart[a]);
+  }
+  double w_cum(std::size_t i) const noexcept {
+    return at(from.w_cum[i], to.w_cum[i]);
+  }
+  double b_cum(std::size_t i) const noexcept {
+    return at(from.b_cum[i], to.b_cum[i]);
+  }
+  double at(double p, double c) const noexcept { return p + t * (c - p); }
+};
+
+/// One cleaned record at source widths, trivially copyable: the real
+/// record `base`, or (synthetic) the gap fill `fill_day` days past `base`
+/// toward the segment's next real record `next`, across a gap of
+/// `fill_gap` days. A segment's cleaned records are, for each real record
+/// after the first, its gap_fills() fills and then the record itself; the
+/// batch Preprocessor and the serving DriveStateStore both build them with
+/// set_fill / set_real. Its values are the ProcessedRecord's
+/// (processed_into) doubles bit for bit.
+struct CleanedRecord {
+  DayIndex day = 0;
+  int vendor = 0;          ///< vendor index into sim::vendor_catalog()
+  int fill_day = 0;        ///< synthetic only: days past base
+  int fill_gap = 0;        ///< synthetic only: days from base to next
+  bool synthetic = false;  ///< inserted by gap filling
+  SourceRecord base;
+  SourceRecord next;       ///< synthetic only
+
+  /// Makes this the real record `rec` of a drive of `vendor_index`.
+  void set_real(int vendor_index, const SourceRecord& rec) noexcept {
+    day = rec.day;
+    vendor = vendor_index;
+    synthetic = false;
+    base = rec;
+  }
+
+  /// Makes this the gap fill `d` days past `prev` toward the segment's
+  /// next real record `to`.
+  void set_fill(int vendor_index, const SourceRecord& prev,
+                const SourceRecord& to, int d) noexcept {
+    day = prev.day + d;
+    vendor = vendor_index;
+    fill_day = d;
+    fill_gap = to.day - prev.day;
+    synthetic = true;
+    base = prev;
+    next = to;
+  }
+
+  /// The record's firmware: a fill takes the previous real record's.
+  std::uint8_t firmware_index() const noexcept { return base.firmware_index; }
+
+  /// Calls `f` with the record's values, a RealValues or a FillValues.
+  template <typename F>
+  void with_values(F&& f) const {
+    if (synthetic) {
+      const double t =
+          static_cast<double>(fill_day) / static_cast<double>(fill_gap);
+      f(FillValues{base, next, t});
+    } else {
+      f(RealValues<SourceRecord>{base});
+    }
+  }
+};
+static_assert(std::is_trivially_copyable_v<CleanedRecord>);
 
 /// One cleaned observation with accumulated W/B counters.
 struct ProcessedRecord {
@@ -108,17 +222,9 @@ struct DrivePlan {
 /// consecutive names).
 std::string firmware_version_string(int vendor, unsigned firmware_index);
 
-/// Appends the cleaned form of `raw`, the next record of one segment, to
-/// `segment`: first the short-gap fill — when `raw` follows segment.back()
-/// by 2..fill_gap days, one synthetic record per missing day, SMART and
-/// cumulative W/B interpolated linearly toward `raw` — then `raw` itself,
-/// its cumulative W/B being segment.back()'s (zero for an empty segment)
-/// plus its daily counts. segment.back() is always the newest real record,
-/// so it carries the segment's running sums. The one record conversion of
-/// the batch Preprocessor and the serving tier's DriveStateStore, so both
-/// produce identical records.
-void append_processed(std::vector<ProcessedRecord>& segment,
-                      const sim::DailyRecord& raw, int vendor, int fill_gap);
+/// Writes the batch form of a cleaned record into `out`: its doubles, and
+/// the firmware version string in place of the index.
+void processed_into(const CleanedRecord& record, ProcessedRecord& out);
 
 class Preprocessor {
  public:

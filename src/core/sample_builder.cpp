@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -15,6 +16,9 @@ std::size_t w_index_of(const std::string& name) {
   return sim::windows_event_index(std::stoi(name.substr(2)));
 }
 
+/// Firmware indices per vendor: every value of a uint8 index.
+constexpr std::size_t kFirmwareIndices = std::size_t{UINT8_MAX} + 1;
+
 }  // namespace
 
 SampleBuilder::SampleBuilder(SampleConfig config,
@@ -23,17 +27,24 @@ SampleBuilder::SampleBuilder(SampleConfig config,
   const FeatureGroupParts parts = feature_parts_of(config_.group);
   use_smart_ = parts.smart;
   use_firmware_ = parts.firmware;
+  use_bsod_ = parts.bsod;
   if (use_firmware_ && fw_encoder_ == nullptr) {
     throw std::invalid_argument(
         "SampleBuilder: firmware encoder required for groups containing F");
+  }
+  if (use_firmware_) {
+    firmware_codes_.reserve(sim::kNumVendors * kFirmwareIndices);
+    for (std::size_t v = 0; v < sim::kNumVendors; ++v) {
+      for (unsigned i = 0; i < kFirmwareIndices; ++i) {
+        firmware_codes_.push_back(fw_encoder_->transform_one(
+            firmware_version_string(static_cast<int>(v), i)));
+      }
+    }
   }
   if (parts.windows) {
     for (const auto& name : windows_feature_names()) {
       w_indices_.push_back(w_index_of(name));
     }
-  }
-  if (parts.bsod) {
-    for (std::size_t i = 0; i < sim::kNumBsodCodes; ++i) b_indices_.push_back(i);
   }
   if (config_.positive_window < 1) {
     throw std::invalid_argument("SampleBuilder: positive_window must be >= 1");
@@ -50,18 +61,55 @@ SampleBuilder::SampleBuilder(SampleConfig config,
   }
 }
 
-void SampleBuilder::features_into(const ProcessedRecord& record,
-                                  std::span<double> out) const {
+template <typename Values>
+void SampleBuilder::write_row(const Values& values, double firmware_code,
+                              std::span<double> out) const {
   assert(out.size() == feature_count_of(config_.group));
   auto it = out.begin();
-  if (use_smart_) it = std::copy(record.smart.begin(), record.smart.end(), it);
-  if (use_firmware_) *it++ = fw_encoder_->transform_one(record.firmware);
-  for (std::size_t w : w_indices_) *it++ = record.w_cum[w];
-  for (std::size_t b : b_indices_) *it++ = record.b_cum[b];
+  if (use_smart_) {
+    for (std::size_t a = 0; a < sim::kNumSmartAttrs; ++a) {
+      *it++ = values.smart(a);
+    }
+  }
+  if (use_firmware_) *it++ = firmware_code;
+  for (std::size_t w : w_indices_) *it++ = values.w_cum(w);
+  if (use_bsod_) {
+    for (std::size_t b = 0; b < sim::kNumBsodCodes; ++b) {
+      *it++ = values.b_cum(b);
+    }
+  }
+}
+
+void SampleBuilder::features_into(const ProcessedRecord& record,
+                                  std::span<double> out) const {
+  write_row(RealValues<ProcessedRecord>{record},
+            use_firmware_ ? fw_encoder_->transform_one(record.firmware) : 0.0,
+            out);
+}
+
+void SampleBuilder::features_into(const CleanedRecord& record,
+                                  std::span<double> out) const {
+  double firmware_code = 0.0;
+  if (use_firmware_) {
+    // at() throws std::out_of_range for a vendor outside the catalog (a
+    // negative one included), which no store emits.
+    const auto vendor = static_cast<std::size_t>(record.vendor);
+    firmware_code =
+        firmware_codes_.at(vendor * kFirmwareIndices + record.firmware_index());
+  }
+  record.with_values(
+      [&](const auto& values) { write_row(values, firmware_code, out); });
 }
 
 std::vector<double> SampleBuilder::features_of(
     const ProcessedRecord& record) const {
+  std::vector<double> out(feature_count_of(config_.group));
+  features_into(record, out);
+  return out;
+}
+
+std::vector<double> SampleBuilder::features_of(
+    const CleanedRecord& record) const {
   std::vector<double> out(feature_count_of(config_.group));
   features_into(record, out);
   return out;

@@ -51,20 +51,27 @@ struct SampleSource {
 class SampleBuilder {
  public:
   /// `fw_encoder` must outlive the builder; it supplies the firmware code
-  /// for groups containing F (may be null for groups without F).
+  /// for groups containing F (may be null for groups without F). The
+  /// builder reads its codes once, here, into the firmware code table.
   SampleBuilder(SampleConfig config, const data::LabelEncoder* fw_encoder);
 
   const SampleConfig& config() const noexcept { return config_; }
 
   /// Writes one record's features under the configured group into `out`,
-  /// which must hold exactly feature_count_of(group) doubles. The one row
-  /// writer: serving fills its batch matrix in place with it.
+  /// which must hold exactly feature_count_of(group) doubles. Training
+  /// writes batch records; serving fills its batch matrix in place from
+  /// source-width records, whose firmware code comes from a (vendor,
+  /// firmware index) table built once from the encoder. Both write the
+  /// same doubles for the same cleaned record.
   void features_into(const ProcessedRecord& record,
+                     std::span<double> out) const;
+  void features_into(const CleanedRecord& record,
                      std::span<double> out) const;
 
   /// Feature vector of one record under the configured group (the
   /// allocating form of features_into).
   std::vector<double> features_of(const ProcessedRecord& record) const;
+  std::vector<double> features_of(const CleanedRecord& record) const;
 
   /// The model row of `drive.records[record_index]`: flat, flat plus deltas
   /// against the drive's older records, or the seq_len records ending there
@@ -110,14 +117,22 @@ class SampleBuilder {
   /// Whether `day` lies in the positive window of a drive labeled `failure`.
   bool in_positive_window(DayIndex day,
                           const IdentifiedFailure& failure) const noexcept;
+  /// The one column order (SMART, F, the W subset, B) of both row writers;
+  /// `values` gives smart(a), w_cum(i) and b_cum(i).
+  template <typename Values>
+  void write_row(const Values& values, double firmware_code,
+                 std::span<double> out) const;
 
   SampleConfig config_;
   const data::LabelEncoder* fw_encoder_;
   // Resolved column selectors.
   bool use_smart_ = false;
   bool use_firmware_ = false;
+  bool use_bsod_ = false;
   std::vector<std::size_t> w_indices_;
-  std::vector<std::size_t> b_indices_;
+  /// Groups with F: the encoder's code of every (vendor, firmware index),
+  /// at vendor * 256 + index.
+  std::vector<double> firmware_codes_;
 };
 
 }  // namespace mfpa::core

@@ -19,6 +19,12 @@ void Matrix::column_into(std::size_t c, std::vector<double>& out) const {
   for (std::size_t r = 0; r < rows_; ++r) out[r] = values_[r * cols_ + c];
 }
 
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  values_.resize(rows * cols);
+  rows_ = rows;
+  cols_ = cols;
+}
+
 void Matrix::add_row(std::span<const double> values) {
   if (rows_ == 0 && cols_ == 0) {
     cols_ = values.size();

@@ -49,6 +49,11 @@ class Matrix {
   /// across per-feature loops (binning). Throws std::out_of_range on a bad c.
   void column_into(std::size_t c, std::vector<double>& out) const;
 
+  /// Reshapes to rows x cols in place, keeping the storage's capacity, so a
+  /// buffer refilled for every serving batch allocates only to grow. No
+  /// value carries meaning across a change of shape (new storage is 0).
+  void resize(std::size_t rows, std::size_t cols);
+
   /// Appends a row (arity must match cols(), or the matrix must be empty in
   /// which case the arity defines cols()).
   void add_row(std::span<const double> values);

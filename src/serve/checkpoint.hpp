@@ -2,19 +2,20 @@
 // service crash-consistent.
 //
 // A checkpoint is a point-in-time snapshot of the DriveStateStore (every
-// drive's ingestor state and retained records, emission cursor, and alert
-// gate) plus the WAL position and durable-alert count it corresponds to,
-// sealed by ml::seal like model artifacts (ml/checksum.hpp):
+// drive's ingestor state and retained real records, emission cursor, and
+// alert gate) plus the WAL position and durable-alert count it corresponds
+// to, sealed by ml::seal like model artifacts (ml/checksum.hpp):
 //
 //   mfpa_ckpt 1 <payload bytes> <fnv1a-64 hex of payload>
 //   checkpoint 1 <lsn> <durable alert count> <model version>
 //   <DriveStateStore::save_state image>
 //
-// The two header lines are text; the store image is binary (`store 3`,
+// The two header lines are text; the store image is binary (`store 5`,
 // fixed-width little-endian, O(1) per drive). The digest is verified
 // before any of the payload is parsed. A digest-valid checkpoint holding
-// any other image (the text `store 1` / `store 2` of older builds) fails
-// recovery loudly: DriveStateStore::load_state names its tag.
+// any other image (the binary `store 4` / `store 3` or the text `store 1`
+// / `store 2` of older builds) fails recovery loudly:
+// DriveStateStore::load_state names its tag.
 //
 // Files live under `<dir>/ckpt/ckpt-<lsn>.mfc`, written dot-temp + fsync +
 // rename (the steps of serve::publish_file, shared with the model registry;

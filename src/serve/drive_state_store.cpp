@@ -9,40 +9,43 @@
 #include <string_view>
 
 #include "common/wire.hpp"
+#include "sim/catalog.hpp"
 
 namespace mfpa::serve {
 namespace {
 
 /// Leading tag of the image.
-constexpr std::string_view kImageTag = "store 4\n";
+constexpr std::string_view kImageTag = "store 5\n";
 // Limits checked before anything is allocated.
 constexpr std::size_t kMaxDrives = 1u << 26;
 constexpr std::size_t kMaxSegmentRecords = 1u << 24;
-constexpr std::size_t kMaxFirmwareBytes = 4096;
 // A slot's flags byte.
 constexpr std::uint8_t kFrontEmitted = 1;
 constexpr std::uint8_t kQuarantineCounted = 2;
 
 const char* mode_name(bool lenient) { return lenient ? "lenient" : "strict"; }
 
-void put_record(std::string& out, const core::ProcessedRecord& rec) {
-  wire::put_i32(out, rec.day);
-  wire::put_u8(out, rec.synthetic ? 1 : 0);
-  wire::put_u32(out, static_cast<std::uint32_t>(rec.firmware.size()));
-  out += rec.firmware;
-  for (const double v : rec.smart) wire::put_f64(out, v);
-  for (const double v : rec.w_cum) wire::put_f64(out, v);
-  for (const double v : rec.b_cum) wire::put_f64(out, v);
+/// Whether `vendor` indexes sim::vendor_catalog(), which names a slot's
+/// firmware.
+bool known_vendor(int vendor) {
+  return vendor >= 0 && static_cast<std::size_t>(vendor) < sim::kNumVendors;
 }
 
-core::ProcessedRecord get_record(wire::ByteReader& in) {
-  core::ProcessedRecord rec;
+void put_record(std::string& out, const core::SourceRecord& rec) {
+  wire::put_i32(out, rec.day);
+  wire::put_u8(out, rec.firmware_index);
+  for (const float v : rec.smart) wire::put_f32(out, v);
+  for (const std::uint32_t v : rec.w_cum) wire::put_u32(out, v);
+  for (const std::uint32_t v : rec.b_cum) wire::put_u32(out, v);
+}
+
+core::SourceRecord get_record(wire::ByteReader& in) {
+  core::SourceRecord rec;
   rec.day = in.i32();
-  rec.synthetic = in.flag();
-  rec.firmware = in.bytes(in.count(kMaxFirmwareBytes));
-  for (double& v : rec.smart) v = in.f64();
-  for (double& v : rec.w_cum) v = in.f64();
-  for (double& v : rec.b_cum) v = in.f64();
+  rec.firmware_index = in.u8();
+  for (float& v : rec.smart) v = in.f32();
+  for (std::uint32_t& v : rec.w_cum) v = in.u32();
+  for (std::uint32_t& v : rec.b_cum) v = in.u32();
   return rec;
 }
 
@@ -62,51 +65,62 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
                              std::vector<PendingRow>& out) {
   const core::PreprocessConfig& pre = config_.preprocess;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = drives_.try_emplace(drive_id);
-  DriveSlot& slot = it->second;
-  if (inserted) {
-    slot.vendor = vendor;
+  auto it = drives_.find(drive_id);
+  if (it == drives_.end()) {
+    // A drive of a vendor outside the catalog has no firmware names; it is
+    // never tracked.
+    if (!known_vendor(vendor)) {
+      throw std::invalid_argument(
+          "DriveStateStore: drive " + std::to_string(drive_id) + ": vendor " +
+          std::to_string(vendor) + " is not in the catalog");
+    }
+    it = drives_.try_emplace(drive_id).first;
+    it->second.vendor = vendor;
     if (pre.robustness.lenient()) {
-      slot.sanitizer = std::make_unique<core::RecordSanitizer>(pre.robustness);
+      it->second.sanitizer =
+          std::make_unique<core::RecordSanitizer>(pre.robustness);
     }
     metrics_.drives_tracked->add(1.0);
   }
+  DriveSlot& slot = it->second;
   ++totals_.records_ingested;
 
   // Day order: the sanitizer's (lenient: a duplicate or rolled-back day is
   // dropped and counted, values are repaired), or strictly after the
   // newest record. Either way the conversion below sees exactly what the
   // batch Preprocessor would.
+  const core::SourceRecord* newest = slot.newest();
   std::optional<sim::DailyRecord> sanitized;
   const sim::DailyRecord* record = &raw;
   if (slot.sanitizer) {
     sanitized = slot.sanitizer->sanitize(raw);
     record = sanitized ? &*sanitized : nullptr;
-  } else if (!slot.records.empty() && raw.day <= slot.records.back().day) {
+  } else if (newest != nullptr && raw.day <= newest->day) {
     throw std::invalid_argument(
         "DriveStateStore: drive " + std::to_string(drive_id) +
         ": records must arrive in strictly increasing day order (day " +
-        std::to_string(raw.day) + " after day " +
-        std::to_string(slot.records.back().day) + ")");
+        std::to_string(raw.day) + " after day " + std::to_string(newest->day) +
+        ")");
   }
 
+  std::optional<core::SourceRecord> arrived;
   if (record != nullptr) {
-    if (!slot.records.empty() &&
-        record->day - slot.records.back().day >= pre.drop_gap) {
+    if (newest != nullptr && record->day - newest->day >= pre.drop_gap) {
       // Long gap: the batch path would only ever see the new segment, so
-      // the records, their counters and emission restart from zero. Alert
+      // the records, their sums and emission restart from zero. Alert
       // hysteresis restarts too, but NOT here — rows of the old segment may
       // still be queued for scoring, so the reset is carried on the emitted
       // rows' `segment` tag and applied by should_alert() when scoring
       // crosses the boundary.
-      slot.records.clear();
+      slot.held.clear();
       slot.real_records = 0;
       slot.front_emitted = false;
       ++slot.segment;
       ++totals_.segments_restarted;
       metrics_.segments_restarted->inc();
+      newest = nullptr;
     }
-    core::append_processed(slot.records, *record, slot.vendor, pre.fill_gap);
+    arrived = core::next_source_record(newest, *record);
     ++slot.real_records;
   }
 
@@ -116,22 +130,49 @@ void DriveStateStore::ingest(std::uint64_t drive_id, int vendor,
     metrics_.drives_quarantined->inc();
   }
   if (held || slot.real_records < static_cast<std::size_t>(pre.min_records)) {
+    if (arrived) slot.held.push_back(*arrived);
     return;
   }
 
-  for (std::size_t i = slot.front_emitted ? 1 : 0; i < slot.records.size();
-       ++i) {
-    out.push_back({drive_id, vendor, slot.records[i], slot.segment});
+  // The retention rule: emit what is held, then the arrival, and keep only
+  // the newest real record.
+  const core::SourceRecord* prev = slot.front_emitted ? &slot.last : nullptr;
+  for (const core::SourceRecord& rec : slot.held) {
+    emit(drive_id, slot, prev, rec, out);
+    prev = &rec;
+  }
+  if (arrived) {
+    emit(drive_id, slot, prev, *arrived, out);
+    prev = &*arrived;
+  }
+  if (prev != nullptr) {
+    slot.last = *prev;
+    slot.front_emitted = true;
+  }
+  if (!slot.held.empty()) std::vector<core::SourceRecord>().swap(slot.held);
+}
+
+void DriveStateStore::emit(std::uint64_t drive_id, const DriveSlot& slot,
+                           const core::SourceRecord* prev,
+                           const core::SourceRecord& rec,
+                           std::vector<PendingRow>& out) {
+  // Each row is written in place: a row is a few hundred bytes, and the
+  // drain thread writes one per cleaned record.
+  const auto next_row = [&]() -> core::CleanedRecord& {
+    PendingRow& row = out.emplace_back();
+    row.drive_id = drive_id;
+    row.segment = slot.segment;
     ++totals_.rows_emitted;
+    return row.record;
+  };
+  if (prev != nullptr) {
+    const int fills =
+        core::gap_fills(prev->day, rec.day, config_.preprocess.fill_gap);
+    for (int d = 1; d <= fills; ++d) {
+      next_row().set_fill(slot.vendor, *prev, rec, d);
+    }
   }
-  // The retention rule: only the newest record stays. Room for two is the
-  // steady state (the next record is appended before this one goes); what
-  // a catch-up burst or a gap fill grew beyond that is released.
-  if (slot.records.size() > 1) {
-    slot.records.erase(slot.records.begin(), slot.records.end() - 1);
-  }
-  if (slot.records.capacity() > 2) slot.records.shrink_to_fit();
-  slot.front_emitted = true;
+  next_row().set_real(slot.vendor, rec);
 }
 
 bool DriveStateStore::quarantined(const DriveSlot& slot) const noexcept {
@@ -194,8 +235,9 @@ void DriveStateStore::save_state(std::string& out) const {
     wire::put_i32(out, slot->gate.last_alert);
     wire::put_u64(out, slot->real_records);
     if (slot->sanitizer) slot->sanitizer->save_state(out);
-    wire::put_u32(out, static_cast<std::uint32_t>(slot->records.size()));
-    for (const auto& rec : slot->records) put_record(out, rec);
+    if (slot->front_emitted) put_record(out, slot->last);
+    wire::put_u32(out, static_cast<std::uint32_t>(slot->held.size()));
+    for (const auto& rec : slot->held) put_record(out, rec);
   }
 }
 
@@ -219,12 +261,12 @@ void DriveStateStore::read_image(const std::string& bytes, Totals& totals,
                                  DriveMap& drives) const {
   if (!bytes.starts_with(kImageTag)) {
     // Name what the image starts with, up to the tag's width: an image
-    // older than `store 4` (`store 3`, or the text `store 1` / `store 2`)
-    // no longer loads.
+    // older than `store 5` (`store 4` or `store 3`, or the text `store 1` /
+    // `store 2`) no longer loads.
     const std::string tag =
         bytes.substr(0, std::min(bytes.find('\n'), kImageTag.size() - 1));
     throw std::runtime_error("store image: unsupported tag '" + tag +
-                             "', expected 'store 4'");
+                             "', expected 'store 5'");
   }
   wire::ByteReader in(bytes, "store image");
   in.bytes(kImageTag.size());
@@ -249,6 +291,10 @@ void DriveStateStore::read_image(const std::string& bytes, Totals& totals,
     prev_id = id;
     DriveSlot& slot = drives[id];
     slot.vendor = in.i32();
+    if (!known_vendor(slot.vendor)) {
+      throw std::runtime_error("store image: drive " + std::to_string(id) +
+                               " vendor not in the catalog");
+    }
     const std::uint8_t flags = in.u8();
     if (flags > (kFrontEmitted | kQuarantineCounted)) {
       throw std::runtime_error("store image: bad flags byte");
@@ -265,14 +311,9 @@ void DriveStateStore::read_image(const std::string& bytes, Totals& totals,
           config_.preprocess.robustness);
       slot.sanitizer->load_state(in);
     }
-    const std::size_t records = in.count(kMaxSegmentRecords);
-    for (std::size_t r = 0; r < records; ++r) {
-      slot.records.push_back(get_record(in));
-    }
-    if (slot.front_emitted && slot.records.empty()) {
-      throw std::runtime_error("store image: drive " + std::to_string(id) +
-                               " emission cursor past its records");
-    }
+    if (slot.front_emitted) slot.last = get_record(in);
+    const std::size_t held = in.count(kMaxSegmentRecords);
+    for (std::size_t r = 0; r < held; ++r) slot.held.push_back(get_record(in));
   }
   in.expect_done();
 }

@@ -3,28 +3,32 @@
 // The batch Preprocessor recomputes a drive's cleaned history from scratch;
 // at fleet scale the scoring service instead keeps one slot per drive and
 // cleans each record as it arrives, so a newly arrived record costs O(1),
-// not O(history). Cleaning is the batch path's own: the record conversion
-// (core::append_processed: cumulative WindowsEvent/BSOD counters, short-gap
-// fill), the long-gap cut, and under --lenient the same RecordSanitizer in
-// front of them. So wherever the batch keeps a drive's final segment, the
-// rows the store emits for that segment are the batch's records byte for
-// byte (tests/serve/test_store_ingest.cpp). The store is one map behind one
-// mutex: its only writer is the engine's single drain loop, whose queue
-// order is the per-drive delivery order the contract below needs.
-// Parallelism comes from net::ShardRouter, which gives every shard its own
-// engine and store.
+// not O(history). Cleaning is the batch path's own: the running W/B sums
+// (core::next_source_record), the short-gap fill (core::gap_fills and
+// core::CleanedRecord), the long-gap cut, and under --lenient the same
+// RecordSanitizer in front of them. So wherever the batch keeps a drive's
+// final segment, the rows the store emits for that segment have the batch
+// records' features byte for byte (tests/serve/test_store_ingest.cpp). The
+// store is one map behind one mutex: its only writer is the engine's
+// single drain loop, whose queue order is the per-drive delivery order the
+// contract below needs. Parallelism comes from net::ShardRouter, which
+// gives every shard its own engine and store.
 //
 // Day order: strict mode throws std::invalid_argument on a day that does
-// not follow the drive's newest record (the engine counts it rejected);
-// lenient mode drops a re-delivered day (an agent retrying an upload after
-// a lost ACK) or a clock rollback idempotently and counts the fault.
+// not follow the drive's newest record, and on a new drive whose vendor is
+// not in the catalog (the engine counts both rejected); lenient mode drops
+// a re-delivered day (an agent retrying an upload after a lost ACK) or a
+// clock rollback idempotently and counts the fault.
 //
-// Retention rule (no knob): once a drive's rows are emitted, only its
-// newest cleaned record stays — the one the next gap fill interpolates
-// from and the cumulative counters continue from; features read only the
-// scored row. Records held back before the segment is usable (fewer than
-// min_records real records plus their gap fills, or a quarantined drive's
-// segment) stay until they are emitted.
+// Retention rule (no knob): a slot keeps real records only, at source
+// widths (core::SourceRecord: float32 SMART, the firmware index, u32
+// running sums). Once a drive's rows are emitted, only its newest real
+// record stays — the one the next gap fill interpolates from and the
+// running sums continue from; features read only the scored row, which
+// carries what they need (core::CleanedRecord). Real records held back
+// before the segment is usable (fewer than min_records of them, or a
+// quarantined drive's segment) stay until they are emitted; their gap
+// fills are rebuilt then.
 //
 // Emission contract (what keeps the service's alerts equal to the batch
 // MfpaPipeline + OnlinePredictor replay): a drive's records are withheld
@@ -62,8 +66,7 @@ struct StoreConfig {
 /// One cleaned record ready for feature extraction + scoring.
 struct PendingRow {
   std::uint64_t drive_id = 0;
-  int vendor = 0;
-  core::ProcessedRecord record;
+  core::CleanedRecord record;
   /// Segment generation the row belongs to. Alert hysteresis resets when a
   /// drive's scored rows cross into a new segment — carried on the row (not
   /// applied at ingest time) so the reset lands between the right two
@@ -107,7 +110,7 @@ class DriveStateStore {
   /// Accounting snapshot (takes the store lock briefly).
   StoreStats stats() const;
 
-  /// Writes the store image, `store 4`: the tag line "store 4\n", then
+  /// Writes the store image, `store 5`: the tag line "store 5\n", then
   /// fixed-width little-endian fields (common/wire.hpp) — the ingest mode,
   /// the aggregate counters, the drive count, and each drive's slot in id
   /// order (docs/DURABILITY.md lists the fields). The image depends only on
@@ -122,29 +125,43 @@ class DriveStateStore {
   void load_state(std::istream& is);
 
  private:
-  /// One drive's serving state, each field kept once: the running W/B sums
-  /// and the day cursor are the newest record's, the emission cursor is
-  /// whether records.front() was handed out (after every ingest it is 0 or
-  /// 1, because emission leaves only the newest record).
+  /// One drive's serving state, each field kept once: the running W/B
+  /// sums and the day cursor are the newest real record's (newest()).
   struct DriveSlot {
     int vendor = 0;
-    /// The current segment's newest emitted record (when front_emitted),
-    /// then its records not yet emitted; oldest first.
-    std::vector<core::ProcessedRecord> records;
-    std::size_t real_records = 0;  ///< non-synthetic records of the segment
-    int segment = 0;               ///< long-gap cuts seen
-    bool front_emitted = false;    ///< the emission cursor
-    bool quarantine_counted = false;  ///< metrics: transition seen
+    /// Long-gap cuts seen.
+    int segment = 0;
     // `alert_segment` is the segment generation the gate belongs to — it
     // trails `segment` while already-emitted rows of the old segment are
     // still being scored, which is why the reset cannot happen at ingest
     // time (it would be batch-boundary dependent).
     int alert_segment = 0;
     core::AlertGate gate;
+    /// The emission cursor: `last` holds the newest emitted real record.
+    bool front_emitted = false;
+    /// Metrics: the quarantine transition was counted.
+    bool quarantine_counted = false;
+    /// Non-synthetic records of the segment.
+    std::size_t real_records = 0;
+    /// The current segment's newest emitted real record.
+    core::SourceRecord last;
+    /// The segment's real records not yet emitted, oldest first; empty
+    /// (and unallocated) once the segment is usable.
+    std::vector<core::SourceRecord> held;
     /// Lenient mode only: the dirty-input state machine in front of the
-    /// conversion. Strict slots check day order against records.back().
+    /// conversion. Strict slots check day order against the newest record.
     std::unique_ptr<core::RecordSanitizer> sanitizer;
+
+    /// The segment's newest real record; null while it has none.
+    const core::SourceRecord* newest() const noexcept {
+      if (!held.empty()) return &held.back();
+      return front_emitted ? &last : nullptr;
+    }
   };
+  // A slot's inline bytes: the newest real record (200 B) and the fields
+  // around it. tests/serve/test_store_image.cpp bounds the image per drive.
+  static_assert(sizeof(DriveSlot) <= 272, "a drive slot grew");
+
   using DriveMap = std::unordered_map<std::uint64_t, DriveSlot>;
 
   /// Aggregate counters (the image's leading fields).
@@ -157,6 +174,10 @@ class DriveStateStore {
   /// Lenient mode: the drive's uploads are too corrupt to score (the batch
   /// Preprocessor's per-drive quarantine decision on the same deliveries).
   bool quarantined(const DriveSlot& slot) const noexcept;
+  /// Appends the rows `rec` adds after the segment's real record `prev`.
+  void emit(std::uint64_t drive_id, const DriveSlot& slot,
+            const core::SourceRecord* prev, const core::SourceRecord& rec,
+            std::vector<PendingRow>& out);
   /// Tracked drives in id order (caller holds mu_).
   std::vector<std::pair<std::uint64_t, const DriveSlot*>> by_id() const;
   void read_image(const std::string& bytes, Totals& totals,

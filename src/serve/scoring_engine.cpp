@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "data/matrix.hpp"
-
 namespace mfpa::serve {
 namespace {
 
@@ -215,8 +213,8 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
     }
   }
 
-  std::vector<PendingRow> rows;
-  rows.reserve(batch.size());
+  std::vector<PendingRow>& rows = rows_;
+  rows.clear();
   std::uint64_t processed = 0;
   std::uint64_t rejected = 0;
   {
@@ -236,17 +234,17 @@ std::size_t ScoringEngine::process_batch(std::vector<QueuedUpdate>& batch) {
 
   std::vector<double> scores;
   if (!rows.empty() && model) {
-    data::Matrix X;
     {
       obs::ScopedTimer timer(*metrics_.features_seconds);
-      X = data::Matrix(rows.size(),
-                       core::feature_count_of(cached_builder_->config().group));
+      const std::size_t width =
+          core::feature_count_of(cached_builder_->config().group);
+      features_.resize(rows.size(), width);
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        cached_builder_->features_into(rows[i].record, X.row(i));
+        cached_builder_->features_into(rows[i].record, features_.row(i));
       }
     }
     obs::ScopedTimer timer(*metrics_.predict_seconds);
-    scores = model->classifier->predict_proba(X);
+    scores = model->classifier->predict_proba(features_);
   }
 
   const auto now = Clock::now();

@@ -41,6 +41,7 @@
 
 #include "common/stats.hpp"
 #include "core/online_predictor.hpp"
+#include "data/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/drive_state_store.hpp"
@@ -196,6 +197,12 @@ class ScoringEngine final : public RecordSink {
   // Cached builder for the active model version (drain loop only).
   std::shared_ptr<const ServedModel> cached_model_;
   std::optional<core::SampleBuilder> cached_builder_;
+
+  // The drain loop's batch buffers, kept from batch to batch so that they
+  // allocate only to grow: the rows the store emits and the feature matrix
+  // they are written into.
+  std::vector<PendingRow> rows_;
+  data::Matrix features_;
 
   // Registry instruments (mfpa_serve_*, labeled per engine instance so a
   // snapshot reads back exactly this engine's traffic). Lock-free hot path:

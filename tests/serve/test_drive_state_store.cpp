@@ -15,6 +15,13 @@ sim::DailyRecord raw_record(DayIndex day, float poh = 0.0f) {
   return r;
 }
 
+/// A row's values, as the batch path's doubles.
+core::ProcessedRecord values_of(const PendingRow& row) {
+  core::ProcessedRecord values;
+  core::processed_into(row.record, values);
+  return values;
+}
+
 TEST(DriveStateStore, WithholdsRowsUntilSegmentUsable) {
   DriveStateStore store(StoreConfig{});
   std::vector<PendingRow> out;
@@ -80,7 +87,7 @@ TEST(DriveStateStore, CumulativeCountersSurviveCompaction) {
     EXPECT_EQ(out[i].record.day, 10 + static_cast<DayIndex>(i));
     // w[0] = 1 every day, so the cumulative counter keeps climbing across
     // compactions.
-    EXPECT_DOUBLE_EQ(out[i].record.w_cum[0], static_cast<double>(i + 1));
+    EXPECT_DOUBLE_EQ(values_of(out[i]).w_cum[0], static_cast<double>(i + 1));
   }
 }
 
@@ -104,6 +111,20 @@ TEST(DriveStateStore, StrictModePropagatesDayOrderViolations) {
   std::vector<PendingRow> out;
   store.ingest(7, 0, raw_record(10), out);
   EXPECT_THROW(store.ingest(7, 0, raw_record(10), out), std::invalid_argument);
+}
+
+TEST(DriveStateStore, UnknownVendorIsRejectedAndNotTracked) {
+  // A drive's vendor names its firmware; a new drive of a vendor outside
+  // the catalog is rejected like a day-order violation (the engine counts
+  // it and keeps draining) and leaves no slot behind.
+  for (const int vendor : {-1, static_cast<int>(sim::kNumVendors)}) {
+    DriveStateStore store(StoreConfig{});
+    std::vector<PendingRow> out;
+    EXPECT_THROW(store.ingest(7, vendor, raw_record(10), out),
+                 std::invalid_argument);
+    EXPECT_EQ(store.stats().drives_tracked, 0u);
+    EXPECT_EQ(store.stats().records_ingested, 0u);
+  }
 }
 
 TEST(DriveStateStore, LenientModeAbsorbsAndAccounts) {

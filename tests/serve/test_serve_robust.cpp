@@ -5,6 +5,7 @@
 // engine/store stats.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <map>
 
@@ -12,6 +13,7 @@
 #include "serve/model_registry.hpp"
 #include "serve/replay.hpp"
 #include "serve/scoring_engine.hpp"
+#include "sim/catalog.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/fleet.hpp"
 
@@ -101,6 +103,29 @@ TEST_F(ServeRobustTest, StrictServiceCountsRejectionsButKeepsDraining) {
   EXPECT_EQ(report.engine.records_processed + report.engine.rejected,
             replayer.total_records());
   EXPECT_GT(report.engine.rows_scored, 0u);
+}
+
+TEST_F(ServeRobustTest, OutOfCatalogVendorIsRejectedAndDrainingGoesOn) {
+  // A record's vendor comes from outside (a network frame, a WAL entry). A
+  // new drive of a vendor outside the catalog has no firmware names: its
+  // record is counted rejected, and the drive's neighbours keep scoring.
+  ModelRegistry registry(dir_.string());
+  registry.publish_pipeline(*pipeline_, 0, 100);
+  EngineConfig config;
+  config.manual_drain = true;
+  ScoringEngine engine(registry, config);
+  const sim::DriveTimeSeries& series = clean_->front();
+  const auto unknown = static_cast<int>(sim::kNumVendors);
+  engine.submit({~std::uint64_t{0}, unknown, series.records.front()});
+  for (const auto& record : series.records) {
+    engine.submit({series.drive_id, series.vendor, record});
+  }
+  engine.flush();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.records_processed, series.records.size());
+  EXPECT_GT(stats.rows_scored, 0u);
+  EXPECT_EQ(engine.store().stats().drives_tracked, 1u);
 }
 
 TEST_F(ServeRobustTest, QuarantinedDrivesStopEmittingButStayAccounted) {

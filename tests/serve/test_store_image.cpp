@@ -1,8 +1,9 @@
-// The binary store image (`store 4`) inside every checkpoint: golden bytes
+// The binary store image (`store 5`) inside every checkpoint: golden bytes
 // of a strict and a lenient store, the reader's refusal of truncated,
 // overlong and over-limit images, of any other tag and of the other ingest
-// mode, state that stays O(1) per drive, and ingest accounting that
-// survives a save/load round trip.
+// mode, state that stays O(1) per drive and within 400 bytes per strict
+// drive on a real fleet, and ingest accounting that survives a save/load
+// round trip.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "common/wire.hpp"
 #include "serve/drive_state_store.hpp"
 #include "sim/catalog.hpp"
+#include "sim/fleet.hpp"
 
 namespace mfpa::serve {
 namespace {
@@ -74,21 +76,14 @@ void feed_two_drives(DriveStateStore& store) {
   store.ingest(4, 0, raw_record(12), out);
 }
 
-/// Hex of a record's firmware field: its u32 length, then the version.
-std::string firmware_hex(const std::string& version) {
-  return hex_of(std::string(1, static_cast<char>(version.size()))) + "000000" +
-         hex_of(version);
-}
-
 TEST(StoreImage, GoldenBytesPinTheLayout) {
   DriveStateStore store(lenient_config());
   feed_two_drives(store);
-  const std::string record_tail = zeros(8 * 8 + 23 * 8);  // w_cum[1..], b_cum
-  const std::string firmware = firmware_hex("I_F_1");
+  const std::string record_tail = zeros(8 * 4 + 23 * 4);  // w_cum[1..], b_cum
   const std::string expected =
       // Tag line; lenient mode; records ingested 5, rows emitted 3, segment
       // cuts 0; two drives, in id order.
-      "73746f726520340a" "01" "0500000000000000" "0300000000000000" + zeros(8) +
+      "73746f726520350a" "01" "0500000000000000" "0300000000000000" + zeros(8) +
       "02000000" +
       // Drive 4, vendor 0, flags 0 (nothing emitted), segment 0, alert
       // segment 0, gate consecutive 0, gate last alert INT_MIN, real
@@ -99,18 +94,14 @@ TEST(StoreImage, GoldenBytesPinTheLayout) {
       "0200000000000000" + zeros(12 * 8 + 4) +
       // Sanitizer: last day 12; last raw, rebase offsets, last good all 0.
       "01" "0c000000" + zeros(6 * 4 + 6 * 8 + 16 * 4) +
-      // Three records.
-      "03000000" +
-      // Day 10, real: SMART 0, w_cum {1, 0, ...}.
-      "0a000000" "00" + firmware + zeros(16 * 8) + "000000000000f03f" +
-      record_tail +
-      // Day 11, gap fill: w_cum {1.5, 0, ...}.
-      "0b000000" "01" + firmware + zeros(16 * 8) + "000000000000f83f" +
-      record_tail +
-      // Day 12, real: w_cum {2, 0, ...}.
-      "0c000000" "00" + firmware + zeros(16 * 8) + "0000000000000040" +
-      record_tail +
-      // Drive 9, vendor 0, flags 1 (its one record is emitted), the rest
+      // No emitted record; two held real records (the day 11 fill is
+      // rebuilt when they are emitted).
+      "02000000" +
+      // Day 10, firmware index 0: SMART 0, w_cum {1, 0, ...}.
+      "0a000000" "00" + zeros(16 * 4) + "01000000" + record_tail +
+      // Day 12: w_cum {2, 0, ...}.
+      "0c000000" "00" + zeros(16 * 4) + "02000000" + record_tail +
+      // Drive 9, vendor 0, flags 1 (its newest record is emitted), the rest
       // as drive 4 but with real records 3.
       "0900000000000000" "00000000" "01" + zeros(4 + 4 + 4) + "00000080" +
       "0300000000000000" +
@@ -124,15 +115,15 @@ TEST(StoreImage, GoldenBytesPinTheLayout) {
       // {150.0, 0, ...}; last good 0 except S_12 = 170.0f.
       "01" "0c000000" "0000a041" + zeros(5 * 4) + "0000000000c06240" +
       zeros(5 * 8) + zeros(11 * 4) + "00002a43" + zeros(4 * 4) +
-      // One record. Day 12, real: SMART 0 except S_12 = 170.0, w_cum
-      // {3, 0, ...}.
-      "01000000" "0c000000" "00" + firmware + zeros(11 * 8) +
-      "0000000000406540" + zeros(4 * 8) + "0000000000000840" + record_tail;
+      // The emitted record. Day 12: SMART 0 except S_12 = 170.0f, w_cum
+      // {3, 0, ...}. No held records.
+      "0c000000" "00" + zeros(11 * 4) + "00002a43" + zeros(4 * 4) +
+      "03000000" + record_tail + "00000000";
   EXPECT_EQ(hex_of(image_of(store)), expected);
 }
 
 TEST(StoreImage, GoldenBytesPinAStrictDrive) {
-  // Drive 7 of vendor 1 on firmware "II_F_2": one record on day 0, then a
+  // Drive 7 of vendor 1 on firmware index 1: one record on day 0, then a
   // long gap and days 10, 11 and 13 (a fill on day 12), and two scored
   // crossings that raise an alert on day 11 under min_consecutive = 2.
   DriveStateStore store(StoreConfig{});
@@ -150,18 +141,19 @@ TEST(StoreImage, GoldenBytesPinAStrictDrive) {
   const std::string expected =
       // Tag line; strict mode; records ingested 4, rows emitted 4, segment
       // cuts 1; one drive.
-      "73746f726520340a" "00" "0400000000000000" "0400000000000000"
+      "73746f726520350a" "00" "0400000000000000" "0400000000000000"
       "0100000000000000" "01000000"
-      // Drive 7, vendor 1, flags 1 (its record is emitted), segment 1,
-      // alert segment 1, gate consecutive 2, gate last alert 11, real
+      // Drive 7, vendor 1, flags 1 (its newest record is emitted), segment
+      // 1, alert segment 1, gate consecutive 2, gate last alert 11, real
       // records 3; no sanitizer block.
       "0700000000000000" "01000000" "01" "01000000" "01000000" "02000000"
       "0b000000" "0300000000000000"
-      // One record. Day 13, real: SMART 0 except S_12 = 13.0, w_cum
-      // {3, 0, ...}, b_cum 0.
-      "01000000" "0d000000" "00" + firmware_hex("II_F_2") + zeros(11 * 8) +
-      "0000000000002a40" + zeros(4 * 8) + "0000000000000840" +
-      zeros(8 * 8 + 23 * 8);
+      // The emitted record. Day 13, firmware index 1: SMART 0 except
+      // S_12 = 13.0f, w_cum {3, 0, ...}, b_cum 0.
+      "0d000000" "01" + zeros(11 * 4) + "00005041" + zeros(4 * 4) +
+      "03000000" + zeros(8 * 4 + 23 * 4) +
+      // No held records.
+      "00000000";
   EXPECT_EQ(hex_of(image_of(store)), expected);
 }
 
@@ -210,24 +202,16 @@ TEST(StoreImage, CountsPastTheirLimitsThrowBeforeAllocating) {
     store.ingest(9, 0, raw_record(day), out);
   }
   const std::string image = image_of(store);
-  // One drive holding one record, "I_F_1": the segment is the image's last
-  // field group (count, then day, synthetic flag, firmware, 48 doubles).
-  const std::size_t record_bytes = 4 + 1 + 4 + 5 + 48 * 8;
-  const std::size_t segment_count_at = image.size() - record_bytes - 4;
-  const std::size_t firmware_len_at = image.size() - record_bytes + 5;
+  // One drive whose newest record is emitted: the image ends with that
+  // record and then the count of held records, 0.
+  const std::size_t held_count_at = image.size() - 4;
   const std::size_t drive_count_at = 8 + 1 + 3 * 8;
-  ASSERT_EQ(wire::read_u32_at(image.data(), segment_count_at), 1u);
-  ASSERT_EQ(wire::read_u32_at(image.data(), firmware_len_at), 5u);
+  ASSERT_EQ(wire::read_u32_at(image.data(), held_count_at), 0u);
   ASSERT_EQ(wire::read_u32_at(image.data(), drive_count_at), 1u);
 
   for (const std::uint32_t count : {(1u << 24) + 1, 0xFFFFFFFFu}) {
     std::string bad = image;
-    put_u32_at(bad, segment_count_at, count);
-    expect_refused(bad, "over limit");
-  }
-  for (const std::uint32_t len : {4097u, 0xFFFFFFFFu}) {
-    std::string bad = image;
-    put_u32_at(bad, firmware_len_at, len);
+    put_u32_at(bad, held_count_at, count);
     expect_refused(bad, "over limit");
   }
   std::string bad = image;
@@ -245,11 +229,9 @@ TEST(StoreImage, MalformedFieldsAreRefused) {
   }
   const std::string image = image_of(store);
   // Two drives of equal shape after the 37-byte head (tag, mode, totals,
-  // count); each starts id u64, vendor i32, flags u8, and ends with its
-  // one retained record (count, then a 398-byte record).
+  // count); each starts id u64, vendor i32, flags u8.
   const std::size_t head = 8 + 1 + 3 * 8 + 4;
   const std::size_t drive_bytes = (image.size() - head) / 2;
-  const std::size_t record_bytes = 4 + 1 + 4 + 5 + 48 * 8;
   ASSERT_EQ(head + 2 * drive_bytes, image.size());
   ASSERT_EQ(wire::read_u64_at(image.data(), head + drive_bytes), 9u);
 
@@ -259,10 +241,12 @@ TEST(StoreImage, MalformedFieldsAreRefused) {
   bad = image;
   bad[head + 12] = 4;
   expect_refused(bad, "bad flags byte");
-  // The second drive's record dropped: its emitted flag points past it.
-  bad = image.substr(0, image.size() - record_bytes);
-  put_u32_at(bad, bad.size() - 4, 0);
-  expect_refused(bad, "drive 9 emission cursor past its records");
+  for (const std::uint32_t vendor :
+       {static_cast<std::uint32_t>(sim::kNumVendors), 0xFFFFFFFFu}) {
+    bad = image;
+    put_u32_at(bad, head + drive_bytes + 8, vendor);
+    expect_refused(bad, "drive 9 vendor not in the catalog");
+  }
   bad = image;
   bad[head + drive_bytes] = 4;  // the second drive's id repeats the first
   expect_refused(bad, "drive ids out of order");
@@ -279,6 +263,28 @@ TEST(StoreImage, RegularDriveStateStaysTheSameSize) {
   }
   EXPECT_EQ(out.size(), 100u);
   EXPECT_EQ(image_of(store).size(), after_day_5);
+}
+
+TEST(StoreImage, StrictTinyStoreTakesAtMost400BytesPerDrive) {
+  // Every drive of tiny seed 7, in delivery order: the image a strict
+  // store writes for it, and the same bytes once loaded back.
+  sim::FleetSimulator fleet(sim::tiny_scenario(7));
+  DriveStateStore store(StoreConfig{});
+  std::vector<PendingRow> out;
+  for (const auto& series : fleet.generate_telemetry()) {
+    for (const auto& raw : series.records) {
+      store.ingest(series.drive_id, series.vendor, raw, out);
+    }
+  }
+  const std::string image = image_of(store);
+  const std::size_t drives = store.stats().drives_tracked;
+  ASSERT_GT(drives, 50u);
+  EXPECT_LE(image.size(), 400 * drives)
+      << static_cast<double>(image.size()) / static_cast<double>(drives)
+      << " bytes per drive";
+  DriveStateStore restored(StoreConfig{});
+  load(restored, image);
+  EXPECT_EQ(image_of(restored), image);
 }
 
 TEST(StoreImage, RestoredStoreReportsTheSameIngestStats) {
@@ -304,8 +310,11 @@ TEST(StoreImage, RestoredStoreReportsTheSameIngestStats) {
 }
 
 TEST(StoreImage, OtherTagsAreRefusedNamingTheTag) {
-  // Checkpoints of earlier builds hold the binary `store 3` image or the
-  // text images `store 1` / `store 2`; none of them loads.
+  // Checkpoints of earlier builds hold the binary `store 4` image (slots of
+  // cleaned double records), `store 3`, or the text images `store 1` /
+  // `store 2`; none of them loads.
+  expect_refused("store 4\n" + std::string(40, '\0'),
+                 "unsupported tag 'store 4'");
   expect_refused("store 3\n" + std::string(40, '\0'),
                  "unsupported tag 'store 3'");
   expect_refused("store 2 7 6 0\ndrives 2\n", "unsupported tag 'store 2'");

@@ -2,18 +2,22 @@
 // order, cumulative W/B, short-gap fill, long-gap cut, min_records
 // withholding, lenient sanitation and quarantine) and the defining
 // invariant — wherever the batch Preprocessor keeps a drive's final
-// segment, the rows the store emitted for that segment are its records
-// byte for byte, strict on real telemetry and lenient under every
-// structured fault mode.
+// segment, the rows the store emitted for that segment carry its records'
+// days, flags, firmware and features byte for byte, strict on real
+// telemetry and lenient under every structured fault mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/preprocess.hpp"
+#include "core/sample_builder.hpp"
+#include "data/label_encoder.hpp"
 #include "serve/drive_state_store.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/fleet.hpp"
@@ -47,37 +51,80 @@ std::vector<PendingRow> feed(DriveStateStore& store,
   return out;
 }
 
+/// A row's values, as the batch path's doubles.
+core::ProcessedRecord values_of(const PendingRow& row) {
+  core::ProcessedRecord values;
+  core::processed_into(row.record, values);
+  return values;
+}
+
 std::vector<DayIndex> days_of(const std::vector<PendingRow>& rows) {
   std::vector<DayIndex> days;
   for (const auto& row : rows) days.push_back(row.record.day);
   return days;
 }
 
-template <typename Array>
-bool same_bytes(const Array& a, const Array& b) {
-  return std::memcmp(a.data(), b.data(), sizeof(a)) == 0;
-}
+/// SFWB rows under an encoder that knows `versions`, so rows show known
+/// and unknown firmware codes.
+class RowWriter {
+ public:
+  explicit RowWriter(const std::vector<std::string>& versions)
+      : builder_(sfwb(), fitted(versions, encoder_)) {}
+  RowWriter(const RowWriter&) = delete;
 
-/// Day, synthetic flag, firmware, SMART and cumulative W/B, bit for bit.
-bool same_record(const core::ProcessedRecord& a,
-                 const core::ProcessedRecord& b) {
-  return a.day == b.day && a.synthetic == b.synthetic &&
-         a.firmware == b.firmware && same_bytes(a.smart, b.smart) &&
-         same_bytes(a.w_cum, b.w_cum) && same_bytes(a.b_cum, b.b_cum);
-}
+  /// The row's day, synthetic flag and segment, its firmware version, and
+  /// features_of(row.record) against features_of(expected), byte for byte.
+  ::testing::AssertionResult same_row(
+      const PendingRow& row, int segment,
+      const core::ProcessedRecord& expected) const {
+    const std::vector<double> got = builder_.features_of(row.record);
+    const std::vector<double> want = builder_.features_of(expected);
+    const bool same_features =
+        got.size() == want.size() &&
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)) == 0;
+    const char* differs = nullptr;
+    if (row.record.day != expected.day) {
+      differs = "day";
+    } else if (row.record.synthetic != expected.synthetic) {
+      differs = "synthetic flag";
+    } else if (row.segment != segment) {
+      differs = "segment";
+    } else if (values_of(row).firmware != expected.firmware) {
+      differs = "firmware";
+    } else if (!same_features) {
+      differs = "features";
+    }
+    if (differs == nullptr) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << differs << " differs on day " << expected.day;
+  }
+
+ private:
+  static core::SampleConfig sfwb() {
+    core::SampleConfig config;
+    config.group = core::FeatureGroup::kSFWB;
+    return config;
+  }
+  static const data::LabelEncoder* fitted(
+      const std::vector<std::string>& versions, data::LabelEncoder& encoder) {
+    encoder.fit(versions);
+    return &encoder;
+  }
+
+  data::LabelEncoder encoder_;
+  core::SampleBuilder builder_;
+};
 
 /// Feeds every drive of `telemetry` (the first series of a repeated id,
 /// as the batch path keeps) through one store, then compares each drive
 /// whose final segment the batch keeps: the rows emitted for that segment
-/// must be Preprocessor::process_drive's records. The batch keeps the final
-/// segment when its last record is the newest day delivered (sanitation
-/// keeps a record only if its day is past every earlier one). Returns the
-/// number of drives compared.
+/// must be the records Preprocessor::plan_batch + convert yield, each
+/// tagged with the segment number the long gaps before it give. Returns
+/// the number of drives compared.
 std::size_t expect_rows_match_batch(
     const std::vector<sim::DriveTimeSeries>& telemetry,
     const StoreConfig& config) {
   DriveStateStore store(config);
-  const core::Preprocessor batch(config.preprocess);
   std::unordered_set<std::uint64_t> seen;
   std::map<std::uint64_t, std::vector<PendingRow>> rows;
   std::vector<const sim::DriveTimeSeries*> fed;
@@ -89,28 +136,44 @@ std::size_t expect_rows_match_batch(
       EXPECT_NO_THROW(store.ingest(series.drive_id, series.vendor, raw, out));
     }
   }
-  std::size_t compared = 0;
-  for (const sim::DriveTimeSeries* series : fed) {
-    const auto expected = batch.process_drive(*series);
-    if (expected.records.empty()) continue;  // quarantined or too short
-    DayIndex newest = series->records.front().day;
-    for (const auto& raw : series->records) newest = std::max(newest, raw.day);
-    if (expected.records.back().day != newest) continue;
 
-    const auto& out = rows[series->drive_id];
-    EXPECT_FALSE(out.empty()) << series->drive_id;
+  // The batch side: every drive whose kept segment is its last, with the
+  // long gaps before that segment in the series it was planned on.
+  const core::Preprocessor batch(config.preprocess);
+  std::vector<std::pair<int, core::ProcessedDrive>> kept;
+  const auto keep = [&](std::size_t index, const sim::DriveTimeSeries& planned,
+                        core::DrivePlan plan) {
+    if (plan.hi != planned.records.size()) return;
+    int cuts = 0;
+    for (std::size_t r = 1; r <= plan.lo; ++r) {
+      const auto& days = planned.records;
+      if (days[r].day - days[r - 1].day >= config.preprocess.drop_gap) ++cuts;
+    }
+    kept.emplace_back(cuts, batch.convert(*fed[index], plan));
+  };
+  batch.plan_batch(fed, keep);
+  std::vector<std::string> versions;
+  for (std::size_t k = 0; k < kept.size(); k += 2) {
+    for (const auto& rec : kept[k].second.records) {
+      versions.push_back(rec.firmware);
+    }
+  }
+  const RowWriter writer(versions);
+
+  for (const auto& [segment, expected] : kept) {
+    const auto& out = rows[expected.drive_id];
+    EXPECT_FALSE(out.empty()) << expected.drive_id;
     if (out.empty()) continue;
     std::size_t first = out.size();
     while (first > 0 && out[first - 1].segment == out.back().segment) --first;
-    EXPECT_EQ(out.size() - first, expected.records.size()) << series->drive_id;
+    EXPECT_EQ(out.size() - first, expected.records.size()) << expected.drive_id;
     if (out.size() - first != expected.records.size()) continue;
     for (std::size_t i = 0; i < expected.records.size(); ++i) {
-      EXPECT_TRUE(same_record(out[first + i].record, expected.records[i]))
-          << "drive " << series->drive_id << " record " << i;
+      EXPECT_TRUE(writer.same_row(out[first + i], segment, expected.records[i]))
+          << "drive " << expected.drive_id << " record " << i;
     }
-    ++compared;
   }
-  return compared;
+  return kept.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -128,7 +191,7 @@ TEST(Streaming, RejectsOutOfOrderDays) {
   store.ingest(1, 0, raw_record(11), out);
   store.ingest(1, 0, raw_record(12), out);
   EXPECT_EQ(days_of(out), (std::vector<DayIndex>{10, 11, 12}));
-  EXPECT_DOUBLE_EQ(out.back().record.w_cum[0], 3.0);
+  EXPECT_DOUBLE_EQ(values_of(out.back()).w_cum[0], 3.0);
 }
 
 TEST(Streaming, LenientModeDropsOutOfOrderDaysIdempotently) {
@@ -137,7 +200,7 @@ TEST(Streaming, LenientModeDropsOutOfOrderDaysIdempotently) {
   DriveStateStore store(lenient_config());
   const auto out = feed(store, {10, 10, 5, 11, 12});
   EXPECT_EQ(days_of(out), (std::vector<DayIndex>{10, 11, 12}));
-  EXPECT_DOUBLE_EQ(out.back().record.w_cum[0], 3.0);
+  EXPECT_DOUBLE_EQ(values_of(out.back()).w_cum[0], 3.0);
   EXPECT_EQ(store.stats().ingest.duplicate_days, 1u);
   EXPECT_EQ(store.stats().ingest.clock_rollbacks, 1u);
 }
@@ -156,10 +219,11 @@ TEST(Streaming, AccumulatesCumulativeCounters) {
   double b_sum = 0.0;
   for (std::size_t i = 0; i < out.size(); ++i) {
     b_sum += static_cast<double>(out[i].record.day);
-    EXPECT_DOUBLE_EQ(out[i].record.w_cum[0], static_cast<double>(i + 1));
-    EXPECT_DOUBLE_EQ(out[i].record.w_cum[8], 2.0 * static_cast<double>(i + 1));
-    EXPECT_DOUBLE_EQ(out[i].record.b_cum[22], b_sum);
-    EXPECT_DOUBLE_EQ(out[i].record.b_cum[0], 0.0);
+    const core::ProcessedRecord values = values_of(out[i]);
+    EXPECT_DOUBLE_EQ(values.w_cum[0], static_cast<double>(i + 1));
+    EXPECT_DOUBLE_EQ(values.w_cum[8], 2.0 * static_cast<double>(i + 1));
+    EXPECT_DOUBLE_EQ(values.b_cum[22], b_sum);
+    EXPECT_DOUBLE_EQ(values.b_cum[0], 0.0);
   }
 }
 
@@ -171,10 +235,10 @@ TEST(Streaming, FillsShortGaps) {
   EXPECT_TRUE(out[3].record.synthetic);
   EXPECT_TRUE(out[4].record.synthetic);
   EXPECT_FALSE(out[5].record.synthetic);
-  EXPECT_NEAR(out[3].record.smart[kPoh], 110.0, 1e-9);
-  EXPECT_NEAR(out[4].record.smart[kPoh], 120.0, 1e-9);
-  EXPECT_NEAR(out[3].record.w_cum[0], 3.0 + 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(out[5].record.w_cum[0], 4.0);
+  EXPECT_NEAR(values_of(out[3]).smart[kPoh], 110.0, 1e-9);
+  EXPECT_NEAR(values_of(out[4]).smart[kPoh], 120.0, 1e-9);
+  EXPECT_NEAR(values_of(out[3]).w_cum[0], 3.0 + 1.0 / 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ(values_of(out[5]).w_cum[0], 4.0);
 }
 
 TEST(Streaming, LongGapStartsFreshSegment) {
@@ -188,7 +252,7 @@ TEST(Streaming, LongGapStartsFreshSegment) {
   out = feed(store, {31, 32});
   ASSERT_EQ(days_of(out), (std::vector<DayIndex>{30, 31, 32}));
   EXPECT_EQ(out.front().segment, first_segment + 1);
-  EXPECT_DOUBLE_EQ(out.front().record.w_cum[0], 1.0);  // counters reset
+  EXPECT_DOUBLE_EQ(values_of(out.front()).w_cum[0], 1.0);  // counters reset
 }
 
 TEST(Streaming, UsableAfterMinRecords) {
@@ -225,8 +289,9 @@ TEST(Streaming, CompactBoundsMemoryWithoutChangingFutureOutput) {
   for (const auto& raw : series.records) store.ingest(1, 0, raw, out);
   const auto expected = core::Preprocessor().process_drive(series);
   ASSERT_EQ(out.size(), expected.records.size());
+  const RowWriter writer({"I_F_1"});
   for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_TRUE(same_record(out[i].record, expected.records[i])) << i;
+    EXPECT_TRUE(writer.same_row(out[i], 0, expected.records[i])) << i;
   }
 }
 
@@ -234,6 +299,12 @@ TEST(Streaming, MatchesBatchPreprocessorOnRealTelemetry) {
   sim::FleetSimulator fleet(sim::tiny_scenario(61));
   EXPECT_GE(expect_rows_match_batch(fleet.generate_telemetry(), StoreConfig{}),
             10u);
+}
+
+TEST(Streaming, MatchesBatchPreprocessorOnSmallTelemetry) {
+  sim::FleetSimulator fleet(sim::small_scenario(3));
+  EXPECT_GE(expect_rows_match_batch(fleet.generate_telemetry(), StoreConfig{}),
+            100u);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +315,7 @@ TEST(RobustIngest, StreamingLenientDuplicateDayIsIdempotent) {
   DriveStateStore store(lenient_config());
   const auto out = feed(store, {10, 11, 11, 11, 12});
   EXPECT_EQ(days_of(out), (std::vector<DayIndex>{10, 11, 12}));
-  EXPECT_DOUBLE_EQ(out.back().record.w_cum[0], 3.0);  // retries not counted
+  EXPECT_DOUBLE_EQ(values_of(out.back()).w_cum[0], 3.0);  // retries not counted
   EXPECT_EQ(store.stats().ingest.duplicate_days, 2u);
 }
 
